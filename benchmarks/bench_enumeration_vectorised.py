@@ -3,18 +3,23 @@
 The vectorised-enumeration layer finishes the batching work the score
 columns started: join-tree combines run over key arrays
 (``combine_key_arrays`` + ``_batched_combine``), the star structure
-materialises ``O_H`` with array joins, and ``top_k(k)`` requests at or
-below the engine threshold are served by one bulk kernel — array join,
-array dedup, ``argpartition``-style selection — instead of queue builds
-plus k priority-queue pops.  Every batched path is bit-identical to its
-scalar twin or refuses into it.
+materialises ``O_H`` with array joins, and ``top_k(k)`` requests whose
+join is cheap are served by one bulk kernel — array join, array dedup,
+``argpartition``-style selection — instead of queue builds plus k
+priority-queue pops.  "Cheap" is the engine's cost gate: the exact
+pre-dedup join size, counted before anything is materialised, within
+``BULK_TOPK_COST_FACTOR`` times the reduced row count.  Every batched
+path is bit-identical to its scalar twin or refuses into it.
 
 This benchmark measures exactly that substitution on identical inputs:
 
 * **identity** — the full ranked ``top_k`` output — values, scores,
-  keys, ties, order — is compared between the bulk and heap paths over
-  plain and encoded execution, serial and sharded, kernels on and off
-  (the no-NumPy fallback), on both workload shapes;
+  keys, ties, order — is compared between the engine default (bulk
+  where the gate admits it) and the heap path over plain and encoded
+  execution, serial and sharded, kernels on and off (the no-NumPy
+  fallback), on both workload shapes;
+* **dispatch** — the unit-fanout chain4/star3 requests are bulk-served
+  and a high-fanout 3hop projection is declined for cost;
 * **enumeration phase** — serving ``top_k(k)`` from warm reduced
   instances (the engine's steady state): the heap side pays queue
   construction plus k pops, the bulk side one array pass — both sides
@@ -26,7 +31,7 @@ This benchmark measures exactly that substitution on identical inputs:
 
 Run:  PYTHONPATH=src python benchmarks/bench_enumeration_vectorised.py [--quick]
 
-``--quick`` shrinks the data for CI (identity check only); at default
+``--quick`` shrinks the data for CI (identity and dispatch checks); at default
 scale the acceptance gate requires the bulk enumeration phase to be at
 least 2x faster than the heap path on both workloads, recorded in
 ``BENCH_enumeration.json`` at the repo root.
@@ -46,7 +51,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.algorithms.yannakakis import atom_instances, full_reduce  # noqa: E402
 from repro.bench import format_table  # noqa: E402
 from repro.core.acyclic import AcyclicRankedEnumerator  # noqa: E402
-from repro.core.ranking import SumRanking, TableWeight  # noqa: E402
+from repro.core.ranking import SumRanking, TableWeight, topk_counters  # noqa: E402
 from repro.core.star import StarTradeoffEnumerator  # noqa: E402
 from repro.data import Database  # noqa: E402
 from repro.engine import QueryEngine  # noqa: E402
@@ -108,6 +113,18 @@ def star_workload(scale: float, seed: int = 23):
     return db, weight
 
 
+def fanout_workload(entities: int = 200, hubs: int = 4):
+    """Every entity linked to every hub: a 3hop projection over it joins
+    ``(entities * hubs) ** 2`` rows for ``3 * entities * hubs`` reduced
+    ones, far past the cost gate."""
+    db = Database()
+    db.add_relation(
+        "E", ("a", "p"), [(a, entities + p) for a in range(entities) for p in range(hubs)]
+    )
+    weight = TableWeight({}, default_table=random_weights(range(entities + hubs), seed=5))
+    return db, weight
+
+
 def _output(answers):
     return [(a.values, a.score, a.key) for a in answers]
 
@@ -135,7 +152,7 @@ def check_identity(quick: bool) -> dict:
                 if shards and name.startswith("star"):
                     continue  # the partitioner serves acyclic plans
                 outputs = {}
-                for bulk in (K, 0):
+                for bulk in (None, 0):
                     engine = QueryEngine(db, encode=encode, bulk_topk_max_k=bulk)
                     if shards > 1:
                         answers = engine.execute_parallel(
@@ -146,29 +163,29 @@ def check_identity(quick: bool) -> dict:
                     outputs[bulk] = _output(answers)
                     if not shards:
                         served = engine.stats.bulk_topk_calls
-                        if bulk and not served:
+                        if bulk is None and not served:
                             raise SystemExit(
                                 f"FAIL: bulk kernel never served {name!r} "
                                 f"(encode={encode})"
                             )
-                        if not bulk and served:
+                        if bulk == 0 and served:
                             raise SystemExit(
-                                f"FAIL: bulk kernel ran with the threshold at 0 "
+                                f"FAIL: bulk kernel ran with the ceiling at 0 "
                                 f"on {name!r}"
                             )
-                if outputs[K] != outputs[0]:
+                if outputs[None] != outputs[0]:
                     raise SystemExit(
                         f"FAIL: bulk top-k diverged from the heap path on {name!r} "
                         f"(encode={encode}, shards={shards})"
                     )
-                checked[f"{name}/encode={encode}/shards={shards}"] = len(outputs[K])
+                checked[f"{name}/encode={encode}/shards={shards}"] = len(outputs[0])
 
         # The no-NumPy environment: kernels and score columns disabled,
         # every batched path must refuse into its scalar twin.
         kernels.set_enabled(False)
         scores.set_enabled(False)
         try:
-            engine = QueryEngine(db, bulk_topk_max_k=K)
+            engine = QueryEngine(db)
             scalar = _output(engine.execute(text, ranking, k=K, **extra))
             if engine.stats.bulk_topk_calls:
                 raise SystemExit(
@@ -177,12 +194,37 @@ def check_identity(quick: bool) -> dict:
         finally:
             kernels.set_enabled(True)
             scores.set_enabled(True)
-        engine = QueryEngine(db, bulk_topk_max_k=K)
+        engine = QueryEngine(db)
         vectorised = _output(engine.execute(text, ranking, k=K, **extra))
         if vectorised != scalar:
             raise SystemExit(f"FAIL: {name!r} diverged with kernels disabled")
         checked[f"{name}/no-numpy"] = len(scalar)
     return checked
+
+
+def check_cost_gate() -> dict:
+    """A high-fanout 3hop projection is declined for cost, served by the heap."""
+    db, weight = fanout_workload()
+    text = "Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)"
+    ranking = SumRanking(weight)
+    engine = QueryEngine(db)
+    with topk_counters.collect() as tally:
+        answers = engine.execute(text, ranking, k=K)
+    if engine.stats.bulk_topk_calls or tally.reasons.get("cost") != 1:
+        raise SystemExit(
+            "FAIL: the high-fanout 3hop was not declined for cost "
+            f"(bulk calls {engine.stats.bulk_topk_calls}, reasons {tally.reasons})"
+        )
+    heap = QueryEngine(db, bulk_topk_max_k=0).execute(text, ranking, k=K)
+    if _output(answers) != _output(heap):
+        raise SystemExit("FAIL: the cost-declined 3hop diverged from the heap path")
+    return {
+        "3hop fanout": {
+            "join_rows": engine.last_enumerator.stats.join_rows,
+            "reduced_rows": 3 * len(db["E"]),
+            "declined": "cost",
+        }
+    }
 
 
 def time_chain(db, weight, repeats: int):
@@ -270,6 +312,9 @@ def main(argv=None) -> int:
     checked = check_identity(args.quick)
     print(f"identity ok: {len(checked)} ranked top-k outputs bulk == heap "
           "(values, scores, keys, ties, order)")
+    dispatch = check_cost_gate()
+    print("dispatch ok: unit-fanout chain4/star3 bulk-served, high-fanout 3hop "
+          "declined for cost")
 
     scale = args.scale if args.scale is not None else (0.01 if args.quick else 1.0)
     chain_db, chain_weight = chain_workload(scale)
@@ -328,6 +373,7 @@ def main(argv=None) -> int:
         "star_|D|": star_db.size,
         "repeats": args.repeats,
         "identity_checks": checked,
+        "cost_gate": dispatch,
         "phases": record_phases,
         "identical_output": True,  # enforced above
         "gate": {

@@ -64,22 +64,22 @@ from .ranking import (
     topk_counters,
 )
 
-__all__ = ["AcyclicRankedEnumerator", "BULK_TOPK_MAX_K"]
+__all__ = ["AcyclicRankedEnumerator", "BULK_TOPK_COST_FACTOR"]
 
 Row = tuple
 
-#: Default ``k`` ceiling for the bulk top-k kernel when the engine layer
-#: enables it (:meth:`repro.engine.prepared.PreparedPlan.make_enumerator`).
-#: Above it the incremental heap wins: bulk materialises every candidate
-#: answer, which is the right trade only while k stays small relative to
-#: the output.  Direct enumerator construction defaults to *disabled*
-#: (``bulk_topk_max_k=0``) — the class embodies the paper's any-delay
-#: algorithm and keeps its per-answer cost profile unless asked.
-BULK_TOPK_MAX_K = 256
-
-#: Refuse the bulk kernel when an intermediate join materialises more
-#: than this many rows — the heap path's laziness is the better trade.
-BULK_TOPK_ROW_CAP = 5_000_000
+#: The bulk top-k cost gate.  The bulk kernel materialises the join of
+#: the reduced instances (deduplicating per node) and its cost does not
+#: grow with ``k``; the incremental heap path is lazy and its cost does.
+#: So ``top_k`` first counts the exact pre-dedup join size ``J`` (no
+#: join is built) and serves by bulk only when ``J`` is at most this
+#: many times the reduced row count ``N`` — a join that fans out further
+#: goes to the heap, whatever ``k`` is.  Measured on random bipartite
+#: graphs (3 000 rows, k = 10 and 100), bulk and heap tie at
+#: ``J/N`` ~ 40 on 2hop and ~ 40-45 on star3; the paper's DBLP/IMDB-like
+#: 2hop projections sit at 11-25 (bulk faster), their 3hop, 4hop and
+#: star3 at 200-11 000 (bulk 1.4-37x slower).
+BULK_TOPK_COST_FACTOR = 40
 
 
 class _RTNode:
@@ -173,6 +173,11 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         Drop output-free subtrees after the reducer pass (default on).
     dedup_inserts:
         Suppress duplicate successor insertions (default on).
+    bulk_topk_max_k:
+        The bulk top-k kernel's ``k`` ceiling: ``0`` (default) keeps
+        every ``top_k`` on the heap path, ``None`` lets the cost gate
+        (:data:`BULK_TOPK_COST_FACTOR`) decide at any ``k``, a positive
+        value also requires ``k`` at or below it.
 
     Usage
     -----
@@ -201,7 +206,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         dedup_inserts: bool = True,
         instances: Mapping[str, list[Row]] | None = None,
         already_reduced: bool = False,
-        bulk_topk_max_k: int = 0,
+        bulk_topk_max_k: int | None = 0,
     ):
         self.query = query
         self.db = db
@@ -210,7 +215,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self._dedup_inserts = dedup_inserts
         self._given_instances = instances
         self._already_reduced = already_reduced
-        self._bulk_topk_max_k = int(bulk_topk_max_k)
+        self._bulk_topk_max_k = None if bulk_topk_max_k is None else int(bulk_topk_max_k)
 
         if join_tree is None:
             join_tree = build_join_tree(query, root=root)
@@ -593,24 +598,29 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         return cell.next
 
     # ------------------------------------------------------------------ #
-    # bulk top-k (vectorised small-k serve)
+    # bulk top-k (vectorised serve, gated by the join's size)
     # ------------------------------------------------------------------ #
     def top_k(self, k: int) -> list[RankedAnswer]:
-        """First ``k`` answers; small k may be served by the bulk kernel.
+        """First ``k`` answers; cheap joins are served by the bulk kernel.
 
-        When ``bulk_topk_max_k`` is set (the engine layer does, direct
-        construction defaults to off), ``k`` is at or below it and the
-        ranking is batched-capable, the answer prefix is computed in one
-        materialise-partition-sort pass over arrays
-        (:meth:`_bulk_topk`) — bit-identical to the heap emission, ties
-        included.  Any refusal falls back to the incremental heap path
-        with its delay guarantees intact, counted in
-        ``bulk_topk_fallbacks``.
+        When the bulk kernel is on (``bulk_topk_max_k``: the engine layer
+        turns it on with no ``k`` ceiling, direct construction defaults
+        to off), ``k`` is within the ceiling and the ranking is
+        batched-capable, one bottom-up pass counts the exact pre-dedup
+        join size ``J`` of the reduced instances (:meth:`_join_rows`,
+        kept as ``stats.join_rows``).  Only when
+        ``J <= BULK_TOPK_COST_FACTOR * N`` (``N`` reduced rows) is the
+        prefix computed in one materialise-partition-sort pass over
+        arrays (:meth:`_bulk_topk`) — bit-identical to the heap
+        emission, ties included.  A larger join is declined (reason
+        ``"cost"``) before any of it is materialised; that and every
+        refusal fall back to the incremental heap path with its delay
+        guarantees intact, counted in ``bulk_topk_fallbacks``.
         """
         limit = self._bulk_topk_max_k
         if (
-            limit > 0
-            and 0 < k <= limit
+            0 < k
+            and (limit is None or k <= limit)
             and not self._exhausted
             and not self._preprocessed
             and kernels.enabled()
@@ -618,18 +628,102 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             if self.bound.batch_weight() is None:
                 topk_counters.record_fallback("unbatchable-ranking")
             else:
-                answers = self._bulk_topk(k)
-                if answers is not None:
-                    topk_counters.record_call()
-                    return answers
-                topk_counters.record_fallback("refused")
+                instances, tree = self._prepare_instances()
+                started = time.perf_counter()
+                nodes = self._bulk_columns(instances, tree)
+                join_rows = None if nodes is None else self._join_rows(nodes)
+                self.stats.join_rows = join_rows
+                self.stats.enumerate_seconds += time.perf_counter() - started
+                if join_rows is None:
+                    topk_counters.record_fallback("refused")
+                elif join_rows > BULK_TOPK_COST_FACTOR * sum(
+                    len(rows) for _rt, rows, _cols in nodes
+                ):
+                    topk_counters.record_fallback("cost")
+                else:
+                    answers = self._bulk_topk(k, nodes)
+                    if answers is not None:
+                        topk_counters.record_call()
+                        return answers
+                    topk_counters.record_fallback("refused")
         return super().top_k(k)
 
-    def _bulk_topk(self, k: int) -> list[RankedAnswer] | None:
+    def _bulk_columns(self, instances, tree: JoinTree) -> list[tuple] | None:
+        """The bulk kernel's per-node inputs, shared with the cost count.
+
+        Post-order ``(runtime node, rows, {position: int64 column})``
+        over the pruned tree, one column per anchor, child-key and owned
+        output position — extracted once, read by both
+        :meth:`_join_rows` and :meth:`_bulk_topk`.  ``None`` when a
+        column is not exactly integer (the kernel could not run).
+        """
+        head_position = {v: i for i, v in enumerate(self.query.head)}
+        codes_of = getattr(instances, "codes", None)
+        rt_by_alias: dict[str, _RTNode] = {}
+        nodes = []
+        for node in tree.post_order():
+            rows = instances[node.alias]
+            children_rt = [rt_by_alias[c.alias] for c in node.children]
+            rt = _RTNode(node, children_rt, head_position)
+            rt_by_alias[node.alias] = rt
+            needed = set(rt.anchor_positions) | set(rt.own_positions)
+            for key_pos in rt.child_key_positions:
+                needed.update(key_pos)
+            # The storage-cached code matrix holds exactly these int64
+            # columns; rows without one are converted here.
+            matrix = codes_of(node.alias) if codes_of is not None else None
+            if matrix is not None and len(matrix) == len(rows):
+                cols = {p: matrix[:, p] for p in needed}
+            else:
+                cols = {}
+                for p in needed:
+                    col = kernels.column_array([row[p] for row in rows])
+                    if col is None:
+                        return None
+                    cols[p] = col
+            nodes.append((rt, rows, cols))
+        return nodes
+
+    @staticmethod
+    def _join_rows(nodes: list[tuple]) -> float | None:
+        """Exact pre-dedup join size of the instances, without the join.
+
+        Bottom-up: a row's count is the product, over its children, of
+        the summed counts of the child rows sharing its key (a leaf row
+        counts 1); the root's counts sum to the number of rows the full
+        join would have.  On reduced instances every row extends to a
+        full answer, so that number bounds every intermediate
+        :meth:`_bulk_topk` builds.  ``float64`` throughout: exact up to
+        2**53 and far past any size the gate would let through.
+        ``None`` when a key does not pack.
+        """
+        np = kernels.np
+        counted: dict[str, tuple] = {}
+        total = 0.0
+        for rt, rows, cols in nodes:
+            counts = np.ones(len(rows))
+            for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
+                c_cols, c_counts = counted[child_rt.alias]
+                if key_pos:
+                    packed = kernels.pack_pair(
+                        [cols[p] for p in key_pos],
+                        [c_cols[p] for p in child_rt.anchor_positions],
+                    )
+                    if packed is None:
+                        return None
+                    counts = counts * kernels.keyed_sums(*packed, c_counts)
+                else:
+                    counts = counts * c_counts.sum()
+            counted[rt.alias] = (cols, counts)
+            total = float(counts.sum())  # the root comes last
+        return total
+
+    def _bulk_topk(self, k: int, nodes: list[tuple]) -> list[RankedAnswer] | None:
         """One array pass from reduced instances to the k best answers.
 
-        Post-order over the join tree, each node's state three aligned
-        array groups: anchor columns, output columns (head order) and a
+        Post-order over the join tree (``nodes``, from
+        :meth:`_bulk_columns`), each node's state three aligned array
+        groups: anchor columns, output columns (head order) and a
         float64 key per distinct (anchor, output) partial answer.  A
         node joins its rows against each child state on the anchor
         (``pack_pair`` + ``join_indices``), combines keys with the same
@@ -645,16 +739,10 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         """
         np = kernels.np
         bound = self.bound
-        instances, tree = self._prepare_instances()
+        instances = self._instances
         started = time.perf_counter()
-        head_position = {v: i for i, v in enumerate(self.query.head)}
         states: dict[str, tuple] = {}
-        rt_by_alias: dict[str, _RTNode] = {}
-        for node in tree.post_order():
-            rows = instances[node.alias]
-            children_rt = [rt_by_alias[c.alias] for c in node.children]
-            rt = _RTNode(node, children_rt, head_position)
-            rt_by_alias[node.alias] = rt
+        for rt, rows, cols in nodes:
             if not rows:
                 # Reduced instances: one empty relation empties the output.
                 self._exhausted = True
@@ -664,25 +752,16 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 return None  # output rebuild would normalise bool/IntEnum
             if rt.own_pairs:
                 own_arr = batched_node_key_array(
-                    bound, instances, node.alias, rt.own_pairs
+                    bound, instances, rt.alias, rt.own_pairs
                 )
                 if own_arr is None:
                     return None
             else:
                 own_arr = np.full(len(rows), float(bound.zero))
-            needed = set(rt.anchor_positions) | set(rt.own_positions)
-            for key_pos in rt.child_key_positions:
-                needed.update(key_pos)
-            cols = {}
-            for p in needed:
-                col = kernels.column_array([row[p] for row in rows])
-                if col is None:
-                    return None
-                cols[p] = col
             sel = np.arange(len(rows))
             acc_child_cols: list[list] = []
             acc_child_keys: list = []
-            for child_rt, key_pos in zip(children_rt, rt.child_key_positions):
+            for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
                 c_anchor, c_out, c_keys = states[child_rt.alias]
                 parent_key_cols = [cols[p][sel] for p in key_pos]
                 if key_pos:
@@ -694,8 +773,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                     p_keys = np.zeros(len(sel), dtype=np.int64)
                     ca_keys = np.zeros(len(c_keys), dtype=np.int64)
                 li, ri = kernels.join_indices(p_keys, ca_keys)
-                if len(li) > BULK_TOPK_ROW_CAP:
-                    return None
                 sel = sel[li]
                 acc_child_cols = [
                     [col[li] for col in colset] for colset in acc_child_cols
@@ -727,15 +804,15 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             anchor_cols = [c[first] for c in anchor_cols]
             out_cols = [c[first] for c in out_cols]
             keys = keys[first]
-            states[node.alias] = (anchor_cols, out_cols, keys)
+            states[rt.alias] = (anchor_cols, out_cols, keys)
 
-        root_rt = rt_by_alias[tree.root.alias]
+        root_rt = nodes[-1][0]  # post-order: the root comes last
         if root_rt.out_vars != self.query.head:
             raise QueryError(
                 f"internal error: root output {root_rt.out_vars} does not "
                 f"match head {self.query.head}"
             )
-        _anchor, out_cols, keys = states[tree.root.alias]
+        _anchor, out_cols, keys = states[root_rt.alias]
         n = len(keys)
         if n == 0:
             self._exhausted = True

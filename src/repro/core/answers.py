@@ -60,6 +60,10 @@ class EnumerationStats:
     construction, scoring included); ``enumerate_seconds`` accumulates
     time spent emitting answers (``top_k``/``all``/bulk serves) — the
     per-phase breakdown ``repro --stats`` prints.
+
+    ``join_rows`` is the exact pre-dedup join size the bulk top-k cost
+    gate counted before choosing between the bulk kernel and the heap
+    (``None`` when no count was taken) — why a ``top_k`` took its path.
     """
 
     __slots__ = (
@@ -71,6 +75,7 @@ class EnumerationStats:
         "reduce_seconds",
         "build_seconds",
         "enumerate_seconds",
+        "join_rows",
         "heap_stats",
     )
 
@@ -83,6 +88,7 @@ class EnumerationStats:
         self.reduce_seconds = 0.0
         self.build_seconds = 0.0
         self.enumerate_seconds = 0.0
+        self.join_rows: float | None = None
         self.heap_stats = heap_stats
 
     @property
@@ -107,6 +113,7 @@ class EnumerationStats:
             "reduce_seconds": self.reduce_seconds,
             "build_seconds": self.build_seconds,
             "enumerate_seconds": self.enumerate_seconds,
+            "join_rows": self.join_rows,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

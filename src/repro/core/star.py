@@ -133,7 +133,7 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
         epsilon: float | None = None,
         delta: int | None = None,
         dedup_inserts: bool = True,
-        bulk_topk_max_k: int = 0,
+        bulk_topk_max_k: int | None = 0,
     ):
         self.query = query
         self.db = db
@@ -151,7 +151,7 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
             raise NotAStarQueryError(f"delta must be >= 1, got {delta}")
         self.delta = int(delta)
         self._dedup_inserts = dedup_inserts
-        self._bulk_topk_max_k = int(bulk_topk_max_k)
+        self._bulk_topk_max_k = None if bulk_topk_max_k is None else int(bulk_topk_max_k)
 
         self.bound = self.ranking.bind({v: i for i, v in enumerate(query.head)})
         self.heap_stats = HeapStats()
@@ -268,7 +268,7 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
                 instances=sub_instances,
                 bulk_topk_max_k=self._bulk_topk_max_k,
             )
-            if not self._bulk_topk_max_k:
+            if self._bulk_topk_max_k == 0:
                 # Eager per-subquery queue build (Algorithm 4's
                 # preprocessing).  With bulk top-k enabled the build is
                 # deferred: a bulk-served subquery never needs queues,
@@ -388,31 +388,37 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
             ops_mark = self.heap_stats.operations
 
     # ------------------------------------------------------------------ #
-    # bulk top-k (vectorised small-k serve)
+    # bulk top-k (union of per-subquery prefixes)
     # ------------------------------------------------------------------ #
     def top_k(self, k: int) -> list[RankedAnswer]:
-        """First ``k`` answers; small k skips the merge machinery.
+        """First ``k`` answers; skips the merge machinery when bulk is on.
 
         The streams partition the output and each is served sorted, so
         the k best answers are within the first k of every stream: take
         the ``heavy_output`` prefix, ``top_k(k)`` of each subquery
-        enumerator (bulk-served where possible), sort the union once by
-        (key, values) and truncate — identical to the merge emission.
-        Enabled by ``bulk_topk_max_k`` (the engine layer sets it);
-        ``0 < k <= bulk_topk_max_k`` with a batched-capable ranking
-        qualifies, anything else runs the incremental merge.
+        enumerator, sort the union once by (key, values) and truncate —
+        identical to the merge emission.  Enabled by ``bulk_topk_max_k``
+        (the engine layer sets it; same ``k`` ceiling semantics as
+        :class:`~repro.core.acyclic.AcyclicRankedEnumerator`) with a
+        batched-capable ranking; anything else runs the incremental
+        merge.  Each subquery applies the cost gate itself: it is
+        served by the bulk kernel, or declined to its own heap, and is
+        counted as such.
         """
         limit = self._bulk_topk_max_k
-        if limit > 0 and 0 < k <= limit and not self._exhausted and kernels.enabled():
+        if (
+            0 < k
+            and (limit is None or k <= limit)
+            and not self._exhausted
+            and kernels.enabled()
+        ):
             if self.bound.batch_weight() is None:
                 topk_counters.record_fallback("unbatchable-ranking")
             else:
-                answers = self._bulk_topk(k)
-                topk_counters.record_call()
-                return answers
+                return self._union_topk(k)
         return super().top_k(k)
 
-    def _bulk_topk(self, k: int) -> list[RankedAnswer]:
+    def _union_topk(self, k: int) -> list[RankedAnswer]:
         self.preprocess()
         started = time.perf_counter()
         final = self.bound.final_score
@@ -422,6 +428,9 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
         ]
         for enum in self._subenums:
             candidates.extend(enum.top_k(k))
+        counted = [e.stats.join_rows for e in self._subenums if e.stats.join_rows is not None]
+        if counted:
+            self.stats.join_rows = sum(counted)
         candidates.sort(key=lambda a: (a.key, a.values))
         answers = candidates[:k]
         self._exhausted = True

@@ -111,16 +111,19 @@ class QueryEngine:
         processes and keep the process default — set
         :func:`repro.storage.kernels.set_min_rows` for those.
     bulk_topk_max_k:
-        Bulk top-k threshold for this engine's executions (``None`` =
-        the default, :data:`repro.core.acyclic.BULK_TOPK_MAX_K`).
-        ``top_k(k)`` requests with ``k`` at or below the threshold are
-        served by one array pass (join, dedup, ``argpartition``-style
-        selection) instead of the per-answer heap loop — bit-identical
-        answers, scores and tie order, with an automatic heap fallback
-        whenever the kernel refuses.  ``0`` disables the bulk kernel
-        entirely (every ``top_k`` keeps the paper's any-delay heap
-        path).  Applies to acyclic and star plans; other enumerators
-        always use their own paths.
+        Bulk top-k ``k`` ceiling for this engine's executions.  ``None``
+        (the default) puts no ceiling on ``k``: every ``top_k(k)`` with
+        a batched-capable ranking first counts the exact pre-dedup join
+        size of its reduced instances and is served by one array pass
+        (join, dedup, ``argpartition``-style selection) only while that
+        count is within :data:`repro.core.acyclic.BULK_TOPK_COST_FACTOR`
+        times the reduced row count — bit-identical answers, scores and
+        tie order; larger joins, and any refusal, run the per-answer
+        heap loop.  A positive value additionally keeps ``k`` above it
+        on the heap; ``0`` disables the bulk kernel entirely (every
+        ``top_k`` keeps the paper's any-delay heap path).  Applies to
+        acyclic and star plans; other enumerators always use their own
+        paths.
     """
 
     def __init__(
@@ -164,8 +167,8 @@ class QueryEngine:
         # Applied as a thread-local override around execute paths, so
         # concurrent engines with different settings do not interfere.
         self._kernel_min_rows = kernel_min_rows
-        # Bulk top-k threshold override; None leaves the plan-layer
-        # default (``acyclic.BULK_TOPK_MAX_K``), 0 forces the heap path.
+        # Bulk top-k ``k`` ceiling override; None leaves the plan-layer
+        # default (no ceiling, cost-gated), 0 forces the heap path.
         self._bulk_topk_max_k = bulk_topk_max_k
         self.last_enumerator: RankedEnumeratorBase | None = None
         # Snapshot-backed sessions (``QueryEngine(path)`` or a database

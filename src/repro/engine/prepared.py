@@ -31,7 +31,6 @@ import time
 from typing import Any
 
 from ..algorithms.yannakakis import atom_instances, full_reduce, refresh_reduction
-from ..core.acyclic import BULK_TOPK_MAX_K
 from ..core.base import RankedEnumeratorBase
 from ..core.planner import QueryPlan
 from ..data.database import Database
@@ -46,7 +45,8 @@ _WARMABLE_KINDS = frozenset({"acyclic", "lex"})
 #: Plan kinds whose enumerators accept the ``bulk_topk_max_k`` knob.
 #: Direct enumerator construction defaults the knob to 0 (pure heap
 #: path — what the delay-guarantee tests measure); the engine layer
-#: turns the bulk kernel on for its executions here.
+#: turns the bulk kernel on for its executions here, with no ``k``
+#: ceiling: the enumerators' cost gate decides per request.
 _BULK_TOPK_KINDS = frozenset({"acyclic", "star"})
 
 
@@ -231,7 +231,7 @@ class PreparedPlan:
             and "bulk_topk_max_k" not in overrides
             and "bulk_topk_max_k" not in self.plan.kwargs
         ):
-            overrides["bulk_topk_max_k"] = BULK_TOPK_MAX_K
+            overrides["bulk_topk_max_k"] = None
         caller_instances = "instances" in overrides or "instances" in self.plan.kwargs
         if self.plan.kind in _WARMABLE_KINDS and not caller_instances:
             self.warm(target, stats)

@@ -24,7 +24,9 @@ This module is that array layer:
   identical to the Python dict build;
 * **joins** — :func:`join_indices` / :func:`cross_indices` produce
   matching row-index pairs in exactly the left-major,
-  right-store-order sequence of the Python hash join.
+  right-store-order sequence of the Python hash join;
+  :func:`keyed_sums` counts what such a join would produce without
+  producing it.
 
 Every kernel is exact or refuses: a ``None`` return tells the caller to
 use the pure-Python implementation, so outputs (values, scores, ties,
@@ -69,6 +71,7 @@ __all__ = [
     "group_indices",
     "hash_group",
     "join_indices",
+    "keyed_sums",
     "min_rows",
     "min_rows_override",
     "pack_columns",
@@ -193,7 +196,9 @@ class KernelCounters:
         exceeds 64 bits), ``"non-real-weight"`` / ``"missing-weight"``
         (score columns), ``"unbatchable-ranking"`` (the ranking has no
         array form — LEX/composite), ``"combine-refused"`` /
-        ``"scalar-child-keys"`` (batched combine declined).
+        ``"scalar-child-keys"`` (batched combine declined), and for bulk
+        ``top_k`` ``"refused"`` (the kernel could not run exactly) and
+        ``"cost"`` (the join is too large to be worth materialising).
         """
         with self._lock:
             self.fallbacks += 1
@@ -536,6 +541,25 @@ def join_indices(left_keys, right_keys):
     offsets = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     right_idx = order[np.repeat(starts, cnt) + offsets]
     return left_idx, right_idx
+
+
+def keyed_sums(left_keys, right_keys, weights):
+    """For each left key, the sum of ``weights`` over equal right keys.
+
+    A ``float64`` array aligned with ``left_keys`` (``0.0`` where no
+    right key matches): with ``weights`` the per-row match counts of the
+    right side, entry ``i`` is how many rows left row ``i`` would join
+    with — a join's size, counted in one group-by without
+    materialising a single pair.  Each group is summed on its own, so a
+    small group's sum never loses precision next to a huge one.
+    """
+    counters.record_call()
+    unique, inverse = np.unique(right_keys, return_inverse=True)
+    if not len(unique):
+        return np.zeros(len(left_keys))
+    sums = np.bincount(inverse.ravel(), weights=weights, minlength=len(unique))
+    pos = np.minimum(np.searchsorted(unique, left_keys), len(unique) - 1)
+    return np.where(unique[pos] == left_keys, sums[pos], 0.0)
 
 
 def cross_indices(n_left: int, n_right: int):

@@ -45,6 +45,7 @@ class TestEnumerationStats:
             "reduce_seconds",
             "build_seconds",
             "enumerate_seconds",
+            "join_rows",
         }
 
     def test_without_heap_stats(self):

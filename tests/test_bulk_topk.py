@@ -17,7 +17,11 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.acyclic import BULK_TOPK_MAX_K, AcyclicRankedEnumerator
+from hypothesis import given, settings, strategies as st
+
+from repro.algorithms.naive import join_results
+from repro.core import acyclic
+from repro.core.acyclic import BULK_TOPK_COST_FACTOR, AcyclicRankedEnumerator
 from repro.core.heap import HeapStats, RankHeap
 from repro.core.lexicographic import LexBacktrackEnumerator
 from repro.core.ranking import (
@@ -35,7 +39,7 @@ from repro.core.ranking import (
 from repro.core.star import StarTradeoffEnumerator
 from repro.data import Database
 from repro.engine import QueryEngine
-from repro.query import parse_query
+from repro.query import build_join_tree, parse_query
 from repro.storage import kernels, scores
 from repro.workloads.weights import random_weights
 
@@ -193,31 +197,34 @@ def test_ranking_identity_direct(name):
 @pytest.mark.parametrize("shards", [0, 3])
 @pytest.mark.parametrize("use_kernels", [True, False])
 def test_engine_grid_identity(encode, shards, use_kernels):
-    """encoded x sharded x kernels: the engine's bulk default never
-    changes any answer, score or tie order."""
-    db = chain_db(n=120)
+    """encoded x sharded x kernels, k below and above the old 256
+    ceiling: the engine's bulk default never changes any answer, score
+    or tie order."""
+    db = chain_db(n=400)  # 400 distinct answers
     query = CHAIN3
-    ranking = SumRanking(table_weight(range(120)))
+    ranking = SumRanking(table_weight(range(400)))
     kernels.set_enabled(use_kernels)
     scores.set_enabled(use_kernels)
     try:
-        outputs = {}
-        for bulk in (BULK_TOPK_MAX_K, 0):
-            engine = QueryEngine(db, encode=encode, bulk_topk_max_k=bulk)
-            if shards > 1:
-                answers = engine.execute_parallel(
-                    query, ranking, shards=shards, backend="serial", k=25
-                )
-            else:
-                answers = engine.execute(query, ranking, k=25)
-            outputs[bulk] = output(answers)
-            if not shards and use_kernels:
-                served = engine.stats.bulk_topk_calls
-                assert bool(bulk) == bool(served)
+        for k in (25, 300):
+            outputs = {}
+            for bulk in (None, 0):
+                engine = QueryEngine(db, encode=encode, bulk_topk_max_k=bulk)
+                if shards > 1:
+                    answers = engine.execute_parallel(
+                        query, ranking, shards=shards, backend="serial", k=k
+                    )
+                else:
+                    answers = engine.execute(query, ranking, k=k)
+                outputs[bulk] = output(answers)
+                if not shards and use_kernels:
+                    served = engine.stats.bulk_topk_calls
+                    assert (bulk is None) == bool(served)
+            assert outputs[None] == outputs[0]
+            assert len(outputs[0]) == k
     finally:
         kernels.set_enabled(True)
         scores.set_enabled(True)
-    assert outputs[BULK_TOPK_MAX_K] == outputs[0]
 
 
 def test_string_values_fall_back():
@@ -249,6 +256,174 @@ def test_no_numpy_environment_serves_through_heap():
         kernels.set_enabled(True)
         scores.set_enabled(True)
     assert output(scalar) == output(bulk_top_k(query, db, ranking, 20))
+
+
+# --------------------------------------------------------------------- #
+# the cost gate: count the join, materialise it only when it is cheap
+# --------------------------------------------------------------------- #
+GATE_QUERIES = [
+    parse_query("Q(a1, a2) :- R(a1, p), R(a2, p)"),  # self-join projection
+    parse_query("Q(a, d) :- R(a, b), S(b, c), T(c, d)"),  # chain projection
+    parse_query("Q(x1, x2, x3) :- R(x1, b), R(x2, b), R(x3, b)"),  # star
+    parse_query("Q(a) :- R(a, b)"),  # single atom, projected
+    parse_query("Q(a, b) :- R(a, b)"),  # single atom, full
+    parse_query("Q(a) :- R(a, b), S(b, c)"),  # S is pruned (output-free)
+    parse_query("Q(a, c) :- R(a, b), S(c, d)"),  # ()-anchored child
+    parse_query("Q(a, b, c) :- R(a, b), S(b, c)"),  # full join
+    parse_query("Q(a, d) :- R(a, b, c), S(b, c, d)"),  # two-column anchor
+]
+
+gate_values = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def gate_cases(draw):
+    query = draw(st.sampled_from(GATE_QUERIES))
+    arity = {atom.relation: len(atom.variables) for atom in query.atoms}
+    spec = {
+        name: (
+            tuple(f"c{i}" for i in range(width)),
+            draw(st.lists(st.tuples(*[gate_values] * width), max_size=8)),
+        )
+        for name, width in sorted(arity.items())
+    }
+    return query, Database.from_dict(spec)
+
+
+def counted_join_rows(query, db):
+    """The gate's count, read back from the enumerator's stats."""
+    enum = AcyclicRankedEnumerator(query, db, SumRanking(), bulk_topk_max_k=None)
+    enum.top_k(1)
+    return enum.stats.join_rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=gate_cases())
+def test_join_row_count_matches_brute_force(case):
+    """The counting pass equals the brute-force size of the un-projected
+    join over the atoms left after pruning (empty relations, self-joins,
+    projections, single atoms and ()-anchored children included)."""
+    query, db = case
+    kept, _dropped = build_join_tree(query).pruned()
+    variables = sorted({v for node in kept.post_order() for v in node.atom.variables})
+    expected = len(
+        {tuple(b[v] for v in variables) for b in join_results(query, db)}
+    )
+    assert counted_join_rows(query, db) == expected
+
+
+def test_keyed_sums_matches_dict_group_sums():
+    """keyed_sums equals a dict group-by; unmatched left keys sum to 0
+    (reduced instances never have them, so the gate tests cannot)."""
+    rng = random.Random(17)
+    right = [rng.randrange(30) * 10**12 for _ in range(200)]
+    weights = [float(rng.randrange(1, 9)) for _ in right]
+    left = [rng.randrange(40) * 10**12 for _ in range(150)]
+    sums: dict[int, float] = {}
+    for key, w in zip(right, weights):
+        sums[key] = sums.get(key, 0.0) + w
+    got = kernels.keyed_sums(np.array(left), np.array(right), np.array(weights))
+    assert got.tolist() == [sums.get(key, 0.0) for key in left]
+    none = kernels.keyed_sums(np.array(left), np.array([], dtype=np.int64), np.array([]))
+    assert none.tolist() == [0.0] * len(left)
+
+
+def complete_bipartite_db(m, q):
+    """Every one of ``m`` entities linked to every one of ``q`` hubs
+    (hub ids follow the entity ids: weights cover ``range(m + q)``)."""
+    db = Database()
+    db.add_relation("E", ("a", "p"), [(a, m + p) for a in range(m) for p in range(q)])
+    return db
+
+
+@pytest.mark.parametrize(
+    "text, m, q, join_rows",
+    [
+        # 3hop: J = (m q)^2 over N = 3 m q rows, so J/N = m q / 3.
+        (
+            "Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)",
+            2 * BULK_TOPK_COST_FACTOR,
+            4,
+            lambda m, q: (m * q) ** 2,
+        ),
+        # star3: J = q m^3 over N = 3 m q rows, so J/N = m^2 / 3.
+        (
+            "Q(a1, a2, a3) :- E(a1, p), E(a2, p), E(a3, p)",
+            2 * BULK_TOPK_COST_FACTOR,
+            2,
+            lambda m, q: q * m**3,
+        ),
+    ],
+    ids=["3hop", "star3"],
+)
+def test_high_fanout_declines_for_cost(monkeypatch, text, m, q, join_rows):
+    """A join that fans out past the gate is declined before any of it is
+    materialised: join_indices is never reached, the decline is counted
+    under "cost", and the heap serves the identical answers."""
+    db = complete_bipartite_db(m, q)
+    query = parse_query(text)
+    ranking = SumRanking(table_weight(range(m + q)))
+    expected = heap_top_k(query, db, ranking, 10)
+
+    def no_join(*_args):
+        raise AssertionError("the declined bulk path materialised a join")
+
+    monkeypatch.setattr(kernels, "join_indices", no_join)
+    enum = AcyclicRankedEnumerator(query, db, ranking, bulk_topk_max_k=None)
+    with topk_counters.collect() as tally:
+        got = enum.top_k(10)
+    assert tally.calls == 0
+    assert tally.reasons == {"cost": 1}
+    assert enum.stats.join_rows == join_rows(m, q)
+    assert output(got) == output(expected)
+
+
+def test_high_fanout_engine_declines_for_cost():
+    db = complete_bipartite_db(2 * BULK_TOPK_COST_FACTOR, 4)
+    engine = QueryEngine(db)
+    engine.execute("Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)", SumRanking(), k=10)
+    assert engine.stats.bulk_topk_calls == 0
+    assert engine.stats.bulk_topk_fallbacks == 1
+    assert engine.last_enumerator.stats.join_rows > BULK_TOPK_COST_FACTOR * 3 * len(
+        db["E"]
+    )
+
+
+def test_unit_fanout_chain_is_bulk_served():
+    n = 500
+    db = Database()
+    for name, attrs in (("R1", ("a", "b")), ("R2", ("b", "c")), ("R3", ("c", "d"))):
+        db.add_relation(name, attrs, [(i, i) for i in range(n)])
+    query = parse_query(CHAIN3)
+    ranking = SumRanking(table_weight(range(n)))
+    enum = AcyclicRankedEnumerator(query, db, ranking, bulk_topk_max_k=None)
+    with topk_counters.collect() as tally:
+        got = enum.top_k(1000)
+    assert tally.calls == 1 and tally.fallbacks == 0
+    assert enum.stats.join_rows == n
+    assert output(got) == output(heap_top_k(query, db, ranking, 1000))
+
+
+def test_kernel_exact_past_the_gate(monkeypatch):
+    """With the gate lifted the kernel serves a high-fanout projection
+    bit-identically to the heap (dedup of many duplicates per answer)."""
+    monkeypatch.setattr(acyclic, "BULK_TOPK_COST_FACTOR", float("inf"))
+    db = complete_bipartite_db(12, 3)
+    query = parse_query("Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)")
+    ranking = SumRanking(table_weight(range(15)))
+    for k in (1, 7, 36):
+        with topk_counters.collect() as tally:
+            got = bulk_top_k(query, db, ranking, k)
+        assert tally.calls == 1
+        assert output(got) == output(heap_top_k(query, db, ranking, k))
+
+
+def test_positive_ceiling_still_caps_k():
+    db = chain_db(n=100)
+    query = parse_query(CHAIN3)
+    with topk_counters.collect() as tally:
+        AcyclicRankedEnumerator(query, db, SumRanking(), bulk_topk_max_k=8).top_k(9)
+    assert tally.calls == 0 and tally.fallbacks == 0
 
 
 # --------------------------------------------------------------------- #
@@ -383,8 +558,7 @@ class TestStarVectorised:
                 got = StarTradeoffEnumerator(
                     query, db, ranking, delta=5, bulk_topk_max_k=512
                 ).top_k(k)
-            # One call for the star serve itself; bulk-served light-leg
-            # subqueries record their own on top.
+            # The light-leg subqueries have ~unit fanout: bulk-served.
             assert tally.calls >= 1
             expected = StarTradeoffEnumerator(query, db, ranking, delta=5).top_k(k)
             assert output(got) == output(expected)
