@@ -382,10 +382,14 @@ def main(argv=None) -> int:
         },
         "quick": bool(args.quick),
     }
-    with open(RECORD_JSON, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"record written to {RECORD_JSON}")
+    if args.quick:
+        # Smoke scale: the checked-in record stays the full-scale one.
+        print(f"--quick: record not written to {RECORD_JSON}")
+    else:
+        with open(RECORD_JSON, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"record written to {RECORD_JSON}")
 
     if min_speedup is not None:
         slow = {k: s for k, s in speedups.items() if s < min_speedup}

@@ -47,9 +47,10 @@ from repro.parallel import execute_sharded  # noqa: E402
 from repro.workloads import make_memetracker_like, two_hop  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-#: Machine-readable curve, always written (ROADMAP bench item): the
-#: measured speedups land here even on boxes where the wall-clock gate
-#: cannot be enforced, so any multi-core run leaves a record behind.
+#: Machine-readable curve, written by every full-scale run (ROADMAP
+#: bench item): the measured speedups land here even on boxes where the
+#: wall-clock gate cannot be enforced, so any multi-core run leaves a
+#: record behind.  ``--quick`` smoke runs leave it alone.
 CURVE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_parallel.json")
 
 #: The acceptance target: speedup at the highest shard count, given
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
     min_speedup = args.min_speedup
     if min_speedup is None and not args.quick and cores >= top and backend == "processes":
         min_speedup = TARGET_SPEEDUP
-    # The measured curve is always recorded, gate or no gate: a 1-core
+    # A full-scale curve is recorded gate or no gate: a 1-core
     # box still documents output identity and the overhead it paid, and
     # any multi-core run closes the ROADMAP item with real numbers.
     record["quick"] = bool(args.quick)
@@ -223,10 +224,14 @@ def main(argv=None) -> int:
             else f"{cores} core(s) for {top} shards / quick mode"
         ),
     }
-    with open(os.path.normpath(CURVE_JSON), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"curve written to {os.path.normpath(CURVE_JSON)}")
+    if args.quick:
+        # Smoke scale: the checked-in record stays the full-scale one.
+        print(f"--quick: curve not written to {os.path.normpath(CURVE_JSON)}")
+    else:
+        with open(os.path.normpath(CURVE_JSON), "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"curve written to {os.path.normpath(CURVE_JSON)}")
     if min_speedup is not None:
         if speedups[top] < min_speedup:
             print(

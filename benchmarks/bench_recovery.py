@@ -24,8 +24,8 @@ graph of ``bench_incremental``, anchored ranked SUM top-k):
 Run:  PYTHONPATH=src python benchmarks/bench_recovery.py [--quick]
 
 ``--quick`` shrinks the data for CI (identity checks, no gates).
-Measured numbers are always written to ``BENCH_recovery.json`` at the
-repo root.
+Measured numbers are written to ``BENCH_recovery.json`` at the repo
+root, except under ``--quick``, which leaves the full-scale record alone.
 """
 
 from __future__ import annotations
@@ -235,10 +235,14 @@ def main(argv=None) -> int:
         },
         "quick": bool(args.quick),
     }
-    with open(RECORD_JSON, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"record written to {RECORD_JSON}")
+    if args.quick:
+        # Smoke scale: the checked-in record stays the full-scale one.
+        print(f"--quick: record not written to {RECORD_JSON}")
+    else:
+        with open(RECORD_JSON, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"record written to {RECORD_JSON}")
 
     if enforced:
         failed = False

@@ -24,7 +24,8 @@ this module depends on nothing beyond the library itself — the CI
 Run:  PYTHONPATH=src python benchmarks/bench_service_load.py [--quick]
 
 Results land in ``benchmarks/results/service_load.txt`` (human table)
-and ``BENCH_service.json`` (machine-readable, with the gate verdict).
+and ``BENCH_service.json`` (machine-readable, with the gate verdict;
+not rewritten under ``--quick``).
 """
 
 from __future__ import annotations
@@ -342,10 +343,14 @@ def main(argv=None) -> int:
         "cursors": server_stats.get("cursors"),
         "gate": gate,
     }
-    with open(os.path.normpath(RECORD_JSON), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"record written to {os.path.normpath(RECORD_JSON)}")
+    if args.quick:
+        # Smoke scale: the checked-in record stays the full-scale one.
+        print(f"--quick: record not written to {os.path.normpath(RECORD_JSON)}")
+    else:
+        with open(os.path.normpath(RECORD_JSON), "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"record written to {os.path.normpath(RECORD_JSON)}")
 
     if max_ratio is not None:
         if pagination["ratio"] is None or pagination["ratio"] >= max_ratio:

@@ -10,10 +10,9 @@ inputs to the vectorised membership kernels
 (:mod:`repro.storage.kernels`) when the key columns are integer-valued —
 packed ``int64`` keys and one ``np.isin`` pass instead of a per-row
 tuple build + set probe — and fall back to the set-based path otherwise.
-The size floor is the shared :func:`repro.storage.kernels.min_rows`
-threshold (default ``KERNEL_MIN_ROWS = 1024`` total rows across both
-sides — deliberately raised from the earlier standalone 512 when the
-thresholds were unified; override per engine or thread to retune).
+The size floor is the shared :data:`repro.storage.kernels.KERNEL_MIN_ROWS`
+threshold (1024 total rows across both sides — deliberately raised from
+the earlier standalone 512 when the thresholds were unified).
 Outputs are identical either way (the surviving rows are the original
 tuple objects, in input order).
 """
@@ -69,7 +68,7 @@ def _kernel_filter(
     """
     if len(left_positions) < 2 or not kernels.enabled():
         return None
-    if len(left_rows) + len(right_rows) < kernels.min_rows():
+    if len(left_rows) + len(right_rows) < kernels.KERNEL_MIN_ROWS:
         return None
     # Cheap first-row probe before any O(n) column conversion: string-
     # or otherwise fat-keyed data answers with two type checks per call

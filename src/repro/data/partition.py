@@ -280,7 +280,7 @@ def _partition_rows(
     scan = rel.scan()
     keys = scan.column(column)
     rows = scan.rows()
-    if kernels.enabled() and len(rows) >= kernels.min_rows():
+    if kernels.enabled() and len(rows) >= kernels.KERNEL_MIN_ROWS:
         # Kernel path: hash the whole key column in one array op.  Only
         # taken when it is *exactly* the scalar assignment — integer
         # keys map to themselves under ``_stable_hash`` and NumPy's

@@ -48,25 +48,21 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Any, Iterable, Sequence
 
+from ..core import ranking as ranking_layer
 from ..core.answers import RankedAnswer
 from ..core.base import RankedEnumeratorBase
 from ..core.planner import plan_query
-from ..core.ranking import (
-    RankingFunction,
-    WeightFunction,
-    combine_counters,
-    topk_counters,
-)
+from ..core.ranking import RankingFunction, WeightFunction
 from ..data.database import Database
 from ..data.relation import Value
 from ..query.parser import parse_query
 from ..query.properties import classify_query, delay_guarantee
 from ..query.query import JoinProjectQuery, UnionQuery
 from ..storage import kernels, scores
-from ..storage.encoded import EncodedDatabase
+from ..storage.encoded import EncodedDatabase, decoded_answers
 from .lru import LRUCache
 from .prepared import _BULK_TOPK_KINDS, PreparedPlan
 from .stats import EngineStats, RequestCounters
@@ -76,6 +72,42 @@ __all__ = ["QueryEngine"]
 #: What the engine accepts wherever a query is expected: raw text (parsed
 #: through the LRU cache) or an already-parsed query object.
 QueryInput = str | JoinProjectQuery | UnionQuery
+
+#: The scoped work counters, declared once: ``(module, counter name,
+#: calls field, fallbacks field)``.  The fields are spelled the same on
+#: :class:`EngineStats` and :class:`RequestCounters`.  Counters are
+#: looked up when a scope opens, never held: reloading a module
+#: replaces its counter object.
+_WORK_COUNTERS = (
+    (kernels, "counters", "kernel_calls", "kernel_fallbacks"),
+    (scores, "counters", "score_builds", "score_fallbacks"),
+    (ranking_layer, "combine_counters", "batched_combines", None),
+    (ranking_layer, "topk_counters", "bulk_topk_calls", "bulk_topk_fallbacks"),
+)
+
+
+@contextmanager
+def _counting(target):
+    """Add this thread's work-counter increments to ``target`` on exit.
+
+    One tally scope per :data:`_WORK_COUNTERS` entry
+    (:meth:`repro.storage.kernels.KernelCounters.collect`); worker
+    threads that re-enter the scope count into it too.
+    """
+    with ExitStack() as stack:
+        tallies = [
+            (stack.enter_context(getattr(module, name).collect()), calls, fallbacks)
+            for module, name, calls, fallbacks in _WORK_COUNTERS
+        ]
+        try:
+            yield
+        finally:
+            for tally, calls, fallbacks in tallies:
+                setattr(target, calls, getattr(target, calls) + tally.calls)
+                if fallbacks is not None:
+                    setattr(
+                        target, fallbacks, getattr(target, fallbacks) + tally.fallbacks
+                    )
 
 
 class QueryEngine:
@@ -99,17 +131,6 @@ class QueryEngine:
         ``"auto"`` (default) executes over the dictionary-encoded image
         when the data carries non-numeric keys; ``True``/``False``
         force either mode.
-    kernel_min_rows:
-        Kernel-dispatch row floor for this engine's executions
-        (``None`` = the process default,
-        :data:`repro.storage.kernels.KERNEL_MIN_ROWS`).  ``0`` forces
-        the per-call dispatch sites (hash-index builds, standalone
-        semi-/anti-joins) through the kernels even on tiny inputs —
-        outputs are identical either way.  The override is carried by
-        the executing threads (the ``threads`` parallel backend
-        included); ``processes``-backend shard workers run in other
-        processes and keep the process default — set
-        :func:`repro.storage.kernels.set_min_rows` for those.
     bulk_topk_max_k:
         Bulk top-k ``k`` ceiling for this engine's executions.  ``None``
         (the default) puts no ceiling on ``k``: every ``top_k(k)`` with
@@ -133,7 +154,6 @@ class QueryEngine:
         max_plans: int = 64,
         max_queries: int = 256,
         encode: bool | str = "auto",
-        kernel_min_rows: int | None = None,
         bulk_topk_max_k: int | None = None,
     ):
         if isinstance(db, (str, os.PathLike)):
@@ -162,11 +182,6 @@ class QueryEngine:
         self._encoded: EncodedDatabase | None = None
         self._encode_broken_generation: int | None = None
         self._encode_auto: tuple[Database, int, bool] | None = None
-        # Kernel-dispatch row floor for this engine's executions; None
-        # leaves the process default (``kernels.KERNEL_MIN_ROWS``).
-        # Applied as a thread-local override around execute paths, so
-        # concurrent engines with different settings do not interfere.
-        self._kernel_min_rows = kernel_min_rows
         # Bulk top-k ``k`` ceiling override; None leaves the plan-layer
         # default (no ceiling, cost-gated), 0 forces the heap path.
         self._bulk_topk_max_k = bulk_topk_max_k
@@ -195,7 +210,7 @@ class QueryEngine:
 
     @contextmanager
     def _instrumented(self):
-        """Scope one execution: counter attribution + threshold override.
+        """Scope one execution: attribute its work counters to :attr:`stats`.
 
         Kernel and score-column work runs below the engine (in the
         reducer, the access paths, the ranking layer); each execution
@@ -204,25 +219,12 @@ class QueryEngine:
         ``stats.kernel_calls`` / ``score_builds`` etc. reflect exactly
         this engine's executions even under concurrency.
         """
-        with kernels.min_rows_override(self._kernel_min_rows):
-            with kernels.counters.collect() as kernel_tally:
-                with scores.counters.collect() as score_tally:
-                    with combine_counters.collect() as combine_tally:
-                        with topk_counters.collect() as topk_tally:
-                            try:
-                                yield
-                            finally:
-                                self.stats.kernel_calls += kernel_tally.calls
-                                self.stats.kernel_fallbacks += kernel_tally.fallbacks
-                                self.stats.score_builds += score_tally.calls
-                                self.stats.score_fallbacks += score_tally.fallbacks
-                                self.stats.batched_combines += combine_tally.calls
-                                self.stats.bulk_topk_calls += topk_tally.calls
-                                self.stats.bulk_topk_fallbacks += topk_tally.fallbacks
-                                if self._snapshot is not None:
-                                    self.stats.snapshot_cow_detaches = (
-                                        self._snapshot.cow_detaches
-                                    )
+        try:
+            with _counting(self.stats):
+                yield
+        finally:
+            if self._snapshot is not None:
+                self.stats.snapshot_cow_detaches = self._snapshot.cow_detaches
 
     @contextmanager
     def measure(self):
@@ -254,21 +256,11 @@ class QueryEngine:
         """
         request = RequestCounters()
         started = time.perf_counter()
-        with kernels.counters.collect() as kernel_tally:
-            with scores.counters.collect() as score_tally:
-                with combine_counters.collect() as combine_tally:
-                    with topk_counters.collect() as topk_tally:
-                        try:
-                            yield request
-                        finally:
-                            request.seconds = time.perf_counter() - started
-                            request.kernel_calls = kernel_tally.calls
-                            request.kernel_fallbacks = kernel_tally.fallbacks
-                            request.score_builds = score_tally.calls
-                            request.score_fallbacks = score_tally.fallbacks
-                            request.batched_combines = combine_tally.calls
-                            request.bulk_topk_calls = topk_tally.calls
-                            request.bulk_topk_fallbacks = topk_tally.fallbacks
+        try:
+            with _counting(request):
+                yield request
+        finally:
+            request.seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------ #
     # data management
@@ -348,84 +340,80 @@ class QueryEngine:
         translated into code space — so warm state and hit counters
         reflect real executions.
         """
-        prepared, _ctx = self._prepare(
+        return self._prepare(
             query, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-        )
-        return prepared
+        )[0]
 
     def _prepare(
         self,
         query: QueryInput,
         ranking: RankingFunction | None,
         *,
+        shards: int | None = None,
+        attribute: str | None = None,
         method: str = "auto",
         epsilon: float | None = None,
         delta: int | None = None,
         **kwargs: Any,
-    ) -> tuple[PreparedPlan, EncodedDatabase | None]:
-        """Prepare for execution; returns the plan plus its encoding context."""
+    ) -> tuple[PreparedPlan, tuple | None]:
+        """Prepare for execution; returns the plan plus its code-space inputs.
+
+        With encoding active the query, ranking and weight kwarg are
+        translated into code space first (:meth:`_encoding_for`; that
+        translation is the second return value, ``None`` for plain
+        rows), so the fingerprint and the plan are the code-space ones.
+        ``shards`` (``None`` = serial) plans the sharding rewrite of the
+        query instead, partitioned on ``attribute`` (chosen by the
+        planner when ``None``), under a fingerprint extended with a
+        ``__parallel__`` marker.
+        """
         parsed = self.parse(query)
-        encoding = self._encoding_for(ranking, kwargs)
+        encoding = self._encoding_for(parsed, ranking, kwargs)
         if encoding is not None:
-            ctx, wrapped = encoding
-            prepared = self._prepare_plain(
-                ctx.encode_query(parsed),
-                wrapped,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                **self._encode_kwargs(ctx, kwargs),
-            )
-            return prepared.bind_encoding(ctx), ctx
-        return (
-            self._prepare_plain(
-                parsed, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-            ),
-            None,
-        )
+            _ctx, parsed, ranking, kwargs = encoding
+        marked = kwargs
+        if shards is not None:
+            from ..data.partition import choose_partition_attribute, rewrite_for_sharding
 
-    def _prepare_plain(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None = None,
-        *,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ) -> PreparedPlan:
-        parsed = self.parse(query)
-        fingerprint = self._fingerprint(parsed, ranking, method, epsilon, delta, kwargs)
-        if fingerprint is not None:
-            hit = self._plans.get(fingerprint)
-            if hit is not None:
-                self.stats.plan_hits += 1
-                return hit
-            self.stats.plan_misses += 1
-        else:
+            attribute = attribute or choose_partition_attribute(parsed, self.db)
+            marked = {"__parallel__": (shards, attribute), **kwargs}
+        fingerprint = self._fingerprint(parsed, ranking, method, epsilon, delta, marked)
+        prepared = None if fingerprint is None else self._plans.get(fingerprint)
+        if fingerprint is None:
             self.stats.uncacheable += 1
-
-        started = time.perf_counter()
-        plan = plan_query(
-            parsed, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-        )
-        prepared = PreparedPlan(plan, fingerprint, time.perf_counter() - started)
-        if fingerprint is not None:
-            self._plans.put(fingerprint, prepared)
-        return prepared
+        elif prepared is not None:
+            self.stats.plan_hits += 1
+        else:
+            self.stats.plan_misses += 1
+        if prepared is None:
+            started = time.perf_counter()
+            target = parsed if shards is None else rewrite_for_sharding(parsed)
+            plan = plan_query(
+                target, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
+            )
+            if shards is not None:
+                plan = plan.parallelised(attribute, shards)
+            prepared = PreparedPlan(plan, fingerprint, time.perf_counter() - started)
+            if fingerprint is not None:
+                self._plans.put(fingerprint, prepared)
+        if encoding is not None:
+            prepared.bind_encoding(encoding[0])
+        return prepared, encoding
 
     # ------------------------------------------------------------------ #
     # encoded execution (storage-layer fast path)
     # ------------------------------------------------------------------ #
     def _encoding_for(
-        self, ranking: RankingFunction | None, kwargs: dict[str, Any]
-    ) -> tuple[EncodedDatabase, RankingFunction] | None:
-        """The refreshed encoded image + wrapped ranking, or ``None``.
+        self, query, ranking: RankingFunction | None, kwargs: dict[str, Any]
+    ) -> tuple[EncodedDatabase, Any, RankingFunction, dict[str, Any]] | None:
+        """The refreshed encoded image plus the request in code space.
 
-        ``None`` means "execute over plain rows": encoding disabled,
-        caller-supplied instances (already in value space), a ranking
-        class the wrapper does not know, or a database whose values
-        defeated dictionary construction (remembered per generation).
+        Returns ``(image, query, ranking, kwargs)`` — constants, ranking
+        and a bare ``weight`` kwarg translated — or ``None``, meaning
+        "execute over plain rows": encoding disabled, caller-supplied
+        instances (already in value space), a ranking class the wrapper
+        does not know, or a database whose values defeated dictionary
+        construction (remembered per generation).
         """
         if self._encode is False or "instances" in kwargs:
             return None
@@ -474,20 +462,15 @@ class QueryEngine:
                 # be produced), which is an invalidation of warm state
                 # the plans themselves will never get to report.
                 self.stats.invalidations += 1
-        wrapped = self._encoded.wrap_ranking(ranking)
+        ctx = self._encoded
+        wrapped = ctx.wrap_ranking(ranking)
         if wrapped is None:
             self.stats.encode_fallbacks += 1
             return None
-        return self._encoded, wrapped
-
-    @staticmethod
-    def _encode_kwargs(ctx: EncodedDatabase, kwargs: dict[str, Any]) -> dict[str, Any]:
-        """Planner kwargs translated into code space (bare ``weight``)."""
         weight = kwargs.get("weight")
         if isinstance(weight, WeightFunction):
-            kwargs = dict(kwargs)
-            kwargs["weight"] = ctx.wrap_weight(weight)
-        return kwargs
+            kwargs = {**kwargs, "weight": ctx.wrap_weight(weight)}
+        return ctx, ctx.encode_query(query), wrapped, kwargs
 
     # ------------------------------------------------------------------ #
     # execution
@@ -512,9 +495,9 @@ class QueryEngine:
         emission — answers, scores, ties and order are identical to
         plain execution.
         """
-        prepared, _ctx = self._prepare(
+        prepared = self._prepare(
             query, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-        )
+        )[0]
         # Plans bound to an encoding context switch to the encoded image
         # and decode at emission inside make_enumerator.
         overrides: dict[str, Any] = {}
@@ -561,47 +544,6 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # parallel execution
     # ------------------------------------------------------------------ #
-    def _partition_for(
-        self,
-        parsed,
-        shards: int,
-        attribute: str | None,
-        *,
-        database: Database | None = None,
-        cache_tag: Any = None,
-    ):
-        """The session's cached :class:`~repro.data.partition.QueryPartition`.
-
-        Keyed on ``(query, shards, attribute, tag)`` and revalidated
-        against :attr:`Database.generation`, exactly like warm plan
-        state: a mutation transparently rebuilds the shards on next
-        use.  The encoded path passes its own ``database`` (the encoded
-        image, whose lifetime the base generation also governs) and a
-        dictionary-epoch ``cache_tag`` so code-space shards never mix
-        with value-space ones.
-        """
-        from ..data.partition import partition_query
-
-        key = (parsed, shards, attribute, cache_tag)
-        cached = self._partitions.get(key)
-        # Validated on the database *object* as well as its generation:
-        # a session whose ``engine.db`` was swapped for an equal-generation
-        # database must not be served the old database's shards.
-        if (
-            cached is not None
-            and cached[0] is self.db
-            and cached[1] == self.db.generation
-        ):
-            self.stats.partition_hits += 1
-            return cached[2]
-        self.stats.partition_misses += 1
-        partition = partition_query(
-            parsed, database if database is not None else self.db, shards,
-            attribute=attribute,
-        )
-        self._partitions.put(key, (self.db, self.db.generation, partition))
-        return partition
-
     def prepare_parallel(
         self,
         query: QueryInput,
@@ -626,7 +568,7 @@ class QueryEngine:
         is undisturbed.  With encoding active the plan is the
         code-space one :meth:`execute_parallel` runs.
         """
-        prepared, _ctx = self._prepare_parallel(
+        return self._prepare(
             query,
             ranking,
             shards=shards,
@@ -635,89 +577,7 @@ class QueryEngine:
             epsilon=epsilon,
             delta=delta,
             **kwargs,
-        )
-        return prepared
-
-    def _prepare_parallel(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None,
-        *,
-        shards: int,
-        attribute: str | None,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ) -> tuple[PreparedPlan, EncodedDatabase | None]:
-        parsed = self.parse(query)
-        encoding = self._encoding_for(ranking, kwargs)
-        if encoding is not None:
-            ctx, wrapped = encoding
-            prepared = self._prepare_parallel_plain(
-                ctx.encode_query(parsed),
-                wrapped,
-                shards=shards,
-                attribute=attribute,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                **self._encode_kwargs(ctx, kwargs),
-            )
-            return prepared.bind_encoding(ctx), ctx
-        return (
-            self._prepare_parallel_plain(
-                parsed,
-                ranking,
-                shards=shards,
-                attribute=attribute,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                **kwargs,
-            ),
-            None,
-        )
-
-    def _prepare_parallel_plain(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None = None,
-        *,
-        shards: int,
-        attribute: str | None = None,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ) -> PreparedPlan:
-        from ..data.partition import choose_partition_attribute, rewrite_for_sharding
-
-        parsed = self.parse(query)
-        attr = attribute or choose_partition_attribute(parsed, self.db)
-        marker = {"__parallel__": (shards, attr), **kwargs}
-        fingerprint = self._fingerprint(parsed, ranking, method, epsilon, delta, marker)
-        if fingerprint is not None:
-            hit = self._plans.get(fingerprint)
-            if hit is not None:
-                self.stats.plan_hits += 1
-                return hit
-            self.stats.plan_misses += 1
-        else:
-            self.stats.uncacheable += 1
-        started = time.perf_counter()
-        plan = plan_query(
-            rewrite_for_sharding(parsed),
-            ranking,
-            method=method,
-            epsilon=epsilon,
-            delta=delta,
-            **kwargs,
-        ).parallelised(attr, shards)
-        prepared = PreparedPlan(plan, fingerprint, time.perf_counter() - started)
-        if fingerprint is not None:
-            self._plans.put(fingerprint, prepared)
-        return prepared
+        )[0]
 
     def execute_parallel(
         self,
@@ -762,63 +622,22 @@ class QueryEngine:
             return self.execute(
                 query, ranking, k=k, method=method, epsilon=epsilon, delta=delta, **kwargs
             )
-        from ..parallel import DEFAULT_CHUNK_SIZE, stream_sharded
-
         started = time.perf_counter()
         parsed = self.parse(query)
-        # The cached parallel plan (of the rewritten query) is what the
-        # shard workers instantiate — warm parallel executions skip
-        # classification and join-tree/GHD construction entirely, and
-        # the same entry backs ``explain``'s partition reporting.  With
-        # encoding active the whole pipeline runs in code space —
-        # partition hashing, worker joins and the order-preserving merge
-        # all compare dense ints — and answers decode once after the
-        # merge.
-        with self._instrumented():
-            prepared, ctx = self._prepare_parallel(
-                parsed,
-                ranking,
-                shards=shards,
-                attribute=attribute,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                **kwargs,
-            )
-            if ctx is not None:
-                exec_query = ctx.encode_query(parsed)
-                exec_db = ctx.database
-                exec_ranking = ctx.wrap_ranking(ranking)
-                kwargs = self._encode_kwargs(ctx, kwargs)
-                cache_tag: Any = ("encoded", ctx.epoch)
-            else:
-                exec_query, exec_db, exec_ranking = parsed, self.db, ranking
-                cache_tag = None
-            partition = self._partition_for(
-                exec_query, shards, attribute, database=exec_db, cache_tag=cache_tag
-            )
-            answers = list(
-                stream_sharded(
-                    exec_query,
-                    exec_db,
-                    exec_ranking,
-                    shards=shards,
-                    backend=backend,
-                    k=k,
-                    chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-                    method=method,
-                    epsilon=epsilon,
-                    delta=delta,
-                    partition=partition,
-                    plan=prepared.plan,
-                    **kwargs,
-                )
-            )
-            if ctx is not None:
-                answers = ctx.decode_answers(
-                    answers, prepared.plan.kind, prepared.plan.ranking
-                )
-        self.stats.parallel_executions += 1
+        answers = self._sharded(
+            parsed,
+            ranking,
+            drain=True,
+            shards=shards,
+            backend=backend,
+            k=k,
+            attribute=attribute,
+            chunk_size=chunk_size,
+            method=method,
+            epsilon=epsilon,
+            delta=delta,
+            **kwargs,
+        )
         self.stats.record_execution(repr(parsed), time.perf_counter() - started)
         return answers
 
@@ -864,11 +683,65 @@ class QueryEngine:
             )
             stream = iter(enum)
             return stream if k is None else islice(stream, k)
+        return self._sharded(
+            query,
+            ranking,
+            drain=False,
+            shards=shards,
+            backend=backend,
+            k=k,
+            attribute=attribute,
+            chunk_size=chunk_size,
+            method=method,
+            epsilon=epsilon,
+            delta=delta,
+            **kwargs,
+        )
+
+    def _sharded(
+        self,
+        query: QueryInput,
+        ranking: RankingFunction | None,
+        *,
+        drain: bool,
+        shards: int,
+        backend: str,
+        k: int | None,
+        attribute: str | None,
+        chunk_size: int | None,
+        method: str,
+        epsilon: float | None,
+        delta: int | None,
+        **kwargs: Any,
+    ):
+        """Plan, partition and run one sharded execution, counted as one.
+
+        Returns the answer list when ``drain`` is set — drained inside
+        the counter scope, so the shard workers' tallies are attributed
+        — else the open answer stream.  The cached parallel plan (of the
+        rewritten query) is what the shard workers instantiate — warm
+        parallel executions skip classification and join-tree/GHD
+        construction entirely, and the same entry backs ``explain``'s
+        partition reporting.
+
+        The session's :class:`~repro.data.partition.QueryPartition` is
+        built on the attribute that plan carries, keyed on ``(query,
+        shards, attribute, tag)`` and revalidated against
+        :attr:`Database.generation`, exactly like warm plan state: a
+        mutation transparently rebuilds the shards on next use.  With
+        encoding active the whole pipeline runs in code space —
+        partition hashing (over the encoded image, under a
+        dictionary-epoch tag so code-space shards never mix with
+        value-space ones), worker joins and the order-preserving merge
+        all compare dense ints — and answers decode one by one as they
+        leave the merge.
+        """
+        from ..data.partition import partition_query
         from ..parallel import DEFAULT_CHUNK_SIZE, stream_sharded
 
         parsed = self.parse(query)
         with self._instrumented():
-            prepared, ctx = self._prepare_parallel(
+            prepared, encoding = self._prepare(
                 parsed,
                 ranking,
                 shards=shards,
@@ -878,22 +751,34 @@ class QueryEngine:
                 delta=delta,
                 **kwargs,
             )
-            if ctx is not None:
-                exec_query = ctx.encode_query(parsed)
-                exec_db = ctx.database
-                exec_ranking = ctx.wrap_ranking(ranking)
-                kwargs = self._encode_kwargs(ctx, kwargs)
-                cache_tag: Any = ("encoded", ctx.epoch)
+            plan = prepared.plan
+            db, cache_tag = self.db, None
+            if encoding is not None:
+                ctx, parsed, ranking, kwargs = encoding
+                db, cache_tag = ctx.database, ("encoded", ctx.epoch)
+            key = (parsed, shards, plan.partition_attribute, cache_tag)
+            cached = self._partitions.get(key)
+            # Validated on the database *object* as well as its
+            # generation: a session whose ``engine.db`` was swapped for an
+            # equal-generation database must not be served the old
+            # database's shards.
+            if (
+                cached is not None
+                and cached[0] is self.db
+                and cached[1] == self.db.generation
+            ):
+                self.stats.partition_hits += 1
+                partition = cached[2]
             else:
-                exec_query, exec_db, exec_ranking = parsed, self.db, ranking
-                cache_tag = None
-            partition = self._partition_for(
-                exec_query, shards, attribute, database=exec_db, cache_tag=cache_tag
-            )
+                self.stats.partition_misses += 1
+                partition = partition_query(
+                    parsed, db, shards, attribute=plan.partition_attribute
+                )
+                self._partitions.put(key, (self.db, self.db.generation, partition))
             stream = stream_sharded(
-                exec_query,
-                exec_db,
-                exec_ranking,
+                parsed,
+                db,
+                ranking,
                 shards=shards,
                 backend=backend,
                 k=k,
@@ -902,39 +787,17 @@ class QueryEngine:
                 epsilon=epsilon,
                 delta=delta,
                 partition=partition,
-                plan=prepared.plan,
+                plan=plan,
                 **kwargs,
             )
+            if encoding is not None:
+                stream = decoded_answers(
+                    stream, ctx.dictionary.values, ctx.decoder(plan.kind, plan.ranking)
+                )
+            if drain:
+                stream = list(stream)
         self.stats.parallel_executions += 1
-        if ctx is not None:
-            stream = self._decode_stream(stream, ctx, prepared.plan)
         return stream
-
-    @staticmethod
-    def _decode_stream(stream, ctx: EncodedDatabase, plan):
-        """Decode an encoded answer stream lazily, one answer at a time.
-
-        The decode tables are captured eagerly — a later dictionary
-        rebuild (data mutation) cannot corrupt answers already being
-        streamed from the enumeration structures built at open time.
-        """
-        values = ctx.dictionary.values
-        decode_score = ctx.decoder(plan.kind, plan.ranking)
-
-        def generate():
-            try:
-                for a in stream:
-                    yield RankedAnswer(
-                        tuple(values[c] for c in a.values),
-                        decode_score(a.score),
-                        key=a.key,
-                    )
-            finally:
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
-
-        return generate()
 
     def execute_many(
         self,
@@ -1005,21 +868,16 @@ class QueryEngine:
         """
         parsed = self.parse(query)
         before_hits = self.stats.plan_hits
-        if shards is not None and shards > 1:
-            prepared = self.prepare_parallel(
-                parsed,
-                ranking,
-                shards=shards,
-                attribute=attribute,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                **kwargs,
-            )
-        else:
-            prepared = self.prepare(
-                parsed, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-            )
+        prepared = self._prepare(
+            parsed,
+            ranking,
+            shards=shards if shards is not None and shards > 1 else None,
+            attribute=attribute,
+            method=method,
+            epsilon=epsilon,
+            delta=delta,
+            **kwargs,
+        )[0]
         info = {
             "query class": classify_query(parsed),
             "algorithm": prepared.plan.enumerator_class.__name__,
@@ -1042,6 +900,7 @@ class QueryEngine:
         for prepared in self._plans.values():
             prepared._reduced_instances = None
             prepared._generation = None
+        self._partitions.clear()
         self._encoded = None
         self._encode_broken_generation = None
         self._encode_auto = None
@@ -1050,10 +909,7 @@ class QueryEngine:
         """Drop every cached parse, plan and partition (counters are kept)."""
         self._queries.clear()
         self._plans.clear()
-        self._partitions.clear()
-        self._encoded = None
-        self._encode_broken_generation = None
-        self._encode_auto = None
+        self.invalidate()
 
     @property
     def cached_plans(self) -> int:

@@ -162,16 +162,20 @@ class EngineStats:
         produced by one array combine over the children's key columns
         instead of a per-candidate Python loop — the vectorised
         enumeration layer (:data:`repro.core.ranking.combine_counters`).
-        Fallbacks to the scalar combine are counted inside
-        ``score_fallbacks``' sibling reason codes, visible per reason
-        via ``repro.core.ranking.combine_counters.reasons_snapshot()``.
+        Fallbacks to the scalar combine are not an engine counter; they
+        are counted on ``combine_counters`` itself, per reason via
+        ``repro.core.ranking.combine_counters.reasons_snapshot()``.
     bulk_topk_calls / bulk_topk_fallbacks:
         ``top_k(k)`` requests served by the bulk array kernel (one
         join+dedup+argpartition pass, bit-identical to heap emission)
-        and requests where the kernel refused — k over the threshold,
-        unbatchable ranking, data not array-representable — so the
-        heap path ran with its usual any-delay guarantees
-        (:data:`repro.core.ranking.topk_counters`).
+        and requests it declined, so the heap path ran with its usual
+        any-delay guarantees (:data:`repro.core.ranking.topk_counters`).
+        The decline reasons are ``"unbatchable-ranking"`` (LEX /
+        composite), ``"refused"`` (data not array-representable, or the
+        kernel could not run exactly) and ``"cost"`` (the counted join
+        is too large to be worth materialising).  A ``k`` above a
+        positive ``bulk_topk_max_k`` ceiling goes straight to the heap
+        and is not counted.
     snapshot_opens / snapshot_cow_detaches:
         Persistent-store observability: engines constructed over an
         on-disk snapshot (``QueryEngine(path)``) count one open, and

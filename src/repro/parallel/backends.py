@@ -194,10 +194,9 @@ def _thread_producer(
     chunk: list[RankedAnswer] = []
     try:
         # Re-enter the spawning thread's instrumentation context: the
-        # engine's counter tallies and kernel-threshold override apply
-        # to shard work done on this thread too, so per-engine stats
-        # stay exact on the threads backend even with concurrent
-        # engines.
+        # engine's counter tallies apply to shard work done on this
+        # thread too, so per-engine stats stay exact on the threads
+        # backend even with concurrent engines.
         with kernels.attached_context(context or kernels.capture_context()):
             for answer in _enumerate_shard(job):
                 chunk.append(answer)

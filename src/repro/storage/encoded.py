@@ -13,9 +13,10 @@ with everything needed to execute queries over it transparently:
   are bit-identical to plain execution, and LEX keys compare codes —
   order-isomorphic to the raw values by the dictionary's
   order-preservation guarantee;
-* **decode at emission** (:class:`DecodingEnumerator`): answers leave
-  the enumerator as codes and are translated back to values (and LEX
-  scores to value tuples) at the last possible moment.
+* **decode at emission** (:func:`decoded_answers`, shared by
+  :class:`DecodingEnumerator` and the engine's sharded pipeline):
+  answers leave the enumerator as codes and are translated back to
+  values (and LEX scores to value tuples) at the last possible moment.
 
 Cache policy (the engine's contract): the encoded image is revalidated
 against :attr:`Database.generation` before every use.  On a mutation,
@@ -27,7 +28,7 @@ it has never seen (rebuilding re-sorts the code space, which bumps the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..core.answers import RankedAnswer
 from ..core.base import RankedEnumeratorBase
@@ -49,6 +50,7 @@ __all__ = [
     "DecodingEnumerator",
     "DecodingWeight",
     "EncodedDatabase",
+    "decoded_answers",
     "make_score_decoder",
     "wrap_ranking",
 ]
@@ -186,15 +188,38 @@ def make_score_decoder(
     return lambda score: score
 
 
-class DecodingEnumerator(RankedEnumeratorBase):
-    """Wraps an enumerator running in code space; decodes at emission.
+def decoded_answers(
+    answers: Iterable[RankedAnswer],
+    values: list,
+    decode_score: Callable[[Any], Any],
+) -> Iterator[RankedAnswer]:
+    """Translate a code-space answer stream back to values, lazily.
 
-    Values are decoded elementwise; the score goes through the
-    plan-specific decoder; :attr:`RankedAnswer.key` is passed through
-    unchanged (keys are only compared, never displayed, and all streams
-    of one execution share the dictionary, so comparisons stay
-    consistent).
+    ``values`` is the dictionary's code -> value table, passed in (not
+    looked up per answer) so a stream keeps the table it was opened
+    with: a later dictionary rebuild cannot reach answers already in
+    flight.  Values decode elementwise, the score goes through the
+    plan-specific ``decode_score`` and :attr:`RankedAnswer.key` passes
+    through unchanged (keys are only compared, never displayed, and all
+    streams of one execution share the dictionary, so comparisons stay
+    consistent).  Closing the generator closes the source stream, which
+    releases parallel shard workers early.
     """
+    stream = iter(answers)
+    try:
+        for a in stream:
+            yield RankedAnswer(
+                tuple(values[c] for c in a.values), decode_score(a.score), key=a.key
+            )
+    finally:
+        close = getattr(stream, "close", None)
+        if close is not None:
+            close()
+
+
+class DecodingEnumerator(RankedEnumeratorBase):
+    """Wraps an enumerator running in code space; decodes at emission
+    (:func:`decoded_answers`)."""
 
     def __init__(
         self,
@@ -211,14 +236,7 @@ class DecodingEnumerator(RankedEnumeratorBase):
         return self
 
     def __iter__(self) -> Iterator[RankedAnswer]:
-        values = self.dictionary.values
-        decode_score = self.score_decoder
-        for answer in self.inner:
-            yield RankedAnswer(
-                tuple(values[c] for c in answer.values),
-                decode_score(answer.score),
-                key=answer.key,
-            )
+        return decoded_answers(self.inner, self.dictionary.values, self.score_decoder)
 
     def top_k(self, k: int) -> list[RankedAnswer]:
         """Delegate to the inner enumerator's ``top_k`` and decode.
@@ -227,16 +245,11 @@ class DecodingEnumerator(RankedEnumeratorBase):
         inner enumerator serve the request through its bulk top-k
         kernel when eligible; answers decode identically either way.
         """
-        values = self.dictionary.values
-        decode_score = self.score_decoder
-        return [
-            RankedAnswer(
-                tuple(values[c] for c in answer.values),
-                decode_score(answer.score),
-                key=answer.key,
+        return list(
+            decoded_answers(
+                self.inner.top_k(k), self.dictionary.values, self.score_decoder
             )
-            for answer in self.inner.top_k(k)
-        ]
+        )
 
     @property
     def stats(self):
@@ -510,22 +523,6 @@ class EncodedDatabase:
         """Answer-score decoder for one plan (see :func:`make_score_decoder`)."""
         assert self.dictionary is not None
         return make_score_decoder(kind, ranking, self.dictionary)
-
-    def decode_answers(
-        self, answers, kind: str, ranking: RankingFunction | None
-    ) -> list[RankedAnswer]:
-        """Decode a materialised encoded answer list (parallel path)."""
-        assert self.dictionary is not None
-        values = self.dictionary.values
-        decode_score = self.decoder(kind, ranking)
-        return [
-            RankedAnswer(
-                tuple(values[c] for c in a.values),
-                decode_score(a.score),
-                key=a.key,
-            )
-            for a in answers
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         n = len(self.dictionary) if self.dictionary is not None else 0

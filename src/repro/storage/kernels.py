@@ -72,13 +72,10 @@ __all__ = [
     "hash_group",
     "join_indices",
     "keyed_sums",
-    "min_rows",
-    "min_rows_override",
     "pack_columns",
     "pack_pair",
     "semijoin_mask",
     "set_enabled",
-    "set_min_rows",
     "shard_ids",
 ]
 
@@ -88,43 +85,14 @@ Row = tuple
 #: standalone ``semijoin``/``antijoin`` helpers (total rows across both
 #: sides) and ``HashIndexPath`` construction (store size) — stay on the
 #: single-pass Python implementations, where per-call array conversion
-#: or kernel setup would cost more than it saves.  One process-wide
-#: default, overridable per thread through :func:`min_rows_override`
-#: (the ``QueryEngine(kernel_min_rows=...)`` option) so tests and
-#: benchmarks can force kernels onto tiny inputs.  (The batched reducer
-#: path converts through store-level caches and has no such floor.)
+#: or kernel setup would cost more than it saves.  Read at every
+#: dispatch, so a test can force kernels onto tiny inputs by patching
+#: it.  (The batched reducer path converts through store-level caches
+#: and has no such floor.)
 KERNEL_MIN_ROWS = 1024
 
 #: Packed multi-column keys must stay well inside signed 64 bits.
 _MAX_PACKED = 1 << 62
-
-_min_rows_local = threading.local()
-
-
-def min_rows() -> int:
-    """The kernel-dispatch row threshold in force on this thread."""
-    override = getattr(_min_rows_local, "value", None)
-    return KERNEL_MIN_ROWS if override is None else override
-
-
-def set_min_rows(n: int) -> None:
-    """Change the process-wide default threshold (tests/benchmarks)."""
-    global KERNEL_MIN_ROWS
-    KERNEL_MIN_ROWS = int(n)
-
-
-@contextmanager
-def min_rows_override(n: int | None):
-    """Thread-local threshold override; ``None`` leaves the default."""
-    if n is None:
-        yield
-        return
-    previous = getattr(_min_rows_local, "value", None)
-    _min_rows_local.value = int(n)
-    try:
-        yield
-    finally:
-        _min_rows_local.value = previous
 
 
 class Tally:
@@ -246,33 +214,31 @@ def capture_context():
     """Snapshot the calling thread's instrumentation context.
 
     Returns an opaque token holding every active tally scope (across
-    all counter instances — kernel and score counters alike) plus the
-    thread's min-rows override.  Worker threads doing this thread's
-    work re-enter the context with :func:`attached_context`, so scoped
-    attribution and threshold overrides survive the thread hop.
+    all counter instances — kernel and score counters alike).  Worker
+    threads doing this thread's work re-enter the context with
+    :func:`attached_context`, so scoped attribution survives the thread
+    hop.
     """
     scopes = []
     for instance in KernelCounters._instances:
         active = getattr(instance._local, "scopes", None)
         if active:
             scopes.append((instance, tuple(active)))
-    return (tuple(scopes), getattr(_min_rows_local, "value", None))
+    return tuple(scopes)
 
 
 @contextmanager
 def attached_context(token):
     """Re-enter a :func:`capture_context` token on the current thread."""
-    scopes, override = token
     entered: list[tuple[KernelCounters, Tally]] = []
-    for instance, tallies in scopes:
+    for instance, tallies in token:
         local = instance._scopes()
         with instance._lock:
             for tally in tallies:
                 local.append(tally)
                 entered.append((instance, tally))
     try:
-        with min_rows_override(override):
-            yield
+        yield
     finally:
         for instance, tally in entered:
             with instance._lock:

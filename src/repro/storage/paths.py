@@ -450,7 +450,7 @@ class HashIndexPath(AccessPath):
         # contents and insertion order identical to the dict build.
         if (
             self.key_positions
-            and len(rows) >= kernels.min_rows()
+            and len(rows) >= kernels.KERNEL_MIN_ROWS
             and kernels.enabled()
         ):
             matrix = store.codes_array()

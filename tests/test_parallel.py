@@ -338,6 +338,17 @@ class TestEngineParallel:
         assert engine.execute_parallel(q, shards=2, backend="serial") == serial
         assert engine.stats.partition_misses == 2
 
+    def test_invalidate_drops_partitions(self):
+        db = Database()
+        db.add_relation("E", ("a", "p"), [(i, i % 3) for i in range(12)])
+        engine = QueryEngine(db)
+        q = "Q(a1, a2) :- E(a1, p), E(a2, p)"
+        first = engine.execute_parallel(q, shards=2, backend="serial")
+        engine.invalidate()
+        assert engine.execute_parallel(q, shards=2, backend="serial") == first
+        assert engine.stats.partition_hits == 0
+        assert engine.stats.partition_misses == 2
+
     def test_explain_reports_partition_scheme(self, workload):
         engine = QueryEngine(workload.db)
         spec = two_hop()

@@ -425,19 +425,19 @@ class TestLogDegreeWeights:
 # kernel-dispatch threshold (KERNEL_MIN_ROWS)
 # --------------------------------------------------------------------- #
 class TestKernelMinRows:
-    def test_override_forces_kernels_on_tiny_inputs(self):
+    def test_override_forces_kernels_on_tiny_inputs(self, monkeypatch):
         from repro.algorithms.semijoin import semijoin
 
         left = [(1, 2, 9), (3, 4, 9), (5, 6, 9)]
         right = [(1, 2), (5, 6)]
         expected = semijoin(left, (0, 1), right, (0, 1))
         before = kernels.counters.calls
-        with kernels.min_rows_override(0):
-            forced = semijoin(left, (0, 1), right, (0, 1))
+        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 0)
+        forced = semijoin(left, (0, 1), right, (0, 1))
         assert forced == expected
         assert kernels.counters.calls > before  # the mask kernel ran
 
-    def test_engine_option_exercises_kernels(self):
+    def test_engine_option_exercises_kernels(self, monkeypatch):
         rng = random.Random(4)
         rows = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(30)]
         db1, db2 = Database(), Database()
@@ -445,24 +445,13 @@ class TestKernelMinRows:
         db2.add_relation("R", ("a", "p"), rows)
         query = "Q(a1, a2) :- R(a1, p), R(a2, p)"
         default = QueryEngine(db1, encode=False)
-        forced = QueryEngine(db2, encode=False, kernel_min_rows=0)
-        assert [
-            (a.values, a.score) for a in default.execute(query)
-        ] == [(a.values, a.score) for a in forced.execute(query)]
+        expected = [(a.values, a.score) for a in default.execute(query)]
+        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 0)
+        forced = QueryEngine(db2, encode=False)
+        assert [(a.values, a.score) for a in forced.execute(query)] == expected
         # The forced engine pushes the tiny hash-index build through the
         # grouping kernel; the default engine stays on the dict build.
         assert forced.stats.kernel_calls > default.stats.kernel_calls
-
-    def test_set_min_rows_changes_default(self):
-        original = kernels.KERNEL_MIN_ROWS
-        try:
-            kernels.set_min_rows(7)
-            assert kernels.min_rows() == 7
-            with kernels.min_rows_override(3):
-                assert kernels.min_rows() == 3
-            assert kernels.min_rows() == 7
-        finally:
-            kernels.set_min_rows(original)
 
 
 # --------------------------------------------------------------------- #
