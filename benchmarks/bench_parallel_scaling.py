@@ -23,11 +23,13 @@ conditioned on ``os.cpu_count()``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_parallel_scaling.py [--quick]
 
-``--quick`` shrinks the dataset and skips process workers (CI smoke);
-``--min-speedup X`` exits non-zero unless the measured speedup at the
-highest shard count reaches ``X`` — enforced automatically (target
-2.5x at 4 shards) when the machine has at least as many cores as
-shards, skipped with a notice otherwise.
+``--quick`` shrinks the dataset and defaults to the in-process
+``serial`` backend (CI smoke; add ``--backend processes`` to check the
+worker-process path too); ``--min-speedup X`` exits non-zero unless the
+measured speedup at the highest shard count reaches ``X``.  Without it
+the target 2.5x at 4 shards is enforced automatically when the top shard
+count is 4 and the machine has at least 4 cores; any other sweep only
+records its curve.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: record behind.  ``--quick`` smoke runs leave it alone.
 CURVE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_parallel.json")
 
-#: The acceptance target: speedup at the highest shard count, given
-#: enough cores (ISSUE 2 asks for >= 2.5x at 4 shards).
+#: The acceptance target: speedup at ``TARGET_SHARDS`` shards, given at
+#: least that many cores.
 TARGET_SPEEDUP = 2.5
+TARGET_SHARDS = 4
 
 
 def run_curve(
@@ -167,7 +170,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=None, help="workload scale override")
     parser.add_argument(
         "--backend",
-        choices=("serial", "threads", "processes"),
+        choices=("serial", "processes"),
         default=None,
         help="worker backend (default: processes; serial under --quick)",
     )
@@ -191,7 +194,8 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         help="fail unless the top shard count reaches this speedup "
-        f"(default: {TARGET_SPEEDUP} when cores >= shards, else skipped)",
+        f"(default: {TARGET_SPEEDUP} when the top shard count is "
+        f"{TARGET_SHARDS} and cores >= {TARGET_SHARDS}, else skipped)",
     )
     args = parser.parse_args(argv)
 
@@ -209,20 +213,31 @@ def main(argv=None) -> int:
     top = max(shard_counts)
     cores = os.cpu_count() or 1
     min_speedup = args.min_speedup
-    if min_speedup is None and not args.quick and cores >= top and backend == "processes":
+    if (
+        min_speedup is None
+        and not args.quick
+        and top == TARGET_SHARDS
+        and cores >= top
+        and backend == "processes"
+    ):
         min_speedup = TARGET_SPEEDUP
     # A full-scale curve is recorded gate or no gate: a 1-core
     # box still documents output identity and the overhead it paid, and
     # any multi-core run closes the ROADMAP item with real numbers.
     record["quick"] = bool(args.quick)
+    skipped = None
+    if min_speedup is None:
+        skipped = (
+            "quick mode"
+            if args.quick
+            else f"the {TARGET_SPEEDUP}x target is for {TARGET_SHARDS} processes "
+            f"shards on >= {TARGET_SHARDS} cores; this run: {top} {backend} "
+            f"shards, {cores} core(s)"
+        )
     record["gate"] = {
         "target_speedup": min_speedup,
         "enforced": min_speedup is not None,
-        "reason_skipped": (
-            None
-            if min_speedup is not None
-            else f"{cores} core(s) for {top} shards / quick mode"
-        ),
+        "reason_skipped": skipped,
     }
     if args.quick:
         # Smoke scale: the checked-in record stays the full-scale one.
@@ -241,12 +256,8 @@ def main(argv=None) -> int:
             )
             return 1
         print(f"OK: {speedups[top]:.2f}x at {top} shards (>= {min_speedup:.2f}x)")
-    elif cores < top:
-        print(
-            f"note: speedup gate skipped — {cores} core(s) available for {top} "
-            f"shards; wall-clock scaling needs >= {top} cores "
-            "(output identity was verified)"
-        )
+    elif not args.quick:
+        print(f"note: speedup gate skipped — {skipped} (output identity was verified)")
     return 0
 
 

@@ -6,7 +6,7 @@ protocol against a live :class:`~repro.service.server.ReproServer`:
 1. **Identity** — paging through a server-side cursor yields exactly the
    answers (values, scores, order) of a one-shot local
    :meth:`~repro.engine.QueryEngine.execute`, across rankings (SUM and
-   LEX) and cursor backends (serial and threads-sharded).  Every timing
+   LEX).  Every timing
    below is meaningless without this, so it runs first and hard-fails.
 2. **Pagination economics** — the tentpole number: fetching answers
    1000–1100 from a *warm* cursor costs ~100 enumeration delays, a
@@ -80,38 +80,33 @@ def _pairs(answers):
 
 
 # --------------------------------------------------------------------- #
-# 1. identity: paged == one-shot, across rankings x backends
+# 1. identity: paged == one-shot, across rankings
 # --------------------------------------------------------------------- #
 def check_identity(engine: QueryEngine, handle: ServerThread, k: int, page: int):
-    """Page every (ranking x backend) case and compare to local execute."""
+    """Page every ranking's cursor and compare to local execute."""
     cases = []
     rankings = {"sum": SumRanking(), "lex": LexRanking()}
     for rank_name, ranking in rankings.items():
         local = _pairs(engine.execute(QUERY, ranking, k=k))
-        for backend, shards in (("serial", 1), ("threads", 3)):
-            with connect(handle.host, handle.port) as client:
-                cursor = client.query(
-                    QUERY, rank=rank_name, k=k, shards=shards, backend=backend
-                )
-                paged = []
-                for chunk in cursor.pages(page):
-                    paged.extend(chunk)
-                cursor.close()
-            if paged != local:
-                raise SystemExit(
-                    f"FAIL: paged answers (rank={rank_name}, backend={backend}) "
-                    "diverged from one-shot execute"
-                )
-            cases.append(
-                {
-                    "rank": rank_name,
-                    "backend": backend,
-                    "shards": shards,
-                    "answers": len(paged),
-                    "page": page,
-                    "identical_to_execute": True,  # enforced above
-                }
+        with connect(handle.host, handle.port) as client:
+            cursor = client.query(QUERY, rank=rank_name, k=k)
+            paged = []
+            for chunk in cursor.pages(page):
+                paged.extend(chunk)
+            cursor.close()
+        if paged != local:
+            raise SystemExit(
+                f"FAIL: paged answers (rank={rank_name}) "
+                "diverged from one-shot execute"
             )
+        cases.append(
+            {
+                "rank": rank_name,
+                "answers": len(paged),
+                "page": page,
+                "identical_to_execute": True,  # enforced above
+            }
+        )
     return cases
 
 
@@ -282,7 +277,7 @@ def main(argv=None) -> int:
 
     rows = [
         (
-            f"identity {c['rank']}/{c['backend']}",
+            f"identity {c['rank']}",
             "-",
             "-",
             str(c["answers"]),

@@ -45,7 +45,7 @@ Main entry points
 * :class:`repro.CyclicRankedEnumerator` — Theorem 3 (GHD-based);
 * :class:`repro.UnionRankedEnumerator` — Theorem 4 (UCQs);
 * :mod:`repro.parallel` — sharded execution: hash partitioning
-  (:func:`repro.partition_query`), worker backends and the
+  (:func:`repro.partition_query`), the worker-process fan-out and the
   order-preserving merge behind
   :meth:`repro.QueryEngine.execute_parallel`;
 * :func:`repro.save_snapshot` / :func:`repro.open_database` — the

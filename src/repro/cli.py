@@ -20,10 +20,8 @@ Usage (also via ``python -m repro``)::
   repeated queries reuse cached plans; ``:stats`` prints the engine
   counters, ``:explain <query>`` the plan, ``:quit`` exits;
 * ``--shards N`` hash-partitions the data and executes across N
-  workers with results identical to serial; ``--parallel`` is
-  shorthand for one shard per core, ``--backend`` picks the worker
-  backend (``processes`` default, ``threads``/``serial`` for
-  debugging);
+  worker processes with results identical to serial; ``--parallel`` is
+  shorthand for one shard per core;
 * ``--stats`` prints timing plus the engine's cache hit/miss counters,
   the per-phase (reduce/build/enumerate) timing split, and the
   vectorised-enumeration counters (``batched_combines`` /
@@ -70,7 +68,6 @@ import time
 from typing import Sequence, TextIO
 
 from .core.planner import METHODS
-from .parallel import BACKENDS
 from .core.ranking import (
     AvgRanking,
     LexRanking,
@@ -165,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(equivalent to --shards <cpu count>)",
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="processes",
-        help="parallel backend used with --shards/--parallel (default: processes)",
-    )
-    parser.add_argument(
         "--format",
         choices=("csv", "json", "table"),
         default="csv",
@@ -252,7 +243,6 @@ def _run_one(engine: QueryEngine, query_text: str, ranking, args) -> None:
             parsed,
             ranking,
             shards=shards,
-            backend=args.backend,
             k=args.k,
             method=args.method,
             epsilon=args.epsilon,
@@ -612,10 +602,9 @@ def _query_main(argv: Sequence[str]) -> int:
         "--desc", nargs="*", default=None, metavar="VAR",
         help="descending attributes (LEX) / bare flag to flip aggregate order",
     )
-    parser.add_argument("--shards", type=int, default=None, help="sharded enumeration")
     parser.add_argument(
-        "--backend", choices=("serial", "threads"), default=None,
-        help="cursor backend used with --shards",
+        "--shards", type=int, default=None, metavar="N",
+        help="with --one-shot: execute across N worker processes on the server",
     )
     parser.add_argument(
         "--page", type=int, default=100, metavar="N", help="answers fetched per page"
@@ -635,6 +624,8 @@ def _query_main(argv: Sequence[str]) -> int:
         help="print per-request engine counters (kernel calls, score builds) to stderr",
     )
     args = parser.parse_args(argv)
+    if args.shards is not None and not args.one_shot:
+        parser.error("--shards needs --one-shot (cursors enumerate serially)")
     from .service import connect as service_connect
     from .service.protocol import decode_answers
 
@@ -653,7 +644,6 @@ def _query_main(argv: Sequence[str]) -> int:
                     rank=args.rank,
                     desc=desc if args.rank else None,
                     shards=args.shards,
-                    backend=args.backend,
                 )
                 head = payload["head"]
                 rows = decode_answers(payload["answers"])
@@ -665,8 +655,6 @@ def _query_main(argv: Sequence[str]) -> int:
                     k=args.k,
                     rank=args.rank,
                     desc=desc if args.rank else None,
-                    shards=args.shards,
-                    backend=args.backend,
                 )
                 head = list(cursor.head)
                 rows = []

@@ -323,7 +323,7 @@ def _shard_atom(
     else:
         for shard_db in shard_dbs:
             # Replicas share the parent's tuple list (copy-on-pickle for
-            # the process backend, zero-copy for serial/threads).
+            # the process backend, zero-copy for the serial backend).
             shard_db.add(rel.renamed(rel_name))
         replicated.append(atom.alias)
         shard_plan.append((rel_name, atom.relation, None))

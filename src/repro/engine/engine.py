@@ -91,8 +91,7 @@ def _counting(target):
     """Add this thread's work-counter increments to ``target`` on exit.
 
     One tally scope per :data:`_WORK_COUNTERS` entry
-    (:meth:`repro.storage.kernels.KernelCounters.collect`); worker
-    threads that re-enter the scope count into it too.
+    (:meth:`repro.storage.kernels.KernelCounters.collect`).
     """
     with ExitStack() as stack:
         tallies = [
@@ -121,8 +120,8 @@ class QueryEngine:
         (:func:`repro.open_database`): the engine opens it memory-mapped
         and starts *warm* — the dictionary and encoded image come off
         the snapshot files, so the first query pays no encode cost, and
-        ``processes``-backend shard workers remap the same files instead
-        of receiving a pickled database.
+        shard worker processes remap the same files instead of receiving
+        a pickled database.
     max_plans:
         LRU bound on prepared plans (>= 1).
     max_queries:
@@ -213,11 +212,11 @@ class QueryEngine:
         """Scope one execution: attribute its work counters to :attr:`stats`.
 
         Kernel and score-column work runs below the engine (in the
-        reducer, the access paths, the ranking layer); each execution
-        collects its own thread-scoped tally — worker threads of the
-        ``threads`` backend re-enter the scope — so
-        ``stats.kernel_calls`` / ``score_builds`` etc. reflect exactly
-        this engine's executions even under concurrency.
+        reducer, the access paths, the ranking layer), always on the
+        calling thread; each execution collects its own thread-scoped
+        tally, so ``stats.kernel_calls`` / ``score_builds`` etc. reflect
+        exactly this engine's executions even under concurrency.  Shard
+        work in worker processes is not counted.
         """
         try:
             with _counting(self.stats):
@@ -237,10 +236,10 @@ class QueryEngine:
         ``score_builds`` / ``seconds`` afterwards.  Scopes nest — the
         engine's own per-execution attribution keeps updating
         :attr:`stats` — and concurrent requests on different threads
-        never observe each other's increments.  Work done by
-        ``threads``-backend shard workers spawned *inside* the scope is
-        attributed to it; ``processes``-backend shard work is not
-        (other processes).
+        never observe each other's increments.  Everything the engine
+        runs in this process runs on the calling thread, so the scope
+        sees all of it; shard work in worker processes
+        (:meth:`execute_parallel`) is not counted.
 
         Examples
         --------
@@ -350,7 +349,6 @@ class QueryEngine:
         ranking: RankingFunction | None,
         *,
         shards: int | None = None,
-        attribute: str | None = None,
         method: str = "auto",
         epsilon: float | None = None,
         delta: int | None = None,
@@ -363,9 +361,8 @@ class QueryEngine:
         translation is the second return value, ``None`` for plain
         rows), so the fingerprint and the plan are the code-space ones.
         ``shards`` (``None`` = serial) plans the sharding rewrite of the
-        query instead, partitioned on ``attribute`` (chosen by the
-        planner when ``None``), under a fingerprint extended with a
-        ``__parallel__`` marker.
+        query instead, partitioned on the planner-chosen attribute,
+        under a fingerprint extended with a ``__parallel__`` marker.
         """
         parsed = self.parse(query)
         encoding = self._encoding_for(parsed, ranking, kwargs)
@@ -375,7 +372,7 @@ class QueryEngine:
         if shards is not None:
             from ..data.partition import choose_partition_attribute, rewrite_for_sharding
 
-            attribute = attribute or choose_partition_attribute(parsed, self.db)
+            attribute = choose_partition_attribute(parsed, self.db)
             marked = {"__parallel__": (shards, attribute), **kwargs}
         fingerprint = self._fingerprint(parsed, ranking, method, epsilon, delta, marked)
         prepared = None if fingerprint is None else self._plans.get(fingerprint)
@@ -544,41 +541,6 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # parallel execution
     # ------------------------------------------------------------------ #
-    def prepare_parallel(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None = None,
-        *,
-        shards: int,
-        attribute: str | None = None,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ) -> PreparedPlan:
-        """A cached plan annotated with the partition attribute/shards.
-
-        The plan is built for the *rewritten* query
-        (:func:`~repro.data.partition.rewrite_for_sharding` — a pure
-        query transformation, no data touched), which is exactly what
-        the shard workers instantiate: one cache entry serves
-        execution, ``describe()`` and ``explain`` alike.  Parallel
-        plans live in the same LRU as serial ones under a fingerprint
-        extended with the shard configuration, so the serial plan entry
-        is undisturbed.  With encoding active the plan is the
-        code-space one :meth:`execute_parallel` runs.
-        """
-        return self._prepare(
-            query,
-            ranking,
-            shards=shards,
-            attribute=attribute,
-            method=method,
-            epsilon=epsilon,
-            delta=delta,
-            **kwargs,
-        )[0]
-
     def execute_parallel(
         self,
         query: QueryInput,
@@ -587,8 +549,6 @@ class QueryEngine:
         shards: int,
         backend: str = "processes",
         k: int | None = None,
-        attribute: str | None = None,
-        chunk_size: int | None = None,
         method: str = "auto",
         epsilon: float | None = None,
         delta: int | None = None,
@@ -598,11 +558,24 @@ class QueryEngine:
 
         Hash-partitions the database on a planner-chosen join attribute
         (:func:`repro.data.partition.choose_partition_attribute`), runs
-        one enumerator per shard on the chosen backend (``"serial"`` /
-        ``"threads"`` / ``"processes"``) and recombines the shard
-        streams with an order-preserving merge — answers, scores and
-        order are exactly those of :meth:`execute`.  Partitions are
-        cached per session and revalidated by generation counter.
+        one enumerator per shard in its own worker process and
+        recombines the shard streams with an order-preserving merge —
+        answers, scores and order are exactly those of :meth:`execute`.
+        ``backend="serial"`` runs the shards in-process instead: the
+        reference the tests compare against, never faster.
+
+        The plan is cached like a serial one, for the *rewritten* query
+        (:func:`~repro.data.partition.rewrite_for_sharding`) the shard
+        workers instantiate, under a fingerprint extended with the shard
+        configuration; the same entry backs ``explain``'s partition
+        report.  The :class:`~repro.data.partition.QueryPartition` is
+        built on the attribute that plan carries, cached per session and
+        revalidated against :attr:`Database.generation` like warm plan
+        state.  With encoding active the whole pipeline runs in code
+        space — partition hashing (under a dictionary-epoch tag, so
+        code-space shards never mix with value-space ones), worker joins
+        and the merge all compare dense ints — and answers decode as
+        they leave the merge.
 
         ``shards <= 1`` falls through to the serial :meth:`execute`.
 
@@ -622,141 +595,27 @@ class QueryEngine:
             return self.execute(
                 query, ranking, k=k, method=method, epsilon=epsilon, delta=delta, **kwargs
             )
-        started = time.perf_counter()
-        parsed = self.parse(query)
-        answers = self._sharded(
-            parsed,
-            ranking,
-            drain=True,
-            shards=shards,
-            backend=backend,
-            k=k,
-            attribute=attribute,
-            chunk_size=chunk_size,
-            method=method,
-            epsilon=epsilon,
-            delta=delta,
-            **kwargs,
-        )
-        self.stats.record_execution(repr(parsed), time.perf_counter() - started)
-        return answers
-
-    def stream_parallel(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None = None,
-        *,
-        shards: int,
-        backend: str = "threads",
-        k: int | None = None,
-        attribute: str | None = None,
-        chunk_size: int | None = None,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ):
-        """A lazy sharded stream: the cursor-safe enumerator handoff.
-
-        The streaming twin of :meth:`execute_parallel`: same plan /
-        partition caches, same order-and-tie-identical answers, but the
-        merged shard stream is handed back as an iterator instead of a
-        list, so a long-lived caller (the service layer's cursors) can
-        pull pages on demand — each next page costs its share of delays,
-        never a re-run.  Shard workers stay alive while the iterator is
-        open; closing it (``.close()``) or exhausting it releases them,
-        so abandoning a stream early is safe.  With encoding active the
-        shards enumerate in code space and answers decode one by one at
-        emission.
-
-        ``shards <= 1`` degrades to the serial :meth:`stream` capped at
-        ``k``.  The ``processes`` backend works but ties worker
-        processes to the stream's lifetime — prefer ``threads`` (the
-        default here) or ``serial`` for streams held open across
-        requests.
-        """
-        from itertools import islice
-
-        if shards <= 1:
-            enum = self.stream(
-                query, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-            )
-            stream = iter(enum)
-            return stream if k is None else islice(stream, k)
-        return self._sharded(
-            query,
-            ranking,
-            drain=False,
-            shards=shards,
-            backend=backend,
-            k=k,
-            attribute=attribute,
-            chunk_size=chunk_size,
-            method=method,
-            epsilon=epsilon,
-            delta=delta,
-            **kwargs,
-        )
-
-    def _sharded(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None,
-        *,
-        drain: bool,
-        shards: int,
-        backend: str,
-        k: int | None,
-        attribute: str | None,
-        chunk_size: int | None,
-        method: str,
-        epsilon: float | None,
-        delta: int | None,
-        **kwargs: Any,
-    ):
-        """Plan, partition and run one sharded execution, counted as one.
-
-        Returns the answer list when ``drain`` is set — drained inside
-        the counter scope, so the shard workers' tallies are attributed
-        — else the open answer stream.  The cached parallel plan (of the
-        rewritten query) is what the shard workers instantiate — warm
-        parallel executions skip classification and join-tree/GHD
-        construction entirely, and the same entry backs ``explain``'s
-        partition reporting.
-
-        The session's :class:`~repro.data.partition.QueryPartition` is
-        built on the attribute that plan carries, keyed on ``(query,
-        shards, attribute, tag)`` and revalidated against
-        :attr:`Database.generation`, exactly like warm plan state: a
-        mutation transparently rebuilds the shards on next use.  With
-        encoding active the whole pipeline runs in code space —
-        partition hashing (over the encoded image, under a
-        dictionary-epoch tag so code-space shards never mix with
-        value-space ones), worker joins and the order-preserving merge
-        all compare dense ints — and answers decode one by one as they
-        leave the merge.
-        """
         from ..data.partition import partition_query
-        from ..parallel import DEFAULT_CHUNK_SIZE, stream_sharded
+        from ..parallel import stream_sharded
 
+        started = time.perf_counter()
         parsed = self.parse(query)
         with self._instrumented():
             prepared, encoding = self._prepare(
                 parsed,
                 ranking,
                 shards=shards,
-                attribute=attribute,
                 method=method,
                 epsilon=epsilon,
                 delta=delta,
                 **kwargs,
             )
             plan = prepared.plan
-            db, cache_tag = self.db, None
+            target, db, cache_tag = parsed, self.db, None
             if encoding is not None:
-                ctx, parsed, ranking, kwargs = encoding
+                ctx, target, ranking, kwargs = encoding
                 db, cache_tag = ctx.database, ("encoded", ctx.epoch)
-            key = (parsed, shards, plan.partition_attribute, cache_tag)
+            key = (target, shards, plan.partition_attribute, cache_tag)
             cached = self._partitions.get(key)
             # Validated on the database *object* as well as its
             # generation: a session whose ``engine.db`` was swapped for an
@@ -772,17 +631,16 @@ class QueryEngine:
             else:
                 self.stats.partition_misses += 1
                 partition = partition_query(
-                    parsed, db, shards, attribute=plan.partition_attribute
+                    target, db, shards, attribute=plan.partition_attribute
                 )
                 self._partitions.put(key, (self.db, self.db.generation, partition))
             stream = stream_sharded(
-                parsed,
+                target,
                 db,
                 ranking,
                 shards=shards,
                 backend=backend,
                 k=k,
-                chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
                 method=method,
                 epsilon=epsilon,
                 delta=delta,
@@ -794,10 +652,10 @@ class QueryEngine:
                 stream = decoded_answers(
                     stream, ctx.dictionary.values, ctx.decoder(plan.kind, plan.ranking)
                 )
-            if drain:
-                stream = list(stream)
+            answers = list(stream)
         self.stats.parallel_executions += 1
-        return stream
+        self.stats.record_execution(repr(parsed), time.perf_counter() - started)
+        return answers
 
     def execute_many(
         self,
@@ -855,7 +713,6 @@ class QueryEngine:
         epsilon: float | None = None,
         delta: int | None = None,
         shards: int | None = None,
-        attribute: str | None = None,
         **kwargs: Any,
     ) -> dict[str, Any]:
         """The plan summary the CLI's ``--explain`` prints.
@@ -872,7 +729,6 @@ class QueryEngine:
             parsed,
             ranking,
             shards=shards if shards is not None and shards > 1 else None,
-            attribute=attribute,
             method=method,
             epsilon=epsilon,
             delta=delta,

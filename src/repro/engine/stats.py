@@ -145,11 +145,10 @@ class EngineStats:
         data was not exactly integer-representable (or a packed key
         overflowed).  Zero for both when NumPy is not installed.
         Attribution is scoped and thread-safe: each execution collects
-        its own tally (:meth:`repro.storage.kernels.KernelCounters.collect`),
-        the ``threads`` parallel backend re-enters the scope inside its
-        worker threads, and concurrent engines never observe each
-        other's increments.  Only the ``processes`` backend's shard-side
-        kernel work (done in worker processes) goes unreported.
+        its own tally (:meth:`repro.storage.kernels.KernelCounters.collect`)
+        on the thread that runs it, and concurrent engines never observe
+        each other's increments.  Only the shard-side kernel work of
+        ``execute_parallel`` (done in worker processes) goes unreported.
     score_builds / score_fallbacks:
         Score-column materialisations (one weight pass per distinct
         value of a relation column — :mod:`repro.storage.scores`) and

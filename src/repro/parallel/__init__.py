@@ -1,9 +1,9 @@
 """Parallel execution subsystem: sharded ranked enumeration.
 
 Splits a query's data into hash shards (:mod:`repro.data.partition`),
-enumerates every shard independently on a pluggable backend
-(:mod:`repro.parallel.backends` — ``serial`` / ``threads`` /
-``processes``), and recombines the ranked shard streams with an
+enumerates every shard independently in its own worker process
+(:mod:`repro.parallel.backends`; the in-process ``serial`` backend is
+the test reference), and recombines the ranked shard streams with an
 order-preserving k-way merge (:mod:`repro.parallel.merge`) so results
 are identical to serial :func:`repro.enumerate_ranked`.
 

@@ -1,4 +1,4 @@
-"""Shard execution backends: serial, threads, processes.
+"""Shard execution backends: serial and processes.
 
 A *shard job* bundles everything one worker needs to enumerate its
 shard: the (rewritten) query, the shard database, the ranking and the
@@ -6,21 +6,17 @@ planner knobs.  Backends turn a list of jobs into a list of ranked
 per-shard streams that :func:`repro.parallel.merge.merge_ranked_streams`
 recombines:
 
-``serial``
-    Enumerate in-process, lazily — no concurrency, no copies.  The
-    reference backend: bit-identical to the others and the easiest to
-    debug or profile.
-``threads``
-    One thread per shard feeding a bounded per-shard queue of answer
-    chunks.  GIL-bound (no CPU speedup) but overlaps any blocking work
-    and exercises the chunk protocol cheaply; meant for debugging the
-    process backend without pickling.
 ``processes``
     A :class:`~concurrent.futures.ProcessPoolExecutor` with one worker
     per shard; each worker streams chunks of plain ``(values, score,
     key)`` triples through its own bounded manager queue and the parent
     rebuilds :class:`~repro.core.answers.RankedAnswer` objects as it
-    merges.  This is the backend that uses more than one core.
+    merges.  The production backend: the only one that uses more than
+    one core, and the one the CLI and the service always run.
+``serial``
+    Enumerate in-process, lazily — no concurrency, no copies.  Kept as
+    the in-process reference for tests and doctests: bit-identical to
+    ``processes`` and the easiest to debug or profile.
 
 Chunked streaming keeps the pipeline incremental in both directions:
 the parent can emit the first merged answers while shards are still
@@ -34,15 +30,13 @@ order.
 
 Payloads for the process backend must be picklable (true for the whole
 query/data model and every shipped ranking; a ``CallableWeight``
-wrapping a lambda is the known exception — use ``serial``/``threads``
-or a named function there).
+wrapping a lambda is the known exception — use ``serial`` or a named
+function there).
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from typing import Any, Iterator, Sequence
@@ -52,12 +46,11 @@ from ..core.ranking import RankingFunction
 from ..data.database import Database
 from ..errors import ReproError
 from ..query.query import JoinProjectQuery, UnionQuery
-from ..storage import kernels
 from ..testing.faultinject import fault_point
 
 __all__ = ["BACKENDS", "ShardJob", "ShardStreams", "open_shard_streams", "run_many"]
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 #: Answers per message on the chunk protocol.  Large enough to amortise
 #: queue/pickle overhead, small enough to keep the pipeline incremental.
@@ -186,81 +179,15 @@ class ShardStreams:
 
 
 # --------------------------------------------------------------------- #
-# threads backend
-# --------------------------------------------------------------------- #
-def _thread_producer(
-    job: ShardJob, out: queue_mod.Queue, chunk_size: int, context=None
-) -> None:
-    chunk: list[RankedAnswer] = []
-    try:
-        # Re-enter the spawning thread's instrumentation context: the
-        # engine's counter tallies apply to shard work done on this
-        # thread too, so per-engine stats stay exact on the threads
-        # backend even with concurrent engines.
-        with kernels.attached_context(context or kernels.capture_context()):
-            for answer in _enumerate_shard(job):
-                chunk.append(answer)
-                if len(chunk) >= chunk_size:
-                    out.put(("chunk", chunk))
-                    chunk = []
-            if chunk:
-                out.put(("chunk", chunk))
-        out.put(("done", None))
-    except BaseException as exc:  # propagated to the consumer
-        out.put(("error", exc))
-
-
-def _drain_thread_queue(out: queue_mod.Queue) -> Iterator[RankedAnswer]:
-    while True:
-        kind, payload = out.get()
-        if kind == "chunk":
-            yield from payload
-        elif kind == "done":
-            return
-        else:
-            raise payload
-
-
-def _open_threads(jobs: Sequence[ShardJob], chunk_size: int) -> ShardStreams:
-    queues = [
-        queue_mod.Queue(maxsize=_QUEUE_DEPTH_PER_SHARD) for _ in jobs
-    ]
-    context = kernels.capture_context()
-    threads = [
-        threading.Thread(
-            target=_thread_producer, args=(job, out, chunk_size, context), daemon=True
-        )
-        for job, out in zip(jobs, queues)
-    ]
-    for t in threads:
-        t.start()
-
-    def close() -> None:
-        # Unblock producers stuck on a full queue; the daemon threads
-        # then run to completion (or die with the interpreter if the
-        # consumer abandoned a large enumeration mid-stream).
-        for out in queues:
-            try:
-                while True:
-                    out.get_nowait()
-            except queue_mod.Empty:
-                pass
-
-    return ShardStreams(
-        [_drain_thread_queue(out) for out in queues], close=close
-    )
-
-
-# --------------------------------------------------------------------- #
 # processes backend
 # --------------------------------------------------------------------- #
-def _process_producer(job: ShardJob, out, chunk_size: int) -> None:
+def _process_producer(job: ShardJob, out) -> None:
     """Worker body: stream ``(values, score, key)`` chunks to the parent."""
     chunk: list[tuple] = []
     try:
         for answer in _enumerate_shard(job):
             chunk.append((answer.values, answer.score, answer.key))
-            if len(chunk) >= chunk_size:
+            if len(chunk) >= DEFAULT_CHUNK_SIZE:
                 out.put(("chunk", chunk))
                 chunk = []
         if chunk:
@@ -285,7 +212,7 @@ def _drain_process_queue(out) -> Iterator[RankedAnswer]:
             raise payload
 
 
-def _open_processes(jobs: Sequence[ShardJob], chunk_size: int) -> ShardStreams:
+def _open_processes(jobs: Sequence[ShardJob]) -> ShardStreams:
     import multiprocessing as mp
 
     # One worker process and one bounded queue *per shard*.  The merge
@@ -300,7 +227,7 @@ def _open_processes(jobs: Sequence[ShardJob], chunk_size: int) -> ShardStreams:
     queues = [manager.Queue(maxsize=_QUEUE_DEPTH_PER_SHARD) for _ in jobs]
     executor = ProcessPoolExecutor(max_workers=len(jobs))
     futures = [
-        executor.submit(_process_producer, job, out, chunk_size)
+        executor.submit(_process_producer, job, out)
         for job, out in zip(jobs, queues)
     ]
 
@@ -322,7 +249,6 @@ def open_shard_streams(
     jobs: Sequence[ShardJob],
     *,
     backend: str = "processes",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> ShardStreams:
     """Launch ``jobs`` on the chosen backend and return their streams.
 
@@ -331,15 +257,11 @@ def open_shard_streams(
     """
     if backend not in BACKENDS:
         raise ReproError(f"unknown parallel backend {backend!r}; choose one of {BACKENDS}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if not jobs:
         return ShardStreams([])
     if backend == "serial" or len(jobs) == 1:
         return ShardStreams([_enumerate_shard(job) for job in jobs])
-    if backend == "threads":
-        return _open_threads(jobs, chunk_size)
-    return _open_processes(jobs, chunk_size)
+    return _open_processes(jobs)
 
 
 # --------------------------------------------------------------------- #

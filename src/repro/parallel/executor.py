@@ -40,7 +40,7 @@ from ..core.ranking import RankingFunction
 from ..data.database import Database
 from ..data.partition import QueryPartition, partition_query
 from ..query.query import JoinProjectQuery, UnionQuery
-from .backends import DEFAULT_CHUNK_SIZE, ShardJob, open_shard_streams
+from .backends import ShardJob, open_shard_streams
 from .merge import merge_ranked_streams
 
 __all__ = ["stream_sharded", "execute_sharded"]
@@ -96,7 +96,6 @@ def stream_sharded(
     backend: str = "processes",
     k: int | None = None,
     attribute: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     method: str = "auto",
     epsilon: float | None = None,
     delta: int | None = None,
@@ -136,11 +135,11 @@ def stream_sharded(
         # Every shard database derives from one on-disk snapshot: tag
         # each job with a by-reference shard spec so the process backend
         # ships (snapshot_path, shard_spec) and workers memory-map the
-        # same files instead of unpickling shard rows.  Serial/threads
-        # backends ignore the tag (``db`` stays attached in-process).
+        # same files instead of unpickling shard rows.  The serial
+        # backend ignores the tag (``db`` stays attached in-process).
         for job, ref in zip(jobs, refs):
             job.snapshot_ref = ref
-    streams = open_shard_streams(jobs, backend=backend, chunk_size=chunk_size)
+    streams = open_shard_streams(jobs, backend=backend)
 
     def generate() -> Iterator[RankedAnswer]:
         with streams:

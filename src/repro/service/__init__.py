@@ -29,7 +29,6 @@ from .admission import FairGate
 from .client import RemoteCursor, ServiceClient, connect
 from .cursors import Cursor, CursorTable
 from .protocol import (
-    CURSOR_BACKENDS,
     PROTOCOL_VERSION,
     OverloadedError,
     ServiceError,
@@ -53,6 +52,5 @@ __all__ = [
     "StaleCursorError",
     "OverloadedError",
     "PROTOCOL_VERSION",
-    "CURSOR_BACKENDS",
     "DEFAULT_PORT",
 ]

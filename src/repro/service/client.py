@@ -289,27 +289,17 @@ class ServiceClient:
         k: int | None = None,
         rank: str | None = None,
         desc: Any = None,
-        shards: int | None = None,
-        backend: str | None = None,
         deadline: float | None = None,
     ) -> RemoteCursor:
         """Open a server-side cursor over a ranked enumeration.
 
         ``rank`` names a ranking (``sum`` / ``avg`` / ``min`` / ``max`` /
         ``product`` / ``lex``); ``desc`` is a bool for aggregates or a
-        list of attribute names for ``lex``.  ``shards``/``backend``
-        select sharded enumeration (``serial`` or ``threads``).
-        ``deadline`` bounds the server-side open in seconds.
+        list of attribute names for ``lex``.  ``deadline`` bounds the
+        server-side open in seconds.
         """
         payload = self.request(
-            "query",
-            query=query,
-            k=k,
-            rank=rank,
-            desc=desc,
-            shards=shards,
-            backend=backend,
-            deadline=deadline,
+            "query", query=query, k=k, rank=rank, desc=desc, deadline=deadline
         )
         return RemoteCursor(self, payload)
 
@@ -321,10 +311,13 @@ class ServiceClient:
         rank: str | None = None,
         desc: Any = None,
         shards: int | None = None,
-        backend: str | None = None,
         deadline: float | None = None,
     ) -> list[tuple[tuple, Any]]:
-        """One-shot ranked execution (no cursor); answers materialised."""
+        """One-shot ranked execution (no cursor); answers materialised.
+
+        ``shards > 1`` runs the query sharded across that many worker
+        processes on the server; answers are identical either way.
+        """
         payload = self.request(
             "execute",
             query=query,
@@ -332,7 +325,6 @@ class ServiceClient:
             rank=rank,
             desc=desc,
             shards=shards,
-            backend=backend,
             deadline=deadline,
         )
         self.last_stats = payload.get("stats")

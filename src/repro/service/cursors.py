@@ -1,8 +1,7 @@
 """Cursor lifecycle: live enumerator state behind resumable handles.
 
-A :class:`Cursor` wraps a *live* ranked stream — the enumerator (or
-merged shard stream) handed over by
-:meth:`repro.engine.QueryEngine.stream_parallel` — plus everything
+A :class:`Cursor` wraps a *live* ranked stream — the enumerator handed
+over by :meth:`repro.engine.QueryEngine.stream` — plus everything
 needed to rebuild it: next-page fetches pull more answers from the open
 stream at enumeration delay cost, they never re-run the query.  That is
 the whole point of serving ranked enumeration: answers 1000–1100 cost
@@ -12,7 +11,7 @@ The :class:`CursorTable` bounds what live state a server holds:
 
 * **LRU eviction** — at most ``max_live`` cursors keep their stream
   open; opening one more releases the least-recently-used cursor's
-  stream (worker threads, queues, heap state).  The cursor *record*
+  stream (its enumerator's heap state).  The cursor *record*
   survives with its ``(query, offset)`` replay spec: the next fetch
   transparently rebuilds the stream and fast-forwards ``offset``
   answers.  Enumeration is deterministic over unchanged data, so the
@@ -132,7 +131,7 @@ class Cursor:
     def prime(self) -> None:
         """Open the initial stream (done at ``query`` time, not first fetch).
 
-        Preprocessing — plan binding, reduction, shard fan-out — happens
+        Preprocessing — plan binding, reduction — happens
         here, so the first page is a pure enumeration fetch like every
         later one.
         """

@@ -26,7 +26,6 @@ from ..errors import ReproError
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
-    "CURSOR_BACKENDS",
     "ServiceError",
     "UnknownCursorError",
     "StaleCursorError",
@@ -49,13 +48,6 @@ PROTOCOL_VERSION = 1
 #: result sets are meant to be paged through cursors, not shipped as one
 #: giant line.
 MAX_LINE_BYTES = 8 * 1024 * 1024
-
-#: Backends a cursor session may pick.  ``processes`` is deliberately
-#: absent: a cursor holds its stream open across requests, and pinning a
-#: process pool to every idle cursor is the wrong resource shape for a
-#: server (the eager ``execute`` op has no such restriction server-side,
-#: but the service keeps one contract for both).
-CURSOR_BACKENDS = ("serial", "threads")
 
 
 class ServiceError(ReproError):

@@ -15,12 +15,12 @@ Architecture, in one pass through a request's life:
    PR-5 scoped counters keep concurrent requests from bleeding into
    each other.
 4. ``query`` opens a **cursor** (:mod:`.cursors`): the live enumerator
-   stream from :meth:`QueryEngine.stream_parallel` parked server-side.
+   stream from :meth:`QueryEngine.stream` parked server-side.
    ``fetch`` pages through it at enumeration-delay cost; LRU-evicted
    cursors replay transparently; TTL reaps abandoned ones.
 5. :meth:`ReproServer.stop` is a graceful drain: stop accepting, let
    in-flight requests finish, then close every open cursor (releasing
-   shard workers and heap state) before the pool goes down.
+   its enumerator state) before the pool goes down.
 
 The service layer deliberately sits *on top of* the engine: it talks
 only to :class:`QueryEngine` and public enumerator surfaces, never to
@@ -51,7 +51,6 @@ from ..testing.faultinject import fault_point, fault_value
 from .admission import FairGate
 from .cursors import CursorTable
 from .protocol import (
-    CURSOR_BACKENDS,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     DeadlineExceededError,
@@ -67,10 +66,6 @@ from .protocol import (
 __all__ = ["ReproServer", "ServerThread", "ServiceStats", "serve", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 7461
-
-#: Backends the eager ``execute`` op accepts (cursors are restricted to
-#: :data:`~repro.service.protocol.CURSOR_BACKENDS`).
-_EXECUTE_BACKENDS = ("serial", "threads", "processes")
 
 _RANKINGS: dict[str, type[RankingFunction]] = {
     "sum": SumRanking,
@@ -233,8 +228,8 @@ class ReproServer:
         New engine ops are refused with ``shutting-down`` the moment
         this is called; requests already admitted (or queued) run to
         completion within ``timeout`` seconds; then every open cursor is
-        closed — releasing its live stream and any shard workers —
-        before the executor goes down.  Returns a small summary dict.
+        closed — releasing its live stream — before the executor goes
+        down.  Returns a small summary dict.
         """
         self._closing = True
         if self._server is not None:
@@ -405,7 +400,7 @@ class ReproServer:
     # ------------------------------------------------------------------ #
     # op bodies (run on executor threads)
     # ------------------------------------------------------------------ #
-    def _stream_builder(self, parsed, ranking, shards, backend, k, generation):
+    def _stream_builder(self, parsed, ranking, generation):
         """The cursor's ``build(skip)`` replay closure — shared by fresh
         opens and journal restores so both resume identically."""
 
@@ -415,9 +410,7 @@ class ReproServer:
                     "data changed since the cursor was created; "
                     "re-run the query"
                 )
-            stream = self.engine.stream_parallel(
-                parsed, ranking, shards=shards, backend=backend, k=k
-            )
+            stream = iter(self.engine.stream(parsed, ranking))
             if skip:
                 next(itertools.islice(stream, skip - 1, skip), None)
             return stream
@@ -429,13 +422,6 @@ class ReproServer:
     ) -> Callable[[], dict]:
         query_text = _require_str(message, "query")
         k = _optional_int(message, "k", floor=1)
-        shards = _optional_int(message, "shards", floor=1) or 1
-        backend = message.get("backend") or "serial"
-        if backend not in CURSOR_BACKENDS:
-            raise ServiceError(
-                f"cursor backend must be one of {CURSOR_BACKENDS}, got {backend!r}"
-                " (processes-backend workers cannot be parked in a cursor)"
-            )
         ranking = self._ranking_for(message)
         rank_spec = message.get("rank")
         desc_spec = message.get("desc")
@@ -445,9 +431,7 @@ class ReproServer:
             with self.engine.measure() as request:
                 parsed = self.engine.parse(query_text)
                 generation = self.engine.db.generation
-                build = self._stream_builder(
-                    parsed, ranking, shards, backend, k, generation
-                )
+                build = self._stream_builder(parsed, ranking, generation)
                 cursor = self.cursors.open(
                     build,
                     tenant=tenant,
@@ -465,8 +449,6 @@ class ReproServer:
                     "k": k,
                     "rank": rank_spec,
                     "desc": desc_spec,
-                    "shards": shards,
-                    "backend": backend,
                     "position": cursor.position,
                 },
             )
@@ -508,11 +490,6 @@ class ReproServer:
         query_text = _require_str(message, "query")
         k = _optional_int(message, "k", floor=1)
         shards = _optional_int(message, "shards", floor=1) or 1
-        backend = message.get("backend") or "serial"
-        if backend not in _EXECUTE_BACKENDS:
-            raise ServiceError(
-                f"backend must be one of {_EXECUTE_BACKENDS}, got {backend!r}"
-            )
         ranking = self._ranking_for(message)
 
         def work() -> dict:
@@ -520,7 +497,7 @@ class ReproServer:
                 parsed = self.engine.parse(query_text)
                 if shards > 1:
                     answers = self.engine.execute_parallel(
-                        parsed, ranking, shards=shards, backend=backend, k=k
+                        parsed, ranking, shards=shards, k=k
                     )
                 else:
                     answers = self.engine.execute(parsed, ranking, k=k)
@@ -597,13 +574,11 @@ class ReproServer:
                     ranking = self._ranking_for(
                         {"rank": spec.get("rank"), "desc": spec.get("desc")}
                     )
+                    # Specs journaled before cursors lost sharding may
+                    # carry ``shards``/``backend``; sharding never
+                    # changed the ranked order, so they are ignored.
                     build = self._stream_builder(
-                        parsed,
-                        ranking,
-                        spec.get("shards") or 1,
-                        spec.get("backend") or "serial",
-                        k,
-                        self.engine.db.generation,
+                        parsed, ranking, self.engine.db.generation
                     )
                     head = parsed.head
                 cursor = self.cursors.restore(

@@ -42,7 +42,6 @@ engine as ``kernel_calls`` / ``kernel_fallbacks``.
 from __future__ import annotations
 
 import threading
-import weakref
 from contextlib import contextmanager
 from typing import Any, Sequence
 
@@ -60,8 +59,6 @@ __all__ = [
     "KernelCounters",
     "Tally",
     "antijoin_mask",
-    "attached_context",
-    "capture_context",
     "codes_matrix",
     "column_array",
     "counters",
@@ -121,20 +118,15 @@ class KernelCounters:
     Global totals (``calls`` / ``fallbacks``) are incremented under a
     lock.  Attribution to one engine is done with *tally scopes*: a
     caller enters :meth:`collect`, and every increment made on the same
-    thread (or on a worker thread that re-entered the scope via
-    :func:`attached_context` — the threads parallel backend does) is
-    added to the scope's :class:`Tally` as well.  Two engines executing
-    concurrently on different threads therefore never see each other's
-    increments — the race the old snapshot-diff accounting had.
+    thread is added to the scope's :class:`Tally` as well.  All counted
+    work runs on the thread that opened the scope (sharded executions
+    run their shards in other *processes*, which count nothing here),
+    so two engines executing concurrently on different threads never
+    see each other's increments — the race the old snapshot-diff
+    accounting had.
     """
 
-    __slots__ = ("calls", "fallbacks", "reasons", "_lock", "_local", "__weakref__")
-
-    #: Every live instance (kernel + score counters); context capture
-    #: snapshots the calling thread's scopes across all of them.  Weak
-    #: references: ad-hoc counters die with their creators instead of
-    #: accumulating here forever.
-    _instances: "weakref.WeakSet[KernelCounters]" = weakref.WeakSet()
+    __slots__ = ("calls", "fallbacks", "reasons", "_lock", "_local")
 
     def __init__(self):
         self.calls = 0
@@ -142,7 +134,6 @@ class KernelCounters:
         self.reasons: dict[str, int] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
-        KernelCounters._instances.add(self)
 
     def _scopes(self) -> list[Tally]:
         scopes = getattr(self._local, "scopes", None)
@@ -208,41 +199,6 @@ class KernelCounters:
 
 
 counters = KernelCounters()
-
-
-def capture_context():
-    """Snapshot the calling thread's instrumentation context.
-
-    Returns an opaque token holding every active tally scope (across
-    all counter instances — kernel and score counters alike).  Worker
-    threads doing this thread's work re-enter the context with
-    :func:`attached_context`, so scoped attribution survives the thread
-    hop.
-    """
-    scopes = []
-    for instance in KernelCounters._instances:
-        active = getattr(instance._local, "scopes", None)
-        if active:
-            scopes.append((instance, tuple(active)))
-    return tuple(scopes)
-
-
-@contextmanager
-def attached_context(token):
-    """Re-enter a :func:`capture_context` token on the current thread."""
-    entered: list[tuple[KernelCounters, Tally]] = []
-    for instance, tallies in token:
-        local = instance._scopes()
-        with instance._lock:
-            for tally in tallies:
-                local.append(tally)
-                entered.append((instance, tally))
-    try:
-        yield
-    finally:
-        for instance, tally in entered:
-            with instance._lock:
-                instance._scopes().remove(tally)
 
 
 _enabled = True

@@ -43,12 +43,9 @@ def run_session(db: Database, monkeypatch):
     """The fixed session.
 
     Returns the engine, the request counters of one measured call, the
-    ``explain`` summary, the partitions handed to the shard pipeline and
-    the stats snapshot taken just before the threads-backend
-    ``stream_parallel``.  That stream's workers keep running after the
-    call returns, so how much of their work lands in the engine's
-    counters depends on thread timing; the work counters are therefore
-    compared at that earlier point.
+    ``explain`` summary and the partitions handed to the shard pipeline.
+    Sharded runs use the in-process ``serial`` backend so that their
+    shard work is counted too.
     """
     partitions = []
     original = repro.parallel.stream_sharded
@@ -64,17 +61,14 @@ def run_session(db: Database, monkeypatch):
     assert engine.execute(QUERY, k=5) == serial
     with engine.measure() as request:
         assert engine.execute_parallel(QUERY, shards=2, backend="serial", k=5) == serial
-    full = engine.execute_parallel(QUERY, shards=2, backend="threads")
+    full = engine.execute_parallel(QUERY, shards=2, backend="serial")
     assert full[:5] == serial
-    assert list(engine.stream_parallel(QUERY, shards=2, backend="serial", k=4)) == serial[:4]
-    before_stream = engine.stats.snapshot()
-    assert list(engine.stream_parallel(QUERY, shards=2, backend="threads")) == full
     info = engine.explain(QUERY, shards=2)
     db.get("R").add((41, db.get("S").tuples[0][0]))
     engine.execute(QUERY, k=5)
     engine.invalidate()
     engine.execute(QUERY, k=5)
-    return engine, request, info, partitions, before_stream
+    return engine, request, info, partitions
 
 
 def counted(snapshot: dict) -> list:
@@ -86,22 +80,18 @@ def counted(snapshot: dict) -> list:
     ]
 
 
-#: Counters fed by the scoped kernel / score / combine / top-k tallies.
-WORK = {
-    "kernel_calls",
-    "kernel_fallbacks",
-    "score_builds",
-    "score_fallbacks",
-    "batched_combines",
-    "bulk_topk_calls",
-    "bulk_topk_fallbacks",
-}
+def expected(
+    plan_hits, plan_misses, invalidations, delta_applies, encode_builds, kernel_calls,
+    score_builds,
+):
+    """The session's full snapshot.
 
-def expected(plan_hits, plan_misses, invalidations, delta_applies, encode_builds):
-    """The session's full snapshot; only the cache-path counters differ by data."""
+    Only the cache-path counters, and the kernel and score work they
+    cause, differ by data.
+    """
     return [
         ("executions", 6),
-        ("parse_hits", 9),
+        ("parse_hits", 7),
         ("parse_misses", 1),
         ("plan_hits", plan_hits),
         ("plan_misses", plan_misses),
@@ -112,18 +102,18 @@ def expected(plan_hits, plan_misses, invalidations, delta_applies, encode_builds
         ("delta_applies", delta_applies),
         ("delta_fallbacks", 0),
         ("uncacheable", 0),
-        ("partition_hits", 3),
+        ("partition_hits", 1),
         ("partition_misses", 1),
-        ("parallel_executions", 4),
+        ("parallel_executions", 2),
         ("batch_executions", 0),
         ("encode_builds", encode_builds),
         ("encode_fallbacks", 0),
-        ("kernel_calls", 24),
+        ("kernel_calls", kernel_calls),
         ("kernel_fallbacks", 0),
-        ("score_builds", 6),
+        ("score_builds", score_builds),
         ("score_fallbacks", 0),
         ("batched_combines", 4),
-        ("bulk_topk_calls", 2),
+        ("bulk_topk_calls", 4),
         ("bulk_topk_fallbacks", 0),
         ("snapshot_opens", 0),
         ("snapshot_cow_detaches", 0),
@@ -134,9 +124,16 @@ def expected(plan_hits, plan_misses, invalidations, delta_applies, encode_builds
 
 EXPECTED = {
     # Plain rows: the write is delta-maintained on the warm plan.
-    False: expected(8, 2, invalidations=0, delta_applies=1, encode_builds=0),
-    # Encoded image: the write re-encodes, orphaning the code-space plans.
-    True: expected(6, 4, invalidations=1, delta_applies=0, encode_builds=3),
+    False: expected(
+        6, 2, invalidations=0, delta_applies=1, encode_builds=0, kernel_calls=35,
+        score_builds=7,
+    ),
+    # Encoded image: the write re-encodes, orphaning the code-space plans
+    # and rebuilding their score columns.
+    True: expected(
+        4, 4, invalidations=1, delta_applies=0, encode_builds=3, kernel_calls=40,
+        score_builds=10,
+    ),
 }
 
 REQUEST_KEYS = [
@@ -154,17 +151,13 @@ REQUEST_KEYS = [
 @pytest.mark.parametrize("string_keys", [False, True], ids=["int", "str"])
 def test_engine_stats_snapshot(string_keys, monkeypatch):
     pytest.importorskip("numpy")
-    engine, _, _, _, before_stream = run_session(make_db(string_keys), monkeypatch)
-    work = dict(counted(before_stream))
-    observed = [
-        (k, work[k] if k in WORK else v) for k, v in counted(engine.stats.snapshot())
-    ]
-    assert observed == EXPECTED[string_keys]
+    engine, _, _, _ = run_session(make_db(string_keys), monkeypatch)
+    assert counted(engine.stats.snapshot()) == EXPECTED[string_keys]
 
 
 @pytest.mark.parametrize("string_keys", [False, True], ids=["int", "str"])
 def test_request_counters_keys(string_keys, monkeypatch):
-    _, request, _, _, _ = run_session(make_db(string_keys), monkeypatch)
+    _, request, _, _ = run_session(make_db(string_keys), monkeypatch)
     snapshot = request.snapshot()
     assert list(snapshot) == REQUEST_KEYS
     if kernels.enabled():
@@ -173,8 +166,8 @@ def test_request_counters_keys(string_keys, monkeypatch):
 
 @pytest.mark.parametrize("string_keys", [False, True], ids=["int", "str"])
 def test_partition_attribute_matches_explain(string_keys, monkeypatch):
-    _, _, info, partitions, _ = run_session(make_db(string_keys), monkeypatch)
-    assert len(partitions) == 4
+    _, _, info, partitions = run_session(make_db(string_keys), monkeypatch)
+    assert len(partitions) == 2
     assert {p.attribute for p in partitions} == {info["partition attribute"]}
     assert info["shards"] == 2
 

@@ -217,16 +217,6 @@ class TestOrderPreservation:
 
 
 class TestBackends:
-    def test_threads_backend_matches_serial(self, workload):
-        spec = two_hop()
-        assert_parallel_matches_serial(
-            spec.query,
-            workload.db,
-            workload.ranking(spec, kind="sum"),
-            shard_counts=(3,),
-            backend="threads",
-        )
-
     @pytest.mark.slow
     def test_processes_backend_matches_serial(self, workload):
         spec = two_hop()
@@ -245,6 +235,7 @@ class TestBackends:
                 spec.query, workload.db, shards=2, backend="quantum"
             )
 
+    @pytest.mark.slow
     def test_stream_is_lazy_and_closable(self, workload):
         spec = two_hop()
         stream = stream_sharded(
@@ -252,12 +243,13 @@ class TestBackends:
             workload.db,
             workload.ranking(spec, kind="sum"),
             shards=3,
-            backend="threads",
+            backend="processes",
         )
         first = next(stream)
         assert first.values is not None
         stream.close()  # must release worker resources without error
 
+    @pytest.mark.slow
     def test_worker_error_propagates(self):
         # IdentityWeight over string values raises in the worker; the
         # consumer must see the original error type.
@@ -266,7 +258,7 @@ class TestBackends:
         db = Database()
         db.add_relation("E", ("a", "p"), [("x", 1), ("y", 1)])
         q = parse_query("Q(a1, a2) :- E(a1, p), E(a2, p)")
-        for backend in ("serial", "threads"):
+        for backend in ("serial", "processes"):
             with pytest.raises(RankingError):
                 execute_sharded(q, db, shards=2, backend=backend)
 
@@ -309,13 +301,10 @@ class TestEngineParallel:
         spec = two_hop()
         ranking = workload.ranking(spec, kind="sum")
         serial = engine.execute(spec.query, ranking)
-        for backend in ("serial", "threads"):
-            assert (
-                engine.execute_parallel(
-                    spec.query, ranking, shards=3, backend=backend
-                )
-                == serial
-            )
+        assert (
+            engine.execute_parallel(spec.query, ranking, shards=3, backend="serial")
+            == serial
+        )
 
     def test_shards_one_falls_through_to_serial(self, workload):
         engine = QueryEngine(workload.db)

@@ -433,6 +433,45 @@ class TestRestartSurvivingCursor:
             handle2.stop()
             durable2.close()
 
+    def test_restores_cursor_journaled_with_sharding_fields(self, tmp_path):
+        # Cursor specs journaled when cursors could shard carry
+        # ``shards``/``backend``; a restarted server must still resume
+        # them to the exact next page of the serial order.
+        target = str(tmp_path / "snap")
+        save_snapshot(make_db(), target)
+        ref = reference_pages(make_db(), 4, 8, 48)
+
+        durable = open_durable(target)
+        durable.record_cursor(
+            {
+                "cursor": "legacy-sharded",
+                "tenant": "default",
+                "query": QUERY,
+                "k": 48,
+                "rank": None,
+                "desc": None,
+                "shards": 2,
+                "backend": "threads",
+                "position": 0,
+            }
+        )
+        durable.record_cursor_position("legacy-sharded", 24)
+        durable.close()
+
+        _OPEN_CACHE.clear()
+        durable2 = open_durable(target)
+        handle = ServerThread(QueryEngine(durable2.db), durable=durable2).start()
+        try:
+            client = ServiceClient(handle.host, handle.port)
+            assert client.stats()["cursors"]["restored"] == 1
+            payload = client.request("fetch", cursor="legacy-sharded", n=8, at=24)
+            assert decode_answers(payload["answers"]) == ref[3]
+            assert payload["position"] == 32
+            client.close()
+        finally:
+            handle.stop()
+            durable2.close()
+
     def test_stale_recovered_cursor_refuses(self, tmp_path):
         target = str(tmp_path / "snap")
         save_snapshot(make_db(), target)

@@ -3,14 +3,15 @@
 Covers the contracts ``docs/service.md`` promises:
 
 * cursor pages resume live enumerator state and concatenate to exactly
-  the one-shot ``execute`` answers (rankings x backends);
+  the one-shot ``execute`` answers (across rankings), and a sharded
+  ``execute`` answers identically to a serial one;
 * LRU eviction mid-pagination is invisible to the client — the replay
   fallback returns the identical remaining answers (and refuses with
   ``stale-cursor`` when the data changed instead of silently serving a
   different order);
 * cursor lifecycle edges: double close, ``k`` exhausted mid-page, TTL
   expiry (injected clock), unknown cursor after close;
-* concurrent cursors over one engine (threads backend) stay isolated;
+* concurrent cursors over one engine stay isolated;
 * admission control: bounded in-flight, per-tenant round-robin grant
   order, bounded queue with overload rejection;
 * graceful shutdown drains and closes open cursors;
@@ -21,6 +22,7 @@ Covers the contracts ``docs/service.md`` promises:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import threading
 
 import pytest
@@ -32,6 +34,7 @@ from repro.service import (
     CursorTable,
     FairGate,
     OverloadedError,
+    RemoteCursor,
     ServerThread,
     StaleCursorError,
     UnknownCursorError,
@@ -107,7 +110,9 @@ class TestProtocol:
 # --------------------------------------------------------------------- #
 def stream_builder(engine, ranking=None, k=None):
     def build(skip):
-        stream = iter(engine.stream_parallel(QUERY, ranking, shards=1, k=k))
+        stream = iter(engine.stream(QUERY, ranking))
+        if k is not None:
+            stream = itertools.islice(stream, k)
         for _ in range(skip):
             next(stream, None)
         return stream
@@ -156,7 +161,7 @@ class TestCursorTable:
         def build(skip):
             if db.generation != generation:
                 raise StaleCursorError("data changed")
-            stream = iter(local_engine.stream_parallel(QUERY, shards=1))
+            stream = iter(local_engine.stream(QUERY))
             for _ in range(skip):
                 next(stream, None)
             return stream
@@ -182,7 +187,7 @@ class TestCursorTable:
             def build(skip):
                 if db.generation != generation:
                     raise StaleCursorError("data changed")
-                stream = iter(local_engine.stream_parallel(QUERY, shards=1))
+                stream = iter(local_engine.stream(QUERY))
                 for _ in range(skip):
                     next(stream, None)
                 return stream
@@ -363,19 +368,21 @@ def server(engine):
 
 
 class TestServer:
+    @pytest.mark.slow
     def test_paged_equals_execute_across_rankings_and_backends(
         self, engine, server
     ):
+        # Cursors enumerate serially; the execute op with ``shards > 1``
+        # runs the worker-process backend.  All must agree.
         for rank_name, ranking in (("sum", SumRanking()), ("lex", LexRanking())):
             local = pairs(engine.execute(QUERY, ranking, k=40))
-            for backend, shards in (("serial", 1), ("threads", 2)):
-                with connect(server.host, server.port) as client:
-                    cursor = client.query(
-                        QUERY, rank=rank_name, k=40, shards=shards, backend=backend
-                    )
-                    paged = [a for page in cursor.pages(9) for a in page]
-                    cursor.close()
-                assert paged == local, (rank_name, backend)
+            with connect(server.host, server.port) as client:
+                cursor = client.query(QUERY, rank=rank_name, k=40)
+                paged = [a for page in cursor.pages(9) for a in page]
+                cursor.close()
+                sharded = client.execute(QUERY, rank=rank_name, k=40, shards=2)
+            assert paged == local, rank_name
+            assert sharded == local, rank_name
 
     def test_remote_matches_local_execute(self, engine, server, local_sum):
         with connect(server.host, server.port) as client:
@@ -385,6 +392,8 @@ class TestServer:
     def test_concurrent_cursors_one_engine_threads_backend(
         self, engine, server, local_sum
     ):
+        # The server runs every request on its executor threads; four
+        # client threads page concurrently through one engine.
         errors: list[str] = []
 
         def worker(worker_id: int) -> None:
@@ -392,9 +401,7 @@ class TestServer:
                 with connect(
                     server.host, server.port, tenant=f"t{worker_id}"
                 ) as client:
-                    cursor = client.query(
-                        QUERY, k=30, shards=2, backend="threads"
-                    )
+                    cursor = client.query(QUERY, k=30)
                     got = [a for page in cursor.pages(7) for a in page]
                     cursor.close()
                     if got != local_sum[:30]:
@@ -499,16 +506,13 @@ class TestServer:
 # engine additions the service builds on
 # --------------------------------------------------------------------- #
 class TestEngineStreaming:
-    def test_stream_parallel_matches_execute(self, engine, local_sum):
-        for shards, backend in ((1, "serial"), (3, "serial"), (3, "threads")):
-            got = pairs(engine.stream_parallel(QUERY, shards=shards, backend=backend))
-            assert got == local_sum, (shards, backend)
+    def test_stream_matches_execute(self, engine, local_sum):
+        assert pairs(engine.stream(QUERY)) == local_sum
 
-    def test_stream_parallel_is_lazy_and_closable(self, engine, local_sum):
-        stream = engine.stream_parallel(QUERY, shards=2, backend="threads")
+    def test_stream_is_lazy(self, engine, local_sum):
+        stream = iter(engine.stream(QUERY))
         head = [next(stream) for _ in range(3)]
         assert pairs(head) == local_sum[:3]
-        stream.close()  # releases shard workers without exhausting
 
     def test_measure_scopes_counters(self, engine):
         with engine.measure() as req:
@@ -521,12 +525,17 @@ class TestEngineStreaming:
         assert first >= 0
 
 
-def test_server_rejects_processes_cursor_backend(engine):
+def test_query_op_ignores_legacy_sharding_fields(engine, local_sum):
+    # Clients written when cursors could shard still send these fields;
+    # the cursor enumerates serially and pages the same ranked order.
     with ServerThread(engine) as handle:
         with connect(handle.host, handle.port) as client:
-            with pytest.raises(protocol.ServiceError) as info:
-                client.query(QUERY, shards=2, backend="processes")
-            assert info.value.code == "bad-request"
+            payload = client.request(
+                "query", query=QUERY, k=12, shards=2, backend="threads"
+            )
+            cursor = RemoteCursor(client, payload)
+            assert [a for page in cursor.pages(5) for a in page] == local_sum[:12]
+            cursor.close()
 
 
 def test_server_start_twice_fails(engine):
