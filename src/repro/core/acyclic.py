@@ -15,9 +15,17 @@ value.  The state per node is a family of priority queues
 ``PQ_i[u]`` (``u`` an anchor value) holding :class:`~repro.core.cell.Cell`
 objects; the queue comparator is ``(rank key, partial output)``.
 
-* **Preprocessing (Algorithm 1)**: full-reducer pass, then bottom-up cell
-  construction — a leaf cell per tuple; an internal cell per tuple
-  pointing at the current top of each child queue it joins with.
+* **Preprocessing (Algorithm 1)**: full-reducer pass, then bottom-up
+  queue construction.  Conceptually every tuple gets a cell pointing at
+  the current top of each child queue it joins with (a leaf cell has no
+  pointers).  Physically, for batchable rankings over integer columns,
+  each node's rows are sorted once — by (anchor, rank key, partial
+  output) in one ``lexsort`` — into one sorted *run* per anchor group,
+  and a row's cell is created only when its run position reaches the
+  top of its group (:class:`_LazyGroup`); a child's key and output
+  enter its parents through the head of each run.  Other rankings and
+  data build one cell and heap entry per tuple (the scalar build, also
+  the test oracle).  Both builds pop the same cells in the same order.
 * **Enumeration (Algorithm 2)**: pop the root queue; emit if the output
   differs from the previous one; then ``Topdown`` regenerates
   candidates: it pops every cell of the group that produces the same
@@ -42,6 +50,7 @@ Engineering notes (see DESIGN.md §6):
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..algorithms.yannakakis import atom_instances, full_reduce
@@ -59,7 +68,6 @@ from .ranking import (
     RankingFunction,
     SumRanking,
     batched_node_key_array,
-    batched_node_keys,
     combine_counters,
     topk_counters,
 )
@@ -82,6 +90,40 @@ Row = tuple
 BULK_TOPK_COST_FACTOR = 40
 
 
+def _tuple_getter(positions: Sequence[int]):
+    """``seq -> tuple(seq[p] for p in positions)``, built once per node."""
+    if not positions:
+        return lambda seq: ()
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda seq: (seq[p],)
+    return itemgetter(*positions)
+
+
+def _int_columns(instances, rt: "_RTNode", rows: Sequence[Row]) -> dict | None:
+    """``{position: int64 column}`` for a node's anchor, child-key and
+    owned output positions, or ``None`` when a column has no exact
+    ``int64`` image (:func:`~repro.storage.kernels.column_array`).
+
+    The storage-cached code matrix holds exactly these columns; rows
+    without one are converted here.
+    """
+    needed = set(rt.anchor_positions) | set(rt.own_positions)
+    for key_pos in rt.child_key_positions:
+        needed.update(key_pos)
+    codes_of = getattr(instances, "codes", None)
+    matrix = codes_of(rt.alias) if codes_of is not None and rows else None
+    if matrix is not None and len(matrix) == len(rows):
+        return {p: matrix[:, p] for p in needed}
+    cols = {}
+    for p in needed:
+        col = kernels.column_array([row[p] for row in rows])
+        if col is None:
+            return None
+        cols[p] = col
+    return cols
+
+
 class _RTNode:
     """Runtime join-tree node: positions precomputed, queues attached."""
 
@@ -95,10 +137,14 @@ class _RTNode:
         "own_positions",
         "out_vars",
         "out_plan",
+        "anchor_of",
+        "own_of",
+        "_merge",
         "pqs",
         "seen",
         "is_root",
         "batched",
+        "runs",
     )
 
     def __init__(
@@ -138,7 +184,14 @@ class _RTNode:
         merged.sort(key=lambda item: head_position[item[0]])
         self.out_vars = tuple(v for v, _, _ in merged)
         self.out_plan = tuple((src, off) for _, src, off in merged)
-        self.pqs: dict[tuple, RankHeap[Cell]] = {}
+        self.anchor_of = _tuple_getter(self.anchor_positions)
+        self.own_of = _tuple_getter(self.own_positions)
+        # The out plan over the concatenation own_out + child outs.
+        bases = [0, len(own)]
+        for child in children:
+            bases.append(bases[-1] + len(child.out_vars))
+        self._merge = _tuple_getter([bases[src] + off for src, off in self.out_plan])
+        self.pqs: dict[tuple, Any] = {}  # anchor -> RankHeap or _LazyGroup
         self.seen: dict[tuple, set] = {}
         self.is_root = tree_node.is_root
         # True when every initial cell key of this node came through the
@@ -147,9 +200,139 @@ class _RTNode:
         # into an array.  A scalar-keyed child (e.g. huge-int identity
         # weights that float64 cannot hold) forces scalar combine upward.
         self.batched = False
+        # The node's sorted runs when the array build ran, else None.
+        self.runs: _Runs | None = None
 
-    def anchor_of(self, row: Row) -> tuple:
-        return tuple(row[i] for i in self.anchor_positions)
+    def layout(self, own_out: tuple, children: tuple[Cell, ...]) -> tuple:
+        """Partial output in global head order (see ``out_plan``)."""
+        if not children:
+            return own_out
+        parts = own_out
+        for child in children:
+            parts += child.out
+        return self._merge(parts)
+
+
+class _Runs:
+    """One node's reduced rows, sorted once into per-anchor runs.
+
+    Position ``i`` of the parallel lists is the ``i``-th row in
+    (anchor, key, output, row order) order; each anchor group owns a
+    contiguous span of positions (a :class:`_LazyGroup`).  ``links``
+    holds, per child, the child's groups and each position's group
+    index in them: the child queue the row's cell points into.  The
+    ``head_*`` arrays describe each group's first position (its initial
+    top) to the parent's array build, in group order, which is
+    ascending anchor order.
+    """
+
+    __slots__ = (
+        "rows",
+        "row_idx",
+        "keys",
+        "outs",
+        "own_keys",
+        "zero_key",
+        "own_of",
+        "links",
+        "stats",
+        "heap_stats",
+        "groups",
+        "head_anchor",
+        "head_keys",
+        "head_outs",
+    )
+
+    def cell(self, pos: int) -> Cell:
+        """The cell of run position ``pos`` (children: the child tops)."""
+        row = self.rows[self.row_idx[pos]]
+        children = tuple([groups[idx[pos]].first_cell() for groups, idx in self.links])
+        own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
+        self.stats.cells_created += 1
+        return Cell(row, children, self.keys[pos], self.outs[pos], own_key, self.own_of(row))
+
+
+class _LazyGroup(RankHeap):
+    """``PQ_i[u]`` as a sorted run plus the heap of successor cells.
+
+    Pops exactly as the :class:`RankHeap` the scalar build fills with
+    one entry per row of the group: the run's entries were pushed first
+    (they count as pushes and live entries at build time), so on equal
+    ``(key, out)`` a run entry beats a successor, as its smaller
+    sequence number would.  The inherited heap holds only successors.
+    A run position's cell is created when it becomes the group's top;
+    the first one is kept, because parents built against the group
+    point at that very object.
+    """
+
+    __slots__ = ("runs", "pos", "end", "head", "cell", "first")
+
+    def __init__(self, runs: _Runs, start: int, end: int):
+        super().__init__(runs.heap_stats)
+        self.runs = runs
+        self.pos = start
+        self.end = end
+        self.head = (runs.keys[start], runs.outs[start])  # the run head's sort key
+        self.cell: Cell | None = None  # the run head's cell, once created
+        self.first: Cell | None = None
+
+    def first_cell(self) -> Cell:
+        """The group's initial top (what parents' child pointers hold)."""
+        cell = self.first
+        if cell is None:
+            cell = self.first = self.cell = self.runs.cell(self.pos)
+        return cell
+
+    def _run_top(self) -> Cell:
+        cell = self.cell
+        if cell is None:
+            if self.pos == self.end:
+                raise IndexError("top of an empty queue")
+            cell = self.cell = self.runs.cell(self.pos)
+            if self.first is None:
+                self.first = cell
+        return cell
+
+    def top(self) -> Cell:
+        entries = self._entries
+        if entries and (self.pos == self.end or entries[0][0] < self.head):
+            return entries[0][2]
+        return self._run_top()
+
+    def top_key(self) -> Any:
+        entries = self._entries
+        if entries and (self.pos == self.end or entries[0][0] < self.head):
+            return entries[0][0]
+        if self.pos == self.end:
+            raise IndexError("top of an empty queue")
+        return self.head
+
+    def pop(self) -> Cell:
+        entries = self._entries
+        if entries and (self.pos == self.end or entries[0][0] < self.head):
+            return RankHeap.pop(self)
+        cell = self._run_top()
+        self.cell = None
+        pos = self.pos = self.pos + 1
+        runs = self.runs
+        if pos < self.end:
+            self.head = (runs.keys[pos], runs.outs[pos])
+        stats = self.stats
+        stats.pops += 1
+        stats.live_entries -= 1
+        return cell
+
+    def __len__(self) -> int:
+        return self.end - self.pos + len(self._entries)
+
+    def __bool__(self) -> bool:
+        return self.pos < self.end or bool(self._entries)
+
+    def items(self) -> list[Cell]:
+        """Every entry's cell, run first — for inspection."""
+        run = [self._run_top()] if self.pos < self.end else []
+        run += [self.runs.cell(p) for p in range(self.pos + 1, self.end)]
+        return run + RankHeap.items(self)
 
 
 class AcyclicRankedEnumerator(RankedEnumeratorBase):
@@ -281,8 +464,11 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             rt_by_alias[node.alias] = rt
             # Vectorised scoring: the node's per-row keys in one array
             # pass over its score columns, scalar fallback otherwise.
-            own_keys = batched_node_keys(self.bound, instances, node.alias, rt.own_pairs)
-            self._build_node_queues(rt, instances[node.alias], own_keys)
+            own_arr = batched_node_key_array(self.bound, instances, node.alias, rt.own_pairs)
+            rows = instances[node.alias]
+            if not self._build_runs(rt, rows, own_arr, instances):
+                own_keys = None if own_arr is None else own_arr.tolist()
+                self._build_node_queues(rt, rows, own_keys)
         self._root_rt = rt_by_alias[tree.root.alias]
         # Partial outputs are kept in head order throughout, so the root
         # output aligns with the query head directly.
@@ -299,6 +485,124 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             self.stats.reduce_seconds + self.stats.build_seconds
         )
         return self
+
+    def _build_runs(self, rt: _RTNode, rows: Sequence[Row], own_arr, instances) -> bool:
+        """The array build of one node's queue family (see :class:`_Runs`).
+
+        One stable ``lexsort`` over the node's rows by (anchor, combined
+        key, partial output) yields every anchor group's pop order and
+        its head at once.  A row's combined key and output take each
+        child's part from the head of the child group it joins with
+        (``pack_pair`` + ``searchsorted`` against the child's sorted
+        head anchors); rows without one are dangling and skipped, as in
+        the scalar build.  Refuses (``False``: the scalar build runs)
+        for non-batchable rankings, a child built the scalar way,
+        columns that are not exactly ``int`` and NaN keys — the cases
+        where array order could differ from the heap's comparisons.
+        """
+        bound = self.bound
+        if not kernels.enabled() or bound.batch_weight() is None:
+            return False
+        if own_arr is None and rt.own_pairs and rows:
+            return False
+        if any(c.runs is None for c in rt.children):
+            return False
+        # Outputs are rebuilt from the columns: no bool or IntEnum to
+        # normalise.  Key columns only need an exact int64 image.
+        if not kernels.rows_exactly_int(rows, rt.own_positions):
+            return False
+        cols = _int_columns(instances, rt, rows)
+        if cols is None:
+            return False
+        np = kernels.np
+        n = len(rows)
+        zero_key = bound.key([])
+        own = own_arr if own_arr is not None else np.full(n, float(zero_key))
+        valid = np.ones(n, dtype=bool)
+        child_idx = []
+        for child, key_pos in zip(rt.children, rt.child_key_positions):
+            heads = child.runs.head_keys
+            if not len(heads):
+                valid[:] = False
+                idx = np.zeros(n, dtype=np.int64)
+            elif not key_pos:
+                idx = np.zeros(n, dtype=np.int64)  # the one ()-anchored group
+            else:
+                packed = kernels.pack_pair([cols[p] for p in key_pos], child.runs.head_anchor)
+                if packed is None:
+                    return False
+                p_keys, h_keys = packed
+                # Heads ascend by anchor, and packing keeps that order.
+                idx = np.minimum(np.searchsorted(h_keys, p_keys), len(h_keys) - 1)
+                valid &= h_keys[idx] == p_keys
+            child_idx.append(idx)
+        sel = None if valid.all() else np.flatnonzero(valid)
+        if sel is not None:
+            own = own[sel]
+            child_idx = [idx[sel] for idx in child_idx]
+            cols = {p: col[sel] for p, col in cols.items()}
+        if rt.children:
+            keys = bound.combine_key_arrays(
+                [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
+            )
+            if keys is None:
+                return False
+        else:
+            keys = own  # leaves take their own key verbatim, as in the scalar build
+        if np.isnan(keys).any():
+            return False
+        parts = [[cols[p] for p in rt.own_positions]] + [
+            [col[idx] for col in c.runs.head_outs] for c, idx in zip(rt.children, child_idx)
+        ]
+        out_cols = [parts[src][off] for src, off in rt.out_plan]
+        anchor_cols = [cols[p] for p in rt.anchor_positions]
+        # lexsort's last key is the primary one.
+        order = np.lexsort(tuple(reversed(out_cols)) + (keys,) + tuple(reversed(anchor_cols)))
+        m = len(order)
+        keys = keys[order]
+        out_cols = [col[order] for col in out_cols]
+        anchor_cols = [col[order] for col in anchor_cols]
+        change = np.zeros(m, dtype=bool)
+        change[:1] = True
+        for col in anchor_cols:
+            change[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(change)
+
+        runs = _Runs()
+        runs.rows = rows
+        runs.row_idx = (order if sel is None else sel[order]).tolist()
+        runs.zero_key = zero_key
+        if rt.children or rt.own_pairs:
+            runs.keys = keys.tolist()
+        else:
+            runs.keys = [zero_key] * m  # the scalar leaf key: bound.key([])
+        runs.outs = list(zip(*[col.tolist() for col in out_cols])) if out_cols else [()] * m
+        runs.own_keys = own[order].tolist() if rt.own_pairs else None
+        runs.own_of = rt.own_of
+        runs.links = [
+            (c.runs.groups, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)
+        ]
+        runs.stats = self.stats
+        runs.heap_stats = self.heap_stats
+        runs.head_anchor = [col[starts] for col in anchor_cols]
+        runs.head_keys = keys[starts]
+        runs.head_outs = [col[starts] for col in out_cols]
+        bounds = starts.tolist() + [m]
+        runs.groups = [_LazyGroup(runs, s, e) for s, e in zip(bounds, bounds[1:])]
+        row_idx, anchor_of = runs.row_idx, rt.anchor_of
+        rt.pqs = {
+            anchor_of(rows[row_idx[group.pos]]): group for group in runs.groups
+        }
+        rt.runs = runs
+        rt.batched = True
+        if rt.children:
+            combine_counters.record_call()
+        stats = self.heap_stats
+        stats.pushes += m
+        stats.live_entries += m
+        if stats.live_entries > stats.peak_entries:
+            stats.peak_entries = stats.live_entries
+        return True
 
     def _build_node_queues(
         self, rt: _RTNode, rows: Sequence[Row], own_keys: Sequence | None = None
@@ -323,7 +627,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 own_key = own_keys[i] if own_keys is not None else zero_key
                 own_out = tuple(row[p] for p in rt.own_positions)
                 key = keys[i]
-                out = self._layout(rt, own_out, children)
+                out = rt.layout(own_out, children)
                 cell = Cell(row, children, key, out, own_key, own_out)
                 self.stats.cells_created += 1
                 u = tuple(row[j] for j in rt.anchor_positions)
@@ -363,7 +667,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                         continue
                     children = tuple(child_cells)
                     key = combine([own_key] + [c.key for c in children])
-                    out = self._layout(rt, own_out, children)
+                    out = rt.layout(own_out, children)
                 else:
                     children = ()
                     key = own_key
@@ -469,32 +773,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             append(tuple(tops[il[i]] for tops, il in zip(child_tops, idx_lists)))
         return keys, children_per_row
 
-    def _layout(self, rt: _RTNode, own_out: tuple, children: tuple[Cell, ...]) -> tuple:
-        """Partial output in global head order (see ``_RTNode.out_plan``)."""
-        if not children:
-            return own_out
-        parts = (own_out,) + tuple(c.out for c in children)
-        return tuple(parts[src][off] for src, off in rt.out_plan)
-
-    def _push(self, rt: _RTNode, cell: Cell, *, track: bool = True) -> bool:
-        row = cell.row
-        u = tuple(row[i] for i in rt.anchor_positions)
-        if track and self._dedup_inserts:
-            seen = rt.seen.get(u)
-            if seen is None:
-                seen = set()
-                rt.seen[u] = seen
-            ident = cell.identity()
-            if ident in seen:
-                return False
-            seen.add(ident)
-        pq = rt.pqs.get(u)
-        if pq is None:
-            pq = RankHeap(self.heap_stats)
-            rt.pqs[u] = pq
-        pq.push((cell.key, cell.out), cell)
-        return True
-
     # ------------------------------------------------------------------ #
     # enumeration (Algorithm 2)
     # ------------------------------------------------------------------ #
@@ -566,25 +844,39 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         nxt = cell.next
         if nxt is not UNSET:
             return nxt  # O(1) reuse of previously computed successor
-        pq = rt.pqs[tuple(cell.row[i] for i in rt.anchor_positions)]
+        u = rt.anchor_of(cell.row)
+        pq = rt.pqs[u]
+        seen = None
+        if self._dedup_inserts:
+            seen = rt.seen.get(u)
+            if seen is None:
+                seen = rt.seen[u] = set()
         combine = self.bound.combine
         children_rts = rt.children
         while True:
             temp = pq.pop()
             # Successors: advance each child pointer of the popped cell.
+            # They share temp's row, so they go back into this group.
             for i, child_rt in enumerate(children_rts):
                 advanced = self._topdown(temp.children[i], child_rt)
                 if advanced is not None:
                     new_children = (
                         temp.children[:i] + (advanced,) + temp.children[i + 1 :]
                     )
+                    if seen is not None:
+                        # Cell.identity() of the successor, checked before
+                        # building it.
+                        ident = (temp.row, tuple([c.uid for c in new_children]))
+                        if ident in seen:
+                            continue
+                        seen.add(ident)
                     key = combine([temp.own_key] + [c.key for c in new_children])
-                    out = self._layout(rt, temp.own_out, new_children)
+                    out = rt.layout(temp.own_out, new_children)
                     successor = Cell(
                         temp.row, new_children, key, out, temp.own_key, temp.own_out
                     )
-                    if self._push(rt, successor):
-                        self.stats.cells_created += 1
+                    pq.push((key, out), successor)
+                    self.stats.cells_created += 1
             if not pq:
                 cell.next = None
                 break
@@ -658,7 +950,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         column is not exactly integer (the kernel could not run).
         """
         head_position = {v: i for i, v in enumerate(self.query.head)}
-        codes_of = getattr(instances, "codes", None)
         rt_by_alias: dict[str, _RTNode] = {}
         nodes = []
         for node in tree.post_order():
@@ -666,21 +957,9 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             children_rt = [rt_by_alias[c.alias] for c in node.children]
             rt = _RTNode(node, children_rt, head_position)
             rt_by_alias[node.alias] = rt
-            needed = set(rt.anchor_positions) | set(rt.own_positions)
-            for key_pos in rt.child_key_positions:
-                needed.update(key_pos)
-            # The storage-cached code matrix holds exactly these int64
-            # columns; rows without one are converted here.
-            matrix = codes_of(node.alias) if codes_of is not None else None
-            if matrix is not None and len(matrix) == len(rows):
-                cols = {p: matrix[:, p] for p in needed}
-            else:
-                cols = {}
-                for p in needed:
-                    col = kernels.column_array([row[p] for row in rows])
-                    if col is None:
-                        return None
-                    cols[p] = col
+            cols = _int_columns(instances, rt, rows)
+            if cols is None:
+                return None
             nodes.append((rt, rows, cols))
         return nodes
 

@@ -54,6 +54,11 @@ class EnumerationStats:
     paper's empirical-delay proxy (Figure 14a).  ``cells_created`` and
     ``peak_pq_entries`` proxy the data-structure memory footprint that
     the paper reports against the engines' multi-GB materialisations.
+    ``cells_created`` counts the cell objects actually created: the
+    array queue build queues every reduced row (each a push and a live
+    entry) but creates a row's cell only when it reaches the top of its
+    group, so it is not the number of rows plus successors; successors
+    are counted when inserted (not when the dedup set rejects them).
 
     ``preprocess_seconds`` splits into ``reduce_seconds`` (reducer pass
     + pruning/dangling removal) and ``build_seconds`` (queue/index

@@ -61,6 +61,11 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
     materialised_tuples:
         Total bag-relation tuples built during preprocessing (the
         ``O(|D|^fhw)`` cost driver, reported by the cyclic benchmarks).
+    stats:
+        The inner acyclic enumerator's work, rolled up: its answers,
+        cells, heap (pushes, pops, peak entries, operations per answer)
+        and build time; ``reduce_seconds`` also covers the bag
+        materialisation.
     """
 
     def __init__(
@@ -114,7 +119,14 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
             self.ranking,
             dedup_inserts=self._dedup_inserts,
         )
+        materialised = time.perf_counter()
         self._inner.preprocess()
+        inner = self._inner.stats
+        self.stats.heap_stats = inner.heap_stats
+        self.stats.pq_ops_per_answer = inner.pq_ops_per_answer
+        self.stats.cells_created = inner.cells_created
+        self.stats.reduce_seconds = materialised - started + inner.reduce_seconds
+        self.stats.build_seconds = inner.build_seconds
         self.stats.preprocess_seconds = time.perf_counter() - started
         return self
 
@@ -269,7 +281,12 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
             )
         self._exhausted = True
         assert self._inner is not None
-        yield from self._inner
+        stats, inner = self.stats, self._inner.stats
+        for answer in self._inner:
+            stats.answers = inner.answers
+            stats.cells_created = inner.cells_created
+            yield answer
+        stats.cells_created = inner.cells_created
 
     @property
     def inner_stats(self) -> EnumerationStats:

@@ -59,6 +59,13 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
         Override how branch enumerators are constructed (tests use this
         to force specific algorithms).
 
+    ``stats`` counts the union's answers and rolls the branches' work
+    up with the merge heap's: cells created, reduce and build seconds,
+    and heap pushes and pops (``peak_pq_entries`` is the sum of the
+    parts' peaks, since every branch's queues live for the whole
+    stream), so ``pq_ops_per_answer`` includes the branch work done
+    between two answers.
+
     Examples
     --------
     >>> from repro.data import Database
@@ -85,7 +92,8 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
         self.db = db
         self.ranking = ranking or SumRanking()
         self._branch_factory = branch_factory or _default_branch_factory
-        self.heap_stats = HeapStats()
+        self._merge_stats = HeapStats()  # the merge heap alone
+        self.heap_stats = HeapStats()  # merge heap + branches, see _roll_up
         self.stats = EnumerationStats(self.heap_stats)
         self._branches: list[RankedEnumeratorBase] | None = None
         self._exhausted = False
@@ -99,8 +107,24 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
             self._branch_factory(branch, self.db, self.ranking).preprocess()
             for branch in self.union.branches
         ]
+        self.stats.reduce_seconds = sum(b.stats.reduce_seconds for b in self._branches)
+        self.stats.build_seconds = sum(b.stats.build_seconds for b in self._branches)
+        self._roll_up()
         self.stats.preprocess_seconds = time.perf_counter() - started
         return self
+
+    def _roll_up(self) -> None:
+        """Sum the merge heap's and the branches' counts into ``stats``."""
+        branch_stats = [b.stats for b in self._branches]
+        parts = [self._merge_stats] + [
+            s.heap_stats for s in branch_stats if s.heap_stats is not None
+        ]
+        heap = self.heap_stats
+        heap.pushes = sum(p.pushes for p in parts)
+        heap.pops = sum(p.pops for p in parts)
+        heap.live_entries = sum(p.live_entries for p in parts)
+        heap.peak_entries = sum(p.peak_entries for p in parts)
+        self.stats.cells_created = sum(s.cells_created for s in branch_stats)
 
     def __iter__(self) -> Iterator[RankedAnswer]:
         self.preprocess()
@@ -111,7 +135,8 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
         self._exhausted = True
         assert self._branches is not None
 
-        merge: RankHeap[tuple[RankedAnswer, int]] = RankHeap(self.heap_stats)
+        ops_mark = self.heap_stats.operations  # rolled up by preprocess()
+        merge: RankHeap[tuple[RankedAnswer, int]] = RankHeap(self._merge_stats)
         streams = [iter(branch) for branch in self._branches]
         for idx, stream in enumerate(streams):
             first = next(stream, None)
@@ -121,12 +146,12 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
                 merge.push((first.key, first.values), (first, idx))
 
         last_values: tuple | None = None
-        ops_mark = self.heap_stats.operations
         while merge:
             answer, idx = merge.pop()
             if answer.values != last_values:
                 last_values = answer.values
                 self.stats.answers += 1
+                self._roll_up()
                 ops_now = self.heap_stats.operations
                 self.stats.pq_ops_per_answer.append(ops_now - ops_mark)
                 ops_mark = ops_now
@@ -134,6 +159,7 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
             nxt = next(streams[idx], None)
             if nxt is not None:
                 merge.push((nxt.key, nxt.values), (nxt, idx))
+        self._roll_up()
 
     def fresh(self) -> "UnionRankedEnumerator":
         """A new enumerator with identical configuration."""

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Sequence
 
 try:  # pragma: no branch - one of the two arms runs per process
@@ -295,9 +297,8 @@ def rows_exactly_int(rows: Sequence[Row], positions: Sequence[int] | None = None
     the Python path on anything exotic.
     """
     if positions is None:
-        return all(type(v) is int for row in rows for v in row)
-    pos = tuple(positions)
-    return all(type(row[i]) is int for row in rows for i in pos)
+        return set(map(type, chain.from_iterable(rows))) <= {int}
+    return all(set(map(type, map(itemgetter(i), rows))) <= {int} for i in positions)
 
 
 # ---------------------------------------------------------------------- #

@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms.naive import ranked_output
 from repro.core import CyclicRankedEnumerator
 from repro.core.ranking import LexRanking, SumRanking
+from repro.data import Database
 from repro.errors import DecompositionError
 from repro.query import find_ghd, parse_query
 
@@ -71,6 +72,12 @@ class TestCorrectness:
             assert got == expected
 
 
+def _dense_db(q):
+    """Every relation a near-complete graph on 4 values (many answers)."""
+    rows = [(i, j) for i in range(4) for j in range(4) if (i + j) % 3]
+    return Database.from_dict({a.relation: (("s", "t"), rows) for a in q.atoms})
+
+
 class TestStructure:
     def test_materialised_tuples_counted(self):
         rng = random.Random(58)
@@ -79,6 +86,37 @@ class TestStructure:
         enum = CyclicRankedEnumerator(q, db).preprocess()
         assert enum.materialised_tuples >= 0
         assert enum.inner_stats.cells_created >= 0
+
+    def test_stats_roll_up_the_inner_enumerator(self):
+        # A 4-cycle: the outer stats must show the inner acyclic
+        # enumerator's answers, cells, heap work and build time.
+        q = parse_query(CYCLIC_SHAPES[1])
+        db = _dense_db(q)
+        enum = CyclicRankedEnumerator(q, db)
+        answers = enum.all()
+        assert answers
+        stats, inner = enum.stats, enum.inner_stats
+        assert stats.answers == inner.answers == len(answers)
+        assert stats.cells_created == inner.cells_created > 0
+        assert stats.heap_stats.pops == inner.heap_stats.pops > 0
+        assert stats.heap_stats.pushes == inner.heap_stats.pushes
+        assert stats.peak_pq_entries == inner.peak_pq_entries > 0
+        assert len(stats.pq_ops_per_answer) == len(answers)
+        assert stats.build_seconds == inner.build_seconds > 0
+        assert stats.reduce_seconds >= inner.reduce_seconds
+        snap = stats.snapshot()
+        assert snap["answers"] == len(answers)
+        assert snap["total_pq_operations"] == inner.total_pq_operations
+
+    def test_stats_count_a_partial_stream(self):
+        q = parse_query(CYCLIC_SHAPES[1])
+        db = _dense_db(q)
+        full = CyclicRankedEnumerator(q, db).all()
+        assert len(full) > 2
+        enum = CyclicRankedEnumerator(q, db)
+        assert len(enum.top_k(2)) == 2
+        assert enum.stats.answers == 2
+        assert enum.stats.cells_created == enum.inner_stats.cells_created
 
     def test_explicit_ghd_accepted(self):
         q = parse_query(CYCLIC_SHAPES[0])

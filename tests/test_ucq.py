@@ -105,3 +105,29 @@ class TestInterface:
         enum.all()
         assert enum.stats.answers == 2
         assert enum.stats.preprocess_seconds >= 0
+
+    def test_stats_roll_up_the_branches(self):
+        union = parse_query(UNION_SHAPES[0])
+        db = random_union_db(union, random.Random(7))
+        enum = UnionRankedEnumerator(union, db)
+        answers = enum.all()
+        assert answers
+        branches = [b.stats for b in enum._branches]
+        merge = enum._merge_stats
+        stats = enum.stats
+        assert stats.answers == len(answers)
+        assert stats.cells_created == sum(b.cells_created for b in branches) > 0
+        assert stats.heap_stats.pushes == merge.pushes + sum(
+            b.heap_stats.pushes for b in branches
+        )
+        assert stats.heap_stats.pops == merge.pops + sum(b.heap_stats.pops for b in branches)
+        assert stats.heap_stats.pops > merge.pops
+        assert stats.peak_pq_entries == merge.peak_entries + sum(
+            b.peak_pq_entries for b in branches
+        )
+        assert stats.build_seconds == sum(b.build_seconds for b in branches) > 0
+        assert stats.reduce_seconds == sum(b.reduce_seconds for b in branches)
+        # The first answer's operations include priming the merge heap
+        # with every branch's first answer, not only the merge pop.
+        nonempty = sum(1 for b in branches if b.answers)
+        assert stats.pq_ops_per_answer[0] >= 1 + nonempty
