@@ -143,7 +143,6 @@ class _RTNode:
         "pqs",
         "seen",
         "is_root",
-        "batched",
         "runs",
     )
 
@@ -194,13 +193,8 @@ class _RTNode:
         self.pqs: dict[tuple, Any] = {}  # anchor -> RankHeap or _LazyGroup
         self.seen: dict[tuple, set] = {}
         self.is_root = tree_node.is_root
-        # True when every initial cell key of this node came through the
-        # float64 array path (or is the ranking's empty-set constant) —
-        # the precondition for a parent to gather this node's top keys
-        # into an array.  A scalar-keyed child (e.g. huge-int identity
-        # weights that float64 cannot hold) forces scalar combine upward.
-        self.batched = False
-        # The node's sorted runs when the array build ran, else None.
+        # The node's sorted runs when the array build ran, else None (a
+        # parent of a scalar-built node is built the scalar way too).
         self.runs: _Runs | None = None
 
     def layout(self, own_out: tuple, children: tuple[Cell, ...]) -> tuple:
@@ -245,11 +239,24 @@ class _Runs:
 
     def cell(self, pos: int) -> Cell:
         """The cell of run position ``pos`` (children: the child tops)."""
-        row = self.rows[self.row_idx[pos]]
-        children = tuple([groups[idx[pos]].first_cell() for groups, idx in self.links])
-        own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
         self.stats.cells_created += 1
-        return Cell(row, children, self.keys[pos], self.outs[pos], own_key, self.own_of(row))
+        return self._make(pos, [groups[idx[pos]].first_cell() for groups, idx in self.links])
+
+    def peek(self, pos: int) -> Cell:
+        """A stand-in for the cell of run position ``pos``, equal to it
+        field for field, that creates and counts no cell: a child group
+        whose first cell does not exist yet is peeked in turn."""
+        children = []
+        for groups, idx in self.links:
+            group = groups[idx[pos]]
+            first = group.first
+            children.append(group.runs.peek(group.pos) if first is None else first)
+        return self._make(pos, children)
+
+    def _make(self, pos: int, children: list) -> Cell:
+        row = self.rows[self.row_idx[pos]]
+        own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
+        return Cell(row, tuple(children), self.keys[pos], self.outs[pos], own_key, self.own_of(row))
 
 
 class _LazyGroup(RankHeap):
@@ -329,9 +336,15 @@ class _LazyGroup(RankHeap):
         return self.pos < self.end or bool(self._entries)
 
     def items(self) -> list[Cell]:
-        """Every entry's cell, run first — for inspection."""
-        run = [self._run_top()] if self.pos < self.end else []
-        run += [self.runs.cell(p) for p in range(self.pos + 1, self.end)]
+        """Every entry's cell, run first — for inspection.
+
+        Run positions whose cell does not exist yet appear as stand-ins
+        (:meth:`_Runs.peek`), so inspecting creates no cell and changes
+        no work counter.
+        """
+        run = [self.runs.peek(p) for p in range(self.pos, self.end)]
+        if run and self.cell is not None:
+            run[0] = self.cell
         return run + RankHeap.items(self)
 
 
@@ -497,27 +510,43 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         head anchors); rows without one are dangling and skipped, as in
         the scalar build.  Refuses (``False``: the scalar build runs)
         for non-batchable rankings, a child built the scalar way,
-        columns that are not exactly ``int`` and NaN keys — the cases
-        where array order could differ from the heap's comparisons.
+        columns that are not exactly ``int``, infinite weights and NaN
+        keys — the cases where array order could differ from the heap's.
+        A refusal at a node with children is counted on
+        ``combine_counters`` with its reason.
         """
+
+        def refuse(reason: str) -> bool:
+            if rt.children and rows:
+                combine_counters.record_fallback(reason)
+            return False
+
         bound = self.bound
-        if not kernels.enabled() or bound.batch_weight() is None:
+        if not kernels.enabled():
             return False
+        if bound.batch_weight() is None:
+            return refuse("unbatchable-ranking")
         if own_arr is None and rt.own_pairs and rows:
-            return False
+            return refuse("no-key-array")
         if any(c.runs is None for c in rt.children):
-            return False
+            return refuse("scalar-child-keys")
         # Outputs are rebuilt from the columns: no bool or IntEnum to
         # normalise.  Key columns only need an exact int64 image.
         if not kernels.rows_exactly_int(rows, rt.own_positions):
-            return False
+            return refuse("conversion")
         cols = _int_columns(instances, rt, rows)
         if cols is None:
-            return False
+            return refuse("conversion")
         np = kernels.np
         n = len(rows)
         zero_key = bound.key([])
         own = own_arr if own_arr is not None else np.full(n, float(zero_key))
+        # NaN keys order a heap by its layout, which a sorted run cannot
+        # mimic.  An infinite weight can make one in a successor (inf -
+        # inf, 0 * inf), so its node and that node's ancestors are built
+        # the scalar way.
+        if rt.own_pairs and not np.isfinite(own).all():
+            return refuse("non-finite-key")
         valid = np.ones(n, dtype=bool)
         child_idx = []
         for child, key_pos in zip(rt.children, rt.child_key_positions):
@@ -530,7 +559,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             else:
                 packed = kernels.pack_pair([cols[p] for p in key_pos], child.runs.head_anchor)
                 if packed is None:
-                    return False
+                    return refuse("pack-overflow")
                 p_keys, h_keys = packed
                 # Heads ascend by anchor, and packing keeps that order.
                 idx = np.minimum(np.searchsorted(h_keys, p_keys), len(h_keys) - 1)
@@ -546,11 +575,11 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
             )
             if keys is None:
-                return False
+                return refuse("combine-refused")
         else:
             keys = own  # leaves take their own key verbatim, as in the scalar build
         if np.isnan(keys).any():
-            return False
+            return refuse("non-finite-key")
         parts = [[cols[p] for p in rt.own_positions]] + [
             [col[idx] for col in c.runs.head_outs] for c, idx in zip(rt.children, child_idx)
         ]
@@ -594,7 +623,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             anchor_of(rows[row_idx[group.pos]]): group for group in runs.groups
         }
         rt.runs = runs
-        rt.batched = True
         if rt.children:
             combine_counters.record_call()
         stats = self.heap_stats
@@ -607,6 +635,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
     def _build_node_queues(
         self, rt: _RTNode, rows: Sequence[Row], own_keys: Sequence | None = None
     ) -> None:
+        """The scalar build: one cell and heap entry per row."""
         bound = self.bound
         make_key = bound.key
         combine = bound.combine
@@ -615,163 +644,46 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         # skipped; entries are grouped per anchor and heapified in one
         # pass (RankHeap.push_many) instead of pushed one at a time.
         groups: dict[tuple, list[tuple[tuple, Cell]]] = {}
-        batched = self._batched_combine(rt, rows, own_keys) if rt.children else None
-        if batched is not None:
-            rt.batched = True
-            keys, row_children = batched
-            zero_key = None if rt.own_pairs else make_key([])
-            for i, row in enumerate(rows):
-                children = row_children[i]
-                if children is None:
-                    continue  # dangling row (see the scalar branch below)
-                own_key = own_keys[i] if own_keys is not None else zero_key
-                own_out = tuple(row[p] for p in rt.own_positions)
-                key = keys[i]
+        for i, row in enumerate(rows):
+            if own_keys is not None:
+                own_key = own_keys[i]
+            else:
+                own_key = make_key([(v, row[p]) for v, p in rt.own_pairs])
+            own_out = tuple(row[p] for p in rt.own_positions)
+            if rt.children:
+                child_cells = []
+                dead = False
+                for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
+                    ck = tuple(row[j] for j in key_pos)
+                    pq = child_rt.pqs.get(ck)
+                    if pq is None or not pq:
+                        # Can only happen when the caller passed
+                        # unreduced instances with
+                        # already_reduced=True; treat the tuple as
+                        # dangling and skip it.
+                        dead = True
+                        break
+                    child_cells.append(pq.top())
+                if dead:
+                    continue
+                children = tuple(child_cells)
+                key = combine([own_key] + [c.key for c in children])
                 out = rt.layout(own_out, children)
-                cell = Cell(row, children, key, out, own_key, own_out)
-                self.stats.cells_created += 1
-                u = tuple(row[j] for j in rt.anchor_positions)
-                entries = groups.get(u)
-                if entries is None:
-                    entries = groups[u] = []
-                entries.append(((key, out), cell))
-        else:
-            if not rt.children:
-                # Leaf keys either came out of one array pass or are
-                # the ranking's empty-set constant — both exactly
-                # float64-representable, so parents may gather them.
-                rt.batched = (own_keys is not None or not rt.own_pairs) and (
-                    bound.batch_weight() is not None
-                )
-            for i, row in enumerate(rows):
-                if own_keys is not None:
-                    own_key = own_keys[i]
-                else:
-                    own_key = make_key([(v, row[p]) for v, p in rt.own_pairs])
-                own_out = tuple(row[p] for p in rt.own_positions)
-                if rt.children:
-                    child_cells = []
-                    dead = False
-                    for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
-                        ck = tuple(row[j] for j in key_pos)
-                        pq = child_rt.pqs.get(ck)
-                        if pq is None or not pq:
-                            # Can only happen when the caller passed
-                            # unreduced instances with
-                            # already_reduced=True; treat the tuple as
-                            # dangling and skip it.
-                            dead = True
-                            break
-                        child_cells.append(pq.top())
-                    if dead:
-                        continue
-                    children = tuple(child_cells)
-                    key = combine([own_key] + [c.key for c in children])
-                    out = rt.layout(own_out, children)
-                else:
-                    children = ()
-                    key = own_key
-                    out = own_out
-                cell = Cell(row, children, key, out, own_key, own_out)
-                self.stats.cells_created += 1
-                u = tuple(row[j] for j in rt.anchor_positions)
-                entries = groups.get(u)
-                if entries is None:
-                    entries = groups[u] = []
-                entries.append(((key, out), cell))
+            else:
+                children = ()
+                key = own_key
+                out = own_out
+            cell = Cell(row, children, key, out, own_key, own_out)
+            self.stats.cells_created += 1
+            u = tuple(row[j] for j in rt.anchor_positions)
+            entries = groups.get(u)
+            if entries is None:
+                entries = groups[u] = []
+            entries.append(((key, out), cell))
         for u, entries in groups.items():
             pq = RankHeap(self.heap_stats)
             pq.push_many(entries)
             rt.pqs[u] = pq
-
-    def _batched_combine(self, rt: _RTNode, rows: Sequence[Row], own_keys):
-        """Per-row combined keys + child-top cells through array passes.
-
-        Returns ``(keys, children_per_row)`` — ``keys[i]`` bit-identical
-        to the scalar ``combine([own_key] + child top keys)`` and
-        ``children_per_row[i]`` the matching child-top cells (``None``
-        for dangling rows) — or ``None`` to refuse, in which case the
-        per-row scalar loop runs unchanged.  The match of each row
-        against each child's queue-family keys runs as one
-        sort-and-search kernel pass per child instead of a dict lookup
-        per row, and the key combine as one array expression per node.
-        """
-        bound = self.bound
-        if not rows or not kernels.enabled():
-            return None
-        if bound.batch_weight() is None:
-            combine_counters.record_fallback("unbatchable-ranking")
-            return None
-        if own_keys is None and rt.own_pairs:
-            # The node's own keys did not come out of the array path, so
-            # per-row floats are not available to combine with.
-            combine_counters.record_fallback("no-key-array")
-            return None
-        if any(not child.batched for child in rt.children):
-            combine_counters.record_fallback("scalar-child-keys")
-            return None
-        np = kernels.np
-        n = len(rows)
-        if own_keys is not None:
-            own_arr = np.asarray(own_keys, dtype=np.float64)
-        else:
-            own_arr = np.full(n, float(bound.zero))
-        valid = np.ones(n, dtype=bool)
-        key_arrays = [own_arr]
-        child_tops: list[list[Cell]] = []
-        child_fam_idx: list = []
-        for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
-            fams = child_rt.pqs
-            if not fams:
-                valid[:] = False
-                child_tops.append([])
-                child_fam_idx.append(np.zeros(n, dtype=np.int64))
-                key_arrays.append(np.zeros(n))
-                continue
-            tops = [pq.top() for pq in fams.values()]
-            if not key_pos:
-                idx = np.zeros(n, dtype=np.int64)  # single ()-anchored family
-            else:
-                parent_cols = kernels.key_columns(rows, key_pos)
-                if parent_cols is None:
-                    combine_counters.record_fallback("conversion")
-                    return None
-                fam_cols = kernels.key_columns(
-                    list(fams.keys()), range(len(key_pos))
-                )
-                if fam_cols is None:
-                    combine_counters.record_fallback("conversion")
-                    return None
-                packed = kernels.pack_pair(parent_cols, fam_cols)
-                if packed is None:
-                    combine_counters.record_fallback("pack-overflow")
-                    return None
-                p_keys, f_keys = packed
-                order = np.argsort(f_keys)
-                sf = f_keys[order]
-                pos = np.minimum(np.searchsorted(sf, p_keys), len(sf) - 1)
-                valid &= sf[pos] == p_keys
-                idx = order[pos]
-            top_keys = np.array([top.key for top in tops], dtype=np.float64)
-            child_tops.append(tops)
-            child_fam_idx.append(idx)
-            key_arrays.append(top_keys[idx])
-        combined = bound.combine_key_arrays(key_arrays)
-        if combined is None:
-            combine_counters.record_fallback("combine-refused")
-            return None
-        combine_counters.record_call()
-        keys = combined.tolist()
-        valid_list = valid.tolist()
-        idx_lists = [idx.tolist() for idx in child_fam_idx]
-        children_per_row: list[tuple[Cell, ...] | None] = []
-        append = children_per_row.append
-        for i in range(n):
-            if not valid_list[i]:
-                append(None)
-                continue
-            append(tuple(tops[il[i]] for tops, il in zip(child_tops, idx_lists)))
-        return keys, children_per_row
 
     # ------------------------------------------------------------------ #
     # enumeration (Algorithm 2)

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import Any, Sequence
 
 try:  # pragma: no branch - one of the two arms runs per process
@@ -156,8 +156,9 @@ class KernelCounters:
         int64-representable), ``"pack-overflow"`` (multi-column key span
         exceeds 64 bits), ``"non-real-weight"`` / ``"missing-weight"``
         (score columns), ``"unbatchable-ranking"`` (the ranking has no
-        array form — LEX/composite), ``"combine-refused"`` /
-        ``"scalar-child-keys"`` (batched combine declined), and for bulk
+        array form — LEX/composite), ``"no-key-array"`` /
+        ``"scalar-child-keys"`` / ``"combine-refused"`` / ``"non-finite-key"``
+        (the array queue build of a join-tree node declined), and for bulk
         ``top_k`` ``"refused"`` (the kernel could not run exactly) and
         ``"cost"`` (the join is too large to be worth materialising).
         """
@@ -297,8 +298,10 @@ def rows_exactly_int(rows: Sequence[Row], positions: Sequence[int] | None = None
     the Python path on anything exotic.
     """
     if positions is None:
-        return set(map(type, chain.from_iterable(rows))) <= {int}
-    return all(set(map(type, map(itemgetter(i), rows))) <= {int} for i in positions)
+        return all(map(is_, map(type, chain.from_iterable(rows)), repeat(int)))
+    return all(
+        all(map(is_, map(type, map(itemgetter(i), rows)), repeat(int))) for i in positions
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -46,8 +46,9 @@ RANKINGS = {
 }
 DOMAIN = range(4)
 #: Few distinct weights, so rank keys tie often.  Infinite weights of
-#: both signs make SUM keys NaN (inf + -inf), which the array build
-#: must refuse; PRODUCT needs non-negative weights.
+#: both signs make SUM keys NaN (inf + -inf), in the build or only in a
+#: successor, so the array build refuses a node with an infinite
+#: weight; PRODUCT needs non-negative weights.
 WEIGHTS = {
     "sum": [0.0, 0.5, 1.0, 2.0, math.inf, -math.inf],
     "avg": [0.0, 0.5, 1.0, 2.0, math.inf, -math.inf],
@@ -126,10 +127,8 @@ def test_lazy_build_matches_scalar_build(case):
     assert repr(lazy) == repr(scalar)
     assert_same_work(lazy_enum, scalar_enum)
     assert all(rt.runs is None for rt in nodes(scalar_enum))
-    keys = [key for _values, _score, key in lazy]
-    if not any(isinstance(k, float) and math.isnan(k) for k in keys):
-        # Finite or infinite keys over int data: every node is built
-        # from arrays.
+    if all(math.isfinite(w) for w in ranking.weight.default_table.values()):
+        # Finite weights over int data: every node is built from arrays.
         assert all(rt.runs is not None for rt in nodes(lazy_enum))
 
 
@@ -166,6 +165,35 @@ def test_run_cells_are_created_when_they_reach_the_top():
     for cell in top.children:
         group = child.pqs[child.anchor_of(cell.row)]
         assert cell is group.first
+
+
+def test_items_creates_no_cell():
+    db = Database.from_dict(
+        {"R": (("c0", "c1"), [(a, p) for a in range(6) for p in range(3)])}
+    )
+    query = QUERIES[1]  # 3hop: a middle node whose cells point at a child
+    streams = {}
+    for lazy in (True, False):
+        kernels.set_enabled(lazy)
+        try:
+            enum = AcyclicRankedEnumerator(query, db).preprocess()
+        finally:
+            kernels.set_enabled(True)
+        streams[lazy] = (enum, iter(enum))
+
+    def listing(enum):
+        return {
+            (rt.alias, u): sorted((c.key, c.out, c.row) for c in pq.items())
+            for rt in nodes(enum)
+            for u, pq in rt.pqs.items()
+        }
+
+    for _ in range(3):
+        lazy_enum, scalar_enum = streams[True][0], streams[False][0]
+        before = lazy_enum.stats.cells_created
+        assert listing(lazy_enum) == listing(scalar_enum)
+        assert lazy_enum.stats.cells_created == before
+        assert next(streams[True][1]) == next(streams[False][1])
 
 
 def test_run_entry_beats_an_equal_successor():
