@@ -18,14 +18,15 @@ objects; the queue comparator is ``(rank key, partial output)``.
 * **Preprocessing (Algorithm 1)**: full-reducer pass, then bottom-up
   queue construction.  Conceptually every tuple gets a cell pointing at
   the current top of each child queue it joins with (a leaf cell has no
-  pointers).  Physically, for batchable rankings over integer columns,
-  each node's rows are sorted once — by (anchor, rank key, partial
-  output) in one ``lexsort`` — into one sorted *run* per anchor group,
-  and a row's cell is created only when its run position reaches the
-  top of its group (:class:`_LazyGroup`); a child's key and output
-  enter its parents through the head of each run.  Other rankings and
-  data build one cell and heap entry per tuple (the scalar build, also
-  the test oracle).  Both builds pop the same cells in the same order.
+  pointers).  Physically, for batchable rankings and LEX over integer
+  columns, each node's rows are sorted once — by (anchor, rank key,
+  partial output) in one ``lexsort`` — into one sorted *run* per anchor
+  group, and a row's cell is created only when its run position
+  reaches the top of its group (:class:`_LazyGroup`); a child's key and
+  output enter its parents through the head of each run.  Other
+  rankings and data build one cell and heap entry per tuple (the
+  scalar build, also the test oracle).  Both builds pop the same cells
+  in the same order.
 * **Enumeration (Algorithm 2)**: pop the root queue; emit if the output
   differs from the previous one; then ``Topdown`` regenerates
   candidates: it pops every cell of the group that produces the same
@@ -256,7 +257,23 @@ class _Runs:
     def _make(self, pos: int, children: list) -> Cell:
         row = self.rows[self.row_idx[pos]]
         own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
-        return Cell(row, tuple(children), self.keys[pos], self.outs[pos], own_key, self.own_of(row))
+        out = self.outs[pos]
+        return Cell(row, tuple(children), self.keys[pos], out, own_key, self.own_of(row))
+
+
+class _OutputKeys:
+    """``keys[pos]`` built on demand as the ranking's key of the values
+    at ``pos`` — for rankings whose key the output determines (LEX)."""
+
+    __slots__ = ("key", "variables", "values")
+
+    def __init__(self, key, variables: tuple, values):
+        self.key = key
+        self.variables = variables
+        self.values = values
+
+    def __getitem__(self, pos: int) -> Any:
+        return self.key(list(zip(self.variables, self.values(pos))))
 
 
 class _LazyGroup(RankHeap):
@@ -279,7 +296,7 @@ class _LazyGroup(RankHeap):
         self.runs = runs
         self.pos = start
         self.end = end
-        self.head = (runs.keys[start], runs.outs[start])  # the run head's sort key
+        self.head: tuple | None = None  # the run head's sort key, once needed
         self.cell: Cell | None = None  # the run head's cell, once created
         self.first: Cell | None = None
 
@@ -300,30 +317,33 @@ class _LazyGroup(RankHeap):
                 self.first = cell
         return cell
 
+    def _load_head(self) -> tuple:
+        runs, pos = self.runs, self.pos
+        head = self.head = (runs.keys[pos], runs.outs[pos])
+        return head
+
     def top(self) -> Cell:
         entries = self._entries
-        if entries and (self.pos == self.end or entries[0][0] < self.head):
+        if entries and (self.pos == self.end or entries[0][0] < (self.head or self._load_head())):
             return entries[0][2]
         return self._run_top()
 
     def top_key(self) -> Any:
         entries = self._entries
-        if entries and (self.pos == self.end or entries[0][0] < self.head):
+        if entries and (self.pos == self.end or entries[0][0] < (self.head or self._load_head())):
             return entries[0][0]
         if self.pos == self.end:
             raise IndexError("top of an empty queue")
-        return self.head
+        return self.head or self._load_head()
 
     def pop(self) -> Cell:
         entries = self._entries
-        if entries and (self.pos == self.end or entries[0][0] < self.head):
+        if entries and (self.pos == self.end or entries[0][0] < (self.head or self._load_head())):
             return RankHeap.pop(self)
         cell = self._run_top()
         self.cell = None
-        pos = self.pos = self.pos + 1
-        runs = self.runs
-        if pos < self.end:
-            self.head = (runs.keys[pos], runs.outs[pos])
+        self.head = None
+        self.pos += 1
         stats = self.stats
         stats.pops += 1
         stats.live_entries -= 1
@@ -502,18 +522,21 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
     def _build_runs(self, rt: _RTNode, rows: Sequence[Row], own_arr, instances) -> bool:
         """The array build of one node's queue family (see :class:`_Runs`).
 
-        One stable ``lexsort`` over the node's rows by (anchor, combined
-        key, partial output) yields every anchor group's pop order and
-        its head at once.  A row's combined key and output take each
+        One stable ``lexsort`` over the node's rows by (anchor, key,
+        partial output) yields every anchor group's pop order and its
+        head at once.  A row's output, and its combined key, take each
         child's part from the head of the child group it joins with
         (``pack_pair`` + ``searchsorted`` against the child's sorted
         head anchors); rows without one are dangling and skipped, as in
-        the scalar build.  Refuses (``False``: the scalar build runs)
-        for non-batchable rankings, a child built the scalar way,
-        columns that are not exactly ``int``, infinite weights and NaN
-        keys — the cases where array order could differ from the heap's.
-        A refusal at a node with children is counted on
-        ``combine_counters`` with its reason.
+        the scalar build.  Batchable rankings sort by the float key
+        array; LEX sorts by the columns its key is made of
+        (``key_sort_columns``), and a key is built only when its run
+        position is reached.  Refuses (``False``: the scalar build runs)
+        for other rankings, a child built the scalar way, columns that
+        are not exactly ``int``, infinite weights under a batchable
+        ranking and NaN keys — the cases where array order could differ
+        from the heap's.  A refusal at a node with children is counted
+        on ``combine_counters`` with its reason.
         """
 
         def refuse(reason: str) -> bool:
@@ -524,9 +547,10 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         bound = self.bound
         if not kernels.enabled():
             return False
-        if bound.batch_weight() is None:
+        batched = bound.batch_weight() is not None
+        if not batched and bound.key_sort_columns((), []) is None:
             return refuse("unbatchable-ranking")
-        if own_arr is None and rt.own_pairs and rows:
+        if batched and own_arr is None and rt.own_pairs and rows:
             return refuse("no-key-array")
         if any(c.runs is None for c in rt.children):
             return refuse("scalar-child-keys")
@@ -540,18 +564,18 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         np = kernels.np
         n = len(rows)
         zero_key = bound.key([])
-        own = own_arr if own_arr is not None else np.full(n, float(zero_key))
-        # NaN keys order a heap by its layout, which a sorted run cannot
-        # mimic.  An infinite weight can make one in a successor (inf -
-        # inf, 0 * inf), so its node and that node's ancestors are built
-        # the scalar way.
-        if rt.own_pairs and not np.isfinite(own).all():
-            return refuse("non-finite-key")
+        if batched:
+            own = own_arr if own_arr is not None else np.full(n, float(zero_key))
+            # NaN keys order a heap by its layout, which a sorted run
+            # cannot mimic.  An infinite weight can make one in a
+            # successor (inf - inf, 0 * inf), so its node and that
+            # node's ancestors are built the scalar way.
+            if rt.own_pairs and not np.isfinite(own).all():
+                return refuse("non-finite-key")
         valid = np.ones(n, dtype=bool)
         child_idx = []
         for child, key_pos in zip(rt.children, rt.child_key_positions):
-            heads = child.runs.head_keys
-            if not len(heads):
+            if not child.runs.groups:
                 valid[:] = False
                 idx = np.zeros(n, dtype=np.int64)
             elif not key_pos:
@@ -567,28 +591,36 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             child_idx.append(idx)
         sel = None if valid.all() else np.flatnonzero(valid)
         if sel is not None:
-            own = own[sel]
             child_idx = [idx[sel] for idx in child_idx]
             cols = {p: col[sel] for p, col in cols.items()}
-        if rt.children:
-            keys = bound.combine_key_arrays(
-                [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
-            )
-            if keys is None:
-                return refuse("combine-refused")
-        else:
-            keys = own  # leaves take their own key verbatim, as in the scalar build
-        if np.isnan(keys).any():
-            return refuse("non-finite-key")
         parts = [[cols[p] for p in rt.own_positions]] + [
             [col[idx] for col in c.runs.head_outs] for c, idx in zip(rt.children, child_idx)
         ]
         out_cols = [parts[src][off] for src, off in rt.out_plan]
+        if batched:
+            if sel is not None:
+                own = own[sel]
+            if rt.children:
+                keys = bound.combine_key_arrays(
+                    [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
+                )
+                if keys is None:
+                    return refuse("combine-refused")
+            else:
+                keys = own  # leaves take their own key verbatim, as in the scalar build
+            if np.isnan(keys).any():
+                return refuse("non-finite-key")
+            sort_keys = [keys]
+        else:
+            sort_keys = bound.key_sort_columns(rt.out_vars, out_cols)
+            if sort_keys is None:
+                return refuse("conversion")
         anchor_cols = [cols[p] for p in rt.anchor_positions]
         # lexsort's last key is the primary one.
-        order = np.lexsort(tuple(reversed(out_cols)) + (keys,) + tuple(reversed(anchor_cols)))
+        order = np.lexsort(
+            tuple(reversed(out_cols)) + tuple(reversed(sort_keys)) + tuple(reversed(anchor_cols))
+        )
         m = len(order)
-        keys = keys[order]
         out_cols = [col[order] for col in out_cols]
         anchor_cols = [col[order] for col in anchor_cols]
         change = np.zeros(m, dtype=bool)
@@ -599,31 +631,42 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
 
         runs = _Runs()
         runs.rows = rows
-        runs.row_idx = (order if sel is None else sel[order]).tolist()
+        row_idx = runs.row_idx = (order if sel is None else sel[order]).tolist()
         runs.zero_key = zero_key
-        if rt.children or rt.own_pairs:
-            runs.keys = keys.tolist()
-        else:
-            runs.keys = [zero_key] * m  # the scalar leaf key: bound.key([])
         runs.outs = list(zip(*[col.tolist() for col in out_cols])) if out_cols else [()] * m
-        runs.own_keys = own[order].tolist() if rt.own_pairs else None
-        runs.own_of = rt.own_of
+        own_of = runs.own_of = rt.own_of
+        if batched:
+            keys = keys[order]
+            if rt.children or rt.own_pairs:
+                runs.keys = keys.tolist()
+            else:
+                runs.keys = [zero_key] * m  # the scalar leaf key: bound.key([])
+            runs.own_keys = own[order].tolist() if rt.own_pairs else None
+            runs.head_keys = keys[starts]
+        else:
+            runs.keys = _OutputKeys(bound.key, rt.out_vars, runs.outs.__getitem__)
+            runs.own_keys = None
+            if rt.own_pairs:
+                own_vars = tuple(v for v, _ in rt.own_pairs)
+                runs.own_keys = _OutputKeys(
+                    bound.key, own_vars, lambda pos: own_of(rows[row_idx[pos]])
+                )
+            runs.head_keys = None
         runs.links = [
             (c.runs.groups, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)
         ]
         runs.stats = self.stats
         runs.heap_stats = self.heap_stats
         runs.head_anchor = [col[starts] for col in anchor_cols]
-        runs.head_keys = keys[starts]
         runs.head_outs = [col[starts] for col in out_cols]
         bounds = starts.tolist() + [m]
         runs.groups = [_LazyGroup(runs, s, e) for s, e in zip(bounds, bounds[1:])]
-        row_idx, anchor_of = runs.row_idx, rt.anchor_of
+        anchor_of = rt.anchor_of
         rt.pqs = {
             anchor_of(rows[row_idx[group.pos]]): group for group in runs.groups
         }
         rt.runs = runs
-        if rt.children:
+        if batched and rt.children:
             combine_counters.record_call()
         stats = self.heap_stats
         stats.pushes += m

@@ -25,6 +25,7 @@ from typing import Any, Iterator
 
 from ..algorithms.yannakakis import atom_instances, instance_matrix
 from ..data.database import Database
+from ..data.relation import Relation
 from ..data.index import group_by
 from ..errors import DecompositionError
 from ..query.ghd import GHD, find_ghd
@@ -104,10 +105,10 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         bag_atoms: list[Atom] = []
         for bag in self.ghd.bags:
             bag_vars = tuple(sorted(bag.variables))
-            rows = self._materialise_bag(bag, bag_vars, instances, atoms_by_alias)
-            self.materialised_tuples += len(rows)
             name = f"__bag{bag.bag_id}"
-            bag_db.add_relation(name, bag_vars, rows)
+            relation = self._materialise_bag(bag, name, bag_vars, instances, atoms_by_alias)
+            self.materialised_tuples += len(relation)
+            bag_db.add(relation)
             bag_atoms.append(Atom(name, bag_vars))
 
         bag_query = JoinProjectQuery(
@@ -133,22 +134,24 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
     def _materialise_bag(
         self,
         bag,
+        name: str,
         bag_vars: tuple[str, ...],
         instances: dict[str, list[Row]],
         atoms_by_alias: dict[str, Atom],
-    ) -> list[Row]:
+    ) -> Relation:
         """Join the atoms contained in a bag, extend uncovered variables
         with unary domains, project onto the bag and de-duplicate.
 
         Integer-coded instances (encoded execution, plain-int data) run
         the whole pipeline — joins, projection, dedup — as array
-        kernels; the row-at-a-time hash join below is the automatic
-        fallback and produces identical rows in identical order.
+        kernels and keep the result as the relation's code matrix; the
+        row-at-a-time hash join below is the automatic fallback and
+        produces identical rows in identical order.
         """
         if kernels.enabled():
-            rows = self._materialise_bag_kernel(bag, bag_vars, instances, atoms_by_alias)
-            if rows is not None:
-                return rows
+            matrix = self._materialise_bag_kernel(bag, bag_vars, instances, atoms_by_alias)
+            if matrix is not None:
+                return Relation.from_code_matrix(name, bag_vars, matrix)
             kernels.counters.record_fallback()
         components: list[tuple[tuple[str, ...], list[Row]]] = []
         covered: set[str] = set()
@@ -198,7 +201,7 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
             if projected not in seen:
                 seen.add(projected)
                 out.append(projected)
-        return out
+        return Relation(name, bag_vars, out)
 
     def _materialise_bag_kernel(
         self,
@@ -206,8 +209,9 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         bag_vars: tuple[str, ...],
         instances: dict[str, list[Row]],
         atoms_by_alias: dict[str, Atom],
-    ) -> list[Row] | None:
-        """The bag join as array kernels; ``None`` → row-at-a-time path.
+    ):
+        """The bag join as array kernels: the bag's ``int64`` matrix, or
+        ``None`` → row-at-a-time path.
 
         Mirrors the Python materialisation step for step — same
         component order, same greedy join order, same left-major join
@@ -268,7 +272,7 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         first = kernels.distinct_indices(projected)
         if first is None:
             return None
-        return [tuple(r) for r in projected[first].tolist()]
+        return projected[first]
 
     # ------------------------------------------------------------------ #
     # enumeration: delegate to the acyclic enumerator over the bag tree

@@ -290,6 +290,21 @@ class BoundRanking:
         """
         return None
 
+    def key_sort_columns(self, variables: Sequence[str], columns: Sequence[Any]):
+        """Sort columns standing in for keys that the output determines.
+
+        For a key algebra in which every partial output's key is
+        ``key(zip(variables, output))``, whatever the join tree's
+        shape: ``columns[j]`` holds ``variables[j]``'s ``int64`` values,
+        one entry per row, and the result is a list of arrays, most
+        significant first, whose lexicographic order over the rows is
+        the order of the rows' keys, ties exactly where the keys are
+        equal.  ``None`` refuses (the default: keys are combined from
+        the parts, or not representable), and the enumerator builds its
+        queues the scalar way.
+        """
+        return None
+
 
 class RankingFunction:
     """Base spec; :meth:`bind` produces the operational object."""
@@ -619,6 +634,28 @@ class _LexBound(BoundRanking):
         merged.sort(key=lambda iv: iv[0])
         return tuple(merged)
 
+    def key_sort_columns(self, variables: Sequence[str], columns: Sequence[Any]):
+        """LEX keys as columns: per variable in comparison order, its
+        weight (when weighted) and its value, negated when descending."""
+        np = kernels.np
+        out = []
+        pairs = sorted(zip(variables, columns), key=lambda vc: self.positions.get(vc[0], -1))
+        for var, col in pairs:
+            if var not in self.positions:
+                return None  # key() raises; let the scalar path do it
+            parts = [col]
+            if self.weight is not None:
+                weights = _weight_column(self.weight, var, col)
+                if weights is None:
+                    return None
+                parts = [weights, col]
+            if var in self.desc_vars:
+                if len(col) and col.min() == np.iinfo(np.int64).min:
+                    return None
+                parts = [-part for part in parts]
+            out.extend(parts)
+        return out
+
     def final_score(self, key: tuple) -> tuple:
         out = []
         for _, v in key:
@@ -628,6 +665,27 @@ class _LexBound(BoundRanking):
                 v = v[1]  # unwrap the (weight, value) refinement
             out.append(v)
         return tuple(out)
+
+
+def _weight_column(weight: WeightFunction, attr: str, column):
+    """``weight(attr, v)`` for each ``v`` of an ``int64`` column, as an
+    exact ``float64`` array, or ``None``: a weight call raises, or a
+    weight is NaN, not a real number or an ``int`` past ``2**53``."""
+    np = kernels.np
+    values, inverse = np.unique(column, return_inverse=True)
+    weights = []
+    for value in values.tolist():
+        try:
+            w = weight(attr, value)
+        except Exception:
+            return None
+        if isinstance(w, float) and w == w:
+            weights.append(w)
+        elif isinstance(w, int) and abs(w) <= 2**53:
+            weights.append(w)
+        else:
+            return None
+    return np.asarray(weights, dtype=np.float64)[inverse.reshape(-1)]
 
 
 class LexRanking(RankingFunction):

@@ -117,6 +117,12 @@ class Relation:
         rel._adopt_store(store)
         return rel
 
+    @classmethod
+    def from_code_matrix(cls, name: str, attrs: Sequence[str], matrix) -> "Relation":
+        """A relation over an ``(n, arity)`` ``int64`` matrix of plain-int
+        values, built without a pass over Python rows."""
+        return cls._from_store(name, attrs, ColumnStore.from_code_matrix(matrix))
+
     def _adopt_store(self, store: ColumnStore) -> None:
         self._store = store
         self._paths = AccessPathCache(store)

@@ -95,6 +95,14 @@ class ColumnStore:
         store.columns = cols
         return store
 
+    @classmethod
+    def from_code_matrix(cls, matrix) -> "ColumnStore":
+        """Adopt an ``(n, arity)`` ``int64`` matrix (kernel output): its
+        values become the columns, and it is the cached code array."""
+        store = cls.from_columns(matrix.T.tolist())
+        store._codes_arr = matrix
+        return store
+
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #

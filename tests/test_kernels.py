@@ -261,6 +261,22 @@ class TestCyclicBagIdentity:
         assert fast == slow
         assert fast_enum.materialised_tuples == slow_enum.materialised_tuples
 
+    def test_bag_relations_match_the_python_join(self, kernels_enabled):
+        # Kernel bags are built from their code matrix; the rows must be
+        # the hash join's, in its order, and exactly ints.
+        db = Database()
+        db.add_relation("R", ("a", "b"), random_rows(200, 2, 20, 7))
+        query = parse_query("Q(a1, a2) :- R(a1, p1), R(a2, p1), R(a2, p2), R(a1, p2)")
+        fast = CyclicRankedEnumerator(query, db).preprocess()._inner.db
+        slow = _with_kernels(
+            False, lambda: CyclicRankedEnumerator(query, db).preprocess()
+        )._inner.db
+        assert fast.names() == slow.names()
+        for name in fast.names():
+            rows = fast[name].tuples
+            assert rows == slow[name].tuples
+            assert all(type(v) is int for row in rows for v in row)
+
     def test_bool_cells_preserve_identity(self, kernels_enabled):
         # Regression: bag rows are rebuilt from codes, so a True cell in
         # an int column must force the Python path — answers carried

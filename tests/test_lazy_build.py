@@ -1,7 +1,7 @@
 """The array queue build against the scalar build it replaces.
 
-With kernels on, a batchable ranking over ``int`` data builds every
-join-tree node's queues as sorted runs whose cells are created only when
+With kernels on, a batchable ranking or LEX over ``int`` data builds
+every join-tree node's queues as sorted runs whose cells are created only when
 they reach the top of their group; with kernels off the scalar build
 creates one cell and one heap entry per row.  The scalar build is the
 oracle: answers, keys and tie order, heap pushes, pops and peak entries
@@ -11,12 +11,14 @@ cells created.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.yannakakis import atom_instances
 from repro.core.acyclic import AcyclicRankedEnumerator
 from repro.core.ranking import (
     AvgRanking,
+    LexRanking,
     MaxRanking,
     MinRanking,
     ProductRanking,
@@ -55,6 +57,9 @@ WEIGHTS = {
     "min": [-1.0, 0.0, 0.5, 2.0],
     "max": [-1.0, 0.0, 0.5, 2.0],
     "product": [0.0, 0.5, 1.0, 2.0],
+    # LEX compares (weight, value): int and float weights that are
+    # equal tie, and infinities are plain values.
+    "lex": [0, 1, 1.0, 0.5, math.inf, -math.inf],
 }
 
 
@@ -69,11 +74,17 @@ def cases(draw):
         )
         for name, width in sorted(arity.items())
     }
-    kind = draw(st.sampled_from(sorted(RANKINGS)))
+    kind = draw(st.sampled_from(sorted(WEIGHTS)))
     table = {v: draw(st.sampled_from(WEIGHTS[kind])) for v in DOMAIN}
-    ranking = RANKINGS[kind](
-        TableWeight({}, default_table=table), descending=draw(st.booleans())
-    )
+    if kind == "lex":
+        ranking = LexRanking(
+            weight=draw(st.sampled_from([None, TableWeight({}, default_table=table)])),
+            descending=draw(st.sets(st.sampled_from(query.head))),
+        )
+    else:
+        ranking = RANKINGS[kind](
+            TableWeight({}, default_table=table), descending=draw(st.booleans())
+        )
     options = {
         "prune": draw(st.booleans()),
         "dedup_inserts": draw(st.booleans()),
@@ -127,17 +138,22 @@ def test_lazy_build_matches_scalar_build(case):
     assert repr(lazy) == repr(scalar)
     assert_same_work(lazy_enum, scalar_enum)
     assert all(rt.runs is None for rt in nodes(scalar_enum))
-    if all(math.isfinite(w) for w in ranking.weight.default_table.values()):
-        # Finite weights over int data: every node is built from arrays.
+    weight = ranking.weight
+    if isinstance(ranking, LexRanking) or all(
+        math.isfinite(w) for w in weight.default_table.values()
+    ):
+        # LEX, or finite weights, over int data: every node is built
+        # from arrays.
         assert all(rt.runs is not None for rt in nodes(lazy_enum))
 
 
-def test_nan_weight_takes_the_scalar_build():
+@pytest.mark.parametrize("ranking_type", [SumRanking, LexRanking])
+def test_nan_weight_takes_the_scalar_build(ranking_type):
     query = QUERIES[1]
     rows = [(a, p) for a in DOMAIN for p in DOMAIN if (a + p) % 2]
     db = Database.from_dict({"R": (("c0", "c1"), rows)})
     table = {0: 1.0, 1: math.nan, 2: 0.5, 3: 0.5}
-    ranking = SumRanking(TableWeight({}, default_table=table))
+    ranking = ranking_type(weight=TableWeight({}, default_table=table))
     options = {"prune": True, "dedup_inserts": True, "instances": "reduce"}
     lazy, lazy_enum = run(query, db, ranking, options, lazy=True)
     scalar, scalar_enum = run(query, db, ranking, options, lazy=False)
