@@ -60,11 +60,18 @@ class EnumerationStats:
     group, so it is not the number of rows plus successors; successors
     are counted when inserted (not when the dedup set rejects them).
 
+    ``reducer_passes`` counts the full-reducer passes the lexicographic
+    backtracker runs during enumeration: one per value it fixes at an
+    attribute before the last.  The last attribute takes none — its
+    candidates are emitted straight from the reduced instance.
+
     ``preprocess_seconds`` splits into ``reduce_seconds`` (reducer pass
     + pruning/dangling removal) and ``build_seconds`` (queue/index
-    construction, scoring included); ``enumerate_seconds`` accumulates
-    time spent emitting answers (``top_k``/``all``/bulk serves) — the
-    per-phase breakdown ``repro --stats`` prints.
+    construction, scoring included — an index the lexicographic
+    backtracker builds on first use counts here even when enumeration
+    triggers it); ``enumerate_seconds`` accumulates time spent emitting
+    answers (``top_k``/``all``/bulk serves) — the per-phase breakdown
+    ``repro --stats`` prints.
 
     ``join_rows`` is the exact pre-dedup join size the bulk top-k cost
     gate counted before choosing between the bulk kernel and the heap

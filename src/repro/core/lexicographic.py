@@ -9,21 +9,29 @@ fixing one value at a time:
 1. sort the candidate values of the current attribute (ascending or
    descending per attribute — the ``ORDER BY A1 ASC, A2 DESC`` case the
    paper highlights);
-2. for each value, filter the relations containing the attribute and run
-   a full-reducer pass (the paper's "two-phase semi-joins"), which both
-   prunes dead branches and exposes the candidate values of the next
-   attribute;
-3. recurse; every full assignment is one distinct output.
+2. at the last attribute, emit every candidate: the instance holding
+   them is a full-reducer output over an acyclic join tree, hence
+   globally consistent, so each one completes an answer;
+3. at an earlier attribute, for each value filter the relations
+   containing the attribute and run a full-reducer pass (the paper's
+   "two-phase semi-joins"), which both prunes dead branches and exposes
+   the candidate values of the next attribute, then recurse.
+
+Every full assignment is one distinct output, and a reducer pass is
+paid per value of an earlier attribute, never per answer.
 
 Guarantees (Lemma 4): ``O(|D|)`` delay after ``O(|D| log |D|)``
 preprocessing with ``O(|D|)`` space — and no priority queues, which is
 where the paper's measured 2-3x speed-up over the SUM machinery comes
-from (Figure 6).
+from (Figure 6).  The hash indexes of the first level are built on
+first use, each at ``O(|D|)`` once, which leaves the bound intact.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..algorithms.yannakakis import atom_instances, full_reduce
@@ -40,6 +48,15 @@ __all__ = ["LexBacktrackEnumerator"]
 Row = tuple
 
 _MISSING = object()  # weight-table sentinel: raising values stay uncached
+
+
+def _join_key(positions: tuple[int, ...]):
+    """Row -> its values at ``positions``: the bare value for one
+    position, a tuple for several, and ``()`` for none (a cartesian
+    join-tree edge, across which every row joins every row)."""
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 class LexBacktrackEnumerator(RankedEnumeratorBase):
@@ -62,6 +79,14 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         raw value — the paper's ``ORDER BY A1.weight, A2.weight`` form.
     join_tree:
         Optional pre-built join tree.
+    instances:
+        Optional per-alias atom instances to enumerate instead of the
+        database's; they are read, never copied or modified.
+    already_reduced:
+        The given ``instances`` already went through a full reducer, so
+        :meth:`preprocess` skips its own pass.  Dangling rows are still
+        tolerated: the first attribute is always checked by a reducer
+        pass per value, even when it is the last one.
 
     The emitted :attr:`RankedAnswer.score` (and :attr:`~RankedAnswer.key`)
     is the comparison tuple: head values arranged in ``order``, with
@@ -108,9 +133,13 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         self.join_tree = join_tree or build_join_tree(query)
         self._given_instances = instances
         self.stats = EnumerationStats()
-        self._instances: dict[str, list[Row]] | None = None
+        self._instances: Mapping[str, list[Row]] | None = None
         self._exhausted = False
         self._weight_tables: dict[str, dict] = {}
+        self._adjacency: dict[str, list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
+        # Row groups by (alias, positions), built on first use (_index).
+        self._row_groups: dict[tuple[str, tuple[int, ...]], dict] = {}
+        self._unbilled_build_seconds = 0.0
         # Atoms (alias, position) containing each order variable.
         self._holders: dict[str, list[tuple[str, int]]] = {}
         for var in self._order:
@@ -127,24 +156,20 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
     # phases
     # ------------------------------------------------------------------ #
     def preprocess(self) -> "LexBacktrackEnumerator":
-        """Full-reducer pass + hash indexes (the paper's "create hash
-        indexes for the base relations in sorted order").
+        """Full-reducer pass, per-variable weight tables and the join-tree
+        adjacency the first level walks.
 
-        Two index families are built over the reduced instance:
-
-        * value indexes for the first order variable, so fixing
-          ``A_1 = a`` costs its bucket size instead of a relation scan;
-        * per join-tree-edge indexes keyed on the shared variables, so
-          the first semi-join wave after the fix only touches the
-          joining neighbourhood (:meth:`_index_reduce`) rather than all
-          of ``|D|`` — this is what makes the backtracker outpace the
-          priority-queue machinery in practice (Figure 6).
+        The paper's hash indexes ("create hash indexes for the base
+        relations in sorted order") are not built here but on first use
+        by :meth:`_index`, in the one direction the first level reads
+        them, so a request that never leaves the last attribute builds
+        none.
         """
         if self._instances is not None:
             return self
         started = time.perf_counter()
         if self._given_instances is not None:
-            instances = {a: list(r) for a, r in self._given_instances.items()}
+            instances = self._given_instances
         else:
             instances = atom_instances(self.query, self.db)
         if self._already_reduced:
@@ -170,18 +195,8 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
                 if table is not None:
                     self._weight_tables[var] = table
 
-        # Value indexes for the first order variable's holders.
-        self._value_index: dict[str, dict] = {}
-        first_var = self._order[0]
-        for alias, pos in self._holders[first_var]:
-            index: dict = {}
-            for row in self._instances[alias]:
-                index.setdefault(row[pos], []).append(row)
-            self._value_index[alias] = index
-
-        # Edge indexes over the reduced instance, both directions.
-        self._edges: list[tuple[str, str, tuple[int, ...], tuple[int, ...]]] = []
-        self._edge_index: dict[tuple[str, tuple[int, ...]], dict] = {}
+        # Both directions of every join-tree edge, as
+        # (neighbour, own positions, neighbour positions).
         for node in self.join_tree.nodes:
             if node.parent is None:
                 continue
@@ -191,19 +206,41 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             shared = [v for v in a_vars if v in b_vars]
             a_pos = tuple(a_vars.index(v) for v in shared)
             b_pos = tuple(b_vars.index(v) for v in shared)
-            self._edges.append((a, b, a_pos, b_pos))
-            for alias, pos in ((a, a_pos), (b, b_pos)):
-                if (alias, pos) in self._edge_index:
-                    continue
-                index = {}
-                for row in self._instances[alias]:
-                    index.setdefault(tuple(row[i] for i in pos), []).append(row)
-                self._edge_index[(alias, pos)] = index
+            self._adjacency.setdefault(a, []).append((b, a_pos, b_pos))
+            self._adjacency.setdefault(b, []).append((a, b_pos, a_pos))
         self.stats.preprocess_seconds = time.perf_counter() - started
         self.stats.build_seconds = (
             self.stats.preprocess_seconds - self.stats.reduce_seconds
         )
         return self
+
+    def _index(self, alias: str, positions: tuple[int, ...]) -> dict:
+        """The preprocessed rows of ``alias`` grouped by their values at
+        ``positions`` (keys as :func:`_join_key` makes them), built on
+        first use.
+
+        The build is preprocessing work whichever call triggers it: its
+        time goes into ``stats.build_seconds`` and
+        ``stats.preprocess_seconds`` and is kept out of
+        ``stats.enumerate_seconds``.
+        """
+        index = self._row_groups.get((alias, positions))
+        if index is None:
+            started = time.perf_counter()
+            index = defaultdict(list)
+            key = _join_key(positions)
+            for row in self._instances[alias]:  # type: ignore[index]
+                index[key(row)].append(row)
+            self._row_groups[(alias, positions)] = index
+            elapsed = time.perf_counter() - started
+            self.stats.build_seconds += elapsed
+            self.stats.preprocess_seconds += elapsed
+            self._unbilled_build_seconds += elapsed
+        return index
+
+    def _note_enumerate_seconds(self, elapsed: float) -> None:
+        super()._note_enumerate_seconds(elapsed - self._unbilled_build_seconds)
+        self._unbilled_build_seconds = 0.0
 
     def _index_reduce(self, seeds: dict[str, list[Row]]) -> dict[str, list[Row]]:
         """Propagate a depth-0 filter outward through the edge indexes.
@@ -215,24 +252,18 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         wave only) but is small, so the exact :func:`full_reduce` that
         follows is cheap.
         """
-        adjacency: dict[str, list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
-        for a, b, a_pos, b_pos in self._edges:
-            adjacency.setdefault(a, []).append((b, a_pos, b_pos))
-            adjacency.setdefault(b, []).append((a, b_pos, a_pos))
-
         state = dict(seeds)
         frontier = list(seeds)
         visited = set(seeds)
         while frontier:
             current = frontier.pop()
-            for neighbour, cur_pos, nb_pos in adjacency.get(current, ()):
+            for neighbour, cur_pos, nb_pos in self._adjacency.get(current, ()):
                 if neighbour in visited:
                     continue
                 visited.add(neighbour)
-                index = self._edge_index[(neighbour, nb_pos)]
-                keys = {tuple(r[i] for i in cur_pos) for r in state[current]}
+                index = self._index(neighbour, nb_pos)
                 rows: list[Row] = []
-                for key in keys:
+                for key in set(map(_join_key(cur_pos), state[current])):
                     rows.extend(index.get(key, ()))
                 state[neighbour] = rows
                 frontier.append(neighbour)
@@ -255,21 +286,12 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
 
     def _enum(
         self,
-        instances: dict[str, list[Row]],
+        instances: Mapping[str, list[Row]],
         depth: int,
         fixed: dict[str, object],
     ) -> Iterator[RankedAnswer]:
         if depth == len(self._order):
-            values = tuple(fixed[v] for v in self.query.head)
-            score = tuple(fixed[v] for v in self._order)
-            key = tuple(
-                Desc(self._value_key(v, fixed[v]))
-                if v in self._descending
-                else self._value_key(v, fixed[v])
-                for v in self._order
-            )
-            self.stats.answers += 1
-            yield RankedAnswer(values, score, key=key)
+            yield self._answer(fixed)
             return
 
         var = self._order[depth]
@@ -280,6 +302,14 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             key=lambda v: self._value_key(var, v),
             reverse=var in self._descending,
         )
+        if depth == len(self._order) - 1 and (depth or not self._already_reduced):
+            # ``instances`` is this enumerator's own full-reducer output
+            # over an acyclic join tree, hence globally consistent: every
+            # candidate extends to an answer.  (Caller-reduced instances
+            # at level 0 may hold dangling rows, so they take the loop.)
+            for value in candidates:
+                yield self._answer({**fixed, var: value})
+            return
         for value in candidates:
             alive = True
             if depth == 0:
@@ -288,7 +318,7 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
                 # join neighbourhood instead of |D|.
                 seeds: dict[str, list[Row]] = {}
                 for alias, pos in holders:
-                    rows = self._value_index[alias].get(value, [])
+                    rows = self._index(alias, (pos,)).get(value, [])
                     rows = [row for row in rows if row[pos] == value]
                     if not rows:
                         alive = False
@@ -312,6 +342,19 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             if any(not rows for rows in reduced.values()):
                 continue
             yield from self._enum(reduced, depth + 1, {**fixed, var: value})
+
+    def _answer(self, fixed: Mapping[str, object]) -> RankedAnswer:
+        """The answer for a full assignment of the head variables."""
+        values = tuple(fixed[v] for v in self.query.head)
+        score = tuple(fixed[v] for v in self._order)
+        key = tuple(
+            Desc(self._value_key(v, fixed[v]))
+            if v in self._descending
+            else self._value_key(v, fixed[v])
+            for v in self._order
+        )
+        self.stats.answers += 1
+        return RankedAnswer(values, score, key=key)
 
     def _value_key(self, var: str, value):
         """Per-attribute comparison key: ``(w(value), value)`` when a
