@@ -2,7 +2,8 @@
 
 The vectorised-enumeration layer finishes the batching work the score
 columns started: join-tree combines run over key arrays
-(``combine_key_arrays`` + ``_batched_combine``), the star structure
+(``combine_key_arrays``, called from the array queue build
+``_build_runs``), the star structure
 materialises ``O_H`` with array joins, and ``top_k(k)`` requests whose
 join is cheap are served by one bulk kernel — array join, array dedup,
 ``argpartition``-style selection — instead of queue builds plus k

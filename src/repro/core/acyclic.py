@@ -480,6 +480,10 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self._instances = instances
         self._tree = tree
         self.stats.reduce_seconds += time.perf_counter() - started
+        # Bulk-served top-k never reaches ``preprocess``: keep the sum here.
+        self.stats.preprocess_seconds = (
+            self.stats.reduce_seconds + self.stats.build_seconds
+        )
         return instances, tree
 
     def preprocess(self) -> "AcyclicRankedEnumerator":

@@ -1,8 +1,8 @@
-"""Relational storage substrate: relations, databases, indexes, CSV IO,
+"""Relational storage substrate: relations, databases, grouping, CSV IO,
 and hash partitioning for the parallel subsystem."""
 
 from .database import Database
-from .index import HashIndex, SortedColumn, group_by
+from .index import group_by
 from .loader import (
     load_database_dir,
     load_relation_csv,
@@ -26,8 +26,6 @@ __all__ = [
     "partition_query",
     "rewrite_for_sharding",
     "stable_shard",
-    "HashIndex",
-    "SortedColumn",
     "group_by",
     "load_relation_csv",
     "save_relation_csv",

@@ -1,22 +1,17 @@
-"""Stand-alone index structures.
+"""Grouping rows by key columns.
 
-Most hot-path indexing lives directly on :class:`repro.data.relation.Relation`
-(``Relation.index``), which caches hash indexes per column set.  This module
-provides the two additional access structures the paper's algorithms assume:
-
-* :class:`HashIndex` — an explicit, reusable equi-lookup index over any
-  list of rows (not necessarily a named relation), used by the semi-join
-  machinery on intermediate results;
-* :class:`SortedColumn` — a sorted distinct-value view of one column with
-  binary-search successor queries, used by the lexicographic enumerator.
+Relations are read through their scan path
+(:meth:`repro.data.relation.Relation.instance_rows`); code that needs
+equi-lookups over such rows — the star and cyclic enumerators, the
+baseline join and the Yannakakis join helper — groups them with
+:func:`group_by`.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterable, Sequence
 
-__all__ = ["HashIndex", "SortedColumn", "group_by"]
+__all__ = ["group_by"]
 
 Row = tuple
 
@@ -25,7 +20,16 @@ def group_by(rows: Iterable[Row], key_positions: Sequence[int]) -> dict[tuple, l
     """Group rows by the values at ``key_positions``.
 
     This is the primitive behind hash joins and semi-joins: one linear
-    pass, one dict.  Returns ``{key tuple: [rows...]}``.
+    pass, one dict.  Returns ``{key tuple: [rows...]}``; groups keep
+    first-occurrence order and rows keep input order.  An empty key puts
+    every row in the one group ``()``.
+
+    Examples
+    --------
+    >>> group_by([(1, "x"), (2, "z"), (1, "y")], (0,))
+    {(1,): [(1, 'x'), (1, 'y')], (2,): [(2, 'z')]}
+    >>> group_by([(1, "x"), (2, "z")], ())
+    {(): [(1, 'x'), (2, 'z')]}
     """
     key = tuple(key_positions)
     out: dict[tuple, list[Row]] = {}
@@ -37,101 +41,3 @@ def group_by(rows: Iterable[Row], key_positions: Sequence[int]) -> dict[tuple, l
         else:
             bucket.append(t)
     return out
-
-
-class HashIndex:
-    """Hash index over an arbitrary row collection.
-
-    Parameters
-    ----------
-    rows:
-        The rows to index (any iterable of tuples).
-    key_positions:
-        Column indexes forming the lookup key.
-
-    Examples
-    --------
-    >>> idx = HashIndex([(1, "x"), (1, "y"), (2, "z")], (0,))
-    >>> idx.lookup((1,))
-    [(1, 'x'), (1, 'y')]
-    >>> idx.contains((2,)), idx.contains((3,))
-    (True, False)
-    """
-
-    __slots__ = ("key_positions", "_buckets", "size")
-
-    def __init__(self, rows: Iterable[Row], key_positions: Sequence[int]):
-        self.key_positions = tuple(key_positions)
-        self._buckets = group_by(rows, self.key_positions)
-        self.size = sum(len(b) for b in self._buckets.values())
-
-    def lookup(self, key: tuple) -> list[Row]:
-        """All rows matching the key (empty list if none)."""
-        return self._buckets.get(key, [])
-
-    def contains(self, key: tuple) -> bool:
-        """True if at least one row matches the key."""
-        return key in self._buckets
-
-    def keys(self) -> Iterable[tuple]:
-        """All distinct keys."""
-        return self._buckets.keys()
-
-    def __len__(self) -> int:
-        """Number of distinct keys."""
-        return len(self._buckets)
-
-    def key_of(self, row: Row) -> tuple:
-        """Project a row onto this index's key columns."""
-        return tuple(row[i] for i in self.key_positions)
-
-
-class SortedColumn:
-    """Sorted distinct values of one column with successor queries.
-
-    Used by :mod:`repro.core.lexicographic` to walk ``dom(A_i)`` in order
-    and by the star enumerator to locate degree thresholds.
-
-    Examples
-    --------
-    >>> col = SortedColumn([3, 1, 2, 2])
-    >>> col.values
-    [1, 2, 3]
-    >>> col.successor(1)
-    2
-    >>> col.successor(3) is None
-    True
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Iterable):
-        self.values = sorted(set(values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def min(self):
-        """Smallest value, or ``None`` when empty."""
-        return self.values[0] if self.values else None
-
-    def max(self):
-        """Largest value, or ``None`` when empty."""
-        return self.values[-1] if self.values else None
-
-    def successor(self, value):
-        """The smallest stored value strictly greater than ``value``."""
-        i = bisect.bisect_right(self.values, value)
-        return self.values[i] if i < len(self.values) else None
-
-    def predecessor(self, value):
-        """The largest stored value strictly smaller than ``value``."""
-        i = bisect.bisect_left(self.values, value)
-        return self.values[i - 1] if i > 0 else None
-
-    def rank(self, value) -> int:
-        """Number of stored values ``<= value``."""
-        return bisect.bisect_right(self.values, value)

@@ -5,12 +5,12 @@ named, ordered multiset of fixed-arity tuples together with a schema (a
 sequence of distinct attribute names).  The *physical* half lives in
 :mod:`repro.storage`: tuples are held column-major in a
 :class:`~repro.storage.columnstore.ColumnStore`, and every derived read
-structure — scans, hash indexes, sorted views — is an
-:class:`~repro.storage.paths.AccessPath` memoised per relation and
-invalidated by the store's version counter.  This module and the
-storage package are the only places allowed to touch physical storage
-directly; everything else goes through the access-path methods below
-(``tools/check_layering.py`` enforces it).
+structure — select/project views, their code matrices and score
+columns — lives on the relation's :class:`~repro.storage.paths.ScanPath`,
+memoised per relation and kept current by the store's version counter.
+This module and the storage package are the only places allowed to
+touch physical storage directly; everything else goes through the
+scan-path methods below (``tools/check_layering.py`` enforces it).
 
 Attribute names on the relation itself are *storage* names; queries bind
 columns positionally to query variables through :class:`repro.query.query.Atom`,
@@ -25,12 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import SchemaError
 from ..storage.columnstore import ColumnStore
-from ..storage.paths import (
-    AccessPathCache,
-    HashIndexPath,
-    ScanPath,
-    SortedViewPath,
-)
+from ..storage.paths import AccessPathCache, ScanPath
 
 __all__ = ["Relation"]
 
@@ -295,19 +290,11 @@ class Relation:
         self._owners = live
 
     # ------------------------------------------------------------------ #
-    # access paths (the storage read interface)
+    # the scan path (the storage read interface)
     # ------------------------------------------------------------------ #
     def scan(self) -> ScanPath:
         """The sequential :class:`~repro.storage.paths.ScanPath`."""
         return self._paths.scan()
-
-    def hash_path(self, key_positions: Sequence[int]) -> HashIndexPath:
-        """The cached hash access path on the given column positions."""
-        return self._paths.hash_index(key_positions)
-
-    def sorted_path(self, attr: str) -> SortedViewPath:
-        """The cached sorted access path on one attribute."""
-        return self._paths.sorted_view(self.position(attr))
 
     def instance_rows(
         self,
@@ -343,7 +330,7 @@ class Relation:
         return self._paths.scan().codes_view(positions, selections, distinct)
 
     # ------------------------------------------------------------------ #
-    # algebra helpers (used by baselines, workloads and tests)
+    # algebra helpers (public conveniences; no library code calls them)
     # ------------------------------------------------------------------ #
     def column(self, attr: str) -> list[Value]:
         """All values of one attribute, in tuple order (with duplicates)."""
@@ -352,15 +339,6 @@ class Relation:
     def domain(self, attr: str) -> set[Value]:
         """Distinct values of one attribute."""
         return set(self._store.column(self.position(attr)))
-
-    def sorted_domain(self, attr: str, *, reverse: bool = False) -> list[Value]:
-        """Distinct values of ``attr`` sorted ascending (cached).
-
-        Served by the sorted access path; a descending view is produced
-        by reversing the cached ascending list.
-        """
-        values = self.sorted_path(attr).values
-        return list(reversed(values)) if reverse else list(values)
 
     def project(self, attrs: Sequence[str], *, distinct: bool = False) -> "Relation":
         """Relational projection onto ``attrs`` (optionally de-duplicated)."""
@@ -376,12 +354,6 @@ class Relation:
             [t for t in self._store.rows() if predicate(t)],
         )
 
-    def select_eq(self, attr: str, value: Value, *, name: str | None = None) -> "Relation":
-        """Selection ``σ_{attr=value}`` using the hash access path."""
-        i = self.position(attr)
-        rows = self.hash_path((i,)).lookup((value,))
-        return Relation(name or self.name, self.attrs, rows)
-
     def distinct(self) -> "Relation":
         """A copy with duplicate tuples removed (first occurrence kept)."""
         pos = tuple(range(self.arity))
@@ -391,27 +363,11 @@ class Relation:
         """A shallow copy under a different relation name (shares storage).
 
         Both views observe mutations made through either one — the shared
-        store's version counter keeps their access paths coherent.
+        store's version counter keeps their scan paths coherent.
         """
         r = Relation(name, self.attrs)
         r._adopt_store(self._store)
         return r
-
-    # ------------------------------------------------------------------ #
-    # indexing (dict-level compatibility wrappers over the hash path)
-    # ------------------------------------------------------------------ #
-    def index(self, key_positions: Sequence[int]) -> dict[tuple, list[Row]]:
-        """Hash index ``key tuple -> list of rows`` on the given columns.
-
-        Indexes are cached per column-position tuple and invalidated on
-        mutation.  An empty ``key_positions`` returns a single-entry index
-        mapping ``()`` to all rows (useful for anchorless join-tree roots).
-        """
-        return self.hash_path(key_positions).buckets
-
-    def index_on(self, attrs: Sequence[str]) -> dict[tuple, list[Row]]:
-        """Hash index keyed by attribute *names* (convenience wrapper)."""
-        return self.index(self.positions(attrs))
 
     # ------------------------------------------------------------------ #
     # pickling (worker shipping): caches and backrefs stay home

@@ -239,7 +239,10 @@ class QueryEngine:
         never observe each other's increments.  Everything the engine
         runs in this process runs on the calling thread, so the scope
         sees all of it; shard work in worker processes
-        (:meth:`execute_parallel`) is not counted.
+        (:meth:`execute_parallel`) is not counted.  A :meth:`stream`
+        created and iterated inside the scope is counted here, although
+        :attr:`stats` never counts stream work (only ``execute``-family
+        calls are attributed to the engine).
 
         Examples
         --------

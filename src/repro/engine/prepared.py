@@ -4,20 +4,13 @@ warm, data-dependent state.
 A :class:`PreparedPlan` is what the engine's plan cache stores.  It
 wraps the data-independent plan (join tree / GHD / classification —
 reusable forever) together with the *warm* state that depends on the
-database contents:
-
-* the fully-reduced per-atom instances (the full-reducer's output,
-  which :class:`~repro.core.acyclic.AcyclicRankedEnumerator` and
-  :class:`~repro.core.lexicographic.LexBacktrackEnumerator` accept via
-  their ``instances`` parameter, skipping the O(|D|) reducer pass on
-  every warm execution);
-* pre-built hash access paths on the join-key columns of the underlying
-  relations.  These live in each relation's storage-layer path cache
-  (:class:`repro.storage.paths.AccessPathCache`) until the next
-  mutation; the enumerators read the reduced instances directly, so the
-  indexes serve relation-level consumers (``select_eq`` / ``index_on``
-  — the baselines and ad-hoc inspection), at one O(|D|) pass per
-  invalidation.
+database contents: the fully-reduced per-atom instances (the
+full-reducer's output, which
+:class:`~repro.core.acyclic.AcyclicRankedEnumerator` and
+:class:`~repro.core.lexicographic.LexBacktrackEnumerator` accept via
+their ``instances`` parameter, skipping the O(|D|) reducer pass on every
+warm execution).  The enumerators build their own groupings from these
+instances; the base relations keep only their scan-path views.
 
 Warm state is validated against
 :attr:`repro.data.database.Database.generation` before every use and
@@ -169,8 +162,7 @@ class PreparedPlan:
     def warm(self, db: Database, stats: EngineStats | None = None) -> "PreparedPlan":
         """Build (or refresh) the data-dependent state eagerly.
 
-        Runs ``atom_instances`` + the full reducer once and pre-builds
-        the join-key hash indexes on the base relations.  Called lazily
+        Runs ``atom_instances`` + the full reducer once.  Called lazily
         by :meth:`make_enumerator`; call it directly to pay the cost at
         prepare time instead of on the first execution.  Encoded plans
         accept the base database and warm the encoded image.
@@ -182,25 +174,8 @@ class PreparedPlan:
         started = time.perf_counter()
         instances = atom_instances(self.plan.query, db)
         self._reduced_instances = full_reduce(self.plan.join_tree, instances)
-        self._warm_relation_indexes(db)
         self.prepare_seconds += time.perf_counter() - started
         return self
-
-    def _warm_relation_indexes(self, db: Database) -> None:
-        """Pre-build hash indexes on every join-tree anchor's columns."""
-        if self.plan.join_tree is None:
-            return
-        for node in self.plan.join_tree.nodes:
-            if not node.anchor:
-                continue
-            atom = node.atom
-            rel = db.get(atom.relation)
-            if rel is None:
-                continue
-            positions = tuple(
-                atom.variable_positions[atom.variables.index(v)] for v in node.anchor
-            )
-            rel.index(positions)
 
     # ------------------------------------------------------------------ #
     # the factory

@@ -138,8 +138,8 @@ class EngineStats:
         executions that fell back to plain-row execution (unsupported
         ranking class, caller-supplied instances, or unencodable data).
     kernel_calls / kernel_fallbacks:
-        Vectorised-kernel invocations (semi-join masks, hash grouping,
-        bag joins — see :mod:`repro.storage.kernels`) made while serving
+        Vectorised-kernel invocations (semi-join masks, grouping, bag
+        joins — see :mod:`repro.storage.kernels`) made while serving
         this engine's ``execute`` / ``execute_parallel`` calls, and the
         operations that fell back to row-at-a-time Python because the
         data was not exactly integer-representable (or a packed key
@@ -147,8 +147,14 @@ class EngineStats:
         Attribution is scoped and thread-safe: each execution collects
         its own tally (:meth:`repro.storage.kernels.KernelCounters.collect`)
         on the thread that runs it, and concurrent engines never observe
-        each other's increments.  Only the shard-side kernel work of
-        ``execute_parallel`` (done in worker processes) goes unreported.
+        each other's increments.  The shard-side kernel work of
+        ``execute_parallel`` (done in worker processes) goes unreported,
+        and so does the work of an enumerator from
+        :meth:`QueryEngine.stream`: its warm-up and every answer the
+        caller pulls run outside any execution scope (50 answers of
+        the DBLP-like 3hop query through ``stream`` add 0 kernel calls;
+        ``execute(k=50)`` adds 6).  :meth:`QueryEngine.measure` around
+        the iteration counts it.
     score_builds / score_fallbacks:
         Score-column materialisations (one weight pass per distinct
         value of a relation column — :mod:`repro.storage.scores`) and

@@ -459,11 +459,6 @@ class CursorTable:
     def __len__(self) -> int:
         return len(self._cursors)
 
-    @property
-    def live_count(self) -> int:
-        with self._lock:
-            return sum(1 for c in self._cursors.values() if c.live)
-
     def snapshot(self) -> dict:
         """Counter view for the ``stats`` op."""
         with self._lock:

@@ -5,18 +5,17 @@ tuple storage.  The logical surface (:class:`repro.data.relation.Relation`)
 delegates here, and everything above the data layer — the enumerators
 in :mod:`repro.core`, the algorithm family in :mod:`repro.algorithms`,
 the engine and the parallel subsystem — reaches tuples exclusively
-through the :class:`AccessPath` interface (enforced by
+through the relation's :class:`ScanPath` (enforced by
 ``tools/check_layering.py`` in CI).
 
 Three ideas live here:
 
 * :class:`ColumnStore` — tuples held column-major with a mutation
   version counter; row views are materialised lazily and cached.
-* :class:`AccessPath` and its implementations (:class:`ScanPath`,
-  :class:`HashIndexPath`, :class:`SortedViewPath`), cached per store by
-  :class:`AccessPathCache` and invalidated by the store version.  These
-  subsume the ad-hoc per-relation hash-index / sorted-column caches the
-  data layer used to keep.
+* :class:`ScanPath` — the one read path: rows plus cached
+  select/project views, their code matrices and score columns, held per
+  relation by :class:`AccessPathCache` and brought up to date from the
+  store's delta log (or dropped) when the store version moves.
 * dictionary encoding (:class:`Dictionary`, :class:`EncodedDatabase`) —
   an order-preserving mapping of every database value to a dense
   integer code.  The engine executes queries over the encoded image of
@@ -28,13 +27,7 @@ Three ideas live here:
 from . import kernels, scores
 from .columnstore import ColumnStore
 from .dictionary import Dictionary
-from .paths import (
-    AccessPath,
-    AccessPathCache,
-    HashIndexPath,
-    ScanPath,
-    SortedViewPath,
-)
+from .paths import AccessPathCache, ScanPath
 from .persist import (
     SnapshotError,
     open_database,
@@ -64,18 +57,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AccessPath",
     "AccessPathCache",
     "ColumnStore",
     "DecodingEnumerator",
     "Dictionary",
     "DurableDatabase",
     "EncodedDatabase",
-    "HashIndexPath",
     "JournalError",
     "ScanPath",
     "SnapshotError",
-    "SortedViewPath",
     "journal_path",
     "kernels",
     "open_database",

@@ -83,10 +83,6 @@ class StoreDelta:
     def is_delete(self) -> bool:
         return bool(self.removed)
 
-    @property
-    def rows_after(self) -> int:
-        return self.base_rows + self.append_count - len(self.removed)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_append:
             return f"StoreDelta(v={self.version}, +{self.append_count})"

@@ -122,11 +122,6 @@ class Dictionary:
         codes = self.codes
         return tuple(codes.get(v, MISSING) for v in row)
 
-    def decode_row(self, row: tuple) -> tuple:
-        """Decode every component of a row tuple."""
-        values = self.values
-        return tuple(values[c] for c in row)
-
     def encode_column(self, column: list[Any]) -> list[int]:
         """Encode one column list (all values must be present)."""
         codes = self.codes

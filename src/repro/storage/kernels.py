@@ -3,8 +3,8 @@
 The storage layer encodes join keys to dense integers
 (:mod:`repro.storage.dictionary`), and a :class:`~repro.storage.columnstore.ColumnStore`
 already holds tuples column-major — so the hot relational primitives
-(the Yannakakis reducer's two semi-join sweeps, ``antijoin``, hash-index
-construction and the GHD bag materialisation) are one array away from
+(the Yannakakis reducer's two semi-join sweeps, ``antijoin``, grouping
+and the GHD bag materialisation) are one array away from
 running as batched NumPy operations instead of per-row Python loops.
 This module is that array layer:
 
@@ -19,9 +19,9 @@ This module is that array layer:
   so packed equality is key-tuple equality), refusing on overflow;
 * **membership** — :func:`semijoin_mask` / :func:`antijoin_mask` via
   ``np.isin`` (sorted-array membership, ``O((n+m) log m)``);
-* **grouping** — :func:`group_indices` / :func:`hash_group` build hash
-  buckets in one stable argsort pass, bucket and insertion order
-  identical to the Python dict build;
+* **grouping** — :func:`group_indices` builds hash groups in one
+  stable argsort pass, group contents and order identical to the
+  Python dict build;
 * **joins** — :func:`join_indices` / :func:`cross_indices` produce
   matching row-index pairs in exactly the left-major,
   right-store-order sequence of the Python hash join;
@@ -68,7 +68,6 @@ __all__ = [
     "distinct_indices",
     "enabled",
     "group_indices",
-    "hash_group",
     "join_indices",
     "keyed_sums",
     "pack_columns",
@@ -82,7 +81,7 @@ Row = tuple
 
 #: Below this many input rows the per-call dispatch sites — the
 #: standalone ``semijoin``/``antijoin`` helpers (total rows across both
-#: sides) and ``HashIndexPath`` construction (store size) — stay on the
+#: sides) and shard partitioning (relation size) — stay on the
 #: single-pass Python implementations, where per-call array conversion
 #: or kernel setup would cost more than it saves.  Read at every
 #: dispatch, so a test can force kernels onto tiny inputs by patching
@@ -423,26 +422,6 @@ def group_indices(keys):
     ]
     groups.sort(key=lambda g: g[0])
     return groups
-
-
-def hash_group(matrix, positions: Sequence[int], rows: Sequence[Row]):
-    """``{key tuple: [rows...]}`` buckets, identical to the dict build.
-
-    ``matrix`` must be aligned row-for-row with ``rows``; bucket keys
-    are projected from the original row tuples, so value identity is
-    preserved exactly.  ``None`` when the key does not pack.
-    """
-    cols = [matrix[:, i] for i in positions]
-    keys = pack_columns(cols)
-    if keys is None:
-        counters.record_fallback("pack-overflow")
-        return None
-    pos = tuple(positions)
-    buckets: dict[tuple, list[Row]] = {}
-    for first, idx in group_indices(keys):
-        row = rows[first]
-        buckets[tuple(row[i] for i in pos)] = [rows[j] for j in idx.tolist()]
-    return buckets
 
 
 # ---------------------------------------------------------------------- #

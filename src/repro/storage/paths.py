@@ -1,38 +1,26 @@
-"""Access paths: the read interface over a :class:`ColumnStore`.
+"""The scan path: the read interface over a :class:`ColumnStore`.
 
-An *access path* is one physical way to read a relation's tuples:
+A :class:`ScanPath` is the one physical way to read a relation's
+tuples: sequential row access, with cached select/project views (what
+:func:`repro.algorithms.yannakakis.atom_instances` binds query atoms
+through), their ``int64`` code matrices and their score columns.
 
-* :class:`ScanPath` — sequential row access, with cached
-  select/project views (what :func:`repro.algorithms.yannakakis.atom_instances`
-  binds query atoms through);
-* :class:`HashIndexPath` — equi-lookup buckets on a column set (what
-  used to live in the relation's private per-position index cache);
-* :class:`SortedViewPath` — sorted distinct values of one column with
-  binary-search successor queries (what used to live in the relation's
-  private sorted-column cache).
-
-Paths are built and memoised by an :class:`AccessPathCache`, which
+The path is built and memoised by an :class:`AccessPathCache`, which
 validates every lookup against the store's version counter: any
 mutation — including one made through *another* relation sharing the
-same store (``Relation.renamed``) — transparently drops the derived
-structures.
+same store (``Relation.renamed``) — is replayed into the cached views
+from the store's delta log, or drops them when the log does not cover
+the gap.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import kernels, scores
 from .columnstore import ColumnStore
 
-__all__ = [
-    "AccessPath",
-    "ScanPath",
-    "HashIndexPath",
-    "SortedViewPath",
-    "AccessPathCache",
-]
+__all__ = ["ScanPath", "AccessPathCache"]
 
 Row = tuple
 Value = Any
@@ -55,21 +43,7 @@ def _evict_oldest(cache: dict) -> None:
         pass
 
 
-class AccessPath:
-    """Base class: one physical way of reading a store's tuples."""
-
-    __slots__ = ("store",)
-
-    kind = "abstract"
-
-    def __init__(self, store: ColumnStore):
-        self.store = store
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(n={len(self.store)})"
-
-
-class ScanPath(AccessPath):
+class ScanPath:
     """Sequential scan with cached select/project views.
 
     Examples
@@ -84,9 +58,7 @@ class ScanPath(AccessPath):
     [(1,), (2,), (1,)]
     """
 
-    __slots__ = ("_views", "_code_views", "_score_cols", "_int_cols")
-
-    kind = "scan"
+    __slots__ = ("store", "_views", "_code_views", "_score_cols", "_int_cols")
 
     #: Bound on memoised select/project views.  Projection-only views are
     #: keyed by query structure (a handful per relation), but selection
@@ -97,7 +69,7 @@ class ScanPath(AccessPath):
     MAX_VIEWS = 128
 
     def __init__(self, store: ColumnStore):
-        super().__init__(store)
+        self.store = store
         self._views: dict[ScanKey, list[Row]] = {}
         self._code_views: dict[ScanKey, Any] = {}
         # Score views, keyed (view signature, view column, attribute,
@@ -295,7 +267,7 @@ class ScanPath(AccessPath):
     # ------------------------------------------------------------------ #
     # delta maintenance
     # ------------------------------------------------------------------ #
-    def apply_delta(self, delta) -> bool:
+    def apply_delta(self, delta) -> None:
         """Bring the cached views up to date with one store delta.
 
         Pure projection views (no selections, not distinct) are
@@ -306,9 +278,6 @@ class ScanPath(AccessPath):
         occurrence bookkeeping the cache does not keep.  Every rebind is
         copy-on-write: consumers holding a previously returned list or
         array keep their snapshot.
-
-        Returns ``False`` when the path cannot represent the delta (the
-        cache then drops the whole scan path, the pre-delta behaviour).
         """
         store = self.store
         if delta.is_append:
@@ -326,7 +295,7 @@ class ScanPath(AccessPath):
                 if known:
                     self._int_cols[pos] = all(type(r[pos]) is int for r in new_rows)
             self._extend_score_views(delta, new_rows)
-            return True
+            return
         # Delete: positions of a pure projection map 1:1 onto store rows.
         removed = set(delta.removed)
         for key in list(self._views):
@@ -361,7 +330,6 @@ class ScanPath(AccessPath):
             self._score_cols[skey] = (weight, scores.ScoreView(scores_arr, missing))
         # A deletion can only remove values: exactly-int stays exactly-int
         # (False entries stay conservatively False).
-        return True
 
     def _extend_code_views(self, delta) -> None:
         matrix = self.store.codes_array()
@@ -430,187 +398,35 @@ class ScanPath(AccessPath):
             )
 
 
-class HashIndexPath(AccessPath):
-    """Hash buckets ``key tuple -> [rows...]`` on a column set.
-
-    An empty position tuple produces a single bucket keyed ``()``
-    holding every row (anchorless join-tree roots).
-    """
-
-    __slots__ = ("key_positions", "buckets")
-
-    kind = "hash"
-
-    def __init__(self, store: ColumnStore, key_positions: Sequence[int]):
-        super().__init__(store)
-        self.key_positions = tuple(key_positions)
-        rows = store.rows()
-        # Large integer-coded stores group through the kernel layer: one
-        # stable argsort instead of a per-row dict probe, with bucket
-        # contents and insertion order identical to the dict build.
-        if (
-            self.key_positions
-            and len(rows) >= kernels.KERNEL_MIN_ROWS
-            and kernels.enabled()
-        ):
-            matrix = store.codes_array()
-            if matrix is not None:
-                grouped = kernels.hash_group(matrix, self.key_positions, rows)
-                if grouped is not None:
-                    self.buckets = grouped
-                    return
-        buckets: dict[tuple, list[Row]] = {}
-        if not self.key_positions:
-            buckets[()] = list(rows)
-        elif len(self.key_positions) == 1:
-            col = store.column(self.key_positions[0])
-            for value, row in zip(col, rows):
-                bucket = buckets.get((value,))
-                if bucket is None:
-                    buckets[(value,)] = [row]
-                else:
-                    bucket.append(row)
-        else:
-            keys = zip(*(store.column(i) for i in self.key_positions))
-            for key, row in zip(keys, rows):
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
-        self.buckets = buckets
-
-    def lookup(self, key: tuple) -> list[Row]:
-        """Rows matching the key (empty list if none)."""
-        return self.buckets.get(key, [])
-
-    def apply_delta(self, delta) -> bool:
-        """Per-bucket maintenance: appends extend, deletes filter.
-
-        The ``buckets`` dict and every touched bucket list are rebuilt
-        copy-on-write — a consumer holding the pre-delta dict (e.g. from
-        ``Relation.index``) keeps its snapshot, exactly as it would have
-        kept the whole pre-mutation path object before.  Bucket contents
-        and ordering stay identical to a cold rebuild: appended rows
-        land at bucket tails (they are the store's newest rows), deleted
-        rows leave their buckets, and a bucket emptied by deletion loses
-        its key (``contains`` must agree with the cold build).
-        """
-        key_of = self._key_of
-        buckets = dict(self.buckets)
-        if delta.is_append:
-            rows = self.store.rows()
-            fresh: dict[tuple, list[Row]] = {}
-            for row in rows[delta.base_rows :]:
-                fresh.setdefault(key_of(row), []).append(row)
-            for key, tail in fresh.items():
-                existing = buckets.get(key)
-                buckets[key] = tail if existing is None else existing + tail
-            self.buckets = buckets
-            return True
-        doomed: dict[tuple, list[Row]] = {}
-        for row in delta.removed_rows:
-            doomed.setdefault(key_of(row), []).append(row)
-        for key, gone in doomed.items():
-            bucket = buckets.get(key)
-            if bucket is None:
-                return False  # drifted: rebuild from scratch
-            remaining = list(bucket)
-            for row in gone:
-                try:
-                    remaining.remove(row)
-                except ValueError:
-                    return False
-            if remaining:
-                buckets[key] = remaining
-            else:
-                del buckets[key]
-        self.buckets = buckets
-        return True
-
-    def _key_of(self, row: Row) -> tuple:
-        positions = self.key_positions
-        if not positions:
-            return ()
-        if len(positions) == 1:
-            return (row[positions[0]],)
-        return tuple(row[i] for i in positions)
-
-    def contains(self, key: tuple) -> bool:
-        """True when at least one row matches."""
-        return key in self.buckets
-
-    def keys(self) -> Iterable[tuple]:
-        """All distinct key tuples."""
-        return self.buckets.keys()
-
-    def __len__(self) -> int:
-        """Number of distinct keys."""
-        return len(self.buckets)
-
-
-class SortedViewPath(AccessPath):
-    """Sorted distinct values of one column with successor queries."""
-
-    __slots__ = ("position", "values")
-
-    kind = "sorted"
-
-    def __init__(self, store: ColumnStore, position: int):
-        super().__init__(store)
-        self.position = position
-        self.values: list[Value] = sorted(set(store.column(position)))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.values)
-
-    def min(self):
-        """Smallest value, or ``None`` when empty."""
-        return self.values[0] if self.values else None
-
-    def max(self):
-        """Largest value, or ``None`` when empty."""
-        return self.values[-1] if self.values else None
-
-    def successor(self, value):
-        """The smallest stored value strictly greater than ``value``."""
-        i = bisect.bisect_right(self.values, value)
-        return self.values[i] if i < len(self.values) else None
-
-    def predecessor(self, value):
-        """The largest stored value strictly smaller than ``value``."""
-        i = bisect.bisect_left(self.values, value)
-        return self.values[i - 1] if i > 0 else None
-
-    def rank(self, value) -> int:
-        """Number of stored values ``<= value``."""
-        return bisect.bisect_right(self.values, value)
-
-
 class AccessPathCache:
-    """Per-relation memo of access paths, validated by store version.
+    """Per-relation memo of the scan path, validated by store version.
 
-    One cache serves one :class:`~repro.data.relation.Relation`; paths
-    are keyed by kind + parameters.  When the underlying store's version
-    moves (mutations through *any* relation sharing the store), the
-    cache first asks the store's delta log for the exact gap and lets
-    each path consume the deltas in place — appends extend, deletes
-    filter; only when the history is not covered (or a path refuses a
-    delta) does it fall back to dropping the derived structures
-    wholesale, the pre-delta behaviour.
+    One cache serves one :class:`~repro.data.relation.Relation`.  When
+    the underlying store's version moves (mutations through *any*
+    relation sharing the store), the cache first asks the store's delta
+    log for the exact gap and lets the scan path consume the deltas in
+    place — appends extend, deletes filter; only when the history is
+    not covered does it drop the path wholesale, to be rebuilt on the
+    next read.
+
+    Examples
+    --------
+    >>> from repro.storage import ColumnStore
+    >>> store = ColumnStore.from_rows(2, [(1, 10)])
+    >>> cache = AccessPathCache(store)
+    >>> cache.scan().view((0,), (), True)
+    [(1,)]
+    >>> store.append((2, 20))
+    >>> cache.scan().view((0,), (), True)
+    [(1,), (2,)]
     """
 
-    __slots__ = ("store", "_version", "_scan", "_hash", "_sorted")
+    __slots__ = ("store", "_version", "_scan")
 
     def __init__(self, store: ColumnStore):
         self.store = store
         self._version = store.version
         self._scan: ScanPath | None = None
-        self._hash: dict[tuple[int, ...], HashIndexPath] = {}
-        self._sorted: dict[int, SortedViewPath] = {}
 
     def _validate(self) -> None:
         if self._version == self.store.version:
@@ -621,27 +437,16 @@ class AccessPathCache:
             # History not covered (compaction, barrier, version drift):
             # the pre-delta wholesale invalidation, always correct.
             self._scan = None
-            self._hash.clear()
-            self._sorted.clear()
             return
-        for delta in deltas:
-            if self._scan is not None and not self._scan.apply_delta(delta):
-                self._scan = None
-            for key in list(self._hash):
-                if not self._hash[key].apply_delta(delta):
-                    del self._hash[key]
-        # Sorted views stay cheap to rebuild lazily; incremental
-        # maintenance would need per-value occurrence counts.
-        if deltas:
-            self._sorted.clear()
+        if self._scan is not None:
+            for delta in deltas:
+                self._scan.apply_delta(delta)
 
     def rebind(self, store: ColumnStore) -> None:
         """Point the cache at a different store (pickle restore)."""
         self.store = store
         self._version = store.version
         self._scan = None
-        self._hash.clear()
-        self._sorted.clear()
 
     def scan(self) -> ScanPath:
         """The (single) scan path."""
@@ -650,25 +455,5 @@ class AccessPathCache:
             self._scan = ScanPath(self.store)
         return self._scan
 
-    def hash_index(self, key_positions: Sequence[int]) -> HashIndexPath:
-        """The hash path on a column-position tuple."""
-        self._validate()
-        key = tuple(key_positions)
-        path = self._hash.get(key)
-        if path is None:
-            path = self._hash[key] = HashIndexPath(self.store, key)
-        return path
-
-    def sorted_view(self, position: int) -> SortedViewPath:
-        """The sorted path on one column position."""
-        self._validate()
-        path = self._sorted.get(position)
-        if path is None:
-            path = self._sorted[position] = SortedViewPath(self.store, position)
-        return path
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AccessPathCache(v={self._version}, hash={len(self._hash)}, "
-            f"sorted={len(self._sorted)})"
-        )
+        return f"AccessPathCache(v={self._version}, scan={self._scan is not None})"

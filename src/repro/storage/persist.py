@@ -21,7 +21,7 @@ manifest:
 Reopening maps the arrays with ``numpy.memmap`` (read-only, lazily
 paged, zero-copy): a :class:`MappedColumnStore` serves the existing
 :class:`~repro.storage.columnstore.ColumnStore` surface — and therefore
-every ``AccessPath`` built on it — directly off the mapped pages.  The
+the scan path built on it — directly off the mapped pages.  The
 files themselves are **immutable**: the first mutation through any view
 copy-on-write *detaches* the store (columns materialise into ordinary
 RAM lists, the mapping is dropped) and proceeds exactly like a plain
@@ -53,7 +53,7 @@ from typing import Any, Sequence
 from ..errors import ReproError
 from ..testing.faultinject import fault_point
 from . import kernels
-from .columnstore import _UNBUILT, ColumnStore
+from .columnstore import ColumnStore
 from .deltas import DeltaLog
 from .dictionary import Dictionary
 

@@ -68,7 +68,6 @@ from contextlib import contextmanager
 __all__ = [
     "FaultError",
     "FaultPlan",
-    "active_plan",
     "clock",
     "fault_point",
     "fault_value",
@@ -179,11 +178,6 @@ def inject(plan: FaultPlan):
     finally:
         with _ACTIVE_LOCK:
             _ACTIVE = None
-
-
-def active_plan() -> FaultPlan | None:
-    """The currently injected plan, if any."""
-    return _ACTIVE
 
 
 def fault_point(point: str) -> None:

@@ -21,8 +21,6 @@ runs (numpy ``default_rng``).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised via import stubbing
@@ -164,12 +162,3 @@ def power_law_graph(
                     break
         attempts += 1
     return edges
-
-
-def degree_histogram(edges: Iterable[Edge], side: int = 0) -> dict[int, int]:
-    """``node -> degree`` for one side of an edge list (workload stats)."""
-    out: dict[int, int] = {}
-    for e in edges:
-        node = e[side]
-        out[node] = out.get(node, 0) + 1
-    return out

@@ -48,10 +48,9 @@ def log_degree_weights(relation: Relation, attr: str) -> dict:
     (the paper's "logarithmic" scheme).
 
     Integer columns count degrees through the grouping kernel
-    (:func:`repro.storage.kernels.group_indices`, the primitive behind
-    ``hash_group`` — one stable argsort over the cached code column
-    instead of a Python dict probe per row, and group *sizes* read off
-    directly without materialising buckets); keys are the original
+    (:func:`repro.storage.kernels.group_indices` — one stable argsort
+    over the cached code column instead of a Python dict probe per row,
+    and group *sizes* read off directly without materialising buckets); keys are the original
     column values in first-occurrence order, exactly matching the dict
     build, and the per-distinct ``log2`` stays on :func:`math.log2`
     either way, so the returned table is identical.  Non-integer

@@ -687,3 +687,23 @@ def test_phase_timings_populated():
     assert snap["preprocess_seconds"] == pytest.approx(
         snap["reduce_seconds"] + snap["build_seconds"]
     )
+
+
+def test_bulk_served_top_k_keeps_the_preprocess_sum():
+    """A bulk-served ``top_k`` never runs ``preprocess``; its reducer pass
+    still counts as preprocessing (``preprocess = reduce + build``)."""
+    from repro.workloads import make_dblp_like, two_hop
+
+    workload = make_dblp_like(0.5)
+    spec = two_hop()
+    enum = AcyclicRankedEnumerator(
+        spec.query, workload.db, workload.ranking(spec), bulk_topk_max_k=None
+    )
+    with topk_counters.collect() as tally:
+        enum.top_k(10)
+    assert tally.calls == 1 and enum.stats.cells_created == 0
+    snap = enum.stats.snapshot()
+    assert snap["reduce_seconds"] > 0.0
+    assert snap["preprocess_seconds"] == pytest.approx(
+        snap["reduce_seconds"] + snap["build_seconds"]
+    )

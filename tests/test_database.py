@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data import Database, HashIndex, Relation, SortedColumn, group_by
+from repro.data import Database, Relation, group_by
 from repro.errors import SchemaError
 
 
@@ -65,49 +65,3 @@ class TestGroupBy:
     def test_empty_key_single_group(self):
         rows = [(1,), (2,)]
         assert group_by(rows, ()) == {(): [(1,), (2,)]}
-
-
-class TestHashIndex:
-    def test_lookup_and_contains(self):
-        idx = HashIndex([(1, "x"), (1, "y"), (2, "z")], (0,))
-        assert idx.lookup((1,)) == [(1, "x"), (1, "y")]
-        assert idx.lookup((9,)) == []
-        assert idx.contains((2,))
-        assert not idx.contains((9,))
-
-    def test_len_is_distinct_keys_and_size_total(self):
-        idx = HashIndex([(1, "x"), (1, "y"), (2, "z")], (0,))
-        assert len(idx) == 2
-        assert idx.size == 3
-
-    def test_key_of(self):
-        idx = HashIndex([], (1, 0))
-        assert idx.key_of((7, 8)) == (8, 7)
-
-
-class TestSortedColumn:
-    def test_sorted_distinct(self):
-        col = SortedColumn([3, 1, 2, 2])
-        assert col.values == [1, 2, 3]
-        assert len(col) == 3
-        assert list(col) == [1, 2, 3]
-
-    def test_min_max(self):
-        col = SortedColumn([5, 1])
-        assert col.min() == 1 and col.max() == 5
-        empty = SortedColumn([])
-        assert empty.min() is None and empty.max() is None
-
-    def test_successor_predecessor(self):
-        col = SortedColumn([1, 3, 5])
-        assert col.successor(1) == 3
-        assert col.successor(2) == 3
-        assert col.successor(5) is None
-        assert col.predecessor(3) == 1
-        assert col.predecessor(1) is None
-
-    def test_rank(self):
-        col = SortedColumn([1, 3, 5])
-        assert col.rank(0) == 0
-        assert col.rank(3) == 2
-        assert col.rank(9) == 3

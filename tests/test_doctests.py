@@ -11,6 +11,7 @@ import repro.core.base
 import repro.core.lexicographic
 import repro.core.ucq
 import repro.core.acyclic
+import repro.core.minweight
 import repro.data.index
 import repro.data.partition
 import repro.data.relation
@@ -20,7 +21,12 @@ import repro.parallel.merge
 import repro.query.parser
 import repro.query.query
 import repro.query.hypergraph
+import repro.query.properties
 import repro.algorithms.semijoin
+import repro.storage.columnstore
+import repro.storage.dictionary
+import repro.storage.paths
+import repro.testing.faultinject
 
 MODULES = [
     repro,
@@ -30,6 +36,7 @@ MODULES = [
     repro.core.lexicographic,
     repro.core.ucq,
     repro.core.acyclic,
+    repro.core.minweight,
     repro.data.index,
     repro.data.partition,
     repro.data.relation,
@@ -39,7 +46,12 @@ MODULES = [
     repro.query.parser,
     repro.query.query,
     repro.query.hypergraph,
+    repro.query.properties,
     repro.algorithms.semijoin,
+    repro.storage.columnstore,
+    repro.storage.dictionary,
+    repro.storage.paths,
+    repro.testing.faultinject,
 ]
 
 

@@ -20,7 +20,6 @@ from repro.algorithms.yannakakis import atom_instances, full_reduce
 from repro.core.cyclic import CyclicRankedEnumerator
 from repro.core.ranking import LexRanking
 from repro.data import Database
-from repro.data.index import group_by
 from repro.engine import QueryEngine
 from repro.query import parse_query
 from repro.query.jointree import build_join_tree
@@ -369,23 +368,9 @@ class TestEngineIdentity:
 
 
 # --------------------------------------------------------------------- #
-# access paths: grouped buckets and code views stay aligned
+# access paths: code views stay aligned with row views
 # --------------------------------------------------------------------- #
 class TestAccessPathKernels:
-    def test_hash_group_matches_dict_build(self, kernels_enabled):
-        n = kernels.KERNEL_MIN_ROWS + 200
-        rows = random_rows(n, 3, 13, 17)
-        db = Database()
-        rel = db.add_relation("R", ("a", "b", "c"), rows)
-        stored = rel.instance_rows((0, 1, 2))
-        for positions in ((0,), (0, 2)):
-            got = rel.index(positions)
-            expected = group_by(stored, positions)
-            assert got == expected
-            assert list(got) == list(expected)  # same insertion order
-            for key in expected:
-                assert got[key] == expected[key]  # same bucket order
-
     def test_codes_view_alignment(self, kernels_enabled):
         rows = random_rows(300, 3, 6, 23)
         db = Database()

@@ -73,11 +73,6 @@ class TestAccess:
         assert r.column("a") == [1, 2, 1]
         assert r.domain("a") == {1, 2}
 
-    def test_sorted_domain_cached_and_reversed(self):
-        r = make_r()
-        assert r.sorted_domain("b") == [10, 20, 30]
-        assert r.sorted_domain("b", reverse=True) == [30, 20, 10]
-
 
 class TestAlgebra:
     def test_project(self):
@@ -94,11 +89,6 @@ class TestAlgebra:
         r = make_r()
         s = r.select(lambda t: t[1] >= 20)
         assert s.tuples == [(2, 20), (1, 30)]
-
-    def test_select_eq_uses_index(self):
-        r = make_r()
-        s = r.select_eq("a", 1)
-        assert sorted(s.tuples) == [(1, 10), (1, 30)]
 
     def test_distinct(self):
         r = Relation("R", ("a",), [(1,), (1,), (2,)])
@@ -118,29 +108,6 @@ class TestAlgebra:
 
 
 class TestIndexes:
-    def test_index_groups_rows(self):
-        r = make_r()
-        idx = r.index((0,))
-        assert idx[(1,)] == [(1, 10), (1, 30)]
-        assert idx[(2,)] == [(2, 20)]
-
-    def test_index_cached_until_mutation(self):
-        r = make_r()
-        idx1 = r.index((0,))
-        assert r.index((0,)) is idx1
-        r.add((5, 50))
-        idx2 = r.index((0,))
-        assert idx2 is not idx1
-        assert idx2[(5,)] == [(5, 50)]
-
-    def test_index_on_names(self):
-        r = make_r()
-        assert r.index_on(("b",))[(10,)] == [(1, 10)]
-
-    def test_empty_key_index(self):
-        r = make_r()
-        assert r.index(())[()] == r.tuples
-
     def test_extend(self):
         r = make_r()
         r.extend([(7, 70), (8, 80)])

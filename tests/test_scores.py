@@ -443,13 +443,18 @@ class TestKernelMinRows:
         db1.add_relation("R", ("a", "p"), rows)
         db2.add_relation("R", ("a", "p"), rows)
         query = "Q(a1, a2) :- R(a1, p), R(a2, p)"
+
+        def sharded(engine):
+            answers = engine.execute_parallel(query, shards=2, backend="serial")
+            return [(a.values, a.score) for a in answers]
+
         default = QueryEngine(db1, encode=False)
-        expected = [(a.values, a.score) for a in default.execute(query)]
+        expected = sharded(default)
         monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 0)
         forced = QueryEngine(db2, encode=False)
-        assert [(a.values, a.score) for a in forced.execute(query)] == expected
-        # The forced engine pushes the tiny hash-index build through the
-        # grouping kernel; the default engine stays on the dict build.
+        assert sharded(forced) == expected
+        # The forced engine hashes the tiny partition column through the
+        # shard kernel; the default engine stays on the per-row loop.
         assert forced.stats.kernel_calls > default.stats.kernel_calls
 
 

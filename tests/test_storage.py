@@ -2,14 +2,14 @@
 
 Covers the three contracts the subsystem promises:
 
-* physical: :class:`ColumnStore` / :class:`AccessPath` behave like the
+* physical: :class:`ColumnStore` / :class:`ScanPath` behave like the
   row-major structures they replaced, and invalidate on mutation —
   including mutations through *another* relation sharing the store;
 * encoding: the dictionary is order-preserving within type groups and
   bijective, so encoded execution is output-identical (scores, ties,
   order) to plain execution across every query class and ranking;
 * caching: engine/partition warm state built over encoded relations is
-  invalidated by ``add``/``extend`` after indexes were built.
+  invalidated by ``add``/``extend`` after it was built.
 """
 
 from __future__ import annotations
@@ -80,19 +80,6 @@ class TestColumnStore:
 # access paths
 # --------------------------------------------------------------------- #
 class TestAccessPaths:
-    def test_hash_path_matches_relation_index(self):
-        rel = Relation("R", ("a", "b"), [(1, 10), (2, 10), (1, 20)])
-        assert rel.hash_path((1,)).lookup((10,)) == [(1, 10), (2, 10)]
-        assert rel.index((1,)) == {(10,): [(1, 10), (2, 10)], (20,): [(1, 20)]}
-        assert rel.index(())[()] == rel.scan().rows()
-
-    def test_sorted_path_successor(self):
-        rel = Relation("R", ("a",), [(3,), (1,), (2,), (2,)])
-        path = rel.sorted_path("a")
-        assert path.values == [1, 2, 3]
-        assert path.successor(1) == 2 and path.successor(3) is None
-        assert rel.sorted_domain("a", reverse=True) == [3, 2, 1]
-
     def test_scan_view_is_cached_per_signature(self):
         rel = Relation("R", ("a", "b"), [(1, 10), (1, 10), (2, 20)])
         v1 = rel.instance_rows((0,), (), distinct=True)
@@ -103,22 +90,24 @@ class TestAccessPaths:
 
     def test_mutation_invalidates_every_path(self):
         rel = Relation("R", ("a", "b"), [(1, 10)])
-        rel.index((0,))
-        rel.sorted_domain("b")
         view = rel.instance_rows((0,), (), distinct=True)
+        projected = rel.instance_rows((1,))
+        selected = rel.instance_rows((0,), ((1, 5),))
         rel.add((2, 5))
-        assert rel.index((0,)) == {(1,): [(1, 10)], (2,): [(2, 5)]}
-        assert rel.sorted_domain("b") == [5, 10]
         fresh = rel.instance_rows((0,), (), distinct=True)
         assert fresh is not view and fresh == [(1,), (2,)]
+        assert view == [(1,)]  # a held view keeps its snapshot
+        assert rel.instance_rows((1,)) == [(10,), (5,)] and projected == [(10,)]
+        assert rel.instance_rows((0,), ((1, 5),)) == [(2,)] and selected == []
 
     def test_renamed_shares_store_and_invalidates_together(self):
         rel = Relation("R", ("a", "b"), [(1, 10)])
         view = rel.renamed("V")
         assert view.scan().rows() is rel.scan().rows()
-        view.index((0,))  # build a path on the *view*
+        before = view.scan().view((0,), (), True)  # a view on the *replica*
         rel.add((2, 20))  # mutate through the *original*
-        assert view.index((0,)) == {(1,): [(1, 10)], (2,): [(2, 20)]}
+        assert view.scan().view((0,), (), True) == [(1,), (2,)]
+        assert before == [(1,)]
         assert len(view) == 2
 
     def test_path_cache_rebind(self):
@@ -328,7 +317,7 @@ class TestEncodedIdentity:
 
 
 # --------------------------------------------------------------------- #
-# mutation-after-index invalidation (engine / partition / encoding)
+# mutation-after-warm invalidation (engine / partition / encoding)
 # --------------------------------------------------------------------- #
 class TestMutationInvalidation:
     def test_add_after_engine_warm_encoded(self):

@@ -3,8 +3,9 @@
 
 The refactor that introduced :mod:`repro.storage` moved every physical
 storage detail — row lists, hash-index dicts, sorted-column caches —
-behind the ``AccessPath`` interface.  This gate keeps it that way, as a
-set of rules ``forbidden spelling -> modules allowed to use it``:
+behind the storage layer's access paths, of which ``ScanPath`` is now
+the only one.  This gate keeps it that way, as a set of rules
+``forbidden spelling -> modules allowed to use it``:
 
 * ``.tuples`` / ``._indexes`` / ``._sorted_cols`` (raw row lists and
   the pre-refactor private caches) and ``.codes_array`` /
@@ -49,10 +50,9 @@ set of rules ``forbidden spelling -> modules allowed to use it``:
   engine's cache/generation bookkeeping silently stops being the single
   source of truth.
 
-Consumers go through ``Relation.scan()`` / ``hash_path()`` /
-``sorted_path()`` / ``instance_rows()`` / ``instance_codes()`` (or the
-public wrappers ``index()`` / ``sorted_domain()`` built on them), and
-rankings through the ``batched_*_keys`` functions.  Tests and
+Consumers go through ``Relation.scan()`` / ``instance_rows()`` /
+``instance_codes()``, and rankings through the ``batched_*_keys``
+functions.  Tests and
 benchmarks are intentionally out of scope — white-box assertions there
 are fine.
 
@@ -88,8 +88,8 @@ RULES = (
             r"|\.codes_array\b|\.codes_view\b|\._codes_arr\b"
         ),
         (STORAGE, os.path.join("repro", "data", "relation.py")),
-        "go through the AccessPath interface (Relation.scan/hash_path/"
-        "sorted_path/instance_rows/instance_codes)",
+        "go through the scan path (Relation.scan/instance_rows/"
+        "instance_codes)",
         None,
     ),
     (
