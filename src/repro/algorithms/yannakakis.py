@@ -18,7 +18,6 @@ preprocessing (Algorithm 4) start with the classic Yannakakis machinery
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping, Sequence
 
 from ..data.database import Database
@@ -34,7 +33,6 @@ __all__ = [
     "ReducedInstances",
     "atom_instances",
     "full_reduce",
-    "refresh_reduction",
     "project_join",
     "evaluate",
 ]
@@ -109,22 +107,17 @@ class ReducedInstances(AtomInstances):
     returns.
     """
 
-    __slots__ = ("_survivors", "_snapshot")
+    __slots__ = ("_survivors",)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._survivors: dict[str, object] = {}
-        #: ``alias -> (store, store_version, view_len)`` at build time:
-        #: what :func:`refresh_reduction` diffs against the stores'
-        #: delta logs to update this reduction instead of rebuilding.
-        self._snapshot: dict[str, tuple] = {}
 
     @classmethod
     def from_reduction(cls, source: Mapping[str, list[Row]], rows_by_alias, survivors):
         out = cls(rows_by_alias)
         source_of = getattr(source, "source_of", None)
         survivors_of = getattr(source, "survivors_of", None)
-        prior_snapshots = getattr(source, "_snapshot", None)
         for alias in rows_by_alias:
             src = source_of(alias) if source_of is not None else None
             if src is not None:
@@ -137,13 +130,6 @@ class ReducedInstances(AtomInstances):
             if prior is not None:
                 kept = prior if kept is None else prior[kept]
             out._survivors[alias] = kept
-            if prior is None and src is not None:
-                # Unreduced source: ``source[alias]`` IS the full view.
-                store = getattr(src[0], "_store", None)
-                if store is not None:
-                    out._snapshot[alias] = (store, store.version, len(source[alias]))
-            elif prior_snapshots is not None and alias in prior_snapshots:
-                out._snapshot[alias] = prior_snapshots[alias]
         return out
 
     def survivors_of(self, alias: str):
@@ -334,231 +320,6 @@ def _kernel_full_reduce(
             list(rows) if kept is None else [rows[i] for i in kept.tolist()]
         )
     return ReducedInstances.from_reduction(instances, rows_by_alias, survivors)
-
-
-def refresh_reduction(tree: JoinTree, reduced) -> "ReducedInstances | None":
-    """Update a warm reduction from the stores' delta logs, or ``None``.
-
-    Given a :class:`ReducedInstances` produced over the same join tree,
-    replays what changed in the underlying stores since its snapshot and
-    returns a **new** ``ReducedInstances`` whose per-alias rows, order
-    and survivor arrays are exactly what :func:`full_reduce` would
-    produce cold on the mutated database (the old object is untouched,
-    so open cursors keep their consistent snapshot).  ``None`` means the
-    gap is not delta-expressible — history compacted away, a relation
-    with both appends and deletes in its gap, a rebound store, a scalar
-    (non-``ReducedInstances``) reduction — and the caller rebuilds,
-    which is always correct.
-
-    Why replay is exact: the fully-reduced instance is the unique
-    *maximal pairwise-consistent* sub-instance over the join tree, i.e.
-    the greatest fixpoint of arc-consistency along tree edges.  The
-    fixpoint depends only on the final instance, never on the mutation
-    order, so the gap is processed as deletes-then-appends:
-
-    * **deletes** only shrink the fixpoint — drop vanished survivors and
-      propagate support loss (a key disappearing from one side of an
-      edge kills every neighbour row it was supporting);
-    * **appends** only grow it — appended view rows (store appends keep
-      every select/project/distinct view prefix-stable, so the new view
-      is exactly the old view plus a tail) join as candidates, and a
-      previously-dangling row can resurrect *only* if some edge key of
-      it is newly provided (were all its keys already present among
-      survivors, the old reduction would not have been maximal), so the
-      closure seeds from new keys alone; one arc-consistency pruning
-      pass over the candidates then lands on the new fixpoint.
-    """
-    np = kernels.np
-    if not kernels.HAS_NUMPY or not isinstance(reduced, ReducedInstances):
-        return None
-    aliases = list(reduced)
-    snapshots = reduced._snapshot
-    if set(snapshots) != set(aliases):
-        return None
-
-    # ---- diff every alias's view against its store's delta log ------- #
-    new_views: dict[str, list[Row]] = {}
-    base_views: dict[str, list[Row]] = {}  # views "as if deletes ran first"
-    tails: dict[str, list[Row]] = {}
-    had_deletes = False
-    for alias in aliases:
-        src = reduced.source_of(alias)
-        if src is None:
-            return None
-        relation, positions, selections, distinct = src
-        if not distinct:
-            return None  # value-identity below needs duplicate-free views
-        store, version, view_len = snapshots[alias]
-        if getattr(relation, "_store", None) is not store:
-            return None
-        deltas = store.deltas_since(version)
-        if deltas is None:
-            return None
-        has_append = any(d.is_append for d in deltas)
-        has_delete = any(d.is_delete for d in deltas)
-        if has_append and has_delete:
-            return None
-        view = relation.instance_rows(positions, selections, distinct=True)
-        new_views[alias] = view
-        if has_append:
-            if len(view) < view_len:
-                return None  # drift: the log and the view disagree
-            base_views[alias] = view[:view_len]
-            tails[alias] = view[view_len:]
-        else:
-            base_views[alias] = view
-            tails[alias] = []
-            had_deletes = had_deletes or has_delete
-    if not had_deletes and not any(tails.values()):
-        return reduced  # nothing changed; the warm state is current
-
-    # ---- edge structure + lazily built per-edge key buckets ---------- #
-    edges: list[tuple[str, str, tuple, tuple]] = []
-    for node in tree.post_order():
-        for child in node.children:
-            if node.alias not in reduced or child.alias not in reduced:
-                return None
-            p_pos, c_pos = shared_positions(node.atom.variables, child.atom.variables)
-            edges.append((node.alias, child.alias, tuple(p_pos), tuple(c_pos)))
-    adjacency: dict[str, list] = {alias: [] for alias in aliases}
-    for eid, (p, c, p_pos, c_pos) in enumerate(edges):
-        adjacency[p].append((c, p_pos, c_pos, eid))
-        adjacency[c].append((p, c_pos, p_pos, eid))
-
-    alive: dict[str, set] = {alias: set(reduced[alias]) for alias in aliases}
-    buckets: dict[tuple, dict] = {}
-
-    def bucket(alias: str, eid: int, pos: tuple) -> dict:
-        """``edge key -> set of alias's alive rows`` (built on demand)."""
-        b = buckets.get((alias, eid))
-        if b is None:
-            b = {}
-            for r in alive[alias]:
-                b.setdefault(tuple(r[i] for i in pos), set()).add(r)
-            buckets[(alias, eid)] = b
-        return b
-
-    def retract(alias: str, rows: list) -> None:
-        """Remove rows; cascade support loss to arc-consistency fixpoint."""
-        work = deque([(alias, rows)])
-        while work:
-            a, gone = work.popleft()
-            gone = [r for r in gone if r in alive[a]]
-            if not gone:
-                continue
-            # Build both sides of every adjacent edge BEFORE mutating
-            # alive: a lazily built bucket must still see these rows.
-            sides = [
-                (nbr, bucket(a, eid, my_pos), bucket(nbr, eid, o_pos), my_pos)
-                for nbr, my_pos, o_pos, eid in adjacency[a]
-            ]
-            for r in gone:
-                alive[a].discard(r)
-            for nbr, my_bkt, nbr_bkt, my_pos in sides:
-                for r in gone:
-                    key = tuple(r[i] for i in my_pos)
-                    providers = my_bkt.get(key)
-                    if providers is None:
-                        continue
-                    providers.discard(r)
-                    if not providers:
-                        # The key vanished from this side: every
-                        # neighbour row it was supporting dangles now.
-                        del my_bkt[key]
-                        victims = nbr_bkt.get(key)
-                        if victims:
-                            work.append((nbr, list(victims)))
-
-    # ---- phase 1: deletes (survivors only shrink) -------------------- #
-    if had_deletes:
-        for alias in aliases:
-            view_set = set(new_views[alias])
-            vanished = [r for r in reduced[alias] if r not in view_set]
-            if vanished:
-                retract(alias, vanished)
-
-    # ---- phase 2: appends (candidates + resurrection closure) -------- #
-    pending: deque = deque()
-    dead_cache: dict[str, list] = {}
-
-    def dead_rows(alias: str) -> list:
-        rows = dead_cache.get(alias)
-        if rows is None:
-            live = alive[alias]
-            rows = [r for r in base_views[alias] if r not in live]
-            dead_cache[alias] = rows
-        return rows
-
-    admit_work: deque = deque(
-        (alias, tail) for alias, tail in tails.items() if tail
-    )
-    while admit_work:
-        a, candidates = admit_work.popleft()
-        fresh = [r for r in candidates if r not in alive[a]]
-        if not fresh:
-            continue
-        sides = [
-            (nbr, bucket(a, eid, my_pos), bucket(nbr, eid, o_pos), my_pos, o_pos)
-            for nbr, my_pos, o_pos, eid in adjacency[a]
-        ]
-        # Keys these rows provide that no current row of ``a`` provides:
-        # the only keys that can resurrect previously-dangling rows.
-        triggers = []
-        for nbr, my_bkt, _nbr_bkt, my_pos, o_pos in sides:
-            new_keys = {
-                key
-                for key in (tuple(r[i] for i in my_pos) for r in fresh)
-                if key not in my_bkt
-            }
-            if new_keys:
-                triggers.append((nbr, o_pos, new_keys))
-        for r in fresh:
-            alive[a].add(r)
-            pending.append((a, r))
-        for _nbr, my_bkt, _nbr_bkt, my_pos, _o_pos in sides:
-            for r in fresh:
-                my_bkt.setdefault(tuple(r[i] for i in my_pos), set()).add(r)
-        for nbr, o_pos, new_keys in triggers:
-            live = alive[nbr]
-            hits = [
-                r
-                for r in dead_rows(nbr)
-                if r not in live and tuple(r[i] for i in o_pos) in new_keys
-            ]
-            if hits:
-                admit_work.append((nbr, hits))
-
-    # Arc-consistency check over every admitted candidate: optimism is
-    # corrected here, and retract() cascades any knock-on losses.
-    while pending:
-        a, r = pending.popleft()
-        if r not in alive[a]:
-            continue
-        for nbr, my_pos, o_pos, eid in adjacency[a]:
-            if not bucket(nbr, eid, o_pos).get(tuple(r[i] for i in my_pos)):
-                retract(a, [r])
-                break
-
-    # ---- assemble: new-view order = cold full_reduce order ----------- #
-    out_rows: Instances = {}
-    out = ReducedInstances()
-    for alias in aliases:
-        view = new_views[alias]
-        live = alive[alias]
-        if len(live) == len(view):
-            out_rows[alias] = list(view)
-            kept = None
-        else:
-            indices = [i for i, r in enumerate(view) if r in live]
-            out_rows[alias] = [view[i] for i in indices]
-            kept = np.asarray(indices, dtype=np.int64)
-        out[alias] = out_rows[alias]
-        src = reduced.source_of(alias)
-        out.bind_source(alias, *src)
-        out._survivors[alias] = kept
-        store = src[0]._store
-        out._snapshot[alias] = (store, store.version, len(view))
-    return out
 
 
 def _join_on(

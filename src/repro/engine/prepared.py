@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..algorithms.yannakakis import atom_instances, full_reduce, refresh_reduction
+from ..algorithms.yannakakis import atom_instances, full_reduce
 from ..core.base import RankedEnumeratorBase
 from ..core.planner import QueryPlan
 from ..data.database import Database
@@ -60,7 +60,6 @@ class PreparedPlan:
         "executions",
         "_db",
         "_generation",
-        "_delta_generation",
         "_reduced_instances",
         "_encoding",
         "_encoding_epoch",
@@ -73,7 +72,6 @@ class PreparedPlan:
         self.executions = 0
         self._db: Database | None = None
         self._generation: int | None = None
-        self._delta_generation: int | None = None
         self._reduced_instances: dict[str, list[tuple]] | None = None
         # Set for plans whose query/ranking were translated into code
         # space: the EncodedDatabase they were translated against and
@@ -130,34 +128,14 @@ class PreparedPlan:
         if self._reduced_instances is not None and (
             db is not self._db or generation != self._generation
         ):
-            refreshed = None
-            if (
-                db is self._db
-                and self._delta_generation is not None
-                and generation - self._generation
-                == db.delta_generation - self._delta_generation
-            ):
-                # Every intervening write was a delta-logged row
-                # append/delete: try to maintain the warm reduction
-                # instead of dropping it.  A ``None`` answer (history
-                # compacted, mixed gap, scalar reduction) is the
-                # always-correct full rebuild.
-                refreshed = refresh_reduction(
-                    self.plan.join_tree, self._reduced_instances
-                )
-            if refreshed is not None:
-                self._reduced_instances = refreshed
-                if stats is not None:
-                    stats.delta_applies += 1
-            else:
-                self._reduced_instances = None
-                if stats is not None:
-                    stats.invalidations += 1
-                    if db is self._db:
-                        stats.delta_fallbacks += 1
+            # Any write drops the reduction; ``warm`` rebuilds it with
+            # the vectorised reducer over the scan views, which the
+            # storage layer keeps current from its delta log.
+            self._reduced_instances = None
+            if stats is not None:
+                stats.invalidations += 1
         self._db = db
         self._generation = generation
-        self._delta_generation = db.delta_generation
 
     def warm(self, db: Database, stats: EngineStats | None = None) -> "PreparedPlan":
         """Build (or refresh) the data-dependent state eagerly.

@@ -114,16 +114,15 @@ class EngineStats:
     plan_evictions / query_evictions:
         LRU evictions per cache.
     invalidations:
-        Warm state dropped because the database generation moved.
+        Warm state dropped because the database (object or generation)
+        moved.  Any write counts here: the next execution rebuilds the
+        reduced instances with the vectorised full reducer over the
+        delta-maintained scan views and encoded image.
     delta_applies / delta_fallbacks:
-        Warm reduced instances *maintained* through store deltas after a
-        write (no rebuild paid — see
-        :func:`repro.algorithms.yannakakis.refresh_reduction`), and
-        same-database invalidations where delta maintenance was not
-        possible (history compacted, appends and deletes mixed in one
-        gap, a structural change, or a scalar reduction) so the full
-        rebuild ran instead.  Every write-triggered revalidation on an
-        unchanged database object lands in exactly one of the two.
+        Retired, always 0.  They counted replays of a warm reduction
+        from store deltas, which the rebuild above replaced because it
+        measured faster; the keys stay in :meth:`snapshot` for readers
+        that index them.
     uncacheable:
         Prepare calls whose kwargs could not be fingerprinted (planned
         fresh, never cached).

@@ -14,6 +14,7 @@ image of the database) validates against, so views that *share* a store
 from __future__ import annotations
 
 import weakref
+from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import kernels
@@ -227,11 +228,14 @@ class ColumnStore:
     def delete_rows(self, indices: Sequence[int]) -> StoreDelta | None:
         """Delete the rows at the given positions, emitting a delete delta.
 
-        Columns are physically compacted — the post-delete store is
+        Columns, the cached row view and the cached codes matrix are
+        compacted through one keep-mask (``itertools.compress`` /
+        ``np.delete``) into *new* objects — the post-delete store is
         bit-identical to a cold build from the surviving rows, in their
-        original relative order — and the delta carries both the removed
-        positions and the removed row tuples so index-keeping consumers
-        can remap instead of rebuilding.
+        original relative order, and a reference held before the delete
+        keeps seeing the pre-delete snapshot.  The delta carries the
+        removed positions so index-keeping consumers can remap instead
+        of rebuilding.
         """
         removed = sorted(set(indices))
         if not removed:
@@ -239,19 +243,20 @@ class ColumnStore:
         n = len(self)
         if removed[0] < 0 or removed[-1] >= n:
             raise IndexError(f"delete positions {removed!r} out of range for {n} rows")
-        removed_rows = tuple(self.rows()[i] for i in removed)
-        drop = set(removed)
-        base_rows = n
-        self.columns = [
-            [v for i, v in enumerate(col) if i not in drop] for col in self.columns
-        ]
-        self.version += 1
-        self._rows = None
+        delta = StoreDelta(self.version + 1, n, removed=removed)
+        keep = delta.keep_mask()
+        self.columns = [list(compress(col, keep)) for col in self.columns]
+        self.version = delta.version
+        if self._rows is not None:
+            self._rows = list(compress(self._rows, keep))
         self._row_set = None
-        self._codes_arr = _UNBUILT
-        delta = StoreDelta(
-            self.version, base_rows, removed=removed, removed_rows=removed_rows
-        )
+        cached = self._codes_arr
+        if cached is not _UNBUILT:
+            # ``None`` (not representable) may become representable once
+            # the offending rows are gone: re-derive lazily.
+            self._codes_arr = (
+                _UNBUILT if cached is None else kernels.np.delete(cached, removed, axis=0)
+            )
         self.delta_log.record(delta)
         self._notify(delta)
         return delta

@@ -43,8 +43,7 @@ class StoreDelta:
       the encoded image — can replay the gap without reconstructing
       intermediate states);
     * ``append_count == 0, removed != ()`` — the rows at the (sorted,
-      pre-delete) positions ``removed`` were deleted; ``removed_rows``
-      holds their tuples, aligned with ``removed``.
+      pre-delete) positions ``removed`` were deleted.
 
     ``version`` is the store version *after* this delta applied;
     ``base_rows`` the row count before it.
@@ -56,7 +55,6 @@ class StoreDelta:
         "append_count",
         "appended",
         "removed",
-        "removed_rows",
     )
 
     def __init__(
@@ -66,14 +64,12 @@ class StoreDelta:
         append_count: int = 0,
         appended: Sequence[Row] = (),
         removed: Sequence[int] = (),
-        removed_rows: Sequence[Row] = (),
     ):
         self.version = version
         self.base_rows = base_rows
         self.append_count = append_count
         self.appended = tuple(appended)
         self.removed = tuple(removed)
-        self.removed_rows = tuple(removed_rows)
 
     @property
     def is_append(self) -> bool:
@@ -82,6 +78,17 @@ class StoreDelta:
     @property
     def is_delete(self) -> bool:
         return bool(self.removed)
+
+    def keep_mask(self) -> bytearray:
+        """One byte per pre-delete row, 0 at the removed positions.
+
+        Feed it to ``itertools.compress`` to compact any list aligned
+        with the pre-delete rows in one C-level pass.
+        """
+        keep = bytearray(b"\x01") * self.base_rows
+        for i in self.removed:
+            keep[i] = 0
+        return keep
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_append:

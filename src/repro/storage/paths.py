@@ -15,6 +15,7 @@ the gap.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Iterator, Sequence
 
 from . import kernels, scores
@@ -297,14 +298,13 @@ class ScanPath:
             self._extend_score_views(delta, new_rows)
             return
         # Delete: positions of a pure projection map 1:1 onto store rows.
-        removed = set(delta.removed)
+        keep = delta.keep_mask()
         for key in list(self._views):
             positions, selections, distinct = key
             if selections or distinct:
                 self._views.pop(key, None)
                 continue
-            view = self._views[key]
-            self._views[key] = [r for i, r in enumerate(view) if i not in removed]
+            self._views[key] = list(compress(self._views[key], keep))
         np = kernels.np if kernels.HAS_NUMPY else None
         removed_arr = np.asarray(delta.removed, dtype=np.int64) if np else None
         for key in list(self._code_views):
@@ -405,9 +405,9 @@ class AccessPathCache:
     the underlying store's version moves (mutations through *any*
     relation sharing the store), the cache first asks the store's delta
     log for the exact gap and lets the scan path consume the deltas in
-    place — appends extend, deletes filter; only when the history is
-    not covered does it drop the path wholesale, to be rebuilt on the
-    next read.
+    place — appends extend, deletes filter; when the history is not
+    covered, or an append is followed by another write in the gap, it
+    drops the path wholesale, to be rebuilt on the next read.
 
     Examples
     --------
@@ -433,20 +433,16 @@ class AccessPathCache:
             return
         deltas = self.store.deltas_since(self._version)
         self._version = self.store.version
-        if deltas is None:
-            # History not covered (compaction, barrier, version drift):
-            # the pre-delta wholesale invalidation, always correct.
+        if deltas is None or any(d.is_append for d in deltas[:-1]):
+            # History not covered (compaction, barrier, version drift),
+            # or an append followed by another write: ``apply_delta``
+            # reads an append's rows from the store as it is *now*, so
+            # only a gap's last delta may be an append.  Rebuild.
             self._scan = None
             return
         if self._scan is not None:
             for delta in deltas:
                 self._scan.apply_delta(delta)
-
-    def rebind(self, store: ColumnStore) -> None:
-        """Point the cache at a different store (pickle restore)."""
-        self.store = store
-        self._version = store.version
-        self._scan = None
 
     def scan(self) -> ScanPath:
         """The (single) scan path."""

@@ -197,7 +197,6 @@ def run_case(case: CrashCase) -> CrashFailure | None:
                     durable.checkpoint()
                     base = base + [op for _, op in post]
                     post = []
-            applied = base + [op for _, op in post]
             final = durable.journal_bytes
         rng = random.Random(f"crashfuzz/{case.seed}/kills")
         offsets = sorted(
@@ -229,7 +228,6 @@ def run_case(case: CrashCase) -> CrashFailure | None:
                     final,
                     f"recovered top-k {got_k} != cold rebuild {expected_k}",
                 )
-        del applied
         return None
     finally:
         shutil.rmtree(root, ignore_errors=True)

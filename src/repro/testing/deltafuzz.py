@@ -4,9 +4,9 @@ One long-lived :class:`~repro.engine.QueryEngine` is driven through a
 randomized interleaving of appends, deletes and ranked queries.  Every
 query is shadow-checked: the live engine's top-k (values *and* scores,
 in order) must be bit-identical to a fresh engine built cold from the
-database's current contents.  The live engine serves some of those
-queries from delta-refreshed warm state and some from rebuild
-fallbacks; the shadow check cannot tell and must never need to.
+database's current contents.  The live engine serves them from warm
+state rebuilt over delta-maintained scan views and encoded images; the
+shadow check cannot tell and must never need to.
 
 Everything is derived deterministically from an integer seed, so a
 failure is a one-line repro.  On divergence the failing schedule is

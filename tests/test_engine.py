@@ -155,16 +155,16 @@ class TestLRUEviction:
 
 class TestInvalidation:
     def test_relation_add_maintains_warm_state(self, db):
-        # A delta-expressible write no longer drops warm state: the
-        # reduced instances are maintained from the store's delta log.
+        # A write drops the warm reduction; the next execution rebuilds
+        # it, and the plan is warm again for the one after.
         engine = QueryEngine(db)
         engine.execute(STAR)
         prepared = engine.prepare(STAR)
         assert prepared.is_warm
         db["R"].add((7, 10))
         answers = engine.execute(STAR)
-        assert engine.stats.invalidations == 0
-        assert engine.stats.delta_applies == 1
+        assert engine.stats.invalidations == 1
+        assert engine.stats.delta_applies == 0
         assert prepared.is_warm
         cold = enumerate_ranked(parse_query(STAR), db)
         assert [a.values for a in answers] == [a.values for a in cold]
@@ -177,8 +177,8 @@ class TestInvalidation:
         answers = engine.execute(PATH)
         cold = enumerate_ranked(parse_query(PATH), db)
         assert [a.values for a in answers] == [a.values for a in cold]
-        assert engine.stats.invalidations == 0
-        assert engine.stats.delta_applies == 1
+        assert engine.stats.invalidations == 1
+        assert engine.stats.delta_applies == 0
 
     def test_database_add_relation_invalidates(self, db):
         engine = QueryEngine(db)

@@ -123,9 +123,9 @@ def expected(
 
 
 EXPECTED = {
-    # Plain rows: the write is delta-maintained on the warm plan.
+    # Plain rows: the write drops the warm plan's reduction for a rebuild.
     False: expected(
-        6, 2, invalidations=0, delta_applies=1, encode_builds=0, kernel_calls=35,
+        6, 2, invalidations=1, delta_applies=0, encode_builds=0, kernel_calls=37,
         score_builds=7,
     ),
     # Encoded image: the write re-encodes, orphaning the code-space plans

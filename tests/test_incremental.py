@@ -5,10 +5,11 @@ touches must be provably identical to a cold rebuild**.  Every case here
 runs one long-lived engine through a randomized write schedule and
 checks, after every write, that its ranked top-k — answer values *and*
 scores, in order — is bit-identical to a fresh engine built cold from
-the mutated data.  The engine never learns whether it served a query
-from a delta-refreshed warm state or from a full rebuild; the
-metamorphic relation (live == cold-rebuilt) must hold either way, and
-the stats counters tell us which path actually ran.
+the mutated data.  Underneath, the scan views and the encoded image are
+maintained from the stores' delta logs, while the warm reduction is
+dropped on every write and rebuilt by the full reducer; the metamorphic
+relation (live == cold-rebuilt) checks both, and the stats counters
+pin down that the rebuild, not a re-encode, ran.
 
 The grid crosses query shape (acyclic path, star, cyclic) x ranking
 (SUM, LEX) x dictionary encoding (on, off) x kernels (on, off) — 24
@@ -106,7 +107,7 @@ CELLS = list(
 def test_metamorphic_grid(shape, rank, encode, kern):
     query = parse_query(SHAPES[shape])
     ranking_cls = RANKINGS[rank]
-    applies = fallbacks = 0
+    rebuilds = 0
     kernels.set_enabled(kern)
     try:
         for seed in range(SEEDS_PER_CELL):
@@ -117,30 +118,33 @@ def test_metamorphic_grid(shape, rank, encode, kern):
             expect = cold_answers(db, query, ranking_cls, encode=encode)
             got = answers(engine, query, ranking)
             assert got == expect, f"seed {seed}: cold baseline diverged"
+            ticks = 0
             for step in range(WRITES_PER_CASE):
+                generation = db.generation
                 op = apply_random_write(db, rng)
+                ticks += db.generation != generation
                 got = answers(engine, query, ranking)
                 expect = cold_answers(db, query, ranking_cls, encode=encode)
                 assert got == expect, (
                     f"seed {seed} step {step} ({op}): "
                     f"delta-maintained answers diverged from cold rebuild"
                 )
-            applies += engine.stats.delta_applies
-            fallbacks += engine.stats.delta_fallbacks
+            # Delta replay of the reduction is retired: its counters
+            # stay 0 on every path.
+            assert engine.stats.delta_applies == 0
+            assert engine.stats.delta_fallbacks == 0
+            if not encode:
+                # Raw rows: a write that ticks the generation drops a
+                # warm plan's reduction exactly once, for a rebuild, and
+                # never builds an encoded image.
+                assert engine.stats.encode_builds == 0
+                if engine.prepare(query, ranking).plan.kind in ("acyclic", "lex"):
+                    assert engine.stats.invalidations == ticks
+                    rebuilds += ticks
     finally:
         kernels.set_enabled(True)
-    # The correctness assertions above hold regardless of which path
-    # served each query; these pin down that the intended path ran.
-    if kern and shape in ("acyclic", "star"):
-        assert applies > 0, "delta refresh never engaged on a tree query"
-    if not kern:
-        # Scalar (kernel-less) reductions carry no survivor arrays, so
-        # a write can never be delta-applied; on tree plans (the only
-        # ones holding warm reduced instances) it must register as a
-        # fallback instead.
-        assert applies == 0
-        if shape != "cyclic":
-            assert fallbacks > 0
+    if not encode and shape != "cyclic":
+        assert rebuilds > 0, "no write ever reached a warm plan"
 
 
 # --------------------------------------------------------------------- #
@@ -194,10 +198,11 @@ def test_append_then_delete_same_tuple_net_noop():
     after = answers(engine, QUERY, SUM)
     assert after == before
     assert after == cold_answers(db, QUERY, SumRanking, encode="auto")
-    # A mixed append+delete gap on one relation is exactly what the
-    # delta refresh refuses — this must have gone through the fallback.
+    # Two writes, one revalidation: the warm reduction is dropped once
+    # and rebuilt; the retired delta counters stay 0.
+    assert engine.stats.invalidations == 1
     assert engine.stats.delta_applies == 0
-    assert engine.stats.delta_fallbacks == 1
+    assert engine.stats.delta_fallbacks == 0
 
 
 def test_write_during_open_cursor_keeps_snapshot():
@@ -242,20 +247,23 @@ def test_mutation_through_other_view_delta_path():
     got = answers(engine, QUERY, SUM)
     assert got == cold_answers(db, QUERY, SumRanking, encode="auto")
     assert any((4, r[1]) in db["R"].tuples for r in [(4, 2)])
-    assert engine.stats.delta_applies == 1
-    assert engine.stats.invalidations == 0
+    # The replica's scan views replay the append from the shared
+    # store's delta log; the warm reduction is rebuilt over them.
+    assert engine.stats.invalidations == 1
+    assert engine.stats.delta_applies == 0
+    assert engine.stats.encode_builds == 0
 
 
 def test_mutation_through_other_view_fallback_path():
     base, db = shared_view_db()
     engine = QueryEngine(db)
     answers(engine, QUERY, SUM)
-    # Mixed append+delete gap on one relation: refused by the delta
-    # refresh, so this exercises the invalidate-and-rebuild path — which
-    # must equally observe the write made through the other view.
+    # Mixed append+delete gap on one relation: the invalidate-and-rebuild
+    # path must equally observe the writes made through the other view.
     base.add((4, 2))
     base.remove((2, 1))
     got = answers(engine, QUERY, SUM)
     assert got == cold_answers(db, QUERY, SumRanking, encode="auto")
-    assert engine.stats.delta_fallbacks == 1
+    assert engine.stats.invalidations == 1
+    assert engine.stats.delta_fallbacks == 0
     assert engine.stats.delta_applies == 0

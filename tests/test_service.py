@@ -177,8 +177,8 @@ class TestCursorTable:
         # The incremental contract at the cursor layer: a cursor opened
         # before a write burst refuses with stale-cursor once it has to
         # replay, while a cursor opened after the burst is served from
-        # the engine's delta-maintained warm state — and returns exactly
-        # what a cold rebuild would.
+        # a warm plan rebuilt over the delta-maintained scan views — and
+        # returns exactly what a cold rebuild would.
         db = make_db()
         local_engine = QueryEngine(db)
         table = CursorTable(max_live=1)
@@ -203,16 +203,19 @@ class TestCursorTable:
         c1.fetch(5)
         burst = [(101, 3), (102, 7), (103, 3)]
         db["r"].add_rows(burst)
-        applies_before = local_engine.stats.delta_applies
+        invalidations_before = local_engine.stats.invalidations
+        encode_builds_before = local_engine.stats.encode_builds
         # Opening the post-burst cursor evicts c1 (max_live=1) and runs
-        # the query against the delta-refreshed warm state.
+        # the query against the rebuilt warm state.
         c2 = table.open(
             build_at(db.generation),
             tenant="t",
             head=("a", "c"),
             generation=db.generation,
         )
-        assert local_engine.stats.delta_applies == applies_before + 1
+        assert local_engine.stats.invalidations == invalidations_before + 1
+        assert local_engine.stats.encode_builds == encode_builds_before
+        assert local_engine.stats.delta_applies == 0
         with pytest.raises(StaleCursorError):
             c1.fetch(5)
         got = []
@@ -433,7 +436,7 @@ class TestServer:
     def test_write_burst_over_the_wire_stale_code_and_delta_state(self):
         # Same contract end to end: the client sees the stale-cursor
         # error code on the pre-burst cursor's replay, and a fresh
-        # cursor serves the delta-maintained answers.
+        # cursor serves the answers of the rebuilt warm plan.
         db = make_db()
         local_engine = QueryEngine(db)
         burst = [(101, 3), (102, 7), (103, 3)]
@@ -442,14 +445,17 @@ class TestServer:
                 c1 = client.query(QUERY)
                 c1.fetch(10)
                 db["r"].add_rows(burst)
-                applies_before = local_engine.stats.delta_applies
-                c2 = client.query(QUERY)  # evicts c1, delta-refreshes
+                invalidations_before = local_engine.stats.invalidations
+                encode_builds_before = local_engine.stats.encode_builds
+                c2 = client.query(QUERY)  # evicts c1, rebuilds warm state
                 with pytest.raises(StaleCursorError) as info:
                     c1.fetch(10)
                 assert info.value.code == "stale-cursor"
                 got = [a for page in c2.pages(25) for a in page]
                 c2.close()
-        assert local_engine.stats.delta_applies == applies_before + 1
+        assert local_engine.stats.invalidations == invalidations_before + 1
+        assert local_engine.stats.encode_builds == encode_builds_before
+        assert local_engine.stats.delta_applies == 0
         cold_db = make_db()
         cold_db["r"].add_rows(burst)
         assert got == pairs(QueryEngine(cold_db).execute(QUERY))

@@ -15,6 +15,7 @@ Covers the three contracts the subsystem promises:
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -31,10 +32,11 @@ from repro.data import Database, Relation
 from repro.engine import QueryEngine
 from repro.query import parse_query
 from repro.storage import (
-    AccessPathCache,
     ColumnStore,
     Dictionary,
     EncodedDatabase,
+    open_snapshot,
+    save_snapshot,
     wrap_ranking,
 )
 
@@ -75,6 +77,50 @@ class TestColumnStore:
         assert clone.rows() == store.rows()
         assert clone.version == store.version
 
+    @pytest.mark.parametrize("kind", ["plain", "mapped-base", "mapped-codes"])
+    def test_delete_compaction_matches_cold_build(self, kind, tmp_path):
+        np = pytest.importorskip("numpy")
+        rows = [(i % 7, (i * 3) % 11) for i in range(40)]
+        if kind == "plain":
+            store = ColumnStore.from_rows(2, rows)
+        else:
+            db = Database()
+            db.add_relation("R", ("a", "b"), rows)
+            snapshot = open_snapshot(save_snapshot(db, tmp_path / "snap"))
+            store = snapshot.store("R", kind.split("-")[1])
+        rng = random.Random(kind)
+        batches = [[0], [len(rows) - 2, 3, 3, 17], [], list(range(5, 12)), [0, 1]]
+        for step, batch in enumerate(batches):
+            if step == 3:
+                store.append_rows([(9, 9), (8, 1)])
+            if not batch:
+                batch = rng.sample(range(len(store)), 4)
+            held_rows = store.rows()
+            held_codes = store.codes_array()
+            held_copy = (list(held_rows), np.array(held_codes))
+            gone = set(batch)
+            survivors = [r for i, r in enumerate(held_rows) if i not in gone]
+            store.delete_rows(batch)
+            cold = ColumnStore.from_rows(2, survivors)
+            assert [list(c) for c in store.columns] == cold.columns
+            assert store.rows() == cold.rows() == survivors
+            assert np.array_equal(store.codes_array(), cold.codes_array())
+            assert store.codes_array().dtype == cold.codes_array().dtype
+            # Compaction builds new objects: what was read before the
+            # delete still shows the pre-delete snapshot.
+            assert held_rows == held_copy[0]
+            assert np.array_equal(held_codes, held_copy[1])
+        store.delete_rows(range(len(store)))
+        assert store.rows() == [] and len(store) == 0
+        assert store.codes_array().shape == (0, 2)
+
+    def test_delete_can_make_codes_representable(self):
+        pytest.importorskip("numpy")
+        store = ColumnStore.from_rows(2, [(1, 2), (1.5, 3), (4, 5)])
+        assert store.codes_array() is None
+        store.delete_rows([1])
+        assert store.codes_array().tolist() == [[1, 2], [4, 5]]
+
 
 # --------------------------------------------------------------------- #
 # access paths
@@ -100,6 +146,32 @@ class TestAccessPaths:
         assert rel.instance_rows((1,)) == [(10,), (5,)] and projected == [(10,)]
         assert rel.instance_rows((0,), ((1, 5),)) == [(2,)] and selected == []
 
+    @pytest.mark.parametrize(
+        "writes",
+        [("add", "add"), ("add", "remove"), ("remove", "add"), ("remove", "remove")],
+    )
+    def test_multi_write_gap_matches_cold_views(self, writes):
+        # Two writes between reads: every pure-projection view (rows and
+        # codes) must equal the view of a relation built cold.
+        rel = Relation("R", ("a", "b"), [(1, 10), (2, 20), (3, 30)])
+        signatures = [((0, 1), (), False), ((1,), (), False), ((0,), (), True)]
+        for positions, selections, distinct in signatures:
+            rel.instance_rows(positions, selections, distinct=distinct)
+            rel.instance_codes(positions, selections, distinct=distinct)
+        for i, op in enumerate(writes):
+            if op == "add":
+                rel.add((7 + i, 70 + i))
+            else:
+                rel.remove(rel.tuples[0])
+        cold = Relation("R", ("a", "b"), rel.tuples)
+        for positions, selections, distinct in signatures:
+            for read in ("instance_rows", "instance_codes"):
+                got = getattr(rel, read)(positions, selections, distinct=distinct)
+                expect = getattr(cold, read)(positions, selections, distinct=distinct)
+                if read == "instance_codes" and expect is not None:
+                    got, expect = got.tolist(), expect.tolist()
+                assert got == expect
+
     def test_renamed_shares_store_and_invalidates_together(self):
         rel = Relation("R", ("a", "b"), [(1, 10)])
         view = rel.renamed("V")
@@ -109,14 +181,6 @@ class TestAccessPaths:
         assert view.scan().view((0,), (), True) == [(1,), (2,)]
         assert before == [(1,)]
         assert len(view) == 2
-
-    def test_path_cache_rebind(self):
-        store = ColumnStore.from_rows(1, [(1,)])
-        cache = AccessPathCache(store)
-        assert cache.scan().rows() == [(1,)]
-        other = ColumnStore.from_rows(1, [(9,)])
-        cache.rebind(other)
-        assert cache.scan().rows() == [(9,)]
 
 
 # --------------------------------------------------------------------- #

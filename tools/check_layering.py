@@ -22,12 +22,9 @@ the only one.  This gate keeps it that way, as a set of rules
 
 * ``StoreDelta`` / ``.delta_log`` / ``.apply_delta`` / ``.deltas_since``
   (the write-delta plumbing of ``repro/storage/deltas.py``) are
-  confined to ``repro/storage/``, ``repro/data/relation.py`` (the
-  mutation surface that forwards store notifications) and
-  ``repro/algorithms/yannakakis.py`` — the full reducer's
-  ``refresh_reduction`` is the one consumer that replays raw deltas;
-  everything else observes writes through generation counters and
-  falls back to rebuilding;
+  confined to ``repro/storage/`` and ``repro/data/relation.py`` (the
+  mutation surface that forwards store notifications) — everything
+  else observes writes through generation counters and rebuilds;
 
 * the snapshot file format (the manifest layout, raw array file names
   and mapped store classes of ``repro/storage/persist.py``) is confined
@@ -105,15 +102,10 @@ RULES = (
         re.compile(
             r"\bStoreDelta\b|\.delta_log\b|\.apply_delta\b|\.deltas_since\b"
         ),
-        (
-            STORAGE,
-            os.path.join("repro", "data", "relation.py"),
-            os.path.join("repro", "algorithms", "yannakakis.py"),
-        ),
+        (STORAGE, os.path.join("repro", "data", "relation.py")),
         "deltas are a storage-layer contract: consumers observe writes "
         "through generation counters and Relation/AccessPathCache "
-        "surfaces; only the full reducer's refresh_reduction consumes "
-        "raw deltas (see docs/incremental.md)",
+        "surfaces (see docs/incremental.md)",
         None,
     ),
     (
@@ -224,8 +216,8 @@ def main() -> int:
     print(
         "layering ok: physical storage access confined to repro/storage "
         "and repro/data/relation.py; score arrays to repro/storage and "
-        "repro/core/ranking.py; delta plumbing to repro/storage and the "
-        "full reducer; snapshot and journal file formats to "
+        "repro/core/ranking.py; delta plumbing to repro/storage and "
+        "repro/data/relation.py; snapshot and journal file formats to "
         "repro/storage; batched-key machinery in repro/core confined to "
         "ranking.py and the enumerator modules; repro/service isolated "
         "from storage/data"
