@@ -24,8 +24,7 @@ Usage (also via ``python -m repro``)::
   shorthand for one shard per core;
 * ``--stats`` prints timing plus the engine's cache hit/miss counters,
   the per-phase (reduce/build/enumerate) timing split, and the
-  vectorised-enumeration counters (``batched_combines`` /
-  ``bulk_topk_calls`` / ``bulk_topk_fallbacks``);
+  vectorised-enumeration counter (``batched_combines``);
 * ``--format csv|json|table`` picks the result serialisation: CSV rows
   (default), one JSON document (for benchmarks and downstream tools),
   or an aligned human-readable table.
@@ -269,11 +268,8 @@ def _run_one(engine: QueryEngine, query_text: str, ranking, args) -> None:
                     "enumerate={enumerate_seconds:.6f}s".format(**snap),
                     file=sys.stderr,
                 )
-        es = engine.stats
         print(
-            f"# vectorised: batched_combines={es.batched_combines} "
-            f"bulk_topk_calls={es.bulk_topk_calls} "
-            f"bulk_topk_fallbacks={es.bulk_topk_fallbacks}",
+            f"# vectorised: batched_combines={engine.stats.batched_combines}",
             file=sys.stderr,
         )
 

@@ -21,12 +21,14 @@ objects; the queue comparator is ``(rank key, partial output)``.
   pointers).  Physically, for batchable rankings and LEX over integer
   columns, each node's rows are sorted once — by (anchor, rank key,
   partial output) in one ``lexsort`` — into one sorted *run* per anchor
-  group, and a row's cell is created only when its run position
-  reaches the top of its group (:class:`_LazyGroup`); a child's key and
-  output enter its parents through the head of each run.  Other
-  rankings and data build one cell and heap entry per tuple (the
-  scalar build, also the test oracle).  Both builds pop the same cells
-  in the same order.
+  group.  A group's queue (:class:`_LazyGroup`) is created only when a
+  parent's cell first points into it, and a row's cell only when its
+  run position reaches the top of its group; a child's key and output
+  enter its parents through the head of each run.  Other rankings and
+  data build one cell and heap entry per tuple (the scalar build, also
+  the test oracle).  Both builds pop the same cells in the same order.
+  Every cell knows its queue (``Cell.group``), so enumeration never
+  looks a queue up by anchor.
 * **Enumeration (Algorithm 2)**: pop the root queue; emit if the output
   differs from the previous one; then ``Topdown`` regenerates
   candidates: it pops every cell of the group that produces the same
@@ -44,15 +46,18 @@ Engineering notes (see DESIGN.md §6):
   assumption).
 * ``dedup_inserts=True`` suppresses re-insertion of a cell combination
   reachable through several predecessors (Lawler lattice duplication);
-  a per-queue seen-set keyed on ``(tuple, child cell identities)``.
-  Benchmarked as an ablation.
+  a per-queue seen-set (``RankHeap.seen``) keyed on ``(tuple, child
+  cell identities)``.  Benchmarked as an ablation.
+* ``LIMIT k`` (:meth:`top_k`) pops the same queues: there is one top-k
+  path, and its cost grows with ``k``, not with the join.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator, Mapping, Sequence
 from operator import itemgetter
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any
 
 from ..algorithms.yannakakis import atom_instances, full_reduce
 from ..data.database import Database
@@ -70,26 +75,11 @@ from .ranking import (
     SumRanking,
     batched_node_key_array,
     combine_counters,
-    topk_counters,
 )
 
-__all__ = ["AcyclicRankedEnumerator", "BULK_TOPK_COST_FACTOR"]
+__all__ = ["AcyclicRankedEnumerator"]
 
 Row = tuple
-
-#: The bulk top-k cost gate.  The bulk kernel materialises the join of
-#: the reduced instances (deduplicating per node) and its cost does not
-#: grow with ``k``; the incremental heap path is lazy and its cost does.
-#: So ``top_k`` first counts the exact pre-dedup join size ``J`` (no
-#: join is built) and serves by bulk only when ``J`` is at most this
-#: many times the reduced row count ``N`` — a join that fans out further
-#: goes to the heap, whatever ``k`` is.  Measured on random bipartite
-#: graphs (3 000 rows, k = 10 and 100), bulk and heap tie at
-#: ``J/N`` ~ 40 on 2hop and ~ 40-45 on star3; the paper's DBLP/IMDB-like
-#: 2hop projections sit at 11-25 (bulk faster), their 3hop, 4hop and
-#: star3 at 200-11 000 (bulk 1.4-37x slower).
-BULK_TOPK_COST_FACTOR = 40
-
 
 def _tuple_getter(positions: Sequence[int]):
     """``seq -> tuple(seq[p] for p in positions)``, built once per node."""
@@ -142,7 +132,6 @@ class _RTNode:
         "own_of",
         "_merge",
         "pqs",
-        "seen",
         "is_root",
         "runs",
     )
@@ -191,8 +180,9 @@ class _RTNode:
         for child in children:
             bases.append(bases[-1] + len(child.out_vars))
         self._merge = _tuple_getter([bases[src] + off for src, off in self.out_plan])
-        self.pqs: dict[tuple, Any] = {}  # anchor -> RankHeap or _LazyGroup
-        self.seen: dict[tuple, set] = {}
+        # anchor -> RankHeap (scalar build) or _LazyGroup (the node's
+        # _Runs, which creates a group when it is first looked up).
+        self.pqs: Mapping[tuple, Any] = {}
         self.is_root = tree_node.is_root
         # The node's sorted runs when the array build ran, else None (a
         # parent of a scalar-built node is built the scalar way too).
@@ -208,17 +198,20 @@ class _RTNode:
         return self._merge(parts)
 
 
-class _Runs:
+class _Runs(Mapping):
     """One node's reduced rows, sorted once into per-anchor runs.
 
     Position ``i`` of the parallel lists is the ``i``-th row in
-    (anchor, key, output, row order) order; each anchor group owns a
-    contiguous span of positions (a :class:`_LazyGroup`).  ``links``
-    holds, per child, the child's groups and each position's group
-    index in them: the child queue the row's cell points into.  The
-    ``head_*`` arrays describe each group's first position (its initial
-    top) to the parent's array build, in group order, which is
-    ascending anchor order.
+    (anchor, key, output, row order) order; anchor group ``g`` owns the
+    contiguous span ``bounds[g]:bounds[g + 1]``.  Its :class:`_LazyGroup`
+    is created on demand — when a parent's cell first points into it
+    (:meth:`group`), or when the root or an inspection looks it up by
+    anchor: the runs are also the node's queue family, a mapping from
+    anchor to group.  ``links`` holds, per child, the child's runs and
+    each position's group index in them: the child queue the row's
+    cell points into.  The ``head_*`` arrays describe each group's
+    first position (its initial top) to the parent's array build, in
+    group order, which is ascending anchor order.
     """
 
     __slots__ = (
@@ -229,36 +222,71 @@ class _Runs:
         "own_keys",
         "zero_key",
         "own_of",
+        "anchor_of",
         "links",
         "stats",
         "heap_stats",
+        "bounds",
         "groups",
+        "index",
         "head_anchor",
         "head_keys",
         "head_outs",
     )
 
-    def cell(self, pos: int) -> Cell:
-        """The cell of run position ``pos`` (children: the child tops)."""
+    def group(self, g: int) -> "_LazyGroup":
+        """Anchor group ``g``'s queue, created on first use."""
+        group = self.groups[g]
+        if group is None:
+            group = self.groups[g] = _LazyGroup(self, self.bounds[g], self.bounds[g + 1])
+        return group
+
+    def cell(self, pos: int, group: "_LazyGroup") -> Cell:
+        """The cell of run position ``pos`` in ``group`` (children: the
+        child tops)."""
         self.stats.cells_created += 1
-        return self._make(pos, [groups[idx[pos]].first_cell() for groups, idx in self.links])
+        children = [runs.group(idx[pos]).first_cell() for runs, idx in self.links]
+        return self._make(pos, children, group)
 
     def peek(self, pos: int) -> Cell:
         """A stand-in for the cell of run position ``pos``, equal to it
-        field for field, that creates and counts no cell: a child group
-        whose first cell does not exist yet is peeked in turn."""
+        in every field but ``group`` (``None``), that creates and counts
+        no cell: a child group whose first cell does not exist yet is
+        peeked in turn."""
         children = []
-        for groups, idx in self.links:
-            group = groups[idx[pos]]
-            first = group.first
-            children.append(group.runs.peek(group.pos) if first is None else first)
-        return self._make(pos, children)
+        for runs, idx in self.links:
+            g = idx[pos]
+            child = runs.groups[g]
+            first = None if child is None else child.first
+            # A group without a first cell has never been popped: its
+            # head is still its first position.
+            children.append(runs.peek(runs.bounds[g]) if first is None else first)
+        return self._make(pos, children, None)
 
-    def _make(self, pos: int, children: list) -> Cell:
+    def _make(self, pos: int, children: list, group) -> Cell:
         row = self.rows[self.row_idx[pos]]
         own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
         out = self.outs[pos]
-        return Cell(row, tuple(children), self.keys[pos], out, own_key, self.own_of(row))
+        return Cell(row, tuple(children), self.keys[pos], out, own_key, self.own_of(row), group)
+
+    # The queue family by anchor, for the root and for inspection.
+    def _index(self) -> dict:
+        index = self.index
+        if index is None:
+            rows, row_idx, anchor_of = self.rows, self.row_idx, self.anchor_of
+            index = self.index = {
+                anchor_of(rows[row_idx[start]]): g for g, start in enumerate(self.bounds[:-1])
+            }
+        return index
+
+    def __getitem__(self, anchor: tuple) -> "_LazyGroup":
+        return self.group(self._index()[anchor])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._index())
+
+    def __len__(self) -> int:
+        return len(self.groups)
 
 
 class _OutputKeys:
@@ -286,7 +314,8 @@ class _LazyGroup(RankHeap):
     sequence number would.  The inherited heap holds only successors.
     A run position's cell is created when it becomes the group's top;
     the first one is kept, because parents built against the group
-    point at that very object.
+    point at that very object.  The group itself is created by its
+    :class:`_Runs` on first use.
     """
 
     __slots__ = ("runs", "pos", "end", "head", "cell", "first")
@@ -304,7 +333,7 @@ class _LazyGroup(RankHeap):
         """The group's initial top (what parents' child pointers hold)."""
         cell = self.first
         if cell is None:
-            cell = self.first = self.cell = self.runs.cell(self.pos)
+            cell = self.first = self.cell = self.runs.cell(self.pos, self)
         return cell
 
     def _run_top(self) -> Cell:
@@ -312,7 +341,7 @@ class _LazyGroup(RankHeap):
         if cell is None:
             if self.pos == self.end:
                 raise IndexError("top of an empty queue")
-            cell = self.cell = self.runs.cell(self.pos)
+            cell = self.cell = self.runs.cell(self.pos, self)
             if self.first is None:
                 self.first = cell
         return cell
@@ -389,11 +418,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         Drop output-free subtrees after the reducer pass (default on).
     dedup_inserts:
         Suppress duplicate successor insertions (default on).
-    bulk_topk_max_k:
-        The bulk top-k kernel's ``k`` ceiling: ``0`` (default) keeps
-        every ``top_k`` on the heap path, ``None`` lets the cost gate
-        (:data:`BULK_TOPK_COST_FACTOR`) decide at any ``k``, a positive
-        value also requires ``k`` at or below it.
 
     Usage
     -----
@@ -422,7 +446,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         dedup_inserts: bool = True,
         instances: Mapping[str, list[Row]] | None = None,
         already_reduced: bool = False,
-        bulk_topk_max_k: int | None = 0,
     ):
         self.query = query
         self.db = db
@@ -431,7 +454,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self._dedup_inserts = dedup_inserts
         self._given_instances = instances
         self._already_reduced = already_reduced
-        self._bulk_topk_max_k = None if bulk_topk_max_k is None else int(bulk_topk_max_k)
 
         if join_tree is None:
             join_tree = build_join_tree(query, root=root)
@@ -450,14 +472,12 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self._head_reorder: tuple[int, ...] = ()
         self._preprocessed = False
         self._exhausted = False
-        self._instances: Mapping[str, list[Row]] | None = None
-        self._tree: JoinTree | None = None
 
     # ------------------------------------------------------------------ #
     # preprocessing (Algorithm 1)
     # ------------------------------------------------------------------ #
-    def _prepare_instances(self):
-        """Reducer pass + pruning, shared by queue build and bulk top-k.
+    def preprocess(self) -> "AcyclicRankedEnumerator":
+        """Run the full reducer and build all per-node priority queues.
 
         The given instances are used as-is (full_reduce copies before
         filtering, downstream code only reads) so that warm
@@ -465,8 +485,8 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         arrays — that metadata is what lets the batched key paths gather
         storage-cached score columns instead of re-weighing every row.
         """
-        if self._instances is not None:
-            return self._instances, self._tree
+        if self._preprocessed:
+            return self
         started = time.perf_counter()
         if self._given_instances is not None:
             instances = self._given_instances
@@ -477,20 +497,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         tree = self.join_tree
         if self._prune:
             tree, _dropped = tree.pruned()
-        self._instances = instances
-        self._tree = tree
         self.stats.reduce_seconds += time.perf_counter() - started
-        # Bulk-served top-k never reaches ``preprocess``: keep the sum here.
-        self.stats.preprocess_seconds = (
-            self.stats.reduce_seconds + self.stats.build_seconds
-        )
-        return instances, tree
-
-    def preprocess(self) -> "AcyclicRankedEnumerator":
-        """Run the full reducer and build all per-node priority queues."""
-        if self._preprocessed:
-            return self
-        instances, tree = self._prepare_instances()
         started = time.perf_counter()
 
         head_position = {v: i for i, v in enumerate(self.query.head)}
@@ -656,20 +663,16 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                     bound.key, own_vars, lambda pos: own_of(rows[row_idx[pos]])
                 )
             runs.head_keys = None
-        runs.links = [
-            (c.runs.groups, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)
-        ]
+        runs.anchor_of = rt.anchor_of
+        runs.links = [(c.runs, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)]
         runs.stats = self.stats
         runs.heap_stats = self.heap_stats
         runs.head_anchor = [col[starts] for col in anchor_cols]
         runs.head_outs = [col[starts] for col in out_cols]
-        bounds = starts.tolist() + [m]
-        runs.groups = [_LazyGroup(runs, s, e) for s, e in zip(bounds, bounds[1:])]
-        anchor_of = rt.anchor_of
-        rt.pqs = {
-            anchor_of(rows[row_idx[group.pos]]): group for group in runs.groups
-        }
-        rt.runs = runs
+        runs.bounds = starts.tolist() + [m]
+        runs.groups = [None] * len(starts)  # created on first use
+        runs.index = None
+        rt.pqs = rt.runs = runs
         if batched and rt.children:
             combine_counters.record_call()
         stats = self.heap_stats
@@ -690,7 +693,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         # all point at the current child tops), so duplicate tracking is
         # skipped; entries are grouped per anchor and heapified in one
         # pass (RankHeap.push_many) instead of pushed one at a time.
-        groups: dict[tuple, list[tuple[tuple, Cell]]] = {}
+        groups: dict[tuple, tuple[RankHeap, list[tuple[tuple, Cell]]]] = {}
         for i, row in enumerate(rows):
             if own_keys is not None:
                 own_key = own_keys[i]
@@ -720,15 +723,14 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 children = ()
                 key = own_key
                 out = own_out
-            cell = Cell(row, children, key, out, own_key, own_out)
+            u = rt.anchor_of(row)
+            group = groups.get(u)
+            if group is None:
+                group = groups[u] = (RankHeap(self.heap_stats), [])
+            cell = Cell(row, children, key, out, own_key, own_out, group[0])
             self.stats.cells_created += 1
-            u = tuple(row[j] for j in rt.anchor_positions)
-            entries = groups.get(u)
-            if entries is None:
-                entries = groups[u] = []
-            entries.append(((key, out), cell))
-        for u, entries in groups.items():
-            pq = RankHeap(self.heap_stats)
+            group[1].append(((key, out), cell))
+        for u, (pq, entries) in groups.items():
             pq.push_many(entries)
             rt.pqs[u] = pq
 
@@ -803,13 +805,10 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         nxt = cell.next
         if nxt is not UNSET:
             return nxt  # O(1) reuse of previously computed successor
-        u = rt.anchor_of(cell.row)
-        pq = rt.pqs[u]
-        seen = None
-        if self._dedup_inserts:
-            seen = rt.seen.get(u)
-            if seen is None:
-                seen = rt.seen[u] = set()
+        pq = cell.group
+        seen = pq.seen
+        if seen is None and self._dedup_inserts:
+            seen = pq.seen = set()
         combine = self.bound.combine
         children_rts = rt.children
         while True:
@@ -832,7 +831,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                     key = combine([temp.own_key] + [c.key for c in new_children])
                     out = rt.layout(temp.own_out, new_children)
                     successor = Cell(
-                        temp.row, new_children, key, out, temp.own_key, temp.own_out
+                        temp.row, new_children, key, out, temp.own_key, temp.own_out, pq
                     )
                     pq.push((key, out), successor)
                     self.stats.cells_created += 1
@@ -849,231 +848,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         return cell.next
 
     # ------------------------------------------------------------------ #
-    # bulk top-k (vectorised serve, gated by the join's size)
-    # ------------------------------------------------------------------ #
-    def top_k(self, k: int) -> list[RankedAnswer]:
-        """First ``k`` answers; cheap joins are served by the bulk kernel.
-
-        When the bulk kernel is on (``bulk_topk_max_k``: the engine layer
-        turns it on with no ``k`` ceiling, direct construction defaults
-        to off), ``k`` is within the ceiling and the ranking is
-        batched-capable, one bottom-up pass counts the exact pre-dedup
-        join size ``J`` of the reduced instances (:meth:`_join_rows`,
-        kept as ``stats.join_rows``).  Only when
-        ``J <= BULK_TOPK_COST_FACTOR * N`` (``N`` reduced rows) is the
-        prefix computed in one materialise-partition-sort pass over
-        arrays (:meth:`_bulk_topk`) — bit-identical to the heap
-        emission, ties included.  A larger join is declined (reason
-        ``"cost"``) before any of it is materialised; that and every
-        refusal fall back to the incremental heap path with its delay
-        guarantees intact, counted in ``bulk_topk_fallbacks``.
-        """
-        limit = self._bulk_topk_max_k
-        if (
-            0 < k
-            and (limit is None or k <= limit)
-            and not self._exhausted
-            and not self._preprocessed
-            and kernels.enabled()
-        ):
-            if self.bound.batch_weight() is None:
-                topk_counters.record_fallback("unbatchable-ranking")
-            else:
-                instances, tree = self._prepare_instances()
-                started = time.perf_counter()
-                nodes = self._bulk_columns(instances, tree)
-                join_rows = None if nodes is None else self._join_rows(nodes)
-                self.stats.join_rows = join_rows
-                self.stats.enumerate_seconds += time.perf_counter() - started
-                if join_rows is None:
-                    topk_counters.record_fallback("refused")
-                elif join_rows > BULK_TOPK_COST_FACTOR * sum(
-                    len(rows) for _rt, rows, _cols in nodes
-                ):
-                    topk_counters.record_fallback("cost")
-                else:
-                    answers = self._bulk_topk(k, nodes)
-                    if answers is not None:
-                        topk_counters.record_call()
-                        return answers
-                    topk_counters.record_fallback("refused")
-        return super().top_k(k)
-
-    def _bulk_columns(self, instances, tree: JoinTree) -> list[tuple] | None:
-        """The bulk kernel's per-node inputs, shared with the cost count.
-
-        Post-order ``(runtime node, rows, {position: int64 column})``
-        over the pruned tree, one column per anchor, child-key and owned
-        output position — extracted once, read by both
-        :meth:`_join_rows` and :meth:`_bulk_topk`.  ``None`` when a
-        column is not exactly integer (the kernel could not run).
-        """
-        head_position = {v: i for i, v in enumerate(self.query.head)}
-        rt_by_alias: dict[str, _RTNode] = {}
-        nodes = []
-        for node in tree.post_order():
-            rows = instances[node.alias]
-            children_rt = [rt_by_alias[c.alias] for c in node.children]
-            rt = _RTNode(node, children_rt, head_position)
-            rt_by_alias[node.alias] = rt
-            cols = _int_columns(instances, rt, rows)
-            if cols is None:
-                return None
-            nodes.append((rt, rows, cols))
-        return nodes
-
-    @staticmethod
-    def _join_rows(nodes: list[tuple]) -> float | None:
-        """Exact pre-dedup join size of the instances, without the join.
-
-        Bottom-up: a row's count is the product, over its children, of
-        the summed counts of the child rows sharing its key (a leaf row
-        counts 1); the root's counts sum to the number of rows the full
-        join would have.  On reduced instances every row extends to a
-        full answer, so that number bounds every intermediate
-        :meth:`_bulk_topk` builds.  ``float64`` throughout: exact up to
-        2**53 and far past any size the gate would let through.
-        ``None`` when a key does not pack.
-        """
-        np = kernels.np
-        counted: dict[str, tuple] = {}
-        total = 0.0
-        for rt, rows, cols in nodes:
-            counts = np.ones(len(rows))
-            for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
-                c_cols, c_counts = counted[child_rt.alias]
-                if key_pos:
-                    packed = kernels.pack_pair(
-                        [cols[p] for p in key_pos],
-                        [c_cols[p] for p in child_rt.anchor_positions],
-                    )
-                    if packed is None:
-                        return None
-                    counts = counts * kernels.keyed_sums(*packed, c_counts)
-                else:
-                    counts = counts * c_counts.sum()
-            counted[rt.alias] = (cols, counts)
-            total = float(counts.sum())  # the root comes last
-        return total
-
-    def _bulk_topk(self, k: int, nodes: list[tuple]) -> list[RankedAnswer] | None:
-        """One array pass from reduced instances to the k best answers.
-
-        Post-order over the join tree (``nodes``, from
-        :meth:`_bulk_columns`), each node's state three aligned array
-        groups: anchor columns, output columns (head order) and a
-        float64 key per distinct (anchor, output) partial answer.  A
-        node joins its rows against each child state on the anchor
-        (``pack_pair`` + ``join_indices``), combines keys with the same
-        nested structure as the scalar ``combine([own] + children)``
-        (float addition is not associative — structure is identity),
-        dedups with ``distinct_indices`` (a partial answer's key is a
-        pure function of its output values, so any representative's key
-        is *the* key), and the root selects k via ``np.partition`` on
-        the kth key, an ``<=``-mask that keeps boundary ties, and one
-        ``lexsort`` by (key, output) — exactly the heap's emission
-        order, weakly-monotone key-group sorting included.  Returns
-        ``None`` to refuse (the heap path then runs unchanged).
-        """
-        np = kernels.np
-        bound = self.bound
-        instances = self._instances
-        started = time.perf_counter()
-        states: dict[str, tuple] = {}
-        for rt, rows, cols in nodes:
-            if not rows:
-                # Reduced instances: one empty relation empties the output.
-                self._exhausted = True
-                self.stats.enumerate_seconds += time.perf_counter() - started
-                return []
-            if rt.own_pairs and not kernels.rows_exactly_int(rows, rt.own_positions):
-                return None  # output rebuild would normalise bool/IntEnum
-            if rt.own_pairs:
-                own_arr = batched_node_key_array(
-                    bound, instances, rt.alias, rt.own_pairs
-                )
-                if own_arr is None:
-                    return None
-            else:
-                own_arr = np.full(len(rows), float(bound.zero))
-            sel = np.arange(len(rows))
-            acc_child_cols: list[list] = []
-            acc_child_keys: list = []
-            for child_rt, key_pos in zip(rt.children, rt.child_key_positions):
-                c_anchor, c_out, c_keys = states[child_rt.alias]
-                parent_key_cols = [cols[p][sel] for p in key_pos]
-                if key_pos:
-                    packed = kernels.pack_pair(parent_key_cols, list(c_anchor))
-                    if packed is None:
-                        return None
-                    p_keys, ca_keys = packed
-                else:
-                    p_keys = np.zeros(len(sel), dtype=np.int64)
-                    ca_keys = np.zeros(len(c_keys), dtype=np.int64)
-                li, ri = kernels.join_indices(p_keys, ca_keys)
-                sel = sel[li]
-                acc_child_cols = [
-                    [col[li] for col in colset] for colset in acc_child_cols
-                ]
-                acc_child_keys = [arr[li] for arr in acc_child_keys]
-                acc_child_cols.append([col[ri] for col in c_out])
-                acc_child_keys.append(c_keys[ri])
-            if acc_child_keys:
-                keys = bound.combine_key_arrays([own_arr[sel]] + acc_child_keys)
-                if keys is None:
-                    return None
-            else:
-                # Leaves take their own key verbatim — the scalar path
-                # applies combine() only when children exist (and e.g.
-                # PRODUCT's combine strips key signs that must survive).
-                keys = own_arr[sel]
-            anchor_cols = [cols[p][sel] for p in rt.anchor_positions]
-            own_out_cols = [cols[p][sel] for p in rt.own_positions]
-            parts = [own_out_cols] + acc_child_cols
-            out_cols = [parts[src][off] for src, off in rt.out_plan]
-            dedup_cols = anchor_cols + out_cols
-            if dedup_cols:
-                matrix = np.stack(dedup_cols, axis=1)
-            else:
-                matrix = np.empty((len(sel), 0), dtype=np.int64)
-            first = kernels.distinct_indices(matrix)
-            if first is None:
-                return None
-            anchor_cols = [c[first] for c in anchor_cols]
-            out_cols = [c[first] for c in out_cols]
-            keys = keys[first]
-            states[rt.alias] = (anchor_cols, out_cols, keys)
-
-        root_rt = nodes[-1][0]  # post-order: the root comes last
-        if root_rt.out_vars != self.query.head:
-            raise QueryError(
-                f"internal error: root output {root_rt.out_vars} does not "
-                f"match head {self.query.head}"
-            )
-        _anchor, out_cols, keys = states[root_rt.alias]
-        n = len(keys)
-        if n == 0:
-            self._exhausted = True
-            self.stats.enumerate_seconds += time.perf_counter() - started
-            return []
-        if n > k:
-            kth = np.partition(keys, k - 1)[k - 1]
-            mask = keys <= kth  # keep every boundary tie, truncate post-sort
-            out_cols = [c[mask] for c in out_cols]
-            keys = keys[mask]
-        order = np.lexsort(tuple(reversed(out_cols)) + (keys,))[:k]
-        out_matrix = np.stack([c[order] for c in out_cols], axis=1)
-        final_score = bound.final_score
-        answers = [
-            RankedAnswer(tuple(values), final_score(key), key=key)
-            for values, key in zip(out_matrix.tolist(), keys[order].tolist())
-        ]
-        self._exhausted = True
-        self.stats.answers += len(answers)
-        self.stats.enumerate_seconds += time.perf_counter() - started
-        return answers
-
-    # ------------------------------------------------------------------ #
     # conveniences
     # ------------------------------------------------------------------ #
     def fresh(self) -> "AcyclicRankedEnumerator":
@@ -1087,5 +861,4 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             dedup_inserts=self._dedup_inserts,
             instances=self._given_instances,
             already_reduced=self._already_reduced,
-            bulk_topk_max_k=self._bulk_topk_max_k,
         )

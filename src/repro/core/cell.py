@@ -16,7 +16,10 @@ We additionally cache on the cell:
   subtree's in-order layout (the paper's ``output(c)``), used both for
   emission and for deterministic tie-breaking;
 * ``own_key`` / ``own_out`` — the node-local contribution, shared
-  unchanged by all successor cells of the same tuple.
+  unchanged by all successor cells of the same tuple;
+* ``group`` — the priority queue ``PQ_i[u]`` the cell belongs to (its
+  node's queue for its anchor value ``u``), so ``Topdown`` reaches the
+  queue to advance without looking the anchor up.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ UNSET = _Unset()
 class Cell:
     """One cell: a node tuple plus child pointers plus the next-chain."""
 
-    __slots__ = ("row", "children", "next", "key", "out", "own_key", "own_out", "uid")
+    __slots__ = ("row", "children", "next", "key", "out", "own_key", "own_out", "uid", "group")
 
     def __init__(
         self,
@@ -58,6 +61,7 @@ class Cell:
         out: tuple,
         own_key: Any,
         own_out: tuple,
+        group: Any = None,
     ):
         self.row = row
         self.children = children
@@ -71,6 +75,7 @@ class Cell:
         # CPython reuses their addresses, which would suppress unrelated
         # fresh cells (a real bug found by the fuzz suite).
         self.uid = next(_uid)
+        self.group = group
 
     @property
     def sort_key(self) -> tuple:

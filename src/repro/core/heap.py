@@ -71,13 +71,18 @@ class RankHeap(Generic[T]):
     enumerators use ``(rank key, partial output)`` which matches the
     paper's deterministic tie-breaking.  A monotone sequence number
     breaks residual exact ties without comparing items.
+
+    ``seen`` is free for the owner's bookkeeping about this queue: the
+    acyclic enumerator keeps its duplicate-insert set there, created
+    on the queue's first ``Topdown``.
     """
 
-    __slots__ = ("_entries", "stats")
+    __slots__ = ("_entries", "stats", "seen")
 
     def __init__(self, stats: HeapStats | None = None):
         self._entries: list[tuple[Any, int, T]] = []
         self.stats = stats if stats is not None else HeapStats()
+        self.seen: Any = None
 
     def push(self, sort_key: Any, item: T) -> None:
         """Insert ``item`` with priority ``sort_key``."""

@@ -151,6 +151,13 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             if not holders:  # pragma: no cover - head validation precludes this
                 raise QueryError(f"head variable {var!r} appears in no atom")
             self._holders[var] = holders
+        # An answer's values are its comparison-order values, permuted
+        # into head order.
+        perm = tuple(self._order.index(v) for v in query.head)
+        if perm == tuple(range(len(perm))):
+            self._head_of = lambda values: values
+        else:
+            self._head_of = itemgetter(*perm)
 
     # ------------------------------------------------------------------ #
     # phases
@@ -282,35 +289,42 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         assert self._instances is not None
         if any(not rows for rows in self._instances.values()):
             return  # empty join
-        yield from self._enum(self._instances, 0, {})
+        yield from self._enum(self._instances, 0, (), ())
 
     def _enum(
         self,
         instances: Mapping[str, list[Row]],
         depth: int,
-        fixed: dict[str, object],
+        fixed: tuple,
+        key: tuple,
     ) -> Iterator[RankedAnswer]:
+        """Answers extending ``fixed``, the values of the first ``depth``
+        attributes in comparison order.  ``key`` holds their key parts,
+        one per level, each computed once by that level's candidate
+        sort and shared by every answer below it."""
         if depth == len(self._order):
-            yield self._answer(fixed)
+            yield self._answer(fixed, key)
             return
 
         var = self._order[depth]
         holders = self._holders[var]
         alias0, pos0 = holders[0]
-        candidates = sorted(
-            {row[pos0] for row in instances[alias0]},
-            key=lambda v: self._value_key(var, v),
-            reverse=var in self._descending,
-        )
+        value_key = self._value_key
+        candidates = [(value_key(var, v), v) for v in {row[pos0] for row in instances[alias0]}]
+        if var in self._descending:
+            candidates.sort(key=itemgetter(0), reverse=True)
+            candidates = [(Desc(part), value) for part, value in candidates]
+        else:
+            candidates.sort(key=itemgetter(0))
         if depth == len(self._order) - 1 and (depth or not self._already_reduced):
             # ``instances`` is this enumerator's own full-reducer output
             # over an acyclic join tree, hence globally consistent: every
             # candidate extends to an answer.  (Caller-reduced instances
             # at level 0 may hold dangling rows, so they take the loop.)
-            for value in candidates:
-                yield self._answer({**fixed, var: value})
+            for part, value in candidates:
+                yield self._answer(fixed + (value,), key + (part,))
             return
-        for value in candidates:
+        for part, value in candidates:
             alive = True
             if depth == 0:
                 # Index path: bucket lookups + one outward wave keep the
@@ -341,20 +355,12 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             self.stats.reducer_passes += 1
             if any(not rows for rows in reduced.values()):
                 continue
-            yield from self._enum(reduced, depth + 1, {**fixed, var: value})
+            yield from self._enum(reduced, depth + 1, fixed + (value,), key + (part,))
 
-    def _answer(self, fixed: Mapping[str, object]) -> RankedAnswer:
-        """The answer for a full assignment of the head variables."""
-        values = tuple(fixed[v] for v in self.query.head)
-        score = tuple(fixed[v] for v in self._order)
-        key = tuple(
-            Desc(self._value_key(v, fixed[v]))
-            if v in self._descending
-            else self._value_key(v, fixed[v])
-            for v in self._order
-        )
+    def _answer(self, score: tuple, key: tuple) -> RankedAnswer:
+        """The answer whose values in comparison order are ``score``."""
         self.stats.answers += 1
-        return RankedAnswer(values, score, key=key)
+        return RankedAnswer(self._head_of(score), score, key=key)
 
     def _value_key(self, var: str, value):
         """Per-attribute comparison key: ``(w(value), value)`` when a

@@ -51,13 +51,11 @@ module allowed to touch raw score arrays (``tools/check_layering.py``).
 The enumeration phase has its own array algebra on top of the scoring
 one: :meth:`BoundRanking.combine_key_arrays` is the array form of
 :meth:`BoundRanking.combine` over *already-signed key* arrays (a node's
-own keys plus one child-top key column per child), used by the batched
-queue construction and the bulk top-k kernel in
-:mod:`repro.core.acyclic`.  :data:`combine_counters` and
-:data:`topk_counters` record those two dispatch sites' successes and
-reason-coded refusals; :class:`~repro.engine.stats.EngineStats`
-surfaces them as ``batched_combines`` / ``bulk_topk_calls`` /
-``bulk_topk_fallbacks``.
+own keys plus one child-top key column per child), used by the array
+queue build in :mod:`repro.core.acyclic`.  :data:`combine_counters`
+records that dispatch site's successes and reason-coded refusals;
+:class:`~repro.engine.stats.EngineStats` surfaces the successes as
+``batched_combines``.
 """
 
 from __future__ import annotations
@@ -88,16 +86,13 @@ __all__ = [
     "batched_output_keys",
     "batched_weight_table",
     "combine_counters",
-    "topk_counters",
 ]
 
-#: Instrumentation for the two enumeration-phase array dispatch sites
-#: (same thread-safe, scope-collecting class as the kernel counters):
-#: ``combine_counters`` tracks per-node batched ``combine`` passes in
-#: queue construction, ``topk_counters`` tracks bulk ``top_k`` serves.
-#: Refusals carry reason codes (``reasons_snapshot()``).
+#: Instrumentation for the enumeration-phase array dispatch site (same
+#: thread-safe, scope-collecting class as the kernel counters): per-node
+#: batched ``combine`` passes in queue construction.  Refusals carry
+#: reason codes (``reasons_snapshot()``).
 combine_counters = kernels.KernelCounters()
-topk_counters = kernels.KernelCounters()
 
 Pair = tuple[str, Any]
 

@@ -64,7 +64,7 @@ from ..query.query import JoinProjectQuery, UnionQuery
 from ..storage import kernels, scores
 from ..storage.encoded import EncodedDatabase, decoded_answers
 from .lru import LRUCache
-from .prepared import _BULK_TOPK_KINDS, PreparedPlan
+from .prepared import PreparedPlan
 from .stats import EngineStats, RequestCounters
 
 __all__ = ["QueryEngine"]
@@ -82,7 +82,6 @@ _WORK_COUNTERS = (
     (kernels, "counters", "kernel_calls", "kernel_fallbacks"),
     (scores, "counters", "score_builds", "score_fallbacks"),
     (ranking_layer, "combine_counters", "batched_combines", None),
-    (ranking_layer, "topk_counters", "bulk_topk_calls", "bulk_topk_fallbacks"),
 )
 
 
@@ -130,20 +129,6 @@ class QueryEngine:
         ``"auto"`` (default) executes over the dictionary-encoded image
         when the data carries non-numeric keys; ``True``/``False``
         force either mode.
-    bulk_topk_max_k:
-        Bulk top-k ``k`` ceiling for this engine's executions.  ``None``
-        (the default) puts no ceiling on ``k``: every ``top_k(k)`` with
-        a batched-capable ranking first counts the exact pre-dedup join
-        size of its reduced instances and is served by one array pass
-        (join, dedup, ``argpartition``-style selection) only while that
-        count is within :data:`repro.core.acyclic.BULK_TOPK_COST_FACTOR`
-        times the reduced row count — bit-identical answers, scores and
-        tie order; larger joins, and any refusal, run the per-answer
-        heap loop.  A positive value additionally keeps ``k`` above it
-        on the heap; ``0`` disables the bulk kernel entirely (every
-        ``top_k`` keeps the paper's any-delay heap path).  Applies to
-        acyclic and star plans; other enumerators always use their own
-        paths.
     """
 
     def __init__(
@@ -153,7 +138,6 @@ class QueryEngine:
         max_plans: int = 64,
         max_queries: int = 256,
         encode: bool | str = "auto",
-        bulk_topk_max_k: int | None = None,
     ):
         if isinstance(db, (str, os.PathLike)):
             from ..storage.persist import open_database
@@ -181,9 +165,6 @@ class QueryEngine:
         self._encoded: EncodedDatabase | None = None
         self._encode_broken_generation: int | None = None
         self._encode_auto: tuple[Database, int, bool] | None = None
-        # Bulk top-k ``k`` ceiling override; None leaves the plan-layer
-        # default (no ceiling, cost-gated), 0 forces the heap path.
-        self._bulk_topk_max_k = bulk_topk_max_k
         self.last_enumerator: RankedEnumeratorBase | None = None
         # Snapshot-backed sessions (``QueryEngine(path)`` or a database
         # from ``repro.open_database``) start warm: the encoded image is
@@ -500,14 +481,7 @@ class QueryEngine:
         )[0]
         # Plans bound to an encoding context switch to the encoded image
         # and decode at emission inside make_enumerator.
-        overrides: dict[str, Any] = {}
-        if (
-            self._bulk_topk_max_k is not None
-            and prepared.plan.kind in _BULK_TOPK_KINDS
-            and "bulk_topk_max_k" not in prepared.plan.kwargs
-        ):
-            overrides["bulk_topk_max_k"] = self._bulk_topk_max_k
-        enum = prepared.make_enumerator(self.db, self.stats, **overrides)
+        enum = prepared.make_enumerator(self.db, self.stats)
         self.last_enumerator = enum
         return enum
 

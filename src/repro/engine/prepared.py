@@ -35,13 +35,6 @@ __all__ = ["PreparedPlan"]
 #: Plan kinds whose enumerators accept pre-reduced ``instances``.
 _WARMABLE_KINDS = frozenset({"acyclic", "lex"})
 
-#: Plan kinds whose enumerators accept the ``bulk_topk_max_k`` knob.
-#: Direct enumerator construction defaults the knob to 0 (pure heap
-#: path — what the delay-guarantee tests measure); the engine layer
-#: turns the bulk kernel on for its executions here, with no ``k``
-#: ceiling: the enumerators' cost gate decides per request.
-_BULK_TOPK_KINDS = frozenset({"acyclic", "star"})
-
 
 class PreparedPlan:
     """A reusable enumerator factory bound to one query/ranking/method.
@@ -179,12 +172,6 @@ class PreparedPlan:
         """
         self.executions += 1
         target, encoding = self._execution_target(db)
-        if (
-            self.plan.kind in _BULK_TOPK_KINDS
-            and "bulk_topk_max_k" not in overrides
-            and "bulk_topk_max_k" not in self.plan.kwargs
-        ):
-            overrides["bulk_topk_max_k"] = None
         caller_instances = "instances" in overrides or "instances" in self.plan.kwargs
         if self.plan.kind in _WARMABLE_KINDS and not caller_instances:
             self.warm(target, stats)

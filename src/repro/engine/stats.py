@@ -19,9 +19,10 @@ class RequestCounters:
     contexts of :mod:`repro.storage.kernels` / :mod:`repro.storage.scores`
     (the PR-5 machinery), so two requests running concurrently on one
     engine each see exactly their own ``kernel_calls`` / ``score_builds``
-    — never each other's.  ``batched_combines`` / ``bulk_topk_calls`` /
-    ``bulk_topk_fallbacks`` attribute the vectorised-enumeration layer
-    (:mod:`repro.core.ranking` counters) the same way.
+    — never each other's.  ``batched_combines`` attributes the
+    vectorised-enumeration layer (:mod:`repro.core.ranking` counters)
+    the same way.  ``bulk_topk_calls`` / ``bulk_topk_fallbacks`` are
+    retired and always 0 (see :class:`EngineStats`).
     """
 
     __slots__ = (
@@ -170,16 +171,12 @@ class EngineStats:
         are counted on ``combine_counters`` itself, per reason via
         ``repro.core.ranking.combine_counters.reasons_snapshot()``.
     bulk_topk_calls / bulk_topk_fallbacks:
-        ``top_k(k)`` requests served by the bulk array kernel (one
-        join+dedup+argpartition pass, bit-identical to heap emission)
-        and requests it declined, so the heap path ran with its usual
-        any-delay guarantees (:data:`repro.core.ranking.topk_counters`).
-        The decline reasons are ``"unbatchable-ranking"`` (LEX /
-        composite), ``"refused"`` (data not array-representable, or the
-        kernel could not run exactly) and ``"cost"`` (the counted join
-        is too large to be worth materialising).  A ``k`` above a
-        positive ``bulk_topk_max_k`` ceiling goes straight to the heap
-        and is not counted.
+        Retired, always 0.  They counted ``top_k(k)`` requests served
+        by a bulk array kernel, and requests it declined; that kernel
+        was deleted because the heap path measured as fast or faster on
+        the benchmark workloads, so every ``top_k`` now pops the queues.
+        The keys stay in :meth:`snapshot` (and
+        :meth:`RequestCounters.snapshot`) for readers that index them.
     snapshot_opens / snapshot_cow_detaches:
         Persistent-store observability: engines constructed over an
         on-disk snapshot (``QueryEngine(path)``) count one open, and

@@ -241,9 +241,8 @@ class DecodingEnumerator(RankedEnumeratorBase):
     def top_k(self, k: int) -> list[RankedAnswer]:
         """Delegate to the inner enumerator's ``top_k`` and decode.
 
-        Delegation (rather than the mixin's iterate-and-break) lets the
-        inner enumerator serve the request through its bulk top-k
-        kernel when eligible; answers decode identically either way.
+        The inner enumerator serves the request and accounts its own
+        enumeration time; this layer only decodes the ``k`` answers.
         """
         return list(
             decoded_answers(

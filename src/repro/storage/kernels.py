@@ -24,9 +24,7 @@ This module is that array layer:
   Python dict build;
 * **joins** — :func:`join_indices` / :func:`cross_indices` produce
   matching row-index pairs in exactly the left-major,
-  right-store-order sequence of the Python hash join;
-  :func:`keyed_sums` counts what such a join would produce without
-  producing it.
+  right-store-order sequence of the Python hash join.
 
 Every kernel is exact or refuses: a ``None`` return tells the caller to
 use the pure-Python implementation, so outputs (values, scores, ties,
@@ -69,7 +67,6 @@ __all__ = [
     "enabled",
     "group_indices",
     "join_indices",
-    "keyed_sums",
     "pack_columns",
     "pack_pair",
     "semijoin_mask",
@@ -157,9 +154,7 @@ class KernelCounters:
         (score columns), ``"unbatchable-ranking"`` (the ranking has no
         array form — LEX/composite), ``"no-key-array"`` /
         ``"scalar-child-keys"`` / ``"combine-refused"`` / ``"non-finite-key"``
-        (the array queue build of a join-tree node declined), and for bulk
-        ``top_k`` ``"refused"`` (the kernel could not run exactly) and
-        ``"cost"`` (the join is too large to be worth materialising).
+        (the array queue build of a join-tree node declined).
         """
         with self._lock:
             self.fallbacks += 1
@@ -446,25 +441,6 @@ def join_indices(left_keys, right_keys):
     offsets = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     right_idx = order[np.repeat(starts, cnt) + offsets]
     return left_idx, right_idx
-
-
-def keyed_sums(left_keys, right_keys, weights):
-    """For each left key, the sum of ``weights`` over equal right keys.
-
-    A ``float64`` array aligned with ``left_keys`` (``0.0`` where no
-    right key matches): with ``weights`` the per-row match counts of the
-    right side, entry ``i`` is how many rows left row ``i`` would join
-    with — a join's size, counted in one group-by without
-    materialising a single pair.  Each group is summed on its own, so a
-    small group's sum never loses precision next to a huge one.
-    """
-    counters.record_call()
-    unique, inverse = np.unique(right_keys, return_inverse=True)
-    if not len(unique):
-        return np.zeros(len(left_keys))
-    sums = np.bincount(inverse.ravel(), weights=weights, minlength=len(unique))
-    pos = np.minimum(np.searchsorted(unique, left_keys), len(unique) - 1)
-    return np.where(unique[pos] == left_keys, sums[pos], 0.0)
 
 
 def cross_indices(n_left: int, n_right: int):

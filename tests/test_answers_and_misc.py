@@ -45,7 +45,6 @@ class TestEnumerationStats:
             "reduce_seconds",
             "build_seconds",
             "enumerate_seconds",
-            "join_rows",
         }
 
     def test_without_heap_stats(self):

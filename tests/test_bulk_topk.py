@@ -1,11 +1,14 @@
-"""The vectorised enumeration layer (ISSUE 10): bulk top-k kernel,
-batched join-tree combines, heapify-based queue builds, the star
-structure's array-native ``O_H``, and the lexicographic backtracker's
-cached weight tables.
+"""``LIMIT k`` and the vectorised enumeration layer: ``top_k`` against
+the materialise-dedup-sort baseline, batched join-tree combines,
+heapify-based queue builds, the star structure's array-native ``O_H``,
+and the lexicographic backtracker's cached weight tables.
 
-The governing invariant throughout: every batched path is bit-identical
-to its scalar twin or refuses into it, with the refusal visible in the
-reason-coded counters.
+Every ``top_k`` pops the lazily built queues; there is no second top-k
+path.  The governing invariant throughout: every batched path is
+bit-identical to its scalar twin or refuses into it, with the refusal
+visible in the reason-coded counters, and every ``top_k`` equals
+:class:`~repro.algorithms.baseline.EngineBaseline` in values, scores,
+keys and tie order.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings, strategies as st
-
-from repro.algorithms.naive import join_results
-from repro.core import acyclic
-from repro.core.acyclic import BULK_TOPK_COST_FACTOR, AcyclicRankedEnumerator
+from repro.algorithms.baseline import EngineBaseline
+from repro.core.acyclic import AcyclicRankedEnumerator
 from repro.core.heap import HeapStats, RankHeap
 from repro.core.lexicographic import LexBacktrackEnumerator
 from repro.core.ranking import (
@@ -34,12 +34,11 @@ from repro.core.ranking import (
     TableWeight,
     batched_weight_table,
     combine_counters,
-    topk_counters,
 )
 from repro.core.star import StarTradeoffEnumerator
 from repro.data import Database
 from repro.engine import QueryEngine
-from repro.query import build_join_tree, parse_query
+from repro.query import parse_query
 from repro.storage import kernels, scores
 from repro.workloads.weights import random_weights
 
@@ -92,84 +91,78 @@ def output(answers):
 
 
 def heap_top_k(query, db, ranking, k, **kwargs):
-    return AcyclicRankedEnumerator(
-        query, db, ranking, bulk_topk_max_k=0, **kwargs
-    ).top_k(k)
+    return AcyclicRankedEnumerator(query, db, ranking, **kwargs).top_k(k)
 
 
-def bulk_top_k(query, db, ranking, k, *, threshold=None, **kwargs):
-    return AcyclicRankedEnumerator(
-        query, db, ranking, bulk_topk_max_k=threshold or k, **kwargs
-    ).top_k(k)
+def baseline_top_k(query, db, ranking, k):
+    """Materialise, dedup, sort, cut: the reference every ``top_k`` meets."""
+    if isinstance(query, str):
+        query = parse_query(query)
+    return EngineBaseline(query, db, ranking).top_k(k)
 
 
 # --------------------------------------------------------------------- #
-# bulk top-k: threshold crossover
+# top-k: k boundaries
 # --------------------------------------------------------------------- #
 class TestThresholdCrossover:
+    """``k`` at and around the boundaries where a top-k path could cut
+    wrongly: ``k`` near 16 (where the retired bulk kernel's ceiling once
+    switched paths), past the output size, inside a tie group."""
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_k_around_threshold(self, offset):
-        """k at threshold-1 / threshold / threshold+1: the first two are
-        bulk-served, the last runs the heap — all three identical."""
         db = chain_db()
         query = parse_query(CHAIN3)
         ranking = SumRanking(table_weight(range(300)))
-        threshold = 16
-        k = threshold + offset
-        with topk_counters.collect() as tally:
-            got = bulk_top_k(query, db, ranking, k, threshold=threshold)
-        expected = heap_top_k(query, db, ranking, k)
-        assert output(got) == output(expected)
-        if offset <= 0:
-            assert tally.calls == 1 and tally.fallbacks == 0
-        else:
-            assert tally.calls == 0
+        k = 16 + offset
+        got = heap_top_k(query, db, ranking, k)
+        assert output(got) == output(baseline_top_k(query, db, ranking, k))
+        assert len(got) == k
 
     def test_direct_construction_defaults_to_heap(self):
+        """``top_k`` pops the queues: cells and pops are spent."""
         db = chain_db()
         query = parse_query(CHAIN3)
         enum = AcyclicRankedEnumerator(query, db, SumRanking())
-        with topk_counters.collect() as tally:
-            enum.top_k(5)
-        assert tally.calls == 0 and tally.fallbacks == 0
+        got = enum.top_k(5)
+        assert enum.heap_stats.pops > 0 and enum.stats.cells_created > 0
+        assert output(got) == output(baseline_top_k(query, db, SumRanking(), 5))
 
     def test_k_beyond_output_size(self):
-        """k larger than |answers| returns the full output, still bulk."""
+        """k larger than |answers| returns the full output."""
         db = Database()
         db.add_relation("E", ("a", "p"), [(1, 10), (2, 10), (3, 99)])
         query = parse_query(TWO_HOP)
         ranking = SumRanking()
-        with topk_counters.collect() as tally:
-            got = bulk_top_k(query, db, ranking, 10_000)
-        assert tally.calls == 1
+        got = heap_top_k(query, db, ranking, 10_000)
         expected = AcyclicRankedEnumerator(query, db, ranking).all()
         assert output(got) == output(expected)
+        assert output(got) == output(baseline_top_k(query, db, ranking, 10_000))
 
     def test_duplicate_scores_at_k_boundary(self):
-        """Ties straddling position k: the bulk cut keeps exactly the
-        heap's tie-break order (key, then output tuple)."""
+        """Ties straddling position k: the cut keeps the baseline's
+        tie-break order (key, then output tuple)."""
         db = Database()
         # Every pair scores 2.0: the whole output is one tie group.
         db.add_relation("E", ("a", "p"), [(i, 10) for i in range(1, 9)])
         query = parse_query(TWO_HOP)
         ranking = SumRanking(TableWeight({}, default_table={i: 1.0 for i in range(9)}))
         for k in (1, 7, 8, 63):
-            got = bulk_top_k(query, db, ranking, k)
-            expected = heap_top_k(query, db, ranking, k)
-            assert output(got) == output(expected)
+            got = heap_top_k(query, db, ranking, k)
+            assert output(got) == output(baseline_top_k(query, db, ranking, k))
             assert len(got) == min(k, 64)
 
     def test_exhausts_the_enumerator(self):
         db = chain_db()
         query = parse_query(CHAIN3)
-        enum = AcyclicRankedEnumerator(query, db, SumRanking(), bulk_topk_max_k=8)
+        enum = AcyclicRankedEnumerator(query, db, SumRanking())
         enum.top_k(4)
         with pytest.raises(Exception):
             list(enum)
 
 
 # --------------------------------------------------------------------- #
-# bulk top-k: identity grid
+# top-k: identity grid against the baseline
 # --------------------------------------------------------------------- #
 RANKINGS = {
     "sum": lambda w: SumRanking(w),
@@ -188,8 +181,8 @@ def test_ranking_identity_direct(name):
     query = parse_query(CHAIN3)
     ranking = RANKINGS[name](table_weight(range(150)))
     for k in (1, 5, 40):
-        got = bulk_top_k(query, db, ranking, k)
-        expected = heap_top_k(query, db, ranking, k)
+        got = heap_top_k(query, db, ranking, k)
+        expected = baseline_top_k(query, db, ranking, k)
         assert output(got) == output(expected)
 
 
@@ -197,9 +190,8 @@ def test_ranking_identity_direct(name):
 @pytest.mark.parametrize("shards", [0, 3])
 @pytest.mark.parametrize("use_kernels", [True, False])
 def test_engine_grid_identity(encode, shards, use_kernels):
-    """encoded x sharded x kernels, k below and above the old 256
-    ceiling: the engine's bulk default never changes any answer, score
-    or tie order."""
+    """encoded x sharded x kernels, k small and large: the engine's
+    ``top_k`` equals the baseline in every answer, score and tie."""
     db = chain_db(n=400)  # 400 distinct answers
     query = CHAIN3
     ranking = SumRanking(table_weight(range(400)))
@@ -207,39 +199,31 @@ def test_engine_grid_identity(encode, shards, use_kernels):
     scores.set_enabled(use_kernels)
     try:
         for k in (25, 300):
-            outputs = {}
-            for bulk in (None, 0):
-                engine = QueryEngine(db, encode=encode, bulk_topk_max_k=bulk)
-                if shards > 1:
-                    answers = engine.execute_parallel(
-                        query, ranking, shards=shards, backend="serial", k=k
-                    )
-                else:
-                    answers = engine.execute(query, ranking, k=k)
-                outputs[bulk] = output(answers)
-                if not shards and use_kernels:
-                    served = engine.stats.bulk_topk_calls
-                    assert (bulk is None) == bool(served)
-            assert outputs[None] == outputs[0]
-            assert len(outputs[0]) == k
+            engine = QueryEngine(db, encode=encode)
+            if shards > 1:
+                answers = engine.execute_parallel(
+                    query, ranking, shards=shards, backend="serial", k=k
+                )
+            else:
+                answers = engine.execute(query, ranking, k=k)
+            assert output(answers) == output(baseline_top_k(query, db, ranking, k))
+            assert len(answers) == k
     finally:
         kernels.set_enabled(True)
         scores.set_enabled(True)
 
 
 def test_string_values_fall_back():
-    """Non-int columns refuse the bulk kernel; answers are unchanged."""
+    """Non-int columns refuse the array queue build; the scalar build
+    serves the same answers."""
     db = Database()
     db.add_relation("E", ("a", "p"), [(f"v{i}", "h") for i in range(6)])
     query = parse_query(TWO_HOP)
     ranking = LexRanking()
-    with topk_counters.collect() as tally:
-        got = AcyclicRankedEnumerator(
-            query, db, ranking, bulk_topk_max_k=64
-        ).top_k(5)
-    expected = heap_top_k(query, db, ranking, 5)
-    assert output(got) == output(expected)
-    assert tally.calls == 0 and tally.fallbacks == 1
+    enum = AcyclicRankedEnumerator(query, db, ranking)
+    got = enum.top_k(5)
+    assert enum._root_rt.runs is None
+    assert output(got) == output(baseline_top_k(query, db, ranking, 5))
 
 
 def test_no_numpy_environment_serves_through_heap():
@@ -249,83 +233,12 @@ def test_no_numpy_environment_serves_through_heap():
     kernels.set_enabled(False)
     scores.set_enabled(False)
     try:
-        with topk_counters.collect() as tally:
-            scalar = bulk_top_k(query, db, ranking, 20)
-        assert tally.calls == 0
+        scalar = heap_top_k(query, db, ranking, 20)
     finally:
         kernels.set_enabled(True)
         scores.set_enabled(True)
-    assert output(scalar) == output(bulk_top_k(query, db, ranking, 20))
-
-
-# --------------------------------------------------------------------- #
-# the cost gate: count the join, materialise it only when it is cheap
-# --------------------------------------------------------------------- #
-GATE_QUERIES = [
-    parse_query("Q(a1, a2) :- R(a1, p), R(a2, p)"),  # self-join projection
-    parse_query("Q(a, d) :- R(a, b), S(b, c), T(c, d)"),  # chain projection
-    parse_query("Q(x1, x2, x3) :- R(x1, b), R(x2, b), R(x3, b)"),  # star
-    parse_query("Q(a) :- R(a, b)"),  # single atom, projected
-    parse_query("Q(a, b) :- R(a, b)"),  # single atom, full
-    parse_query("Q(a) :- R(a, b), S(b, c)"),  # S is pruned (output-free)
-    parse_query("Q(a, c) :- R(a, b), S(c, d)"),  # ()-anchored child
-    parse_query("Q(a, b, c) :- R(a, b), S(b, c)"),  # full join
-    parse_query("Q(a, d) :- R(a, b, c), S(b, c, d)"),  # two-column anchor
-]
-
-gate_values = st.integers(min_value=0, max_value=3)
-
-
-@st.composite
-def gate_cases(draw):
-    query = draw(st.sampled_from(GATE_QUERIES))
-    arity = {atom.relation: len(atom.variables) for atom in query.atoms}
-    spec = {
-        name: (
-            tuple(f"c{i}" for i in range(width)),
-            draw(st.lists(st.tuples(*[gate_values] * width), max_size=8)),
-        )
-        for name, width in sorted(arity.items())
-    }
-    return query, Database.from_dict(spec)
-
-
-def counted_join_rows(query, db):
-    """The gate's count, read back from the enumerator's stats."""
-    enum = AcyclicRankedEnumerator(query, db, SumRanking(), bulk_topk_max_k=None)
-    enum.top_k(1)
-    return enum.stats.join_rows
-
-
-@settings(max_examples=80, deadline=None)
-@given(case=gate_cases())
-def test_join_row_count_matches_brute_force(case):
-    """The counting pass equals the brute-force size of the un-projected
-    join over the atoms left after pruning (empty relations, self-joins,
-    projections, single atoms and ()-anchored children included)."""
-    query, db = case
-    kept, _dropped = build_join_tree(query).pruned()
-    variables = sorted({v for node in kept.post_order() for v in node.atom.variables})
-    expected = len(
-        {tuple(b[v] for v in variables) for b in join_results(query, db)}
-    )
-    assert counted_join_rows(query, db) == expected
-
-
-def test_keyed_sums_matches_dict_group_sums():
-    """keyed_sums equals a dict group-by; unmatched left keys sum to 0
-    (reduced instances never have them, so the gate tests cannot)."""
-    rng = random.Random(17)
-    right = [rng.randrange(30) * 10**12 for _ in range(200)]
-    weights = [float(rng.randrange(1, 9)) for _ in right]
-    left = [rng.randrange(40) * 10**12 for _ in range(150)]
-    sums: dict[int, float] = {}
-    for key, w in zip(right, weights):
-        sums[key] = sums.get(key, 0.0) + w
-    got = kernels.keyed_sums(np.array(left), np.array(right), np.array(weights))
-    assert got.tolist() == [sums.get(key, 0.0) for key in left]
-    none = kernels.keyed_sums(np.array(left), np.array([], dtype=np.int64), np.array([]))
-    assert none.tolist() == [0.0] * len(left)
+    assert output(scalar) == output(heap_top_k(query, db, ranking, 20))
+    assert output(scalar) == output(baseline_top_k(query, db, ranking, 20))
 
 
 def complete_bipartite_db(m, q):
@@ -337,93 +250,35 @@ def complete_bipartite_db(m, q):
 
 
 @pytest.mark.parametrize(
-    "text, m, q, join_rows",
+    "text, m, q",
     [
-        # 3hop: J = (m q)^2 over N = 3 m q rows, so J/N = m q / 3.
-        (
-            "Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)",
-            2 * BULK_TOPK_COST_FACTOR,
-            4,
-            lambda m, q: (m * q) ** 2,
-        ),
-        # star3: J = q m^3 over N = 3 m q rows, so J/N = m^2 / 3.
-        (
-            "Q(a1, a2, a3) :- E(a1, p), E(a2, p), E(a3, p)",
-            2 * BULK_TOPK_COST_FACTOR,
-            2,
-            lambda m, q: q * m**3,
-        ),
+        ("Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)", 12, 3),  # 3hop
+        ("Q(a1, a2, a3) :- E(a1, p), E(a2, p), E(a3, p)", 10, 2),  # star3
     ],
     ids=["3hop", "star3"],
 )
-def test_high_fanout_declines_for_cost(monkeypatch, text, m, q, join_rows):
-    """A join that fans out past the gate is declined before any of it is
-    materialised: join_indices is never reached, the decline is counted
-    under "cost", and the heap serves the identical answers."""
+def test_high_fanout_identity(text, m, q):
+    """Joins where every answer has many derivations: deduplication
+    inside the queues leaves exactly the baseline's distinct answers."""
     db = complete_bipartite_db(m, q)
     query = parse_query(text)
     ranking = SumRanking(table_weight(range(m + q)))
-    expected = heap_top_k(query, db, ranking, 10)
-
-    def no_join(*_args):
-        raise AssertionError("the declined bulk path materialised a join")
-
-    monkeypatch.setattr(kernels, "join_indices", no_join)
-    enum = AcyclicRankedEnumerator(query, db, ranking, bulk_topk_max_k=None)
-    with topk_counters.collect() as tally:
-        got = enum.top_k(10)
-    assert tally.calls == 0
-    assert tally.reasons == {"cost": 1}
-    assert enum.stats.join_rows == join_rows(m, q)
-    assert output(got) == output(expected)
+    for k in (1, 7, 36, 1000):
+        got = heap_top_k(query, db, ranking, k)
+        assert output(got) == output(baseline_top_k(query, db, ranking, k))
 
 
-def test_high_fanout_engine_declines_for_cost():
-    db = complete_bipartite_db(2 * BULK_TOPK_COST_FACTOR, 4)
-    engine = QueryEngine(db)
-    engine.execute("Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)", SumRanking(), k=10)
-    assert engine.stats.bulk_topk_calls == 0
-    assert engine.stats.bulk_topk_fallbacks == 1
-    assert engine.last_enumerator.stats.join_rows > BULK_TOPK_COST_FACTOR * 3 * len(
-        db["E"]
-    )
-
-
-def test_unit_fanout_chain_is_bulk_served():
+def test_unit_fanout_chain_identity():
+    """A chain where every row joins exactly one row, drained past k."""
     n = 500
     db = Database()
     for name, attrs in (("R1", ("a", "b")), ("R2", ("b", "c")), ("R3", ("c", "d"))):
         db.add_relation(name, attrs, [(i, i) for i in range(n)])
     query = parse_query(CHAIN3)
     ranking = SumRanking(table_weight(range(n)))
-    enum = AcyclicRankedEnumerator(query, db, ranking, bulk_topk_max_k=None)
-    with topk_counters.collect() as tally:
-        got = enum.top_k(1000)
-    assert tally.calls == 1 and tally.fallbacks == 0
-    assert enum.stats.join_rows == n
-    assert output(got) == output(heap_top_k(query, db, ranking, 1000))
-
-
-def test_kernel_exact_past_the_gate(monkeypatch):
-    """With the gate lifted the kernel serves a high-fanout projection
-    bit-identically to the heap (dedup of many duplicates per answer)."""
-    monkeypatch.setattr(acyclic, "BULK_TOPK_COST_FACTOR", float("inf"))
-    db = complete_bipartite_db(12, 3)
-    query = parse_query("Q(a1, p2) :- E(a1, p1), E(a2, p1), E(a2, p2)")
-    ranking = SumRanking(table_weight(range(15)))
-    for k in (1, 7, 36):
-        with topk_counters.collect() as tally:
-            got = bulk_top_k(query, db, ranking, k)
-        assert tally.calls == 1
-        assert output(got) == output(heap_top_k(query, db, ranking, k))
-
-
-def test_positive_ceiling_still_caps_k():
-    db = chain_db(n=100)
-    query = parse_query(CHAIN3)
-    with topk_counters.collect() as tally:
-        AcyclicRankedEnumerator(query, db, SumRanking(), bulk_topk_max_k=8).top_k(9)
-    assert tally.calls == 0 and tally.fallbacks == 0
+    got = heap_top_k(query, db, ranking, 1000)
+    assert len(got) == n
+    assert output(got) == output(baseline_top_k(query, db, ranking, 1000))
 
 
 # --------------------------------------------------------------------- #
@@ -431,16 +286,23 @@ def test_positive_ceiling_still_caps_k():
 # --------------------------------------------------------------------- #
 class TestEngineCounters:
     def test_bulk_topk_counted(self):
+        """The bulk counters are retired: they stay in the snapshot and
+        read 0, whatever ``k`` is."""
+        db = chain_db(n=100)
+        engine = QueryEngine(db)
+        for k in (1, 10, 1000):
+            engine.execute(CHAIN3, SumRanking(), k=k)
+        snap = engine.stats.snapshot()
+        assert snap["bulk_topk_calls"] == 0
+        assert snap["bulk_topk_fallbacks"] == 0
+
+    def test_disabled_engine_never_bulk_serves(self):
+        """An engine ``top_k`` is served by popping the queues."""
         db = chain_db(n=100)
         engine = QueryEngine(db)
         engine.execute(CHAIN3, SumRanking(), k=10)
-        assert engine.stats.bulk_topk_calls == 1
-        assert engine.stats.bulk_topk_fallbacks == 0
-
-    def test_disabled_engine_never_bulk_serves(self):
-        db = chain_db(n=100)
-        engine = QueryEngine(db, bulk_topk_max_k=0)
-        engine.execute(CHAIN3, SumRanking(), k=10)
+        enum = engine.last_enumerator
+        assert enum.heap_stats.pops > 0 and enum.stats.cells_created > 0
         assert engine.stats.bulk_topk_calls == 0
 
     def test_batched_combines_counted_on_full_enumeration(self):
@@ -457,15 +319,8 @@ class TestEngineCounters:
         with engine.measure() as req:
             engine.execute(CHAIN3, SumRanking(), k=10)
         snap = req.snapshot()
-        assert snap["bulk_topk_calls"] == 1
-        assert "batched_combines" in snap and "bulk_topk_fallbacks" in snap
-
-    def test_lex_ranking_counts_a_fallback(self):
-        db = chain_db(n=60)
-        engine = QueryEngine(db)
-        engine.execute(CHAIN3, LexRanking(), method="lindelay", k=10)
-        assert engine.stats.bulk_topk_calls == 0
-        assert engine.stats.bulk_topk_fallbacks >= 1
+        assert snap["batched_combines"] >= 1
+        assert snap["bulk_topk_calls"] == 0 and snap["bulk_topk_fallbacks"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -473,13 +328,16 @@ class TestEngineCounters:
 # --------------------------------------------------------------------- #
 class TestFallbackReasons:
     def test_unbatchable_ranking_reason(self):
+        """A ranking with no array form (a composite) builds its queues
+        the scalar way, and the refusal is tagged with its reason."""
         db = chain_db(n=60)
         query = parse_query(CHAIN3)
-        with topk_counters.collect() as tally:
-            AcyclicRankedEnumerator(
-                query, db, LexRanking(), bulk_topk_max_k=64
-            ).top_k(5)
-        assert tally.reasons.get("unbatchable-ranking") == 1
+        ranking = SumRanking().then_by(LexRanking())
+        with combine_counters.collect() as tally:
+            got = heap_top_k(query, db, ranking, 5)
+        # One refusal per node with children: CHAIN3 has two.
+        assert tally.reasons.get("unbatchable-ranking") == 2
+        assert output(got) == output(baseline_top_k(query, db, ranking, 5))
 
     def test_kernel_conversion_reason(self):
         before = kernels.counters.reasons_snapshot().get("conversion", 0)
@@ -531,7 +389,7 @@ class TestPushMany:
 
 
 # --------------------------------------------------------------------- #
-# star: array-native O_H and bulk serve
+# star: array-native O_H and top-k
 # --------------------------------------------------------------------- #
 class TestStarVectorised:
     def test_heavy_output_identical_to_scalar_build(self):
@@ -550,30 +408,22 @@ class TestStarVectorised:
         assert batched.heavy_output_size > 0  # the hub went heavy
 
     def test_star_bulk_topk_identity(self):
+        """The (m+1)-way merge's ``top_k`` equals the baseline."""
         db = star_db()
         query = parse_query(STAR3)
         ranking = SumRanking(table_weight(range(200)))
         for k in (1, 10, 200):
-            with topk_counters.collect() as tally:
-                got = StarTradeoffEnumerator(
-                    query, db, ranking, delta=5, bulk_topk_max_k=512
-                ).top_k(k)
-            # The light-leg subqueries have ~unit fanout: bulk-served.
-            assert tally.calls >= 1
-            expected = StarTradeoffEnumerator(query, db, ranking, delta=5).top_k(k)
-            assert output(got) == output(expected)
+            enum = StarTradeoffEnumerator(query, db, ranking, delta=5)
+            got = enum.top_k(k)
+            assert enum.heavy_output_size > 0 and len(enum._subenums) > 0
+            assert output(got) == output(baseline_top_k(query, db, ranking, k))
 
     def test_star_engine_identity(self):
         db = star_db()
         ranking = SumRanking(table_weight(range(200)))
-        outputs = {}
-        for bulk in (64, 0):
-            engine = QueryEngine(db, bulk_topk_max_k=bulk)
-            outputs[bulk] = output(
-                engine.execute(STAR3, ranking, method="star", delta=5, k=50)
-            )
-            assert bool(engine.stats.bulk_topk_calls) == bool(bulk)
-        assert outputs[64] == outputs[0]
+        engine = QueryEngine(db)
+        got = engine.execute(STAR3, ranking, method="star", delta=5, k=50)
+        assert output(got) == output(baseline_top_k(STAR3, db, ranking, 50))
 
 
 # --------------------------------------------------------------------- #
@@ -689,21 +539,80 @@ def test_phase_timings_populated():
     )
 
 
-def test_bulk_served_top_k_keeps_the_preprocess_sum():
-    """A bulk-served ``top_k`` never runs ``preprocess``; its reducer pass
-    still counts as preprocessing (``preprocess = reduce + build``)."""
-    from repro.workloads import make_dblp_like, two_hop
+# --------------------------------------------------------------------- #
+# top-k identity grid on the chain4 / star3 workloads
+# --------------------------------------------------------------------- #
+CHAIN4 = "Q(a, e) :- R1(a, b), R2(b, c), R3(c, d), R4(d, e)"
 
-    workload = make_dblp_like(0.5)
-    spec = two_hop()
-    enum = AcyclicRankedEnumerator(
-        spec.query, workload.db, workload.ranking(spec), bulk_topk_max_k=None
-    )
-    with topk_counters.collect() as tally:
-        enum.top_k(10)
-    assert tally.calls == 1 and enum.stats.cells_created == 0
-    snap = enum.stats.snapshot()
-    assert snap["reduce_seconds"] > 0.0
-    assert snap["preprocess_seconds"] == pytest.approx(
-        snap["reduce_seconds"] + snap["build_seconds"]
-    )
+
+def chain4_workload(n=1200, seed=7):
+    """Four int-keyed chain relations with ~unit join fanout."""
+    rng = random.Random(seed)
+    db = Database()
+    for name, attrs in (
+        ("R1", ("a", "b")),
+        ("R2", ("b", "c")),
+        ("R3", ("c", "d")),
+        ("R4", ("d", "e")),
+    ):
+        db.add_relation(
+            name, attrs, [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        )
+    return db, table_weight(range(n), seed=seed + 1)
+
+
+def star3_workload(n=400, seed=23):
+    """Three star legs: a long random tail plus eight hubs of degree 12
+    over a small B domain, so ``O_H`` is non-empty at ``delta=10``."""
+    rng = random.Random(seed)
+    db = Database()
+    for i in (1, 2, 3):
+        rows = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        for hub in range(8):
+            rows.extend((hub, rng.randrange(16)) for _ in range(12))
+        db.add_relation(f"R{i}", (f"a{i}", "b"), rows)
+    return db, table_weight(range(n), seed=seed + 1)
+
+
+GRID_CASES = {
+    "chain4": (chain4_workload, CHAIN4, False, {}),
+    "chain4 desc": (chain4_workload, CHAIN4, True, {}),
+    "star3": (star3_workload, STAR3, False, {"method": "star", "delta": 10}),
+}
+
+
+GRID_MODES = ["plain", "encoded", "sharded", "encoded+sharded", "no-numpy"]
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [
+        (case, mode)
+        for case in sorted(GRID_CASES)
+        for mode in GRID_MODES
+        # The partitioner serves acyclic plans, not the star structure.
+        if not ("sharded" in mode and GRID_CASES[case][3])
+    ],
+)
+def test_workload_grid_identity(case, mode):
+    """``top_k(1000)`` in every execution mode equals the baseline."""
+    make, text, descending, extra = GRID_CASES[case]
+    db, weight = make()
+    ranking = SumRanking(weight, descending=descending)
+    expected = output(baseline_top_k(text, db, ranking, 1000))
+    vectorised = mode != "no-numpy"
+    kernels.set_enabled(vectorised)
+    scores.set_enabled(vectorised)
+    try:
+        engine = QueryEngine(db, encode="encoded" in mode)
+        if "sharded" in mode:
+            answers = engine.execute_parallel(
+                text, ranking, shards=3, backend="serial", k=1000
+            )
+        else:
+            answers = engine.execute(text, ranking, k=1000, **extra)
+    finally:
+        kernels.set_enabled(True)
+        scores.set_enabled(True)
+    assert output(answers) == expected
+    assert len(expected) == 1000

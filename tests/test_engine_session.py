@@ -112,8 +112,10 @@ def expected(
         ("kernel_fallbacks", 0),
         ("score_builds", score_builds),
         ("score_fallbacks", 0),
-        ("batched_combines", 4),
-        ("bulk_topk_calls", 4),
+        # Every k-limited execution builds its queues and pops them.
+        ("batched_combines", 8),
+        # Retired: no top-k path other than the queues.
+        ("bulk_topk_calls", 0),
         ("bulk_topk_fallbacks", 0),
         ("snapshot_opens", 0),
         ("snapshot_cow_detaches", 0),
@@ -125,13 +127,13 @@ def expected(
 EXPECTED = {
     # Plain rows: the write drops the warm plan's reduction for a rebuild.
     False: expected(
-        6, 2, invalidations=1, delta_applies=0, encode_builds=0, kernel_calls=37,
+        6, 2, invalidations=1, delta_applies=0, encode_builds=0, kernel_calls=21,
         score_builds=7,
     ),
     # Encoded image: the write re-encodes, orphaning the code-space plans
     # and rebuilding their score columns.
     True: expected(
-        4, 4, invalidations=1, delta_applies=0, encode_builds=3, kernel_calls=40,
+        4, 4, invalidations=1, delta_applies=0, encode_builds=3, kernel_calls=24,
         score_builds=10,
     ),
 }

@@ -180,7 +180,7 @@ def test_run_cells_are_created_when_they_reach_the_top():
     top = root.pqs[()].top()
     for cell in top.children:
         group = child.pqs[child.anchor_of(cell.row)]
-        assert cell is group.first
+        assert cell is group.first and cell.group is group
 
 
 def test_items_creates_no_cell():
@@ -228,3 +228,32 @@ def test_run_entry_beats_an_equal_successor():
         assert popped[-2:] == [head, rival]
     assert [c.out for c in popped] == [(1,), (1,), (2,), (2,)]
     assert group.pop().out == (3,) and not group
+
+
+def test_top_1_creates_few_groups():
+    # 300 anchor values at the child, two rows each: LIMIT 1 reaches one.
+    rows = [(a, p) for p in range(300) for a in (p, p + 1)]
+    db = Database.from_dict({"R": (("c0", "c1"), rows)})
+    query = QUERIES[0]
+
+    def top_1(lazy: bool, every_group: bool = False):
+        kernels.set_enabled(lazy)
+        try:
+            enum = AcyclicRankedEnumerator(query, db).preprocess()
+        finally:
+            kernels.set_enabled(True)
+        if every_group:
+            for rt in nodes(enum):
+                dict(rt.pqs.items())  # an inspection creates every group
+        assert [a.values for a in enum.top_k(1)] == [(0, 0)]
+        return enum
+
+    on_demand, eager, scalar = top_1(True), top_1(True, every_group=True), top_1(False)
+    child = on_demand._root_rt.children[0]
+    created = sum(group is not None for group in child.runs.groups)
+    assert len(child.runs.groups) == 300 and created <= 2
+    assert all(group is not None for group in eager._root_rt.children[0].runs.groups)
+    for enum in (eager, scalar):
+        assert on_demand.heap_stats.snapshot() == enum.heap_stats.snapshot()
+    assert on_demand.stats.cells_created == eager.stats.cells_created
+    assert on_demand.stats.cells_created < scalar.stats.cells_created
