@@ -51,14 +51,16 @@ class AtomInstances(dict):
     ``int64`` matrix aligned with the row list
     (:meth:`repro.data.relation.Relation.instance_codes`) without
     re-converting tuples — the matrices are cached at the storage layer
-    per store version.
+    per store version.  :meth:`exactly_int` remembers its verdicts, so a
+    warm plan that reuses one instances object scans its rows once.
     """
 
-    __slots__ = ("_sources",)
+    __slots__ = ("_sources", "_exact_int")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sources: dict[str, tuple] = {}
+        self._exact_int: dict[tuple, tuple] = {}
 
     def bind_source(self, alias, relation, positions, selections, distinct) -> None:
         """Record where an alias's rows came from (enables ``codes``)."""
@@ -76,6 +78,18 @@ class AtomInstances(dict):
             return None
         relation, positions, selections, distinct = source
         return relation.instance_codes(positions, selections, distinct=distinct)
+
+    def exactly_int(self, alias: str, positions: tuple[int, ...]) -> bool:
+        """:func:`~repro.storage.kernels.rows_exactly_int` over
+        ``self[alias]`` at ``positions``, memoised per ``(alias,
+        positions)`` for as long as the alias keeps the same row list."""
+        rows = self[alias]
+        hit = self._exact_int.get((alias, positions))
+        if hit is not None and hit[0] is rows:
+            return hit[1]
+        verdict = kernels.rows_exactly_int(rows, positions)
+        self._exact_int[(alias, positions)] = (rows, verdict)
+        return verdict
 
     def source_of(self, alias: str):
         """``(relation, positions, selections, distinct)`` or ``None``.

@@ -24,7 +24,9 @@ objects; the queue comparator is ``(rank key, partial output)``.
   group.  A group's queue (:class:`_LazyGroup`) is created only when a
   parent's cell first points into it, and a row's cell only when its
   run position reaches the top of its group; a child's key and output
-  enter its parents through the head of each run.  Other rankings and
+  enter its parents through the head of each run.  The runs keep their
+  outputs as one list of ints per column: a position's output tuple is
+  built when its group first reaches it, and its cell reuses it.  Other rankings and
   data build one cell and heap entry per tuple (the scalar build, also
   the test oracle).  Both builds pop the same cells in the same order.
   Every cell knows its queue (``Cell.group``), so enumeration never
@@ -46,8 +48,13 @@ Engineering notes (see DESIGN.md §6):
   assumption).
 * ``dedup_inserts=True`` suppresses re-insertion of a cell combination
   reachable through several predecessors (Lawler lattice duplication);
-  a per-queue seen-set (``RankHeap.seen``) keyed on ``(tuple, child
-  cell identities)``.  Benchmarked as an ablation.
+  a per-queue seen-set (``RankHeap.seen``) of ints, each the row's
+  ordinal packed with the child cells' uids
+  (:func:`~repro.core.cell.dedup_key`).  Benchmarked as an ablation.
+* The heap loop allocates as few objects as it can, because the cyclic
+  garbage collector scans each one it keeps: heap entries are flat
+  ``(key, out, seq, cell)`` tuples, dedup keys are ints, and an output
+  that only forwards one child's output reuses that child's tuple.
 * ``LIMIT k`` (:meth:`top_k`) pops the same queues: there is one top-k
   path, and its cost grows with ``k``, not with the join.
 """
@@ -67,7 +74,7 @@ from ..query.query import JoinProjectQuery
 from ..storage import kernels
 from .answers import EnumerationStats, RankedAnswer
 from .base import RankedEnumeratorBase
-from .cell import Cell, UNSET
+from .cell import Cell, UNSET, dedup_key
 from .heap import HeapStats, RankHeap
 from .ranking import (
     BoundRanking,
@@ -89,6 +96,19 @@ def _tuple_getter(positions: Sequence[int]):
         (p,) = positions
         return lambda seq: (seq[p],)
     return itemgetter(*positions)
+
+
+def _position_getter(cols: Sequence[list]):
+    """``pos -> tuple(col[pos] for col in cols)``, built once per node."""
+    if not cols:
+        return lambda pos: ()
+    if len(cols) == 1:
+        (c0,) = cols
+        return lambda pos: (c0[pos],)
+    if len(cols) == 2:
+        c0, c1 = cols
+        return lambda pos: (c0[pos], c1[pos])
+    return lambda pos: tuple([col[pos] for col in cols])
 
 
 def _int_columns(instances, rt: "_RTNode", rows: Sequence[Row]) -> dict | None:
@@ -179,7 +199,11 @@ class _RTNode:
         bases = [0, len(own)]
         for child in children:
             bases.append(bases[-1] + len(child.out_vars))
-        self._merge = _tuple_getter([bases[src] + off for src, off in self.out_plan])
+        merge_at = [bases[src] + off for src, off in self.out_plan]
+        # None when the concatenation already is the head order (no
+        # own values, or own values then one child's): the output
+        # reuses the parts instead of copying them into a new tuple.
+        self._merge = None if merge_at == list(range(len(merge_at))) else _tuple_getter(merge_at)
         # anchor -> RankHeap (scalar build) or _LazyGroup (the node's
         # _Runs, which creates a group when it is first looked up).
         self.pqs: Mapping[tuple, Any] = {}
@@ -195,7 +219,8 @@ class _RTNode:
         parts = own_out
         for child in children:
             parts += child.out
-        return self._merge(parts)
+        merge = self._merge
+        return parts if merge is None else merge(parts)
 
 
 class _Runs(Mapping):
@@ -203,7 +228,10 @@ class _Runs(Mapping):
 
     Position ``i`` of the parallel lists is the ``i``-th row in
     (anchor, key, output, row order) order; anchor group ``g`` owns the
-    contiguous span ``bounds[g]:bounds[g + 1]``.  Its :class:`_LazyGroup`
+    contiguous span ``bounds[g]:bounds[g + 1]``.  ``outs`` holds one
+    list of ints per output column, and a position's output tuple is
+    built (:attr:`out_at`) when its group first needs it, so positions
+    that are never reached cost no tuple.  Its :class:`_LazyGroup`
     is created on demand — when a parent's cell first points into it
     (:meth:`group`), or when the root or an inspection looks it up by
     anchor: the runs are also the node's queue family, a mapping from
@@ -219,6 +247,7 @@ class _Runs(Mapping):
         "row_idx",
         "keys",
         "outs",
+        "out_at",
         "own_keys",
         "zero_key",
         "own_of",
@@ -241,12 +270,13 @@ class _Runs(Mapping):
             group = self.groups[g] = _LazyGroup(self, self.bounds[g], self.bounds[g + 1])
         return group
 
-    def cell(self, pos: int, group: "_LazyGroup") -> Cell:
+    def cell(self, pos: int, group: "_LazyGroup", head: tuple | None) -> Cell:
         """The cell of run position ``pos`` in ``group`` (children: the
-        child tops)."""
+        child tops), reusing the position's ``(key, out)`` when the
+        group has loaded it."""
         self.stats.cells_created += 1
-        children = [runs.group(idx[pos]).first_cell() for runs, idx in self.links]
-        return self._make(pos, children, group)
+        children = tuple([runs.group(idx[pos]).first_cell() for runs, idx in self.links])
+        return self._make(pos, children, group, head)
 
     def peek(self, pos: int) -> Cell:
         """A stand-in for the cell of run position ``pos``, equal to it
@@ -261,13 +291,18 @@ class _Runs(Mapping):
             # A group without a first cell has never been popped: its
             # head is still its first position.
             children.append(runs.peek(runs.bounds[g]) if first is None else first)
-        return self._make(pos, children, None)
+        return self._make(pos, tuple(children), None, None)
 
-    def _make(self, pos: int, children: list, group) -> Cell:
+    def _make(self, pos: int, children: tuple, group, head: tuple | None) -> Cell:
         row = self.rows[self.row_idx[pos]]
         own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
-        out = self.outs[pos]
-        return Cell(row, tuple(children), self.keys[pos], out, own_key, self.own_of(row), group)
+        if head is None:
+            key, out = self.keys[pos], self.out_at(pos)
+        else:
+            key, out = head
+        # A leaf's output is its own values (already in head order).
+        own_out = self.own_of(row) if children else out
+        return Cell(row, children, key, out, own_key, own_out, group, pos)
 
     # The queue family by anchor, for the root and for inspection.
     def _index(self) -> dict:
@@ -311,7 +346,10 @@ class _LazyGroup(RankHeap):
     one entry per row of the group: the run's entries were pushed first
     (they count as pushes and live entries at build time), so on equal
     ``(key, out)`` a run entry beats a successor, as its smaller
-    sequence number would.  The inherited heap holds only successors.
+    sequence number would — the run head ``(key, out)`` is compared
+    directly with the successor heap's flat ``(key, out, seq, cell)``
+    top, and on equal key and output the shorter tuple sorts first.
+    The inherited heap holds only successors.
     A run position's cell is created when it becomes the group's top;
     the first one is kept, because parents built against the group
     point at that very object.  The group itself is created by its
@@ -333,7 +371,7 @@ class _LazyGroup(RankHeap):
         """The group's initial top (what parents' child pointers hold)."""
         cell = self.first
         if cell is None:
-            cell = self.first = self.cell = self.runs.cell(self.pos, self)
+            cell = self.first = self.cell = self.runs.cell(self.pos, self, self.head)
         return cell
 
     def _run_top(self) -> Cell:
@@ -341,33 +379,38 @@ class _LazyGroup(RankHeap):
         if cell is None:
             if self.pos == self.end:
                 raise IndexError("top of an empty queue")
-            cell = self.cell = self.runs.cell(self.pos, self)
+            cell = self.cell = self.runs.cell(self.pos, self, self.head)
             if self.first is None:
                 self.first = cell
         return cell
 
     def _load_head(self) -> tuple:
-        runs, pos = self.runs, self.pos
-        head = self.head = (runs.keys[pos], runs.outs[pos])
+        cell = self.cell
+        if cell is not None:
+            head = self.head = (cell.key, cell.out)
+        else:
+            runs, pos = self.runs, self.pos
+            head = self.head = (runs.keys[pos], runs.out_at(pos))
         return head
 
     def top(self) -> Cell:
         entries = self._entries
-        if entries and (self.pos == self.end or entries[0][0] < (self.head or self._load_head())):
-            return entries[0][2]
+        if entries and (self.pos == self.end or entries[0] < (self.head or self._load_head())):
+            return entries[0][3]
         return self._run_top()
 
-    def top_key(self) -> Any:
+    def top_key(self) -> tuple:
         entries = self._entries
-        if entries and (self.pos == self.end or entries[0][0] < (self.head or self._load_head())):
-            return entries[0][0]
+        if entries and (self.pos == self.end or entries[0] < (self.head or self._load_head())):
+            entry = entries[0]
+            return (entry[0], entry[1])
         if self.pos == self.end:
             raise IndexError("top of an empty queue")
         return self.head or self._load_head()
 
     def pop(self) -> Cell:
         entries = self._entries
-        if entries and (self.pos == self.end or entries[0][0] < (self.head or self._load_head())):
+        if entries and (self.pos == self.end or entries[0] < (self.head or self._load_head())):
             return RankHeap.pop(self)
         cell = self._run_top()
         self.cell = None
@@ -469,7 +512,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self.heap_stats = HeapStats()
         self.stats = EnumerationStats(self.heap_stats)
         self._root_rt: _RTNode | None = None
-        self._head_reorder: tuple[int, ...] = ()
         self._preprocessed = False
         self._exhausted = False
 
@@ -521,7 +563,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 f"internal error: root output {self._root_rt.out_vars} does not "
                 f"match head {self.query.head}"
             )
-        self._head_reorder = tuple(range(len(self.query.head)))
 
         self._preprocessed = True
         self.stats.build_seconds += time.perf_counter() - started
@@ -566,8 +607,15 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         if any(c.runs is None for c in rt.children):
             return refuse("scalar-child-keys")
         # Outputs are rebuilt from the columns: no bool or IntEnum to
-        # normalise.  Key columns only need an exact int64 image.
-        if not kernels.rows_exactly_int(rows, rt.own_positions):
+        # normalise.  Key columns only need an exact int64 image.  The
+        # scan depends on the data alone, so instances that can memoise
+        # it (a warm plan's reduction) answer it once.
+        exactly_int = getattr(instances, "exactly_int", None)
+        if exactly_int is not None:
+            ok = exactly_int(rt.alias, rt.own_positions)  # rows is instances[rt.alias]
+        else:
+            ok = kernels.rows_exactly_int(rows, rt.own_positions)
+        if not ok:
             return refuse("conversion")
         cols = _int_columns(instances, rt, rows)
         if cols is None:
@@ -644,7 +692,8 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         runs.rows = rows
         row_idx = runs.row_idx = (order if sel is None else sel[order]).tolist()
         runs.zero_key = zero_key
-        runs.outs = list(zip(*[col.tolist() for col in out_cols])) if out_cols else [()] * m
+        runs.outs = [col.tolist() for col in out_cols]
+        runs.out_at = _position_getter(runs.outs)
         own_of = runs.own_of = rt.own_of
         if batched:
             keys = keys[order]
@@ -655,7 +704,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             runs.own_keys = own[order].tolist() if rt.own_pairs else None
             runs.head_keys = keys[starts]
         else:
-            runs.keys = _OutputKeys(bound.key, rt.out_vars, runs.outs.__getitem__)
+            runs.keys = _OutputKeys(bound.key, rt.out_vars, runs.out_at)
             runs.own_keys = None
             if rt.own_pairs:
                 own_vars = tuple(v for v, _ in rt.own_pairs)
@@ -693,7 +742,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         # all point at the current child tops), so duplicate tracking is
         # skipped; entries are grouped per anchor and heapified in one
         # pass (RankHeap.push_many) instead of pushed one at a time.
-        groups: dict[tuple, tuple[RankHeap, list[tuple[tuple, Cell]]]] = {}
+        groups: dict[tuple, tuple[RankHeap, list[tuple[Any, tuple, Cell]]]] = {}
         for i, row in enumerate(rows):
             if own_keys is not None:
                 own_key = own_keys[i]
@@ -727,9 +776,9 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             group = groups.get(u)
             if group is None:
                 group = groups[u] = (RankHeap(self.heap_stats), [])
-            cell = Cell(row, children, key, out, own_key, own_out, group[0])
+            cell = Cell(row, children, key, out, own_key, own_out, group[0], i)
             self.stats.cells_created += 1
-            group[1].append(((key, out), cell))
+            group[1].append((key, out, cell))
         for u, (pq, entries) in groups.items():
             pq.push_many(entries)
             rt.pqs[u] = pq
@@ -810,30 +859,43 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         if seen is None and self._dedup_inserts:
             seen = pq.seen = set()
         combine = self.bound.combine
+        layout = rt.layout
         children_rts = rt.children
+        single = len(children_rts) == 1
         while True:
             temp = pq.pop()
             # Successors: advance each child pointer of the popped cell.
             # They share temp's row, so they go back into this group.
+            children = temp.children
             for i, child_rt in enumerate(children_rts):
-                advanced = self._topdown(temp.children[i], child_rt)
+                advanced = self._topdown(children[i], child_rt)
                 if advanced is not None:
-                    new_children = (
-                        temp.children[:i] + (advanced,) + temp.children[i + 1 :]
-                    )
+                    if single:
+                        new_children = (advanced,)
+                    else:
+                        new_children = list(children)
+                        new_children[i] = advanced
+                        new_children = tuple(new_children)
                     if seen is not None:
                         # Cell.identity() of the successor, checked before
                         # building it.
-                        ident = (temp.row, tuple([c.uid for c in new_children]))
+                        ident = dedup_key(temp.ordinal, new_children)
                         if ident in seen:
                             continue
                         seen.add(ident)
                     key = combine([temp.own_key] + [c.key for c in new_children])
-                    out = rt.layout(temp.own_out, new_children)
+                    out = layout(temp.own_out, new_children)
                     successor = Cell(
-                        temp.row, new_children, key, out, temp.own_key, temp.own_out, pq
+                        temp.row,
+                        new_children,
+                        key,
+                        out,
+                        temp.own_key,
+                        temp.own_out,
+                        pq,
+                        temp.ordinal,
                     )
-                    pq.push((key, out), successor)
+                    pq.push(key, out, successor)
                     self.stats.cells_created += 1
             if not pq:
                 cell.next = None

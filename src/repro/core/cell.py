@@ -19,7 +19,16 @@ We additionally cache on the cell:
   unchanged by all successor cells of the same tuple;
 * ``group`` — the priority queue ``PQ_i[u]`` the cell belongs to (its
   node's queue for its anchor value ``u``), so ``Topdown`` reaches the
-  queue to advance without looking the anchor up.
+  queue to advance without looking the anchor up;
+* ``ordinal`` — an integer naming the cell's node tuple within its
+  node, shared by every cell of that tuple (the tuple's run position in
+  the array build, its row index in the scalar build).
+
+The duplicate-insert set of a queue is keyed on plain ints
+(:func:`dedup_key`): the tuple's ordinal packed with the uids of the
+child cells, 64 bits each.  An int is one object the cyclic garbage
+collector never tracks, where a ``(row, child uids)`` pair was two
+tracked tuples per successor.
 """
 
 from __future__ import annotations
@@ -27,9 +36,12 @@ from __future__ import annotations
 from itertools import count
 from typing import Any
 
-__all__ = ["Cell", "UNSET"]
+__all__ = ["Cell", "UNSET", "dedup_key"]
 
 _uid = count()
+
+#: Bits per packed part of a dedup key; uids and ordinals stay below 2**64.
+_UID_BITS = 64
 
 
 class _Unset:
@@ -48,10 +60,31 @@ class _Unset:
 UNSET = _Unset()
 
 
+def dedup_key(ordinal: int, children) -> int:
+    """The duplicate-insert key of a cell with node-tuple ordinal
+    ``ordinal`` and child cells ``children``: ``(ordinal << 64 |
+    uid_0) << 64 | uid_1 ...``, one int per structural identity."""
+    ident = ordinal
+    for child in children:
+        ident = ident << _UID_BITS | child.uid
+    return ident
+
+
 class Cell:
     """One cell: a node tuple plus child pointers plus the next-chain."""
 
-    __slots__ = ("row", "children", "next", "key", "out", "own_key", "own_out", "uid", "group")
+    __slots__ = (
+        "row",
+        "children",
+        "next",
+        "key",
+        "out",
+        "own_key",
+        "own_out",
+        "uid",
+        "group",
+        "ordinal",
+    )
 
     def __init__(
         self,
@@ -62,6 +95,7 @@ class Cell:
         own_key: Any,
         own_out: tuple,
         group: Any = None,
+        ordinal: int = 0,
     ):
         self.row = row
         self.children = children
@@ -76,6 +110,7 @@ class Cell:
         # fresh cells (a real bug found by the fuzz suite).
         self.uid = next(_uid)
         self.group = group
+        self.ordinal = ordinal
 
     @property
     def sort_key(self) -> tuple:
@@ -86,10 +121,11 @@ class Cell:
         """The paper's ``is_equal``: same rank and same partial output."""
         return self.key == other.key and self.out == other.out
 
-    def identity(self) -> tuple:
-        """Structural identity used to suppress duplicate inserts:
-        the node tuple plus the stable uids of the child cells."""
-        return (self.row, tuple(c.uid for c in self.children))
+    def identity(self) -> int:
+        """Structural identity used to suppress duplicate inserts: the
+        node tuple's ordinal packed with the stable uids of the child
+        cells (:func:`dedup_key`)."""
+        return dedup_key(self.ordinal, self.children)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nxt = "⊥" if self.next is None else ("?" if self.next is UNSET else "→")

@@ -9,6 +9,11 @@ Every heap shares a :class:`HeapStats` object with its enumerator so the
 experiments can report priority-queue operation counts per answer
 (paper Figure 14a) and live-entry space proxies (Figure 7's "extra
 space").
+
+Heap entries are flat ``(key, out, seq, item)`` tuples: a push
+allocates one tuple, not a nested sort-key pair, because the heap loop
+of Algorithm 2 pays for every object it allocates (the cyclic garbage
+collector scans each one).
 """
 
 from __future__ import annotations
@@ -65,11 +70,12 @@ _seq = count()  # global monotone sequence: total order among exact key ties
 
 
 class RankHeap(Generic[T]):
-    """A min-heap of items ordered by caller-provided sort keys.
+    """A min-heap of items ordered by ``(key, out)``.
 
-    Keys must be totally ordered among the items of one heap; the
-    enumerators use ``(rank key, partial output)`` which matches the
-    paper's deterministic tie-breaking.  A monotone sequence number
+    ``key`` is the rank key and ``out`` the tie-breaker; the enumerators
+    pass ``(rank key, partial output)``, which matches the paper's
+    deterministic tie-breaking.  Entries are flat ``(key, out, seq,
+    item)`` tuples — one tuple per push — and a monotone sequence number
     breaks residual exact ties without comparing items.
 
     ``seen`` is free for the owner's bookkeeping about this queue: the
@@ -80,31 +86,31 @@ class RankHeap(Generic[T]):
     __slots__ = ("_entries", "stats", "seen")
 
     def __init__(self, stats: HeapStats | None = None):
-        self._entries: list[tuple[Any, int, T]] = []
+        self._entries: list[tuple[Any, Any, int, T]] = []
         self.stats = stats if stats is not None else HeapStats()
         self.seen: Any = None
 
-    def push(self, sort_key: Any, item: T) -> None:
-        """Insert ``item`` with priority ``sort_key``."""
-        heapq.heappush(self._entries, (sort_key, next(_seq), item))
+    def push(self, key: Any, out: Any, item: T) -> None:
+        """Insert ``item`` with priority ``(key, out)``."""
+        heapq.heappush(self._entries, (key, out, next(_seq), item))
         st = self.stats
         st.pushes += 1
         st.live_entries += 1
         if st.live_entries > st.peak_entries:
             st.peak_entries = st.live_entries
 
-    def push_many(self, entries: Iterable[tuple[Any, T]]) -> None:
-        """Insert ``(sort_key, item)`` pairs in one heapify pass.
+    def push_many(self, entries: Iterable[tuple[Any, Any, T]]) -> None:
+        """Insert ``(key, out, item)`` triples in one heapify pass.
 
         O(n) against the push loop's O(n log n) — the win the initial
         queue builds want, where every entry arrives before the first
         pop.  The pop sequence is identical to pushing one at a time:
-        entries are totally ordered by ``(sort_key, seq)``, so a heap's
+        entries are totally ordered by ``(key, out, seq)``, so a heap's
         pop order is their sorted order however the heap was built, and
         sequence numbers are drawn here in iteration order exactly as
         the loop would draw them.
         """
-        added = [(sort_key, next(_seq), item) for sort_key, item in entries]
+        added = [(key, out, next(_seq), item) for key, out, item in entries]
         if not added:
             return
         if self._entries:
@@ -121,18 +127,19 @@ class RankHeap(Generic[T]):
 
     def top(self) -> T:
         """The minimum item (raises IndexError when empty)."""
-        return self._entries[0][2]
+        return self._entries[0][3]
 
-    def top_key(self) -> Any:
-        """The minimum sort key (raises IndexError when empty)."""
-        return self._entries[0][0]
+    def top_key(self) -> tuple:
+        """The minimum ``(key, out)`` (raises IndexError when empty)."""
+        entry = self._entries[0]
+        return (entry[0], entry[1])
 
     def pop(self) -> T:
         """Remove and return the minimum item."""
         entry = heapq.heappop(self._entries)
         self.stats.pops += 1
         self.stats.live_entries -= 1
-        return entry[2]
+        return entry[3]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -142,7 +149,7 @@ class RankHeap(Generic[T]):
 
     def items(self) -> Iterable[T]:
         """All stored items in heap (not sorted) order — for inspection."""
-        return [entry[2] for entry in self._entries]
+        return [entry[3] for entry in self._entries]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RankHeap(n={len(self._entries)})"

@@ -362,7 +362,7 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
         for idx, stream in enumerate(streams):
             first = next(stream, None)
             if first is not None:
-                merge.push((first.key, first.values), (first, idx))
+                merge.push(first.key, first.values, (first, idx))
 
         final_score = self.bound.final_score
         ops_mark = self.heap_stats.operations
@@ -375,7 +375,7 @@ class StarTradeoffEnumerator(RankedEnumeratorBase):
             yield RankedAnswer(answer.values, final_score(answer.key), key=answer.key)
             nxt = next(streams[idx], None)
             if nxt is not None:
-                merge.push((nxt.key, nxt.values), (nxt, idx))
+                merge.push(nxt.key, nxt.values, (nxt, idx))
             ops_mark = self.heap_stats.operations
 
     def fresh(self) -> "StarTradeoffEnumerator":

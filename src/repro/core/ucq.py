@@ -143,7 +143,7 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
             if first is not None:
                 if first.key is None:  # pragma: no cover - defensive
                     raise QueryError("branch enumerator does not expose rank keys")
-                merge.push((first.key, first.values), (first, idx))
+                merge.push(first.key, first.values, (first, idx))
 
         last_values: tuple | None = None
         while merge:
@@ -158,7 +158,7 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
                 yield answer
             nxt = next(streams[idx], None)
             if nxt is not None:
-                merge.push((nxt.key, nxt.values), (nxt, idx))
+                merge.push(nxt.key, nxt.values, (nxt, idx))
         self._roll_up()
 
     def fresh(self) -> "UnionRankedEnumerator":

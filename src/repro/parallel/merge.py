@@ -30,7 +30,7 @@ Examples
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..core.answers import RankedAnswer
 from ..core.heap import HeapStats, RankHeap
@@ -41,13 +41,13 @@ __all__ = ["merge_ranked_streams"]
 _NOTHING = object()
 
 
-def _merge_key(answer: RankedAnswer) -> tuple:
+def _merge_key(answer: RankedAnswer) -> Any:
     if answer.key is None:
         raise ReproError(
             "cannot merge a ranked stream whose answers carry no rank key; "
             "every repro enumerator sets RankedAnswer.key"
         )
-    return (answer.key, answer.values)
+    return answer.key
 
 
 def merge_ranked_streams(
@@ -82,14 +82,14 @@ def merge_ranked_streams(
         stream = iter(stream)
         first = next(stream, None)
         if first is not None:
-            heap.push(_merge_key(first), (first, stream))
+            heap.push(_merge_key(first), first.values, (first, stream))
 
     last_values = _NOTHING
     while heap:
         answer, stream = heap.pop()
         nxt = next(stream, None)
         if nxt is not None:
-            heap.push(_merge_key(nxt), (nxt, stream))
+            heap.push(_merge_key(nxt), nxt.values, (nxt, stream))
         if dedup and answer.values == last_values:
             continue
         last_values = answer.values

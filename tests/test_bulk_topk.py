@@ -361,10 +361,10 @@ class TestFallbackReasons:
 class TestPushMany:
     def test_pop_sequence_identical_to_push_loop(self):
         rng = random.Random(41)
-        entries = [(rng.randrange(50), f"item{i}") for i in range(200)]
+        entries = [(rng.randrange(50), (), f"item{i}") for i in range(200)]
         looped: RankHeap = RankHeap(HeapStats())
-        for key, item in entries:
-            looped.push(key, item)
+        for key, out, item in entries:
+            looped.push(key, out, item)
         bulk: RankHeap = RankHeap(HeapStats())
         bulk.push_many(entries)
         assert bulk.stats.pushes == looped.stats.pushes == 200
@@ -375,9 +375,9 @@ class TestPushMany:
 
     def test_push_many_onto_nonempty_heap(self):
         heap: RankHeap = RankHeap()
-        heap.push(5, "five")
-        heap.push(1, "one")
-        heap.push_many([(3, "three"), (0, "zero"), (4, "four")])
+        heap.push(5, (), "five")
+        heap.push(1, (), "one")
+        heap.push_many([(3, (), "three"), (0, (), "zero"), (4, (), "four")])
         assert [heap.pop() for _ in range(len(heap))] == [
             "zero", "one", "three", "four", "five",
         ]

@@ -14,13 +14,13 @@ class TestRankHeap:
     def test_orders_by_key(self):
         h = RankHeap()
         for key, item in [(3, "c"), (1, "a"), (2, "b")]:
-            h.push(key, item)
+            h.push(key, (), item)
         assert h.top() == "a"
         assert [h.pop() for _ in range(3)] == ["a", "b", "c"]
 
     def test_top_does_not_remove(self):
         h = RankHeap()
-        h.push(1, "a")
+        h.push(1, (), "a")
         assert h.top() == "a"
         assert len(h) == 1
 
@@ -31,25 +31,25 @@ class TestRankHeap:
     def test_bool_and_len(self):
         h = RankHeap()
         assert not h
-        h.push(1, "a")
+        h.push(1, (), "a")
         assert h and len(h) == 1
 
     def test_exact_ties_fifo_by_sequence(self):
         h = RankHeap()
-        h.push(1, "first")
-        h.push(1, "second")
+        h.push(1, (), "first")
+        h.push(1, (), "second")
         assert h.pop() == "first"
         assert h.pop() == "second"
 
     def test_top_key(self):
         h = RankHeap()
-        h.push((2, "x"), "item")
+        h.push(2, "x", "item")
         assert h.top_key() == (2, "x")
 
     def test_items_view(self):
         h = RankHeap()
-        h.push(2, "b")
-        h.push(1, "a")
+        h.push(2, (), "b")
+        h.push(1, (), "a")
         assert sorted(h.items()) == ["a", "b"]
 
 
@@ -58,9 +58,9 @@ class TestHeapStats:
         stats = HeapStats()
         h1 = RankHeap(stats)
         h2 = RankHeap(stats)
-        h1.push(1, "a")
-        h2.push(2, "b")
-        h2.push(0, "c")
+        h1.push(1, (), "a")
+        h2.push(2, (), "b")
+        h2.push(0, (), "c")
         assert stats.pushes == 3
         assert stats.live_entries == 3
         assert stats.peak_entries == 3

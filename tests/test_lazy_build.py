@@ -222,7 +222,7 @@ def test_run_entry_beats_an_equal_successor():
     for _ in range(2):
         head = group.top()
         rival = type(head)(head.row, (), head.key, head.out, head.own_key, head.own_out)
-        group.push((head.key, head.out), rival)
+        group.push(head.key, head.out, rival)
         assert len(group) == 4 - len(popped) // 2
         popped += [group.pop(), group.pop()]
         assert popped[-2:] == [head, rival]

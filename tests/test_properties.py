@@ -147,7 +147,7 @@ def test_evaluate_equals_bruteforce_distinct(db):
 def test_heap_sorts(keys):
     heap = RankHeap()
     for key in keys:
-        heap.push(key, key)
+        heap.push(key, (), key)
     out = [heap.pop() for _ in range(len(keys))]
     assert out == sorted(keys)
 
