@@ -50,7 +50,13 @@ Engineering notes (see DESIGN.md §6):
   reachable through several predecessors (Lawler lattice duplication);
   a per-queue seen-set (``RankHeap.seen``) of ints, each the row's
   ordinal packed with the child cells' uids
-  (:func:`~repro.core.cell.dedup_key`).  Benchmarked as an ablation.
+  (:func:`~repro.core.cell.dedup_key`), kept only at nodes with two or
+  more children — with one child no duplicate can arise.  Benchmarked
+  as an ablation.
+* Below the root a ``next`` chain depends only on the data, the plan
+  and the ranking, so an engine plan that is reused keeps its non-root
+  queues and chains (``retained=``, :class:`_RetainedQueues`) and each
+  later stream restarts at the root instead of rebuilding them.
 * The heap loop allocates as few objects as it can, because the cyclic
   garbage collector scans each one it keeps: heap entries are flat
   ``(key, out, seq, cell)`` tuples, dedup keys are ints, and an output
@@ -61,8 +67,10 @@ Engineering notes (see DESIGN.md §6):
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Iterator, Mapping, Sequence
+from functools import partial
 from operator import itemgetter
 from typing import Any
 
@@ -73,7 +81,7 @@ from ..query.jointree import JoinTree, JoinTreeNode, build_join_tree
 from ..query.query import JoinProjectQuery
 from ..storage import kernels
 from .answers import EnumerationStats, RankedAnswer
-from .base import RankedEnumeratorBase
+from .base import RankedEnumeratorBase, RetainedSlot
 from .cell import Cell, UNSET, dedup_key
 from .heap import HeapStats, RankHeap
 from .ranking import (
@@ -304,6 +312,18 @@ class _Runs(Mapping):
         own_out = self.own_of(row) if children else out
         return Cell(row, children, key, out, own_key, own_out, group, pos)
 
+    def restart(self, stats: EnumerationStats, heap_stats: HeapStats) -> "_Runs":
+        """A shallow copy that shares every list (and the anchor index)
+        but creates its own groups, counting on ``stats``/``heap_stats``:
+        a root restart's queue over the same sorted run."""
+        runs = _Runs()
+        for name in _Runs.__slots__:
+            setattr(runs, name, getattr(self, name))
+        runs.stats = stats
+        runs.heap_stats = heap_stats
+        runs.groups = [None] * len(self.groups)
+        return runs
+
     # The queue family by anchor, for the root and for inspection.
     def _index(self) -> dict:
         index = self.index
@@ -440,6 +460,84 @@ class _LazyGroup(RankHeap):
         return run + RankHeap.items(self)
 
 
+class _RetainedQueues:
+    """The ranked state a repeated stream restarts from.
+
+    Below the root, a ``next`` chain depends only on the data, the plan
+    and the ranking, so every stream of one plan can share the non-root
+    nodes — their runs, groups, cells, seen-sets and memoised chains —
+    and only the root is per stream: each restart takes its own copy of
+    the root's runs (:meth:`_Runs.restart`), hence its own root group,
+    root dedup set and stats.  A stream that goes deeper than the ones
+    before it extends the shared chains.
+
+    One lock covers each root step (the root ``top()``, which may
+    create child groups and first cells, and its ``Topdown``); it is
+    never held across a ``yield``, so streams interleave step by step,
+    on one thread or several.  The non-root nodes count on this
+    object's own stats; a step credits their pops, pushes, live entries
+    and run cells to its stream by the deltas it takes inside the lock,
+    so per-stream counts stay exact however streams interleave.  An
+    exception that escapes a step marks the state broken: the step may
+    have popped a shared group halfway.
+    """
+
+    __slots__ = ("lock", "root_rt", "root_runs", "stats", "heap_stats", "broken", "entries")
+
+    def __init__(self, root_rt: _RTNode):
+        self.lock = threading.Lock()
+        self.root_rt = root_rt
+        self.root_runs = root_rt.runs
+        self.root_runs._index()  # shared by every restart's copy
+        self.heap_stats = HeapStats()
+        self.stats = EnumerationStats(self.heap_stats)
+        self.broken = False
+        self.entries = 0
+        stack = [root_rt]
+        while stack:
+            rt = stack.pop()
+            rt.runs.stats = self.stats
+            rt.runs.heap_stats = self.heap_stats
+            self.entries += rt.runs.bounds[-1]
+            stack.extend(rt.children)
+
+    @property
+    def cells(self) -> int:
+        """What the state holds, in cells: every run position (a queued
+        cell-to-be, whose key and output columns are kept), plus the run
+        cells and successors the shared nodes created."""
+        return self.entries + self.stats.cells_created + self.heap_stats.pushes
+
+    def step(self, stats: EnumerationStats, heap_stats: HeapStats, advance, top):
+        """``advance(top)`` under the lock, crediting the shared nodes'
+        work to ``stats``/``heap_stats``."""
+        with self.lock:
+            if self.broken:
+                raise QueryError(
+                    "the retained ranked state was dropped after an error in "
+                    "another stream; run the query again"
+                )
+            shared, heap = self.stats, self.heap_stats
+            cells, pushes, pops, live = (
+                shared.cells_created,
+                heap.pushes,
+                heap.pops,
+                heap.live_entries,
+            )
+            try:
+                top = advance(top)
+            except BaseException:
+                self.broken = True
+                raise
+            stats.cells_created += shared.cells_created - cells
+            heap_stats.pushes += heap.pushes - pushes
+            heap_stats.pops += heap.pops - pops
+            live = heap_stats.live_entries = heap_stats.live_entries + heap.live_entries - live
+            if live > heap_stats.peak_entries:
+                heap_stats.peak_entries = live
+        return top
+
+
 class AcyclicRankedEnumerator(RankedEnumeratorBase):
     """Ranked enumeration for acyclic join-project queries (Theorem 1).
 
@@ -461,6 +559,14 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         Drop output-free subtrees after the reducer pass (default on).
     dedup_inserts:
         Suppress duplicate successor insertions (default on).
+    retained:
+        A :class:`~repro.core.base.RetainedSlot` shared by the streams of
+        one plan (the engine passes it to reused warm plans).  Empty, the
+        enumerator builds as usual and keeps its non-root queues there;
+        filled, it restarts at the root of the kept queues instead of
+        building (:class:`_RetainedQueues`).  Only a root built by the
+        array build is kept: a plan whose root was built the scalar way
+        runs fresh each time.
 
     Usage
     -----
@@ -473,8 +579,10 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
     >>> [a.values for a in enum.top_k(3)]
     [(1, 1), (1, 2), (2, 1)]
 
-    The object is one-shot per enumeration: iterating consumes the
-    queues.  Call :meth:`fresh` (cheap re-preprocess) to enumerate again.
+    The object is one-shot per enumeration: iterating consumes its root
+    queue.  Call :meth:`fresh` (cheap re-preprocess) to enumerate again,
+    or pass a ``retained`` slot so that each new enumerator of the same
+    plan restarts at the root of the queues the first one built.
     """
 
     def __init__(
@@ -489,10 +597,12 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         dedup_inserts: bool = True,
         instances: Mapping[str, list[Row]] | None = None,
         already_reduced: bool = False,
+        retained: RetainedSlot | None = None,
     ):
         self.query = query
         self.db = db
         self.ranking = ranking or SumRanking()
+        self._retained = retained
         self._prune = prune
         self._dedup_inserts = dedup_inserts
         self._given_instances = instances
@@ -512,6 +622,8 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self.heap_stats = HeapStats()
         self.stats = EnumerationStats(self.heap_stats)
         self._root_rt: _RTNode | None = None
+        self._root_pq = None
+        self._queues: _RetainedQueues | None = None
         self._preprocessed = False
         self._exhausted = False
 
@@ -529,6 +641,9 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         """
         if self._preprocessed:
             return self
+        queues = None if self._retained is None else self._retained.state
+        if queues is not None:
+            return self._restart(queues)
         started = time.perf_counter()
         if self._given_instances is not None:
             instances = self._given_instances
@@ -563,12 +678,33 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 f"internal error: root output {self._root_rt.out_vars} does not "
                 f"match head {self.query.head}"
             )
+        if self._retained is not None and self._root_rt.runs is not None:
+            queues = self._queues = self._retained.state = _RetainedQueues(self._root_rt)
+            self._root_pq = queues.root_runs.restart(self.stats, self.heap_stats).get(())
+        else:
+            self._root_pq = self._root_rt.pqs.get(())
 
         self._preprocessed = True
         self.stats.build_seconds += time.perf_counter() - started
         self.stats.preprocess_seconds = (
             self.stats.reduce_seconds + self.stats.build_seconds
         )
+        return self
+
+    def _restart(self, queues: _RetainedQueues) -> "AcyclicRankedEnumerator":
+        """Preprocess by restarting at the root of retained queues: the
+        root run counts as this stream's pushes and live entries, as a
+        build would count it."""
+        started = time.perf_counter()
+        self._queues = queues
+        self._root_rt = queues.root_rt
+        runs = queues.root_runs.restart(self.stats, self.heap_stats)
+        self._root_pq = runs.get(())
+        heap = self.heap_stats
+        heap.pushes = heap.live_entries = heap.peak_entries = runs.bounds[-1]
+        self._preprocessed = True
+        self.stats.build_seconds += time.perf_counter() - started
+        self.stats.preprocess_seconds = self.stats.reduce_seconds + self.stats.build_seconds
         return self
 
     def _build_runs(self, rt: _RTNode, rows: Sequence[Row], own_arr, instances) -> bool:
@@ -805,18 +941,28 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self._exhausted = True
         root = self._root_rt
         assert root is not None
-        pq = root.pqs.get(())
-        if self.bound.strictly_monotone:
-            yield from self._iter_streaming(pq, root)
-        else:
-            yield from self._iter_key_groups(pq, root)
+        pq = self._root_pq
+        topdown = self._topdown
 
-    def _iter_streaming(self, pq, root: _RTNode) -> Iterator[RankedAnswer]:
+        def advance(top: Cell | None) -> Cell | None:
+            # One root step: Topdown past ``top``, then the next top.
+            if top is not None:
+                topdown(top, root)
+            return pq.top() if pq else None
+
+        if self._queues is not None:  # shared queues: one locked step at a time
+            advance = partial(self._queues.step, self.stats, self.heap_stats, advance)
+        if self.bound.strictly_monotone:
+            yield from self._iter_streaming(advance)
+        else:
+            yield from self._iter_key_groups(advance)
+
+    def _iter_streaming(self, advance) -> Iterator[RankedAnswer]:
         final_score = self.bound.final_score
         ops_mark = self.heap_stats.operations
         last_out = None
-        while pq:
-            top = pq.top()
+        top = advance(None)
+        while top is not None:
             if top.out != last_out:  # Algorithm 2 line 5 (defensive; see note)
                 last_out = top.out
                 self.stats.answers += 1
@@ -824,21 +970,21 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 self.stats.pq_ops_per_answer.append(ops_now - ops_mark)
                 ops_mark = ops_now
                 yield RankedAnswer(top.out, final_score(top.key), key=top.key)
-            self._topdown(top, root)
+            top = advance(top)
 
-    def _iter_key_groups(self, pq, root: _RTNode) -> Iterator[RankedAnswer]:
+    def _iter_key_groups(self, advance) -> Iterator[RankedAnswer]:
         final_score = self.bound.final_score
         ops_mark = self.heap_stats.operations
-        while pq:
-            key = pq.top().key
+        top = advance(None)
+        while top is not None:
+            key = top.key
             outs: set[tuple] = set()
             # Drain the whole equal-key run; weak monotonicity guarantees
             # every ancestor of a key-k cell also has key <= k, so all
             # key-k cells surface before the run ends.
-            while pq and pq.top().key == key:
-                top = pq.top()
+            while top is not None and top.key == key:
                 outs.add(top.out)
-                self._topdown(top, root)
+                top = advance(top)
             ops_now = self.heap_stats.operations
             group_ops = ops_now - ops_mark
             ops_mark = ops_now
@@ -855,13 +1001,16 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         if nxt is not UNSET:
             return nxt  # O(1) reuse of previously computed successor
         pq = cell.group
+        children_rts = rt.children
+        single = len(children_rts) == 1
+        # A one-child node needs no seen-set: each child chain cell has
+        # one ``next``, so two cells of one row never advance to the same
+        # child, and no successor can repeat.
         seen = pq.seen
-        if seen is None and self._dedup_inserts:
+        if seen is None and self._dedup_inserts and len(children_rts) > 1:
             seen = pq.seen = set()
         combine = self.bound.combine
         layout = rt.layout
-        children_rts = rt.children
-        single = len(children_rts) == 1
         while True:
             temp = pq.pop()
             # Successors: advance each child pointer of the popped cell.

@@ -28,7 +28,36 @@ from typing import Iterator
 
 from .answers import RankedAnswer
 
-__all__ = ["RankedEnumeratorBase"]
+__all__ = ["RankedEnumeratorBase", "RetainedSlot"]
+
+
+class RetainedSlot:
+    """Where a reused plan keeps ranked state between enumerations.
+
+    :class:`repro.engine.prepared.PreparedPlan` creates one empty and
+    hands it to every enumerator of the plan (``retained=``).  The first
+    enumerator to preprocess puts into :attr:`state` what depends only
+    on the data, the plan and the ranking; each later one restarts from
+    it instead of rebuilding.  What the state is belongs to the
+    enumerator class: the acyclic enumerator's non-root queues and
+    ``next`` chains, the lexicographic backtracker's weight tables and
+    row indexes.  The plan drops the slot when the data changes.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self) -> None:
+        self.state = None
+
+    @property
+    def cells(self) -> int:
+        """Cells the kept state holds (0 for state that keeps none)."""
+        return getattr(self.state, "cells", 0)
+
+    @property
+    def broken(self) -> bool:
+        """True once an error escaped a step over the kept state."""
+        return getattr(self.state, "broken", False)
 
 
 class RankedEnumeratorBase:

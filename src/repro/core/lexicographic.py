@@ -24,7 +24,9 @@ Guarantees (Lemma 4): ``O(|D|)`` delay after ``O(|D| log |D|)``
 preprocessing with ``O(|D|)`` space — and no priority queues, which is
 where the paper's measured 2-3x speed-up over the SUM machinery comes
 from (Figure 6).  The hash indexes of the first level are built on
-first use, each at ``O(|D|)`` once, which leaves the bound intact.
+first use, each at ``O(|D|)`` once, which leaves the bound intact.  A
+reused engine plan keeps them, with the per-variable weight tables, for
+its later enumerators (``retained=``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ..errors import QueryError, RankingError
 from ..query.jointree import JoinTree, build_join_tree
 from ..query.query import JoinProjectQuery
 from .answers import EnumerationStats, RankedAnswer
-from .base import RankedEnumeratorBase
+from .base import RankedEnumeratorBase, RetainedSlot
 from .ranking import Desc, WeightFunction, batched_weight_table
 
 __all__ = ["LexBacktrackEnumerator"]
@@ -87,6 +89,12 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         :meth:`preprocess` skips its own pass.  Dangling rows are still
         tolerated: the first attribute is always checked by a reducer
         pass per value, even when it is the last one.
+    retained:
+        A :class:`~repro.core.base.RetainedSlot` shared by the
+        enumerators of one plan over the same ``instances`` (the engine
+        passes it to reused warm plans).  The weight tables and row
+        indexes depend only on the data, the plan and the weight, so the
+        first enumerator keeps them there and later ones reuse them.
 
     The emitted :attr:`RankedAnswer.score` (and :attr:`~RankedAnswer.key`)
     is the comparison tuple: head values arranged in ``order``, with
@@ -115,10 +123,12 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         join_tree: JoinTree | None = None,
         instances: Mapping[str, list[Row]] | None = None,
         already_reduced: bool = False,
+        retained: RetainedSlot | None = None,
     ):
         self.query = query
         self.db = db
         self._already_reduced = already_reduced
+        self._retained = retained
         self._order = tuple(order) if order is not None else query.head
         if sorted(self._order) != sorted(query.head):
             raise RankingError(
@@ -192,15 +202,22 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         # call's exact return value, so comparison keys are unchanged;
         # values absent from a table (or whole columns that refuse) fall
         # back to the direct call, raising identically where the
-        # uncached path would.
-        if self._weight is not None:
-            for var in self._order:
-                alias0, pos0 = self._holders[var][0]
-                table = batched_weight_table(
-                    self._weight, var, self._instances[alias0], pos0
-                )
-                if table is not None:
-                    self._weight_tables[var] = table
+        # uncached path would.  A retained slot shares the tables and
+        # the row indexes with the plan's later enumerators.
+        kept = None if self._retained is None else self._retained.state
+        if kept is not None:
+            self._weight_tables, self._row_groups = kept
+        else:
+            if self._weight is not None:
+                for var in self._order:
+                    alias0, pos0 = self._holders[var][0]
+                    table = batched_weight_table(
+                        self._weight, var, self._instances[alias0], pos0
+                    )
+                    if table is not None:
+                        self._weight_tables[var] = table
+            if self._retained is not None:
+                self._retained.state = (self._weight_tables, self._row_groups)
 
         # Both directions of every join-tree edge, as
         # (neighbour, own positions, neighbour positions).

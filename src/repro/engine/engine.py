@@ -9,7 +9,7 @@ the join tree and re-running the full reducer each time.  A
 * a **prepared-plan cache** (query + ranking + method fingerprint ->
   :class:`~repro.engine.prepared.PreparedPlan`, LRU), holding the
   pre-built join tree / GHD / classification plus warm reduced
-  instances and pre-built relation indexes;
+  instances and, once a plan is reused, its retained ranked state;
 * **generation-counter invalidation**: warm state is revalidated
   against :attr:`Database.generation` before every execution, so
   ``Relation.add`` / ``extend`` / ``Database.add_relation`` transparently
@@ -64,7 +64,7 @@ from ..query.query import JoinProjectQuery, UnionQuery
 from ..storage import kernels, scores
 from ..storage.encoded import EncodedDatabase, decoded_answers
 from .lru import LRUCache
-from .prepared import PreparedPlan
+from .prepared import PreparedPlan, RetainedBudget
 from .stats import EngineStats, RequestCounters
 
 __all__ = ["QueryEngine"]
@@ -149,6 +149,8 @@ class QueryEngine:
             max_queries, on_evict=self._count_query_eviction
         )
         self._plans: LRUCache = LRUCache(max_plans, on_evict=self._count_plan_eviction)
+        # The cap on ranked state that reused plans keep between streams.
+        self._retained = RetainedBudget(self.stats)
         # Shard partitions are as expensive as a reducer pass (O(|D|)),
         # so they get the same session treatment as plans: LRU-cached,
         # revalidated against the database generation.
@@ -185,8 +187,9 @@ class QueryEngine:
     def _count_query_eviction(self, _key, _value) -> None:
         self.stats.query_evictions += 1
 
-    def _count_plan_eviction(self, _key, _value) -> None:
+    def _count_plan_eviction(self, _key, plan) -> None:
         self.stats.plan_evictions += 1
+        self._retained.forget(plan)
 
     @contextmanager
     def _instrumented(self):
@@ -466,10 +469,16 @@ class QueryEngine:
         delta: int | None = None,
         **kwargs: Any,
     ) -> RankedEnumeratorBase:
-        """A fresh one-shot enumerator over the session database.
+        """A one-shot enumerator over the session database.
 
         The delay-guarantee interface: iterate for answers in rank
-        order.  Warm plan state is reused when available.  When the
+        order.  Warm plan state is reused when available.  From a plan's
+        second stream on, an acyclic plan restarts at the root of the
+        queues an earlier stream built — their ``next`` chains are kept
+        on the plan, not rebuilt — and a lexicographic plan reuses its
+        weight tables and row indexes (``stats.ranked_restarts``).  Each
+        stream still pops its own root queue; streams of one plan may
+        interleave, on one thread or several.  When the
         session encodes (``encode="auto"`` does so for data with
         non-numeric keys), the enumerator runs over the
         dictionary-encoded image of the database and decodes at
@@ -481,7 +490,7 @@ class QueryEngine:
         )[0]
         # Plans bound to an encoding context switch to the encoded image
         # and decode at emission inside make_enumerator.
-        enum = prepared.make_enumerator(self.db, self.stats)
+        enum = prepared.make_enumerator(self.db, self.stats, budget=self._retained)
         self.last_enumerator = enum
         return enum
 
@@ -731,8 +740,9 @@ class QueryEngine:
     def invalidate(self) -> None:
         """Drop all warm (data-dependent) state, keeping the plans."""
         for prepared in self._plans.values():
-            prepared._reduced_instances = None
+            prepared.drop_warm_state()
             prepared._generation = None
+        self._retained.clear()
         self._partitions.clear()
         self._encoded = None
         self._encode_broken_generation = None

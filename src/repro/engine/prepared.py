@@ -12,19 +12,30 @@ their ``instances`` parameter, skipping the O(|D|) reducer pass on every
 warm execution).  The enumerators build their own groupings from these
 instances; the base relations keep only their scan-path views.
 
+A reused plan also keeps *ranked* state (:class:`~repro.core.base.RetainedSlot`):
+from its second enumerator on, an acyclic plan keeps its non-root queues
+and ``next`` chains, so each later stream restarts at the root instead
+of rebuilding them, and a lexicographic plan keeps its weight tables and
+row indexes.  No answers are kept: every stream pops its own root queue.
+The engine caps the cells all plans keep together
+(:class:`RetainedBudget`, LRU over plans).
+
 Warm state is validated against
 :attr:`repro.data.database.Database.generation` before every use and
 rebuilt transparently when the data has changed — the generation
-counters on ``Relation``/``Database`` are the invalidation hook.
+counters on ``Relation``/``Database`` are the invalidation hook.  A
+change drops the ranked state together with the reduction.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from typing import Any
 
 from ..algorithms.yannakakis import atom_instances, full_reduce
-from ..core.base import RankedEnumeratorBase
+from ..core.base import RankedEnumeratorBase, RetainedSlot
 from ..core.planner import QueryPlan
 from ..data.database import Database
 from ..errors import QueryError
@@ -34,6 +45,57 @@ __all__ = ["PreparedPlan"]
 
 #: Plan kinds whose enumerators accept pre-reduced ``instances``.
 _WARMABLE_KINDS = frozenset({"acyclic", "lex"})
+
+#: Cells that one engine's retained ranked states may hold together
+#: (a state's run positions plus the cells it created): 32 MiB at about
+#: 130 bytes a retained cell.  That figure is the median of 18
+#: tracemalloc probes (range 76-182): the state kept after 1, k and 3k
+#: answers of 3hop, 4hop and star3 SUM on the DBLP/IMDB-like graphs.
+MAX_RETAINED_CELLS = (32 << 20) // 130
+
+
+class RetainedBudget:
+    """One engine's cap on retained ranked state: LRU over plans.
+
+    :meth:`keep` marks a plan as just used, then drops the ranked state
+    of the least recently used plans until the cells all kept states
+    hold fit :data:`MAX_RETAINED_CELLS` — the plan just used included,
+    so a state over the cap by itself is not kept.  Each drop of a
+    state that held cells counts in ``ranked_evictions``.  State keeps
+    growing while streams extend its chains; the cap is checked when a
+    plan makes its next enumerator.
+    """
+
+    def __init__(self, stats: EngineStats):
+        self._stats = stats
+        self._plans: OrderedDict[PreparedPlan, None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def keep(self, plan: "PreparedPlan") -> None:
+        with self._lock:
+            self._plans[plan] = None
+            self._plans.move_to_end(plan)
+            # Read each plan's slot once: another thread's write may
+            # drop it meanwhile.
+            slots = {p: p._ranked for p in self._plans}
+            cells = {p: slot.cells for p, slot in slots.items() if slot is not None}
+            total = sum(cells.values())
+            for p, slot in slots.items():
+                if slot is None:
+                    del self._plans[p]
+                elif total > MAX_RETAINED_CELLS and cells[p]:
+                    p._ranked = None
+                    del self._plans[p]
+                    total -= cells[p]
+                    self._stats.ranked_evictions += 1
+
+    def forget(self, plan: "PreparedPlan") -> None:
+        with self._lock:
+            self._plans.pop(plan, None)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
 
 
 class PreparedPlan:
@@ -54,6 +116,7 @@ class PreparedPlan:
         "_db",
         "_generation",
         "_reduced_instances",
+        "_ranked",
         "_encoding",
         "_encoding_epoch",
     )
@@ -66,6 +129,8 @@ class PreparedPlan:
         self._db: Database | None = None
         self._generation: int | None = None
         self._reduced_instances: dict[str, list[tuple]] | None = None
+        # Ranked state kept for the plan's enumerators (see RetainedSlot).
+        self._ranked: RetainedSlot | None = None
         # Set for plans whose query/ranking were translated into code
         # space: the EncodedDatabase they were translated against and
         # the dictionary epoch the translation belongs to.
@@ -123,12 +188,39 @@ class PreparedPlan:
         ):
             # Any write drops the reduction; ``warm`` rebuilds it with
             # the vectorised reducer over the scan views, which the
-            # storage layer keeps current from its delta log.
-            self._reduced_instances = None
+            # storage layer keeps current from its delta log.  The
+            # ranked state was built over that reduction: it goes too.
+            self.drop_warm_state()
             if stats is not None:
                 stats.invalidations += 1
         self._db = db
         self._generation = generation
+
+    def drop_warm_state(self) -> None:
+        """Forget the reduction and the ranked state built over it."""
+        self._reduced_instances = None
+        self._ranked = None
+
+    def _retained_slot(
+        self, budget: RetainedBudget, stats: EngineStats | None
+    ) -> RetainedSlot | None:
+        """The slot this execution's enumerator keeps or restarts from.
+
+        None on a plan's first execution: only a second one shows that
+        the plan is reused.  A state that a failed step left broken is
+        replaced by an empty slot; the budget may drop the state
+        (:meth:`RetainedBudget.keep`).
+        """
+        slot = self._ranked
+        if slot is None or slot.broken:
+            if self.executions < 2:
+                return None
+            slot = self._ranked = RetainedSlot()
+        budget.keep(self)
+        slot = self._ranked
+        if slot is not None and slot.state is not None and stats is not None:
+            stats.ranked_restarts += 1
+        return slot
 
     def warm(self, db: Database, stats: EngineStats | None = None) -> "PreparedPlan":
         """Build (or refresh) the data-dependent state eagerly.
@@ -155,16 +247,25 @@ class PreparedPlan:
         self,
         db: Database,
         stats: EngineStats | None = None,
+        *,
+        budget: RetainedBudget | None = None,
         **overrides: Any,
     ) -> RankedEnumeratorBase:
-        """A fresh one-shot enumerator, using warm state when possible.
+        """A one-shot enumerator, using warm state when possible.
 
         Warm executions of acyclic/lexicographic plans hand the cached
         reduced instances to the enumerator (``already_reduced`` for the
-        LinDelay algorithm), so per-execution work shrinks to queue
-        construction plus enumeration.  Results are identical to a cold
-        :func:`~repro.core.planner.create_enumerator` build: the reduced
-        instances are exactly what the cold path derives internally.
+        LinDelay algorithm), so the reducer pass is skipped.  Given a
+        ``budget`` (the engine's), a reused plan also hands over its
+        retained ranked state: from the second execution on, an acyclic
+        enumerator restarts at the root of the queues an earlier one
+        built, and a lexicographic one reuses its weight tables and row
+        indexes (counted in ``stats.ranked_restarts``).  Results are
+        identical to a cold :func:`~repro.core.planner.create_enumerator`
+        build: the reduced instances are exactly what the cold path
+        derives internally, and a restart pops its own root queue over
+        the same non-root ``next`` chains a cold build would compute.
+        Callers that pass ``overrides`` get no ranked state.
 
         Plans bound to an encoding context accept the *base* database
         here: execution switches to the encoded image and the returned
@@ -172,12 +273,19 @@ class PreparedPlan:
         """
         self.executions += 1
         target, encoding = self._execution_target(db)
+        # Overrides can change what an enumerator builds, so only
+        # enumerators configured by the plan alone share ranked state.
+        plain = not overrides
         caller_instances = "instances" in overrides or "instances" in self.plan.kwargs
         if self.plan.kind in _WARMABLE_KINDS and not caller_instances:
             self.warm(target, stats)
             overrides["instances"] = self._reduced_instances
             if "already_reduced" not in self.plan.kwargs:
                 overrides["already_reduced"] = True
+            if budget is not None and plain:
+                slot = self._retained_slot(budget, stats)
+                if slot is not None:
+                    overrides["retained"] = slot
         enum = self.plan.instantiate(target, **overrides)
         if encoding is not None:
             from ..storage.encoded import DecodingEnumerator

@@ -124,6 +124,16 @@ class EngineStats:
         from store deltas, which the rebuild above replaced because it
         measured faster; the keys stay in :meth:`snapshot` for readers
         that index them.
+    ranked_restarts:
+        Streams that started from a plan's retained ranked state: an
+        acyclic plan's restart at the root of its kept queues, or a
+        lexicographic plan's reuse of its weight tables and row indexes
+        (:meth:`~repro.engine.prepared.PreparedPlan.make_enumerator`).
+    ranked_evictions:
+        Retained ranked states dropped to keep the cells all plans keep
+        under :data:`repro.engine.prepared.MAX_RETAINED_CELLS` (LRU over
+        plans).  A write drops a plan's ranked state with its reduction;
+        that counts in ``invalidations``, not here.
     uncacheable:
         Prepare calls whose kwargs could not be fingerprinted (planned
         fresh, never cached).
@@ -203,6 +213,8 @@ class EngineStats:
         "invalidations",
         "delta_applies",
         "delta_fallbacks",
+        "ranked_restarts",
+        "ranked_evictions",
         "uncacheable",
         "partition_hits",
         "partition_misses",
@@ -239,6 +251,8 @@ class EngineStats:
         self.invalidations = 0
         self.delta_applies = 0
         self.delta_fallbacks = 0
+        self.ranked_restarts = 0
+        self.ranked_evictions = 0
         self.uncacheable = 0
         self.partition_hits = 0
         self.partition_misses = 0
@@ -293,6 +307,8 @@ class EngineStats:
             "invalidations": self.invalidations,
             "delta_applies": self.delta_applies,
             "delta_fallbacks": self.delta_fallbacks,
+            "ranked_restarts": self.ranked_restarts,
+            "ranked_evictions": self.ranked_evictions,
             "uncacheable": self.uncacheable,
             "partition_hits": self.partition_hits,
             "partition_misses": self.partition_misses,

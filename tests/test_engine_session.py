@@ -101,6 +101,10 @@ def expected(
         ("invalidations", invalidations),
         ("delta_applies", delta_applies),
         ("delta_fallbacks", 0),
+        # The second execution keeps ranked state; the write drops it
+        # before a third could restart from it.
+        ("ranked_restarts", 0),
+        ("ranked_evictions", 0),
         ("uncacheable", 0),
         ("partition_hits", 1),
         ("partition_misses", 1),

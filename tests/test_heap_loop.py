@@ -41,9 +41,10 @@ def _graph(edges: int, left: int, right: int, seed: int) -> Database:
 
 def test_few_gc_tracked_objects_kept_per_cell(kernels_on):
     # Every object the loop keeps is one more for the cyclic collector
-    # to scan.  Flat heap entries, int dedup keys and on-demand run
-    # outputs keep about one tracked object per created cell (three
-    # when entries nested the sort key and the seen-set held tuples).
+    # to scan.  Flat heap entries, int dedup keys, on-demand run outputs
+    # and no seen-set at one-child nodes keep about one tracked object
+    # per created cell (1.1 here; three when entries nested the sort key
+    # and the seen-set held tuples).
     enum = AcyclicRankedEnumerator(FOUR_HOP, _graph(2000, 400, 60, seed=7)).preprocess()
     answers = iter(enum)
     next(answers)
@@ -59,7 +60,7 @@ def test_few_gc_tracked_objects_kept_per_cell(kernels_on):
     finally:
         gc.enable()
     assert created > 1000
-    assert kept / created <= 2
+    assert kept / created <= 1.5
 
 
 def test_successors_that_advance_different_children_have_distinct_keys(kernels_on):
