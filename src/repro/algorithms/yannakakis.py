@@ -33,6 +33,7 @@ __all__ = [
     "ReducedInstances",
     "atom_instances",
     "full_reduce",
+    "reduction_diff",
     "project_join",
     "evaluate",
 ]
@@ -53,6 +54,12 @@ class AtomInstances(dict):
     re-converting tuples — the matrices are cached at the storage layer
     per store version.  :meth:`exactly_int` remembers its verdicts, so a
     warm plan that reuses one instances object scans its rows once.
+
+    A binding holds for the relation's contents when it was made: once
+    the relation is written (its ``generation`` moves), :meth:`codes`
+    and :meth:`source_of` answer ``None`` for it — the storage caches
+    then describe rows these instances do not hold — and consumers fall
+    back to the row lists, which do not change.
     """
 
     __slots__ = ("_sources", "_exact_int")
@@ -65,15 +72,13 @@ class AtomInstances(dict):
     def bind_source(self, alias, relation, positions, selections, distinct) -> None:
         """Record where an alias's rows came from (enables ``codes``)."""
         self._sources[alias] = (
-            relation,
-            tuple(positions),
-            tuple(selections),
-            bool(distinct),
+            (relation, tuple(positions), tuple(selections), bool(distinct)),
+            relation.generation,
         )
 
     def codes(self, alias: str):
         """The code matrix aligned with ``self[alias]``, or ``None``."""
-        source = self._sources.get(alias)
+        source = self.source_of(alias)
         if source is None:
             return None
         relation, positions, selections, distinct = source
@@ -96,9 +101,13 @@ class AtomInstances(dict):
 
         How the batched ranking path (:func:`repro.core.ranking.batched_node_keys`)
         reaches the storage-cached score columns aligned with this
-        alias's rows.
+        alias's rows.  ``None`` too once the relation was written after
+        the binding: its views no longer describe these rows.
         """
-        return self._sources.get(alias)
+        bound = self._sources.get(alias)
+        if bound is None or bound[0][0].generation != bound[1]:
+            return None
+        return bound[0]
 
     def survivors_of(self, alias: str):
         """Row indices of ``self[alias]`` within the source view.
@@ -117,25 +126,29 @@ class ReducedInstances(AtomInstances):
     a gather of the original view list, and the gather indices are kept
     so downstream array consumers (score columns) can project any
     view-aligned array onto the reduced rows without re-deriving
-    anything.  Behaves exactly like the plain dict the scalar reducer
-    returns.
+    anything.  The reducer's own reduced code matrices are kept too, so
+    :meth:`codes` answers from them, whatever was written since.
+    Behaves exactly like the plain dict the scalar reducer returns.
     """
 
-    __slots__ = ("_survivors",)
+    __slots__ = ("_survivors", "_matrices")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._survivors: dict[str, object] = {}
+        self._matrices: dict[str, object] = {}
 
     @classmethod
-    def from_reduction(cls, source: Mapping[str, list[Row]], rows_by_alias, survivors):
+    def from_reduction(
+        cls, source: Mapping[str, list[Row]], rows_by_alias, survivors, matrices
+    ):
         out = cls(rows_by_alias)
-        source_of = getattr(source, "source_of", None)
+        out._matrices = matrices
+        sources = getattr(source, "_sources", {})
         survivors_of = getattr(source, "survivors_of", None)
         for alias in rows_by_alias:
-            src = source_of(alias) if source_of is not None else None
-            if src is not None:
-                out.bind_source(alias, *src)
+            if alias in sources:
+                out._sources[alias] = sources[alias]
             kept = survivors.get(alias)
             # Compose with the input's own survivors (re-reducing an
             # already-reduced instance): the stored indices must always
@@ -150,11 +163,7 @@ class ReducedInstances(AtomInstances):
         return self._survivors.get(alias)
 
     def codes(self, alias: str):
-        matrix = super().codes(alias)
-        if matrix is None:
-            return None
-        kept = self._survivors.get(alias)
-        return matrix if kept is None else matrix[kept]
+        return self._matrices.get(alias)
 
 
 def atom_instances(
@@ -333,7 +342,109 @@ def _kernel_full_reduce(
         rows_by_alias[alias] = (
             list(rows) if kept is None else [rows[i] for i in kept.tolist()]
         )
-    return ReducedInstances.from_reduction(instances, rows_by_alias, survivors)
+    return ReducedInstances.from_reduction(instances, rows_by_alias, survivors, current)
+
+
+def _absent(keys, others, *, ordered: bool = False):
+    """Mask over ``keys``: which are not among ``others`` (both unique;
+    both ascending when ``ordered``).
+
+    Sorts both sides and searches the sorted ``keys`` in order: on
+    27 000 keys this measured 1.7 ms against 9.1 ms for ``np.isin``,
+    whose stable sort dominates (2-core x86-64 VM, NumPy 2.4).
+    """
+    np = kernels.np
+    if not len(others):
+        return np.ones(len(keys), dtype=bool)
+    if ordered:
+        order, ordered_keys = None, keys
+    else:
+        order = np.argsort(keys)
+        ordered_keys = keys[order]
+        others = np.sort(others)
+    at = np.minimum(np.searchsorted(others, ordered_keys), len(others) - 1)
+    absent = others[at] != ordered_keys
+    if order is None:
+        return absent
+    out = np.empty(len(keys), dtype=bool)
+    out[order] = absent
+    return out
+
+
+def _same_view(old, new, alias) -> bool:
+    """Did both reductions gather ``alias`` from one unchanged view (same
+    relation object, signature and generation)?"""
+    a = getattr(old, "_sources", {}).get(alias)
+    b = getattr(new, "_sources", {}).get(alias)
+    if a is None or b is None:
+        return False
+    (relation, *signature), generation = a
+    return relation is b[0][0] and signature == list(b[0][1:]) and generation == b[1]
+
+
+def reduction_diff(old: Instances, new: Instances) -> dict[str, tuple] | None:
+    """The rows each alias gained and lost from ``old`` to ``new``, two
+    reductions of one plan: ``{alias: (added, removed)}``, index arrays
+    into ``new[alias]`` and ``old[alias]``.
+
+    An alias whose relation was not written compares the two survivor
+    index arrays into its one view (both ascending).  Any other alias
+    compares the reducer's own code matrices, each row packed into one
+    key.  ``None`` when a side has no matrix (the scalar reducer ran),
+    when a key does not pack, or when the rows both hold are not in the
+    same relative order — the order every consumer's tie-breaks follow.
+    """
+    np = kernels.np
+    codes_old = getattr(old, "codes", None)
+    codes_new = getattr(new, "codes", None)
+    if codes_old is None or codes_new is None or old.keys() != new.keys():
+        return None
+    diff = {}
+    for alias in new:
+        a, b = codes_old(alias), codes_new(alias)
+        if a is None or b is None:
+            return None
+        if len(a) == len(b) and np.array_equal(a, b):
+            none = np.zeros(0, dtype=np.int64)
+            diff[alias] = (none, none)
+            continue
+        if _same_view(old, new, alias):
+            keys = [old.survivors_of(alias), new.survivors_of(alias)]
+            old_keys, new_keys = [
+                np.arange(len(m)) if k is None else k for k, m in zip(keys, (a, b))
+            ]
+            diff[alias] = (
+                np.flatnonzero(_absent(new_keys, old_keys, ordered=True)),
+                np.flatnonzero(_absent(old_keys, new_keys, ordered=True)),
+            )
+            continue
+        if not a.shape[1]:  # no variables: at most the one empty row
+            diff[alias] = (np.arange(len(b)), np.arange(len(a)))
+            continue
+        packed = kernels.pack_pair(list(a.T), list(b.T))
+        if packed is None:
+            return None
+        # Only the span between the rows both reductions start and end
+        # with can differ: a small write usually leaves a short one.
+        old_keys, new_keys = packed
+        n = min(len(old_keys), len(new_keys))
+        head = _common_run(old_keys, new_keys, n)
+        tail = _common_run(old_keys[head:][::-1], new_keys[head:][::-1], n - head)
+        old_keys = old_keys[head : len(old_keys) - tail]
+        new_keys = new_keys[head : len(new_keys) - tail]
+        removed = _absent(old_keys, new_keys)
+        added = _absent(new_keys, old_keys)
+        if not np.array_equal(old_keys[~removed], new_keys[~added]):
+            return None
+        diff[alias] = (head + np.flatnonzero(added), head + np.flatnonzero(removed))
+    return diff
+
+
+def _common_run(a, b, limit: int) -> int:
+    """How many of their first ``limit`` entries ``a`` and ``b`` share
+    before the first that differs."""
+    differ = a[:limit] != b[:limit]
+    return int(differ.argmax()) if differ.any() else limit
 
 
 def _join_on(

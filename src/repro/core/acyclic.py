@@ -56,7 +56,9 @@ Engineering notes (see DESIGN.md §6):
 * Below the root a ``next`` chain depends only on the data, the plan
   and the ranking, so an engine plan that is reused keeps its non-root
   queues and chains (``retained=``, :class:`_RetainedQueues`) and each
-  later stream restarts at the root instead of rebuilding them.
+  later stream restarts at the root instead of rebuilding them.  A
+  write keeps every group it did not reach
+  (:meth:`_RetainedQueues.carry_over`).
 * The heap loop allocates as few objects as it can, because the cyclic
   garbage collector scans each one it keeps: heap entries are flat
   ``(key, out, seq, cell)`` tuples, dedup keys are ints, and an output
@@ -81,7 +83,7 @@ from ..query.jointree import JoinTree, JoinTreeNode, build_join_tree
 from ..query.query import JoinProjectQuery
 from ..storage import kernels
 from .answers import EnumerationStats, RankedAnswer
-from .base import RankedEnumeratorBase, RetainedSlot
+from .base import MAX_TOUCHED_FRACTION, RankedEnumeratorBase, RetainedSlot
 from .cell import Cell, UNSET, dedup_key
 from .heap import HeapStats, RankHeap
 from .ranking import (
@@ -220,6 +222,16 @@ class _RTNode:
         # parent of a scalar-built node is built the scalar way too).
         self.runs: _Runs | None = None
 
+    def rebound(self, children: list["_RTNode"], runs: "_Runs | None") -> "_RTNode":
+        """A copy over other children and runs (the plan-only fields are
+        shared): one node of a carried-over state."""
+        rt = object.__new__(_RTNode)
+        for name in _RTNode.__slots__:
+            setattr(rt, name, getattr(self, name))
+        rt.children = children
+        rt.pqs = rt.runs = runs
+        return rt
+
     def layout(self, own_out: tuple, children: tuple[Cell, ...]) -> tuple:
         """Partial output in global head order (see ``out_plan``)."""
         if not children:
@@ -283,8 +295,9 @@ class _Runs(Mapping):
         child tops), reusing the position's ``(key, out)`` when the
         group has loaded it."""
         self.stats.cells_created += 1
+        group.made += 1
         children = tuple([runs.group(idx[pos]).first_cell() for runs, idx in self.links])
-        return self._make(pos, children, group, head)
+        return self._make(pos, children, group, head, pos + group.origin)
 
     def peek(self, pos: int) -> Cell:
         """A stand-in for the cell of run position ``pos``, equal to it
@@ -299,9 +312,9 @@ class _Runs(Mapping):
             # A group without a first cell has never been popped: its
             # head is still its first position.
             children.append(runs.peek(runs.bounds[g]) if first is None else first)
-        return self._make(pos, tuple(children), None, None)
+        return self._make(pos, tuple(children), None, None, pos)
 
-    def _make(self, pos: int, children: tuple, group, head: tuple | None) -> Cell:
+    def _make(self, pos: int, children: tuple, group, head: tuple | None, ordinal: int) -> Cell:
         row = self.rows[self.row_idx[pos]]
         own_key = self.zero_key if self.own_keys is None else self.own_keys[pos]
         if head is None:
@@ -310,7 +323,7 @@ class _Runs(Mapping):
             key, out = head
         # A leaf's output is its own values (already in head order).
         own_out = self.own_of(row) if children else out
-        return Cell(row, children, key, out, own_key, own_out, group, pos)
+        return Cell(row, children, key, out, own_key, own_out, group, ordinal)
 
     def restart(self, stats: EnumerationStats, heap_stats: HeapStats) -> "_Runs":
         """A shallow copy that shares every list (and the anchor index)
@@ -373,19 +386,30 @@ class _LazyGroup(RankHeap):
     A run position's cell is created when it becomes the group's top;
     the first one is kept, because parents built against the group
     point at that very object.  The group itself is created by its
-    :class:`_Runs` on first use.
+    :class:`_Runs` on first use.  A carried-over group moves to the
+    rebuilt runs of its node (:meth:`move_to`); ``origin`` keeps the
+    ordinals of its cells what they were, so its dedup keys stay valid.
     """
 
-    __slots__ = ("runs", "pos", "end", "head", "cell", "first")
+    __slots__ = ("runs", "pos", "end", "head", "cell", "first", "origin")
 
     def __init__(self, runs: _Runs, start: int, end: int):
         super().__init__(runs.heap_stats)
         self.runs = runs
         self.pos = start
         self.end = end
+        self.origin = 0  # run position + origin = the cell's ordinal
         self.head: tuple | None = None  # the run head's sort key, once needed
         self.cell: Cell | None = None  # the run head's cell, once created
         self.first: Cell | None = None
+
+    def move_to(self, runs: _Runs, shift: int) -> None:
+        """Continue over ``runs``, which hold this group's rows in the
+        same order ``shift`` positions later (a carry-over)."""
+        self.runs = runs
+        self.pos += shift
+        self.end += shift
+        self.origin -= shift
 
     def first_cell(self) -> Cell:
         """The group's initial top (what parents' child pointers hold)."""
@@ -460,6 +484,199 @@ class _LazyGroup(RankHeap):
         return run + RankHeap.items(self)
 
 
+def _build_runs(
+    bound: BoundRanking,
+    rt: _RTNode,
+    rows: Sequence[Row],
+    own_arr,
+    instances,
+    stats: EnumerationStats,
+    heap_stats: HeapStats,
+) -> bool:
+    """The array build of one node's queue family (see :class:`_Runs`).
+
+    One stable ``lexsort`` over the node's rows by (anchor, key,
+    partial output) yields every anchor group's pop order and its
+    head at once.  A row's output, and its combined key, take each
+    child's part from the head of the child group it joins with
+    (``pack_pair`` + ``searchsorted`` against the child's sorted
+    head anchors); rows without one are dangling and skipped, as in
+    the scalar build.  Batchable rankings sort by the float key
+    array; LEX sorts by the columns its key is made of
+    (``key_sort_columns``), and a key is built only when its run
+    position is reached.  Refuses (``False``: the scalar build runs)
+    for other rankings, a child built the scalar way, columns that
+    are not exactly ``int``, infinite weights under a batchable
+    ranking and NaN keys — the cases where array order could differ
+    from the heap's.  A refusal at a node with children is counted
+    on ``combine_counters`` with its reason.  The run positions count
+    as pushes and live entries on ``heap_stats``; the runs count the
+    cells they create on ``stats``.
+    """
+
+    def refuse(reason: str) -> bool:
+        if rt.children and rows:
+            combine_counters.record_fallback(reason)
+        return False
+
+    if not kernels.enabled():
+        return False
+    batched = bound.batch_weight() is not None
+    if not batched and bound.key_sort_columns((), []) is None:
+        return refuse("unbatchable-ranking")
+    if batched and own_arr is None and rt.own_pairs and rows:
+        return refuse("no-key-array")
+    if any(c.runs is None for c in rt.children):
+        return refuse("scalar-child-keys")
+    # Outputs are rebuilt from the columns: no bool or IntEnum to
+    # normalise.  Key columns only need an exact int64 image.  The
+    # scan depends on the data alone, so instances that can memoise
+    # it (a warm plan's reduction) answer it once.
+    exactly_int = getattr(instances, "exactly_int", None)
+    if exactly_int is not None:
+        ok = exactly_int(rt.alias, rt.own_positions)  # rows is instances[rt.alias]
+    else:
+        ok = kernels.rows_exactly_int(rows, rt.own_positions)
+    if not ok:
+        return refuse("conversion")
+    cols = _int_columns(instances, rt, rows)
+    if cols is None:
+        return refuse("conversion")
+    np = kernels.np
+    n = len(rows)
+    zero_key = bound.key([])
+    if batched:
+        own = own_arr if own_arr is not None else np.full(n, float(zero_key))
+        # NaN keys order a heap by its layout, which a sorted run
+        # cannot mimic.  An infinite weight can make one in a
+        # successor (inf - inf, 0 * inf), so its node and that
+        # node's ancestors are built the scalar way.
+        if rt.own_pairs and not np.isfinite(own).all():
+            return refuse("non-finite-key")
+    valid = np.ones(n, dtype=bool)
+    child_idx = []
+    for child, key_pos in zip(rt.children, rt.child_key_positions):
+        if not child.runs.groups:
+            valid[:] = False
+            idx = np.zeros(n, dtype=np.int64)
+        elif not key_pos:
+            idx = np.zeros(n, dtype=np.int64)  # the one ()-anchored group
+        else:
+            packed = kernels.pack_pair([cols[p] for p in key_pos], child.runs.head_anchor)
+            if packed is None:
+                return refuse("pack-overflow")
+            p_keys, h_keys = packed
+            # Heads ascend by anchor, and packing keeps that order.
+            idx = np.minimum(np.searchsorted(h_keys, p_keys), len(h_keys) - 1)
+            valid &= h_keys[idx] == p_keys
+        child_idx.append(idx)
+    sel = None if valid.all() else np.flatnonzero(valid)
+    if sel is not None:
+        child_idx = [idx[sel] for idx in child_idx]
+        cols = {p: col[sel] for p, col in cols.items()}
+    parts = [[cols[p] for p in rt.own_positions]] + [
+        [col[idx] for col in c.runs.head_outs] for c, idx in zip(rt.children, child_idx)
+    ]
+    out_cols = [parts[src][off] for src, off in rt.out_plan]
+    if batched:
+        if sel is not None:
+            own = own[sel]
+        if rt.children:
+            keys = bound.combine_key_arrays(
+                [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
+            )
+            if keys is None:
+                return refuse("combine-refused")
+        else:
+            keys = own  # leaves take their own key verbatim, as in the scalar build
+        if np.isnan(keys).any():
+            return refuse("non-finite-key")
+        sort_keys = [keys]
+    else:
+        sort_keys = bound.key_sort_columns(rt.out_vars, out_cols)
+        if sort_keys is None:
+            return refuse("conversion")
+    anchor_cols = [cols[p] for p in rt.anchor_positions]
+    # lexsort's last key is the primary one.
+    order = np.lexsort(
+        tuple(reversed(out_cols)) + tuple(reversed(sort_keys)) + tuple(reversed(anchor_cols))
+    )
+    m = len(order)
+    out_cols = [col[order] for col in out_cols]
+    anchor_cols = [col[order] for col in anchor_cols]
+    change = np.zeros(m, dtype=bool)
+    change[:1] = True
+    for col in anchor_cols:
+        change[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(change)
+
+    runs = _Runs()
+    runs.rows = rows
+    row_idx = runs.row_idx = (order if sel is None else sel[order]).tolist()
+    runs.zero_key = zero_key
+    runs.outs = [col.tolist() for col in out_cols]
+    runs.out_at = _position_getter(runs.outs)
+    own_of = runs.own_of = rt.own_of
+    if batched:
+        keys = keys[order]
+        if rt.children or rt.own_pairs:
+            runs.keys = keys.tolist()
+        else:
+            runs.keys = [zero_key] * m  # the scalar leaf key: bound.key([])
+        runs.own_keys = own[order].tolist() if rt.own_pairs else None
+        runs.head_keys = keys[starts]
+    else:
+        runs.keys = _OutputKeys(bound.key, rt.out_vars, runs.out_at)
+        runs.own_keys = None
+        if rt.own_pairs:
+            own_vars = tuple(v for v, _ in rt.own_pairs)
+            runs.own_keys = _OutputKeys(
+                bound.key, own_vars, lambda pos: own_of(rows[row_idx[pos]])
+            )
+        runs.head_keys = None
+    runs.anchor_of = rt.anchor_of
+    runs.links = [(c.runs, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)]
+    runs.stats = stats
+    runs.heap_stats = heap_stats
+    runs.head_anchor = [col[starts] for col in anchor_cols]
+    runs.head_outs = [col[starts] for col in out_cols]
+    runs.bounds = starts.tolist() + [m]
+    runs.groups = [None] * len(starts)  # created on first use
+    runs.index = None
+    rt.pqs = rt.runs = runs
+    if batched and rt.children:
+        combine_counters.record_call()
+    heap_stats.pushes += m
+    heap_stats.live_entries += m
+    if heap_stats.live_entries > heap_stats.peak_entries:
+        heap_stats.peak_entries = heap_stats.live_entries
+    return True
+
+
+class _SharedWork:
+    """What every state carried over from one build shares with it: the
+    lock each root step runs under, the stats the non-root nodes count
+    on, and whether a failed step broke the queues."""
+
+    __slots__ = ("lock", "stats", "heap_stats", "broken")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.heap_stats = HeapStats()
+        self.stats = EnumerationStats(self.heap_stats)
+        self.broken = False
+
+
+def _nodes(root_rt: _RTNode) -> list[_RTNode]:
+    """The nodes under ``root_rt``, children before their parent."""
+    order, stack = [], [root_rt]
+    while stack:
+        rt = stack.pop()
+        order.append(rt)
+        stack.extend(rt.children)
+    return order[::-1]
+
+
 class _RetainedQueues:
     """The ranked state a repeated stream restarts from.
 
@@ -474,50 +691,83 @@ class _RetainedQueues:
     One lock covers each root step (the root ``top()``, which may
     create child groups and first cells, and its ``Topdown``); it is
     never held across a ``yield``, so streams interleave step by step,
-    on one thread or several.  The non-root nodes count on this
-    object's own stats; a step credits their pops, pushes, live entries
-    and run cells to its stream by the deltas it takes inside the lock,
-    so per-stream counts stay exact however streams interleave.  An
+    on one thread or several.  The non-root nodes count on shared
+    stats; a step credits their pops, pushes, live entries and run
+    cells to its stream by the deltas it takes inside the lock, so
+    per-stream counts stay exact however streams interleave.  An
     exception that escapes a step marks the state broken: the step may
     have popped a shared group halfway.
+
+    A write does not drop the state: :meth:`carry_over` keeps every
+    group the write did not reach in a state for the new reduction,
+    which shares the lock, the stats and the broken flag with this one
+    (:class:`_SharedWork`), because streams still open on this state
+    step through the same groups.
     """
 
-    __slots__ = ("lock", "root_rt", "root_runs", "stats", "heap_stats", "broken", "entries")
+    __slots__ = (
+        "shared",
+        "root_rt",
+        "root_runs",
+        "bound",
+        "entries",
+        "carried",
+        "marks",
+        "superseded",
+    )
 
-    def __init__(self, root_rt: _RTNode):
-        self.lock = threading.Lock()
+    def __init__(
+        self,
+        root_rt: _RTNode,
+        bound: BoundRanking,
+        shared: _SharedWork | None = None,
+        carried: int = 0,
+    ):
+        shared = self.shared = shared or _SharedWork()
         self.root_rt = root_rt
         self.root_runs = root_rt.runs
         self.root_runs._index()  # shared by every restart's copy
-        self.heap_stats = HeapStats()
-        self.stats = EnumerationStats(self.heap_stats)
-        self.broken = False
+        self.bound = bound
         self.entries = 0
-        stack = [root_rt]
-        while stack:
-            rt = stack.pop()
-            rt.runs.stats = self.stats
-            rt.runs.heap_stats = self.heap_stats
+        for rt in _nodes(root_rt):
+            rt.runs.stats = shared.stats
+            rt.runs.heap_stats = shared.heap_stats
             self.entries += rt.runs.bounds[-1]
-            stack.extend(rt.children)
+        # Cells the kept groups held when this state was carried over;
+        # what the shared nodes create later counts from ``marks``.
+        self.carried = carried
+        self.marks = (shared.stats.cells_created, shared.heap_stats.pushes)
+        self.superseded = False
+
+    @property
+    def broken(self) -> bool:
+        return self.shared.broken
 
     @property
     def cells(self) -> int:
         """What the state holds, in cells: every run position (a queued
         cell-to-be, whose key and output columns are kept), plus the run
-        cells and successors the shared nodes created."""
-        return self.entries + self.stats.cells_created + self.heap_stats.pushes
+        cells and successors its non-root groups created."""
+        stats, heap = self.shared.stats, self.shared.heap_stats
+        created, pushes = self.marks
+        return (
+            self.entries
+            + self.carried
+            + stats.cells_created - created
+            + heap.pushes - pushes
+        )
 
     def step(self, stats: EnumerationStats, heap_stats: HeapStats, advance, top):
         """``advance(top)`` under the lock, crediting the shared nodes'
         work to ``stats``/``heap_stats``."""
-        with self.lock:
-            if self.broken:
+        shared_work = self.shared
+        with shared_work.lock:
+            if shared_work.broken:
                 raise QueryError(
                     "the retained ranked state was dropped after an error in "
                     "another stream; run the query again"
                 )
-            shared, heap = self.stats, self.heap_stats
+            shared, heap = shared_work.stats, shared_work.heap_stats
             cells, pushes, pops, live = (
                 shared.cells_created,
                 heap.pushes,
@@ -527,7 +777,7 @@ class _RetainedQueues:
             try:
                 top = advance(top)
             except BaseException:
-                self.broken = True
+                shared_work.broken = True
                 raise
             stats.cells_created += shared.cells_created - cells
             heap_stats.pushes += heap.pushes - pushes
@@ -536,6 +786,140 @@ class _RetainedQueues:
             if live > heap_stats.peak_entries:
                 heap_stats.peak_entries = live
         return top
+
+    def carry_over(self, old, new, diff) -> tuple["_RetainedQueues | None", int]:
+        """The state for ``new``, a later reduction of this state's plan,
+        and the number of created groups it dropped.
+
+        ``old`` is the reduction this state was built over and ``diff``
+        maps each alias to the indices of its added rows (in ``new``)
+        and removed rows (in ``old``) (:func:`~repro.algorithms.yannakakis.reduction_diff`).
+        A node's *touched* anchors are those of its added and removed
+        rows, and those of its rows whose key into a child is a touched
+        anchor of that child.  A node with no touched anchor keeps its
+        runs, groups and chains as they are (and so does its whole
+        subtree); every other node gets runs sorted afresh from ``new``,
+        and each of its created groups whose anchor is untouched moves
+        into them (:meth:`_LazyGroup.move_to`) with its cells,
+        successors and ``next`` chain: its rows, their keys and their
+        outputs are what they were.  The root is rebuilt, since it
+        restarts per stream anyway.  ``(None, 0)`` — drop the state —
+        when the state is broken or was carried over already, when the
+        reductions have no code matrices, when a node refuses the array
+        build, or when more than :data:`~repro.core.base.MAX_TOUCHED_FRACTION`
+        of the non-root groups are touched.
+        """
+        np = kernels.np
+        nodes = _nodes(self.root_rt)
+        with self.shared.lock:
+            if self.shared.broken or self.superseded:
+                return None, 0
+            touched: dict[str, Any] = {}
+            for rt in nodes:
+                old_mat, new_mat = old.codes(rt.alias), new.codes(rt.alias)
+                if old_mat is None or new_mat is None:
+                    return None, 0
+                added, removed = diff[rt.alias]
+                parts = [new_mat[added], old_mat[removed]]
+                for child, key_pos in zip(rt.children, rt.child_key_positions):
+                    hit = touched[child.alias]
+                    if not len(hit):
+                        continue
+                    if not key_pos:  # a cartesian edge: every row joins the child
+                        parts.append(new_mat)
+                        continue
+                    packed = kernels.pack_pair([new_mat[:, p] for p in key_pos], list(hit.T))
+                    if packed is None:
+                        return None, 0
+                    parts.append(new_mat[np.isin(*packed)])
+                rows = np.concatenate(parts)
+                touched[rt.alias] = rows[:, list(rt.anchor_positions)]
+            if not len(touched[self.root_rt.alias]):
+                return self, 0  # the write reached no row of the plan
+            hits = {rt.alias: _touched_groups(rt.runs, touched[rt.alias]) for rt in nodes[:-1]}
+            groups = sum(len(hit) for hit in hits.values())
+            if sum(int(hit.sum()) for hit in hits.values()) > MAX_TOUCHED_FRACTION * groups:
+                return None, 0
+            # Build every new node first: a refusal leaves this state whole.
+            scratch = HeapStats()
+            rebuilt: dict[str, _RTNode] = {}
+            for rt in nodes:
+                children = [rebuilt[c.alias] for c in rt.children]
+                if not len(touched[rt.alias]) and all(
+                    c.runs is o.runs for c, o in zip(children, rt.children)
+                ):
+                    rebuilt[rt.alias] = rt.rebound(children, rt.runs)
+                    continue
+                node = rebuilt[rt.alias] = rt.rebound(children, None)
+                rows = new[rt.alias]
+                own_arr = batched_node_key_array(self.bound, new, rt.alias, rt.own_pairs)
+                stats = self.shared.stats
+                if not _build_runs(self.bound, node, rows, own_arr, new, stats, scratch):
+                    return None, 0
+            self.superseded = True
+            dropped = carried = 0
+            for rt in nodes[:-1]:
+                runs, moved = rt.runs, rebuilt[rt.alias].runs
+                if moved is runs:
+                    carried += sum(g.made for g in runs.groups if g is not None)
+                    continue
+                kept, gone = _move_groups(runs, moved, hits[rt.alias])
+                carried += kept
+                dropped += gone
+            root = rebuilt[self.root_rt.alias]
+            return _RetainedQueues(root, self.bound, self.shared, carried), dropped
+
+
+def _touched_groups(runs: _Runs, touched):
+    """Per group of ``runs``: is its anchor among the rows of ``touched``
+    (anchor values, one row each)?"""
+    np = kernels.np
+    if not len(touched):
+        return np.zeros(len(runs.groups), dtype=bool)
+    if not runs.head_anchor:  # the one ()-anchored group
+        return np.ones(len(runs.groups), dtype=bool)
+    packed = kernels.pack_pair(runs.head_anchor, list(touched.T))
+    if packed is None:
+        return np.ones(len(runs.groups), dtype=bool)
+    return np.isin(*packed)
+
+
+def _move_groups(runs: _Runs, moved: _Runs, hit) -> tuple[int, int]:
+    """Move each created group of ``runs`` whose anchor is not touched
+    (``hit``, per group) into ``moved``, the node's rebuilt runs;
+    ``(cells the moved groups hold, created groups left behind)``."""
+    np = kernels.np
+    created = [g for g, group in enumerate(runs.groups) if group is not None]
+    if not created:
+        return 0, 0
+    keep = ~hit[created]
+    if not moved.groups:
+        keep[:] = False
+        target = np.zeros(len(created), dtype=np.int64)
+    elif not runs.head_anchor:
+        target = np.zeros(len(created), dtype=np.int64)
+    else:
+        packed = kernels.pack_pair(
+            [col[created] for col in runs.head_anchor], moved.head_anchor
+        )
+        if packed is None:
+            return 0, len(created)
+        old_keys, new_keys = packed
+        # Heads ascend by anchor, and packing keeps that order.
+        target = np.minimum(np.searchsorted(new_keys, old_keys), len(new_keys) - 1)
+        keep &= new_keys[target] == old_keys
+    carried = dropped = 0
+    old_bounds, new_bounds = runs.bounds, moved.bounds
+    for g, t, ok in zip(created, target.tolist(), keep.tolist()):
+        group = runs.groups[g]
+        start = new_bounds[t]
+        if ok and new_bounds[t + 1] - start == old_bounds[g + 1] - old_bounds[g]:
+            group.move_to(moved, start - old_bounds[g])
+            moved.groups[t] = group
+            carried += group.made
+        else:
+            dropped += 1
+    return carried, dropped
 
 
 class AcyclicRankedEnumerator(RankedEnumeratorBase):
@@ -566,7 +950,10 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         filled, it restarts at the root of the kept queues instead of
         building (:class:`_RetainedQueues`).  Only a root built by the
         array build is kept: a plan whose root was built the scalar way
-        runs fresh each time.
+        runs fresh each time.  The engine carries a kept state over a
+        write into a new slot; an enumerator restarts from the state in
+        the slot it was given, so it answers for the data of its
+        ``instances``.
 
     Usage
     -----
@@ -667,7 +1054,9 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             # pass over its score columns, scalar fallback otherwise.
             own_arr = batched_node_key_array(self.bound, instances, node.alias, rt.own_pairs)
             rows = instances[node.alias]
-            if not self._build_runs(rt, rows, own_arr, instances):
+            if not _build_runs(
+                self.bound, rt, rows, own_arr, instances, self.stats, self.heap_stats
+            ):
                 own_keys = None if own_arr is None else own_arr.tolist()
                 self._build_node_queues(rt, rows, own_keys)
         self._root_rt = rt_by_alias[tree.root.alias]
@@ -679,7 +1068,9 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 f"match head {self.query.head}"
             )
         if self._retained is not None and self._root_rt.runs is not None:
-            queues = self._queues = self._retained.state = _RetainedQueues(self._root_rt)
+            queues = self._queues = self._retained.state = _RetainedQueues(
+                self._root_rt, self.bound
+            )
             self._root_pq = queues.root_runs.restart(self.stats, self.heap_stats).get(())
         else:
             self._root_pq = self._root_rt.pqs.get(())
@@ -706,166 +1097,6 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self.stats.build_seconds += time.perf_counter() - started
         self.stats.preprocess_seconds = self.stats.reduce_seconds + self.stats.build_seconds
         return self
-
-    def _build_runs(self, rt: _RTNode, rows: Sequence[Row], own_arr, instances) -> bool:
-        """The array build of one node's queue family (see :class:`_Runs`).
-
-        One stable ``lexsort`` over the node's rows by (anchor, key,
-        partial output) yields every anchor group's pop order and its
-        head at once.  A row's output, and its combined key, take each
-        child's part from the head of the child group it joins with
-        (``pack_pair`` + ``searchsorted`` against the child's sorted
-        head anchors); rows without one are dangling and skipped, as in
-        the scalar build.  Batchable rankings sort by the float key
-        array; LEX sorts by the columns its key is made of
-        (``key_sort_columns``), and a key is built only when its run
-        position is reached.  Refuses (``False``: the scalar build runs)
-        for other rankings, a child built the scalar way, columns that
-        are not exactly ``int``, infinite weights under a batchable
-        ranking and NaN keys — the cases where array order could differ
-        from the heap's.  A refusal at a node with children is counted
-        on ``combine_counters`` with its reason.
-        """
-
-        def refuse(reason: str) -> bool:
-            if rt.children and rows:
-                combine_counters.record_fallback(reason)
-            return False
-
-        bound = self.bound
-        if not kernels.enabled():
-            return False
-        batched = bound.batch_weight() is not None
-        if not batched and bound.key_sort_columns((), []) is None:
-            return refuse("unbatchable-ranking")
-        if batched and own_arr is None and rt.own_pairs and rows:
-            return refuse("no-key-array")
-        if any(c.runs is None for c in rt.children):
-            return refuse("scalar-child-keys")
-        # Outputs are rebuilt from the columns: no bool or IntEnum to
-        # normalise.  Key columns only need an exact int64 image.  The
-        # scan depends on the data alone, so instances that can memoise
-        # it (a warm plan's reduction) answer it once.
-        exactly_int = getattr(instances, "exactly_int", None)
-        if exactly_int is not None:
-            ok = exactly_int(rt.alias, rt.own_positions)  # rows is instances[rt.alias]
-        else:
-            ok = kernels.rows_exactly_int(rows, rt.own_positions)
-        if not ok:
-            return refuse("conversion")
-        cols = _int_columns(instances, rt, rows)
-        if cols is None:
-            return refuse("conversion")
-        np = kernels.np
-        n = len(rows)
-        zero_key = bound.key([])
-        if batched:
-            own = own_arr if own_arr is not None else np.full(n, float(zero_key))
-            # NaN keys order a heap by its layout, which a sorted run
-            # cannot mimic.  An infinite weight can make one in a
-            # successor (inf - inf, 0 * inf), so its node and that
-            # node's ancestors are built the scalar way.
-            if rt.own_pairs and not np.isfinite(own).all():
-                return refuse("non-finite-key")
-        valid = np.ones(n, dtype=bool)
-        child_idx = []
-        for child, key_pos in zip(rt.children, rt.child_key_positions):
-            if not child.runs.groups:
-                valid[:] = False
-                idx = np.zeros(n, dtype=np.int64)
-            elif not key_pos:
-                idx = np.zeros(n, dtype=np.int64)  # the one ()-anchored group
-            else:
-                packed = kernels.pack_pair([cols[p] for p in key_pos], child.runs.head_anchor)
-                if packed is None:
-                    return refuse("pack-overflow")
-                p_keys, h_keys = packed
-                # Heads ascend by anchor, and packing keeps that order.
-                idx = np.minimum(np.searchsorted(h_keys, p_keys), len(h_keys) - 1)
-                valid &= h_keys[idx] == p_keys
-            child_idx.append(idx)
-        sel = None if valid.all() else np.flatnonzero(valid)
-        if sel is not None:
-            child_idx = [idx[sel] for idx in child_idx]
-            cols = {p: col[sel] for p, col in cols.items()}
-        parts = [[cols[p] for p in rt.own_positions]] + [
-            [col[idx] for col in c.runs.head_outs] for c, idx in zip(rt.children, child_idx)
-        ]
-        out_cols = [parts[src][off] for src, off in rt.out_plan]
-        if batched:
-            if sel is not None:
-                own = own[sel]
-            if rt.children:
-                keys = bound.combine_key_arrays(
-                    [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
-                )
-                if keys is None:
-                    return refuse("combine-refused")
-            else:
-                keys = own  # leaves take their own key verbatim, as in the scalar build
-            if np.isnan(keys).any():
-                return refuse("non-finite-key")
-            sort_keys = [keys]
-        else:
-            sort_keys = bound.key_sort_columns(rt.out_vars, out_cols)
-            if sort_keys is None:
-                return refuse("conversion")
-        anchor_cols = [cols[p] for p in rt.anchor_positions]
-        # lexsort's last key is the primary one.
-        order = np.lexsort(
-            tuple(reversed(out_cols)) + tuple(reversed(sort_keys)) + tuple(reversed(anchor_cols))
-        )
-        m = len(order)
-        out_cols = [col[order] for col in out_cols]
-        anchor_cols = [col[order] for col in anchor_cols]
-        change = np.zeros(m, dtype=bool)
-        change[:1] = True
-        for col in anchor_cols:
-            change[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(change)
-
-        runs = _Runs()
-        runs.rows = rows
-        row_idx = runs.row_idx = (order if sel is None else sel[order]).tolist()
-        runs.zero_key = zero_key
-        runs.outs = [col.tolist() for col in out_cols]
-        runs.out_at = _position_getter(runs.outs)
-        own_of = runs.own_of = rt.own_of
-        if batched:
-            keys = keys[order]
-            if rt.children or rt.own_pairs:
-                runs.keys = keys.tolist()
-            else:
-                runs.keys = [zero_key] * m  # the scalar leaf key: bound.key([])
-            runs.own_keys = own[order].tolist() if rt.own_pairs else None
-            runs.head_keys = keys[starts]
-        else:
-            runs.keys = _OutputKeys(bound.key, rt.out_vars, runs.out_at)
-            runs.own_keys = None
-            if rt.own_pairs:
-                own_vars = tuple(v for v, _ in rt.own_pairs)
-                runs.own_keys = _OutputKeys(
-                    bound.key, own_vars, lambda pos: own_of(rows[row_idx[pos]])
-                )
-            runs.head_keys = None
-        runs.anchor_of = rt.anchor_of
-        runs.links = [(c.runs, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)]
-        runs.stats = self.stats
-        runs.heap_stats = self.heap_stats
-        runs.head_anchor = [col[starts] for col in anchor_cols]
-        runs.head_outs = [col[starts] for col in out_cols]
-        runs.bounds = starts.tolist() + [m]
-        runs.groups = [None] * len(starts)  # created on first use
-        runs.index = None
-        rt.pqs = rt.runs = runs
-        if batched and rt.children:
-            combine_counters.record_call()
-        stats = self.heap_stats
-        stats.pushes += m
-        stats.live_entries += m
-        if stats.live_entries > stats.peak_entries:
-            stats.peak_entries = stats.live_entries
-        return True
 
     def _build_node_queues(
         self, rt: _RTNode, rows: Sequence[Row], own_keys: Sequence | None = None
@@ -1011,6 +1242,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             seen = pq.seen = set()
         combine = self.bound.combine
         layout = rt.layout
+        made = 0
         while True:
             temp = pq.pop()
             # Successors: advance each child pointer of the popped cell.
@@ -1045,7 +1277,7 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                         temp.ordinal,
                     )
                     pq.push(key, out, successor)
-                    self.stats.cells_created += 1
+                    made += 1
             if not pq:
                 cell.next = None
                 break
@@ -1054,6 +1286,8 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
                 cell.next = top
             if not temp.same_output(top):
                 break
+        self.stats.cells_created += made
+        pq.made += made
         if rt.is_root:
             return None  # the root chain is never consulted
         return cell.next

@@ -28,7 +28,13 @@ from typing import Iterator
 
 from .answers import RankedAnswer
 
-__all__ = ["RankedEnumeratorBase", "RetainedSlot"]
+__all__ = ["MAX_TOUCHED_FRACTION", "RankedEnumeratorBase", "RetainedSlot"]
+
+#: A write whose changes reach more than this fraction of a retained
+#: state drops the state instead of carrying it over: the share of the
+#: acyclic state's non-root anchor groups it touches, or of the rows of
+#: the lexicographic state's reduction it adds or removes.
+MAX_TOUCHED_FRACTION = 0.5
 
 
 class RetainedSlot:
@@ -40,14 +46,20 @@ class RetainedSlot:
     on the data, the plan and the ranking; each later one restarts from
     it instead of rebuilding.  What the state is belongs to the
     enumerator class: the acyclic enumerator's non-root queues and
-    ``next`` chains, the lexicographic backtracker's weight tables and
-    row indexes.  The plan drops the slot when the data changes.
+    ``next`` chains, the lexicographic backtracker's weight tables, row
+    indexes and first-level candidates.
+
+    When the data changes, the plan asks the state for one that holds
+    for the new reduction — ``state.carry_over(old, new, diff)`` returns
+    ``(state or None, anchor groups dropped)`` — and puts it in a new
+    slot, so enumerators made before the change keep the old one.  A
+    ``None`` drops the state.
     """
 
     __slots__ = ("state",)
 
-    def __init__(self) -> None:
-        self.state = None
+    def __init__(self, state=None) -> None:
+        self.state = state
 
     @property
     def cells(self) -> int:

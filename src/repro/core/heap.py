@@ -78,17 +78,19 @@ class RankHeap(Generic[T]):
     item)`` tuples — one tuple per push — and a monotone sequence number
     breaks residual exact ties without comparing items.
 
-    ``seen`` is free for the owner's bookkeeping about this queue: the
-    acyclic enumerator keeps its duplicate-insert set there, created
-    on the queue's first ``Topdown``.
+    ``seen`` and ``made`` are free for the owner's bookkeeping about
+    this queue: the acyclic enumerator keeps its duplicate-insert set in
+    ``seen``, created on the queue's first ``Topdown``, and counts the
+    cells it created for the queue in ``made``.
     """
 
-    __slots__ = ("_entries", "stats", "seen")
+    __slots__ = ("_entries", "stats", "seen", "made")
 
     def __init__(self, stats: HeapStats | None = None):
         self._entries: list[tuple[Any, Any, int, T]] = []
         self.stats = stats if stats is not None else HeapStats()
         self.seen: Any = None
+        self.made = 0
 
     def push(self, key: Any, out: Any, item: T) -> None:
         """Insert ``item`` with priority ``(key, out)``."""

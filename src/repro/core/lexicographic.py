@@ -25,14 +25,18 @@ preprocessing with ``O(|D|)`` space — and no priority queues, which is
 where the paper's measured 2-3x speed-up over the SUM machinery comes
 from (Figure 6).  The hash indexes of the first level are built on
 first use, each at ``O(|D|)`` once, which leaves the bound intact.  A
-reused engine plan keeps them, with the per-variable weight tables, for
-its later enumerators (``retained=``).
+reused engine plan keeps them, with the per-variable weight tables and
+the first level's sorted candidates, for its later enumerators
+(``retained=``), and patches them for the rows a write adds and removes
+(:meth:`_LexState.carry_over`).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from collections import defaultdict
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,7 +46,7 @@ from ..errors import QueryError, RankingError
 from ..query.jointree import JoinTree, build_join_tree
 from ..query.query import JoinProjectQuery
 from .answers import EnumerationStats, RankedAnswer
-from .base import RankedEnumeratorBase, RetainedSlot
+from .base import MAX_TOUCHED_FRACTION, RankedEnumeratorBase, RetainedSlot
 from .ranking import Desc, WeightFunction, batched_weight_table
 
 __all__ = ["LexBacktrackEnumerator"]
@@ -59,6 +63,120 @@ def _join_key(positions: tuple[int, ...]):
     if not positions:
         return lambda row: ()
     return itemgetter(*positions)
+
+
+def _value_key(weight: WeightFunction | None, table: dict | None, var: str, value):
+    """Per-attribute comparison key: ``(w(value), value)`` when a weight
+    function is configured, the raw value otherwise.
+
+    Weighted comparisons read ``table``, the cached weight table built
+    in :meth:`LexBacktrackEnumerator.preprocess` (one weight call per
+    distinct value); values outside it call the weight function
+    directly — same result, same errors.
+    """
+    if weight is None:
+        return value
+    if table is not None:
+        w = table.get(value, _MISSING)
+        if w is not _MISSING:
+            return (w, value)
+    return (weight(var, value), value)
+
+
+def _candidate(weight, table, var: str, descending: bool, value) -> tuple:
+    """``(key part, value)``: one entry of a level's sorted candidates."""
+    part = _value_key(weight, table, var, value)
+    return (Desc(part) if descending else part, value)
+
+
+def _patched(index: dict, key, added: list, removed: list) -> dict:
+    """``index`` (rows grouped by ``key``) with ``removed`` taken out and
+    ``added`` put in, as a new dict: the lists of untouched keys are
+    shared, and no list of ``index`` is modified."""
+    out = dict(index)
+    gone: dict = defaultdict(set)
+    for row in removed:
+        gone[key(row)].add(row)
+    for k, rows in gone.items():
+        left = [row for row in out.get(k, ()) if row not in rows]
+        if left:
+            out[k] = left
+        else:
+            out.pop(k, None)
+    grown: dict = defaultdict(list)
+    for row in added:
+        grown[key(row)].append(row)
+    for k, rows in grown.items():
+        out[k] = out.get(k, []) + rows
+    return out
+
+
+class _LexState:
+    """What a reused lexicographic plan keeps (``retained=``): the weight
+    tables, the row indexes built so far, and the first level's sorted
+    candidates once a stream has sorted them.
+
+    ``first`` is the first order variable's holder ``(alias, position)``
+    and ``candidate_of`` makes its candidate entries
+    (:func:`_candidate`), so :meth:`carry_over` can patch the kept list.
+    """
+
+    __slots__ = ("weight_tables", "row_groups", "candidates", "first", "candidate_of")
+
+    def __init__(self, weight_tables, row_groups, candidates, first, candidate_of):
+        self.weight_tables = weight_tables
+        self.row_groups = row_groups
+        self.candidates = candidates
+        self.first = first
+        self.candidate_of = candidate_of
+
+    def carry_over(self, old, new, diff) -> tuple["_LexState | None", int]:
+        """The state for ``new``, a later reduction of the same plan:
+        each kept row index with the rows ``diff`` adds and removes
+        patched in (:func:`_patched`), and the kept candidates with the
+        first variable's vanished values taken out and new ones put in
+        by bisection.  The weight tables are kept as they are (values
+        they miss are weighed directly).  Drops nothing, so the second
+        item is 0; ``(None, 0)`` when more than
+        :data:`~repro.core.base.MAX_TOUCHED_FRACTION` of the rows
+        changed.
+        """
+        changed = sum(len(added) + len(removed) for added, removed in diff.values())
+        if changed > MAX_TOUCHED_FRACTION * sum(len(rows) for rows in new.values()):
+            return None, 0
+        rows_of = {}
+        for alias, (added, removed) in diff.items():
+            if len(added) or len(removed):
+                old_rows, new_rows = old[alias], new[alias]
+                rows_of[alias] = (
+                    [new_rows[i] for i in added.tolist()],
+                    [old_rows[i] for i in removed.tolist()],
+                )
+        row_groups = {
+            (alias, positions): (
+                index
+                if alias not in rows_of
+                else _patched(index, _join_key(positions), *rows_of[alias])
+            )
+            for (alias, positions), index in self.row_groups.items()
+        }
+        alias, pos = self.first
+        first_key = (alias, (pos,))
+        candidates = self.candidates
+        if alias in rows_of and candidates is not None:
+            if first_key not in self.row_groups:
+                candidates = None
+            else:
+                before, after = self.row_groups[first_key], row_groups[first_key]
+                added, removed = rows_of[alias]
+                candidates = list(candidates)
+                part = itemgetter(0)
+                for value in {row[pos] for row in removed} - after.keys():
+                    del candidates[bisect_left(candidates, self.candidate_of(value)[0], key=part)]
+                for value in {row[pos] for row in added} - before.keys():
+                    insort(candidates, self.candidate_of(value), key=part)
+        state = _LexState(self.weight_tables, row_groups, candidates, self.first, self.candidate_of)
+        return state, 0
 
 
 class LexBacktrackEnumerator(RankedEnumeratorBase):
@@ -92,9 +210,10 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
     retained:
         A :class:`~repro.core.base.RetainedSlot` shared by the
         enumerators of one plan over the same ``instances`` (the engine
-        passes it to reused warm plans).  The weight tables and row
-        indexes depend only on the data, the plan and the weight, so the
-        first enumerator keeps them there and later ones reuse them.
+        passes it to reused warm plans).  The weight tables, row indexes
+        and first-level candidates depend only on the data, the plan and
+        the weight, so the first enumerator keeps them there
+        (:class:`_LexState`) and later ones reuse them.
 
     The emitted :attr:`RankedAnswer.score` (and :attr:`~RankedAnswer.key`)
     is the comparison tuple: head values arranged in ``order``, with
@@ -145,6 +264,7 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         self.stats = EnumerationStats()
         self._instances: Mapping[str, list[Row]] | None = None
         self._exhausted = False
+        self._kept: _LexState | None = None
         self._weight_tables: dict[str, dict] = {}
         self._adjacency: dict[str, list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
         # Row groups by (alias, positions), built on first use (_index).
@@ -206,7 +326,7 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         # the row indexes with the plan's later enumerators.
         kept = None if self._retained is None else self._retained.state
         if kept is not None:
-            self._weight_tables, self._row_groups = kept
+            self._weight_tables, self._row_groups = kept.weight_tables, kept.row_groups
         else:
             if self._weight is not None:
                 for var in self._order:
@@ -217,7 +337,21 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
                     if table is not None:
                         self._weight_tables[var] = table
             if self._retained is not None:
-                self._retained.state = (self._weight_tables, self._row_groups)
+                var = self._order[0]
+                kept = self._retained.state = _LexState(
+                    self._weight_tables,
+                    self._row_groups,
+                    None,
+                    self._holders[var][0],
+                    partial(
+                        _candidate,
+                        self._weight,
+                        self._weight_tables.get(var),
+                        var,
+                        var in self._descending,
+                    ),
+                )
+        self._kept = kept
 
         # Both directions of every join-tree edge, as
         # (neighbour, own positions, neighbour positions).
@@ -325,14 +459,22 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
 
         var = self._order[depth]
         holders = self._holders[var]
-        alias0, pos0 = holders[0]
-        value_key = self._value_key
-        candidates = [(value_key(var, v), v) for v in {row[pos0] for row in instances[alias0]}]
-        if var in self._descending:
-            candidates.sort(key=itemgetter(0), reverse=True)
-            candidates = [(Desc(part), value) for part, value in candidates]
-        else:
-            candidates.sort(key=itemgetter(0))
+        kept = self._kept if depth == 0 else None
+        candidates = None if kept is None else kept.candidates
+        if candidates is None:
+            alias0, pos0 = holders[0]
+            value_key = partial(_value_key, self._weight, self._weight_tables.get(var), var)
+            values = {row[pos0] for row in instances[alias0]}
+            candidates = [(value_key(v), v) for v in values]
+            if var in self._descending:
+                candidates.sort(key=itemgetter(0), reverse=True)
+                candidates = [(Desc(part), value) for part, value in candidates]
+            else:
+                candidates.sort(key=itemgetter(0))
+            if kept is not None:
+                # Sorted once per reduction: later streams of the plan
+                # reuse the list, and a write patches it (carry_over).
+                kept.candidates = candidates
         if depth == len(self._order) - 1 and (depth or not self._already_reduced):
             # ``instances`` is this enumerator's own full-reducer output
             # over an acyclic join tree, hence globally consistent: every
@@ -378,24 +520,6 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         """The answer whose values in comparison order are ``score``."""
         self.stats.answers += 1
         return RankedAnswer(self._head_of(score), score, key=key)
-
-    def _value_key(self, var: str, value):
-        """Per-attribute comparison key: ``(w(value), value)`` when a
-        weight function is configured, the raw value otherwise.
-
-        Weighted comparisons read the cached weight table built in
-        :meth:`preprocess` (one weight call per distinct value); values
-        outside the table call the weight function directly — same
-        result, same errors.
-        """
-        if self._weight is None:
-            return value
-        table = self._weight_tables.get(var)
-        if table is not None:
-            w = table.get(value, _MISSING)
-            if w is not _MISSING:
-                return (w, value)
-        return (self._weight(var, value), value)
 
     def fresh(self) -> "LexBacktrackEnumerator":
         """A new enumerator with identical configuration."""

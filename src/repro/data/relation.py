@@ -21,7 +21,7 @@ so the same relation can be used under many different variable names
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import SchemaError
 from ..storage.columnstore import ColumnStore
@@ -64,8 +64,8 @@ class Relation:
     >>> r = Relation("R", ("a", "b"), [(1, 10), (2, 20)])
     >>> len(r), r.arity
     (2, 2)
-    >>> r.column("a")
-    [1, 2]
+    >>> r.positions(("b",))
+    (1,)
     """
 
     __slots__ = (
@@ -328,36 +328,6 @@ class Relation:
         callers then stay on the Python row lists.
         """
         return self._paths.scan().codes_view(positions, selections, distinct)
-
-    # ------------------------------------------------------------------ #
-    # algebra helpers (public conveniences; no library code calls them)
-    # ------------------------------------------------------------------ #
-    def column(self, attr: str) -> list[Value]:
-        """All values of one attribute, in tuple order (with duplicates)."""
-        return list(self._store.column(self.position(attr)))
-
-    def domain(self, attr: str) -> set[Value]:
-        """Distinct values of one attribute."""
-        return set(self._store.column(self.position(attr)))
-
-    def project(self, attrs: Sequence[str], *, distinct: bool = False) -> "Relation":
-        """Relational projection onto ``attrs`` (optionally de-duplicated)."""
-        pos = self.positions(attrs)
-        rows = self._paths.scan().view(pos, (), distinct)
-        return Relation(self.name, attrs, rows)
-
-    def select(self, predicate: Callable[[Row], bool], *, name: str | None = None) -> "Relation":
-        """Relational selection with an arbitrary row predicate."""
-        return Relation(
-            name or self.name,
-            self.attrs,
-            [t for t in self._store.rows() if predicate(t)],
-        )
-
-    def distinct(self) -> "Relation":
-        """A copy with duplicate tuples removed (first occurrence kept)."""
-        pos = tuple(range(self.arity))
-        return Relation(self.name, self.attrs, self._paths.scan().view(pos, (), True))
 
     def renamed(self, name: str) -> "Relation":
         """A shallow copy under a different relation name (shares storage).

@@ -476,9 +476,13 @@ class QueryEngine:
         second stream on, an acyclic plan restarts at the root of the
         queues an earlier stream built — their ``next`` chains are kept
         on the plan, not rebuilt — and a lexicographic plan reuses its
-        weight tables and row indexes (``stats.ranked_restarts``).  Each
-        stream still pops its own root queue; streams of one plan may
-        interleave, on one thread or several.  When the
+        weight tables, row indexes and first-level candidates
+        (``stats.ranked_restarts``).  A write carries that state over
+        to the rebuilt reduction, keeping what the write did not reach
+        (``stats.ranked_carryovers``).  Each stream still pops its own
+        root queue; streams of one plan may interleave, on one thread or
+        several, and a stream answers for the data it was opened on,
+        whatever is written while it runs.  When the
         session encodes (``encode="auto"`` does so for data with
         non-numeric keys), the enumerator runs over the
         dictionary-encoded image of the database and decodes at

@@ -15,16 +15,20 @@ instances; the base relations keep only their scan-path views.
 A reused plan also keeps *ranked* state (:class:`~repro.core.base.RetainedSlot`):
 from its second enumerator on, an acyclic plan keeps its non-root queues
 and ``next`` chains, so each later stream restarts at the root instead
-of rebuilding them, and a lexicographic plan keeps its weight tables and
-row indexes.  No answers are kept: every stream pops its own root queue.
-The engine caps the cells all plans keep together
-(:class:`RetainedBudget`, LRU over plans).
+of rebuilding them, and a lexicographic plan keeps its weight tables,
+row indexes and sorted first-level candidates.  No answers are kept:
+every stream pops its own root queue.  The engine caps the cells all
+plans keep together (:class:`RetainedBudget`, LRU over plans).
 
 Warm state is validated against
 :attr:`repro.data.database.Database.generation` before every use and
 rebuilt transparently when the data has changed — the generation
 counters on ``Relation``/``Database`` are the invalidation hook.  A
-change drops the ranked state together with the reduction.
+change rebuilds the reduction, diffs it against the old one
+(:func:`~repro.algorithms.yannakakis.reduction_diff`) and carries the
+ranked state over: only what the write reached is dropped or patched,
+in a new slot, so enumerators made before the write keep the old one
+(:meth:`PreparedPlan.warm`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import time
 from collections import OrderedDict
 from typing import Any
 
-from ..algorithms.yannakakis import atom_instances, full_reduce
+from ..algorithms.yannakakis import atom_instances, full_reduce, reduction_diff
 from ..core.base import RankedEnumeratorBase, RetainedSlot
 from ..core.planner import QueryPlan
 from ..data.database import Database
@@ -119,6 +123,7 @@ class PreparedPlan:
         "_ranked",
         "_encoding",
         "_encoding_epoch",
+        "_lock",
     )
 
     def __init__(self, plan: QueryPlan, fingerprint: Any, prepare_seconds: float = 0.0):
@@ -136,6 +141,9 @@ class PreparedPlan:
         # the dictionary epoch the translation belongs to.
         self._encoding = None
         self._encoding_epoch: int | None = None
+        # Serialises the generation check, the rebuild and the carry-over
+        # for streams of one plan on several threads.
+        self._lock = threading.Lock()
 
     def bind_encoding(self, encoding) -> "PreparedPlan":
         """Record that this plan executes over ``encoding``'s code space.
@@ -178,23 +186,30 @@ class PreparedPlan:
         """True when reduced instances are cached (acyclic/lex plans)."""
         return self._reduced_instances is not None
 
-    def _check_generation(self, db: Database, stats: EngineStats | None) -> None:
+    def _check_generation(self, db: Database, stats: EngineStats | None) -> tuple:
+        """Drop the warm state if ``db`` is not the data it was built
+        over; returns what was dropped, ``(reduction, ranked slot)``,
+        for a carry-over (``(None, None)`` when nothing was)."""
         # Warm state is keyed on the database *object* as well as its
         # generation: equal generations on two different databases say
         # nothing about equal contents.
         generation = db.generation
+        dropped = None, None
         if self._reduced_instances is not None and (
             db is not self._db or generation != self._generation
         ):
             # Any write drops the reduction; ``warm`` rebuilds it with
             # the vectorised reducer over the scan views, which the
-            # storage layer keeps current from its delta log.  The
-            # ranked state was built over that reduction: it goes too.
+            # storage layer keeps current from its delta log, and
+            # carries the ranked state over to it.
+            if db is self._db:
+                dropped = self._reduced_instances, self._ranked
             self.drop_warm_state()
             if stats is not None:
                 stats.invalidations += 1
         self._db = db
         self._generation = generation
+        return dropped
 
     def drop_warm_state(self) -> None:
         """Forget the reduction and the ranked state built over it."""
@@ -228,17 +243,44 @@ class PreparedPlan:
         Runs ``atom_instances`` + the full reducer once.  Called lazily
         by :meth:`make_enumerator`; call it directly to pay the cost at
         prepare time instead of on the first execution.  Encoded plans
-        accept the base database and warm the encoded image.
+        accept the base database and warm the encoded image.  After a
+        write, the ranked state is carried over to the new reduction
+        (:meth:`_carry_over`).
         """
         db, _encoding = self._execution_target(db)
-        self._check_generation(db, stats)
+        with self._lock:
+            self._warm(db, stats)
+        return self
+
+    def _warm(self, db: Database, stats: EngineStats | None) -> None:
+        """:meth:`warm` over the execution target, under the plan lock."""
+        old, slot = self._check_generation(db, stats)
         if self.plan.kind not in _WARMABLE_KINDS or self._reduced_instances is not None:
-            return self
+            return
         started = time.perf_counter()
         instances = atom_instances(self.plan.query, db)
         self._reduced_instances = full_reduce(self.plan.join_tree, instances)
+        if slot is not None and slot.state is not None:
+            self._carry_over(old, slot.state, stats)
         self.prepare_seconds += time.perf_counter() - started
-        return self
+
+    def _carry_over(self, old, state, stats: EngineStats | None) -> None:
+        """Keep the part of ``state`` (built over the reduction ``old``)
+        that the write did not reach, in a new slot for the new
+        reduction: enumerators made before the write keep the old slot.
+        Counted in ``ranked_carryovers`` and ``ranked_groups_dropped``;
+        a state that cannot be carried over is dropped."""
+        new = self._reduced_instances
+        diff = reduction_diff(old, new)
+        if diff is None:
+            return
+        carried, dropped = state.carry_over(old, new, diff)
+        if carried is None:
+            return
+        self._ranked = RetainedSlot(carried)
+        if stats is not None:
+            stats.ranked_carryovers += 1
+            stats.ranked_groups_dropped += dropped
 
     # ------------------------------------------------------------------ #
     # the factory
@@ -278,15 +320,23 @@ class PreparedPlan:
         plain = not overrides
         caller_instances = "instances" in overrides or "instances" in self.plan.kwargs
         if self.plan.kind in _WARMABLE_KINDS and not caller_instances:
-            self.warm(target, stats)
-            overrides["instances"] = self._reduced_instances
+            # The reduction and the slot go together: a write's carry-over
+            # on another thread replaces both.
+            with self._lock:
+                self._warm(target, stats)
+                overrides["instances"] = self._reduced_instances
+                if budget is not None and plain:
+                    slot = self._retained_slot(budget, stats)
+                    if slot is not None:
+                        overrides["retained"] = slot
             if "already_reduced" not in self.plan.kwargs:
                 overrides["already_reduced"] = True
-            if budget is not None and plain:
-                slot = self._retained_slot(budget, stats)
-                if slot is not None:
-                    overrides["retained"] = slot
         enum = self.plan.instantiate(target, **overrides)
+        if self.plan.kind not in _WARMABLE_KINDS:
+            # These enumerators read the database when they preprocess:
+            # doing it now answers a stream for the data it was opened
+            # on, as the reduced instances of warm plans do.
+            enum.preprocess()
         if encoding is not None:
             from ..storage.encoded import DecodingEnumerator
 

@@ -132,8 +132,16 @@ class EngineStats:
     ranked_evictions:
         Retained ranked states dropped to keep the cells all plans keep
         under :data:`repro.engine.prepared.MAX_RETAINED_CELLS` (LRU over
-        plans).  A write drops a plan's ranked state with its reduction;
-        that counts in ``invalidations``, not here.
+        plans).  A state a write drops counts in ``invalidations``, not
+        here.
+    ranked_carryovers / ranked_groups_dropped:
+        Retained ranked states carried over a write to the rebuilt
+        reduction instead of dropped, and the anchor groups (with their
+        cells and ``next`` chains) those carry-overs left behind because
+        the write reached them
+        (:meth:`~repro.engine.prepared.PreparedPlan.warm`).  A
+        lexicographic state is patched, never dropped in part, so it
+        adds no groups.
     uncacheable:
         Prepare calls whose kwargs could not be fingerprinted (planned
         fresh, never cached).
@@ -215,6 +223,8 @@ class EngineStats:
         "delta_fallbacks",
         "ranked_restarts",
         "ranked_evictions",
+        "ranked_carryovers",
+        "ranked_groups_dropped",
         "uncacheable",
         "partition_hits",
         "partition_misses",
@@ -253,6 +263,8 @@ class EngineStats:
         self.delta_fallbacks = 0
         self.ranked_restarts = 0
         self.ranked_evictions = 0
+        self.ranked_carryovers = 0
+        self.ranked_groups_dropped = 0
         self.uncacheable = 0
         self.partition_hits = 0
         self.partition_misses = 0
@@ -309,6 +321,8 @@ class EngineStats:
             "delta_fallbacks": self.delta_fallbacks,
             "ranked_restarts": self.ranked_restarts,
             "ranked_evictions": self.ranked_evictions,
+            "ranked_carryovers": self.ranked_carryovers,
+            "ranked_groups_dropped": self.ranked_groups_dropped,
             "uncacheable": self.uncacheable,
             "partition_hits": self.partition_hits,
             "partition_misses": self.partition_misses,

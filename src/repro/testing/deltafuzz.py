@@ -5,8 +5,12 @@ randomized interleaving of appends, deletes and ranked queries.  Every
 query is shadow-checked: the live engine's top-k (values *and* scores,
 in order) must be bit-identical to a fresh engine built cold from the
 database's current contents.  The live engine serves them from warm
-state rebuilt over delta-maintained scan views and encoded images; the
-shadow check cannot tell and must never need to.
+state rebuilt over delta-maintained scan views and encoded images, and
+from ranked state carried over each write: every query runs twice, so
+the second run restarts from the state the first one kept, and a
+stream op opens a stream before the next write and drains it after,
+against the shadow taken when it was opened.  The shadow check cannot
+tell and must never need to.
 
 Everything is derived deterministically from an integer seed, so a
 failure is a one-line repro.  On divergence the failing schedule is
@@ -22,6 +26,7 @@ Entry points: :func:`fuzz` (used by ``repro fuzz-deltas`` and the
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -44,10 +49,13 @@ RANKINGS = {"sum": SumRanking, "lex": LexRanking}
 DOMAIN = 4
 MAX_INITIAL_ROWS = 8
 MIN_OPS, MAX_OPS = 6, 14
+K_CHOICES = (1, 10, 100)
 
 #: Schedule ops, all value-level so a case prints as a repro:
 #: ``("append", relation, rows)``, ``("delete", relation, row)``,
-#: ``("query", ranking, k)``.
+#: ``("query", ranking, k)`` and ``("stream", ranking, k, primed)``: a
+#: stream opened there (after its first answer when ``primed``) and
+#: drained after the next write, or at the end.
 Op = tuple
 
 
@@ -121,7 +129,7 @@ def generate_case(seed: int) -> FuzzCase:
     contents = {name: list(rows) for name, rows in relations.items()}
     schedule: list[Op] = []
     for _ in range(rng.randint(MIN_OPS, MAX_OPS)):
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
         name = rng.choice(sorted(contents))
         if kind <= 1:  # append burst
             rows = [
@@ -134,16 +142,35 @@ def generate_case(seed: int) -> FuzzCase:
             row = rng.choice(contents[name])
             contents[name] = [r for r in contents[name] if r != row]
             schedule.append(("delete", name, row))
+        elif kind == 3:
+            schedule.append(
+                (
+                    "stream",
+                    rng.choice(sorted(RANKINGS)),
+                    rng.choice(K_CHOICES),
+                    rng.random() < 0.5,
+                )
+            )
         else:
             schedule.append(
-                ("query", rng.choice(sorted(RANKINGS)), rng.choice((5, 10)))
+                ("query", rng.choice(sorted(RANKINGS)), rng.choice(K_CHOICES))
             )
-    schedule.append(("query", rng.choice(sorted(RANKINGS)), 10))
+    schedule.append(("query", rng.choice(sorted(RANKINGS)), rng.choice(K_CHOICES)))
     return FuzzCase(seed, shape, rng.random() < 0.5, relations, schedule)
 
 
 def _answers(engine: QueryEngine, query, ranking: RankingFunction, k: int):
     return [(a.values, a.score) for a in engine.execute(query, ranking, k=k)]
+
+
+def _shadow(db: Database, case: FuzzCase, query, rank_name: str, k: int):
+    """Top-k of a fresh engine over a copy of ``db``'s current contents."""
+    shadow = Database()
+    for rel in db:
+        shadow.add_relation(rel.name, rel.attrs, list(rel))
+    return _answers(
+        QueryEngine(shadow, encode=case.encode), query, RANKINGS[rank_name](), k
+    )
 
 
 def run_case(case: FuzzCase) -> FuzzFailure | None:
@@ -163,26 +190,43 @@ def run_case(case: FuzzCase) -> FuzzFailure | None:
     # One ranking instance per name: plans cache by ranking identity, so
     # fresh instances per query would sidestep the warm path under test.
     rankings = {name: cls() for name, cls in RANKINGS.items()}
-    for index, op in enumerate(case.schedule):
-        if op[0] == "append":
-            db[op[1]].add_rows(list(op[2]))
-        elif op[0] == "delete":
-            db[op[1]].remove(op[2])
-        else:
-            _, rank_name, k = op
-            got = _answers(engine, query, rankings[rank_name], k)
-            shadow = Database()
-            for rel in db:
-                shadow.add_relation(rel.name, rel.attrs, list(rel))
-            expected = _answers(
-                QueryEngine(shadow, encode=case.encode),
-                query,
-                RANKINGS[rank_name](),
-                k,
-            )
+    # Streams opened and not drained yet: (op index, answers, k,
+    # the rest of the stream, its shadow).
+    open_streams: list[tuple] = []
+
+    def drain() -> FuzzFailure | None:
+        for index, got, k, rest, expected in open_streams:
+            got += [(a.values, a.score) for a in itertools.islice(rest, k - len(got))]
             if got != expected:
                 return FuzzFailure(case, index, got, expected)
-    return None
+        open_streams.clear()
+        return None
+
+    for index, op in enumerate(case.schedule):
+        if op[0] in ("append", "delete"):
+            if op[0] == "append":
+                db[op[1]].add_rows(list(op[2]))
+            else:
+                db[op[1]].remove(op[2])
+            failure = drain()
+            if failure is not None:
+                return failure
+        elif op[0] == "stream":
+            _, rank_name, k, primed = op
+            expected = _shadow(db, case, query, rank_name, k)
+            rest = iter(engine.stream(query, rankings[rank_name]))
+            got = [(a.values, a.score) for a in itertools.islice(rest, int(primed))]
+            open_streams.append((index, got, k, rest, expected))
+        else:
+            _, rank_name, k = op
+            expected = _shadow(db, case, query, rank_name, k)
+            # The second run restarts from the ranked state the first
+            # one kept (or carried over from before the last write).
+            for _ in range(2):
+                got = _answers(engine, query, rankings[rank_name], k)
+                if got != expected:
+                    return FuzzFailure(case, index, got, expected)
+    return drain()
 
 
 def _still_fails(case: FuzzCase) -> bool:

@@ -82,7 +82,7 @@ def counted(snapshot: dict) -> list:
 
 def expected(
     plan_hits, plan_misses, invalidations, delta_applies, encode_builds, kernel_calls,
-    score_builds,
+    score_builds, carryovers,
 ):
     """The session's full snapshot.
 
@@ -101,10 +101,13 @@ def expected(
         ("invalidations", invalidations),
         ("delta_applies", delta_applies),
         ("delta_fallbacks", 0),
-        # The second execution keeps ranked state; the write drops it
-        # before a third could restart from it.
-        ("ranked_restarts", 0),
+        # The second execution keeps ranked state.  On plain rows the
+        # write carries it over and the next execution restarts from it;
+        # on the encoded image the write orphans the plan instead.
+        ("ranked_restarts", carryovers),
         ("ranked_evictions", 0),
+        ("ranked_carryovers", carryovers),
+        ("ranked_groups_dropped", 0),
         ("uncacheable", 0),
         ("partition_hits", 1),
         ("partition_misses", 1),
@@ -129,16 +132,17 @@ def expected(
 
 
 EXPECTED = {
-    # Plain rows: the write drops the warm plan's reduction for a rebuild.
+    # Plain rows: the write drops the warm plan's reduction for a rebuild
+    # and carries its ranked state over to it.
     False: expected(
         6, 2, invalidations=1, delta_applies=0, encode_builds=0, kernel_calls=21,
-        score_builds=7,
+        score_builds=7, carryovers=1,
     ),
     # Encoded image: the write re-encodes, orphaning the code-space plans
     # and rebuilding their score columns.
     True: expected(
         4, 4, invalidations=1, delta_applies=0, encode_builds=3, kernel_calls=24,
-        score_builds=10,
+        score_builds=10, carryovers=0,
     ),
 }
 

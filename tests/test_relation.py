@@ -68,32 +68,8 @@ class TestAccess:
         assert (1, 10) in r
         assert (9, 9) not in r
 
-    def test_column_and_domain(self):
-        r = make_r()
-        assert r.column("a") == [1, 2, 1]
-        assert r.domain("a") == {1, 2}
-
 
 class TestAlgebra:
-    def test_project(self):
-        r = make_r()
-        p = r.project(("a",))
-        assert p.tuples == [(1,), (2,), (1,)]
-
-    def test_project_distinct_keeps_first_occurrence(self):
-        r = make_r()
-        p = r.project(("a",), distinct=True)
-        assert p.tuples == [(1,), (2,)]
-
-    def test_select(self):
-        r = make_r()
-        s = r.select(lambda t: t[1] >= 20)
-        assert s.tuples == [(2, 20), (1, 30)]
-
-    def test_distinct(self):
-        r = Relation("R", ("a",), [(1,), (1,), (2,)])
-        assert r.distinct().tuples == [(1,), (2,)]
-
     def test_renamed_shares_tuples(self):
         r = make_r()
         r2 = r.renamed("S")
