@@ -14,8 +14,11 @@ and pays for its root queue plus whatever chain links no earlier
 execution reached.
 
 Results are verified identical between the two paths before any timing
-is reported, and repeated streams of one plan are checked against cold
-answers under SUM and LEX rankings (:func:`check_restarts`).
+is reported, repeated streams of one plan are checked against cold
+answers under SUM and LEX rankings (:func:`check_restarts`), and fresh
+ranking objects of one query — a new plan each — must share the data
+state the first one built, with answers identical to cold
+(:func:`check_fresh_rankings`).
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine_cache.py [--quick]
 
@@ -35,7 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.bench import format_table  # noqa: E402
 from repro.core.planner import create_enumerator, enumerate_ranked  # noqa: E402
-from repro.core.ranking import LexRanking, SumRanking  # noqa: E402
+from repro.core.ranking import LexRanking, SumRanking, TableWeight  # noqa: E402
 from repro.data import Database  # noqa: E402
 from repro.engine import QueryEngine  # noqa: E402
 from repro.query import parse_query  # noqa: E402
@@ -128,6 +131,33 @@ def check_restarts(db: Database, reps: int = 3) -> list[str]:
     return failures
 
 
+def check_fresh_rankings(db: Database, reps: int = 3) -> list[str]:
+    """Each workload query under ``reps`` fresh weight tables (a new
+    ranking object, so a new plan, each time), SUM and LEX, against a cold
+    ``enumerate_ranked``; returns the mismatches.
+
+    The first execution of a query builds its data state and every later
+    one, whatever its ranking, reuses it: one build per query.
+    """
+    failures = []
+    engine = QueryEngine(db)
+    values = {v for rel in db for row in rel for v in row}
+    rankings = {"sum": SumRanking, "lex": lambda weight: LexRanking(weight=weight)}
+    for label, (text, k) in WORKLOAD.items():
+        query = parse_query(text)
+        for rep in range(reps):
+            for name, make in rankings.items():
+                table = {v: (v * (rep + 7)) % 101 for v in values}
+                ranking = make(TableWeight({var: table for var in query.head}))
+                cold = enumerate_ranked(query, db, ranking, k=k)
+                got = engine.execute(text, ranking, k=k)
+                if [(a.values, a.score) for a in got] != [(a.values, a.score) for a in cold]:
+                    failures.append(f"{label}/{name} fresh ranking {rep + 1} differs from cold")
+    if engine.stats.data_builds != len(WORKLOAD):
+        failures.append(f"{engine.stats.data_builds} data builds for {len(WORKLOAD)} queries")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small CI smoke run")
@@ -153,6 +183,9 @@ def main(argv=None) -> int:
             return 1
     for failure in check_restarts(db):
         print(f"MISMATCH on restart: {failure}", file=sys.stderr)
+        return 1
+    for failure in check_fresh_rankings(db):
+        print(f"MISMATCH on fresh ranking: {failure}", file=sys.stderr)
         return 1
 
     rows = []

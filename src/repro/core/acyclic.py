@@ -788,10 +788,10 @@ class _RetainedQueues:
         return top
 
     def carry_over(self, old, new, diff) -> tuple["_RetainedQueues | None", int]:
-        """The state for ``new``, a later reduction of this state's plan,
-        and the number of created groups it dropped.
+        """The state for ``new``, the data state of a later reduction of
+        this state's plan, and the number of created groups it dropped.
 
-        ``old`` is the reduction this state was built over and ``diff``
+        ``old`` is the data state this state was built over and ``diff``
         maps each alias to the indices of its added rows (in ``new``)
         and removed rows (in ``old``) (:func:`~repro.algorithms.yannakakis.reduction_diff`).
         A node's *touched* anchors are those of its added and removed
@@ -810,6 +810,7 @@ class _RetainedQueues:
         of the non-root groups are touched.
         """
         np = kernels.np
+        old, new = old.instances, new.instances
         nodes = _nodes(self.root_rt)
         with self.shared.lock:
             if self.shared.broken or self.superseded:

@@ -46,14 +46,16 @@ class RetainedSlot:
     on the data, the plan and the ranking; each later one restarts from
     it instead of rebuilding.  What the state is belongs to the
     enumerator class: the acyclic enumerator's non-root queues and
-    ``next`` chains, the lexicographic backtracker's weight tables, row
-    indexes and first-level candidates.
+    ``next`` chains, the lexicographic backtracker's weight tables and
+    first-level candidates.
 
     When the data changes, the plan asks the state for one that holds
-    for the new reduction — ``state.carry_over(old, new, diff)`` returns
-    ``(state or None, anchor groups dropped)`` — and puts it in a new
-    slot, so enumerators made before the change keep the old one.  A
-    ``None`` drops the state.
+    for the new reduction — ``state.carry_over(old, new, diff)``, with
+    the old and new data states
+    (:class:`repro.engine.data.DataState`), returns ``(state or None,
+    anchor groups dropped)`` — and puts it in a new slot, so
+    enumerators made before the change keep the old one.  A ``None``
+    drops the state.
     """
 
     __slots__ = ("state",)

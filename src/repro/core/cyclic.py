@@ -12,6 +12,10 @@ at least one bag (GHD property (i)) and is therefore enforced there; the
 running-intersection property of the bag tree glues the bags back into
 precisely the original join.
 
+The materialised, reduced bags (:class:`GHDBags`) depend on the data
+alone, so they can be built once and shared by every ranking of a query
+(``bags=``): the engine does this per database generation.
+
 Note: Theorem 4's further improvement to submodular width uses PANDA's
 data-dependent decompositions, which are out of scope (see DESIGN.md);
 this module delivers the ``fhw`` bound, which already covers every
@@ -23,12 +27,13 @@ from __future__ import annotations
 import time
 from typing import Any, Iterator
 
-from ..algorithms.yannakakis import atom_instances, instance_matrix
+from ..algorithms.yannakakis import atom_instances, full_reduce, instance_matrix
 from ..data.database import Database
 from ..data.relation import Relation
 from ..data.index import group_by
 from ..errors import DecompositionError
 from ..query.ghd import GHD, find_ghd
+from ..query.jointree import build_join_tree
 from ..query.query import Atom, JoinProjectQuery
 from ..storage import kernels
 from .acyclic import AcyclicRankedEnumerator
@@ -36,9 +41,69 @@ from .answers import EnumerationStats, RankedAnswer
 from .base import RankedEnumeratorBase
 from .ranking import RankingFunction, SumRanking
 
-__all__ = ["CyclicRankedEnumerator"]
+__all__ = ["CyclicRankedEnumerator", "GHDBags", "materialise_bags"]
 
 Row = tuple
+
+
+class GHDBags:
+    """A GHD's bags materialised over one database and fully reduced.
+
+    What every ranking of a cyclic query shares, since Theorem 3's
+    ``O(|D|^fhw)`` step comes before any ranking applies: the bag
+    query, its join tree, the database of bag relations (whose scan,
+    code and int-column caches stay with them) and the bag instances
+    after the full reducer.  Built by :func:`materialise_bags`; the
+    engine keeps one per query and database generation and hands it to
+    every :class:`CyclicRankedEnumerator` of the query (``bags=``).
+
+    Attributes
+    ----------
+    query / join_tree:
+        The acyclic query over the bag relations and its join tree.
+    db / instances:
+        The bag relations, and their rows after the full reducer.
+    materialised_tuples:
+        Bag tuples materialised (the ``O(|D|^fhw)`` cost driver).
+    """
+
+    __slots__ = ("query", "join_tree", "db", "instances", "materialised_tuples")
+
+    def __init__(self, query, join_tree, db, instances, materialised_tuples):
+        self.query = query
+        self.join_tree = join_tree
+        self.db = db
+        self.instances = instances
+        self.materialised_tuples = materialised_tuples
+
+
+def materialise_bags(query: JoinProjectQuery, db: Database, ghd: GHD) -> GHDBags:
+    """Materialise every bag of ``ghd`` over ``db`` and reduce the bag tree.
+
+    Per bag: the join of the atoms it contains, extended with unary
+    domains for variables covered only fractionally, projected onto the
+    bag and de-duplicated (:func:`_materialise_bag`).  The bag relations
+    then form an acyclic query whose instances go through the full
+    reducer once, here.
+    """
+    instances = atom_instances(query, db)
+    atoms_by_alias = {atom.alias: atom for atom in query.atoms}
+    bag_db = Database()
+    bag_atoms: list[Atom] = []
+    materialised = 0
+    for bag in ghd.bags:
+        bag_vars = tuple(sorted(bag.variables))
+        name = f"__bag{bag.bag_id}"
+        relation = _materialise_bag(bag, name, bag_vars, instances, atoms_by_alias)
+        materialised += len(relation)
+        bag_db.add(relation)
+        bag_atoms.append(Atom(name, bag_vars))
+    bag_query = JoinProjectQuery(bag_atoms, query.head, name=f"{query.name}_ghd")
+    tree = build_join_tree(bag_query)
+    # Both materialisation paths de-duplicate the bag rows already, so
+    # the bag atoms bind without a second distinct pass.
+    reduced = full_reduce(tree, atom_instances(bag_query, bag_db, distinct=False))
+    return GHDBags(bag_query, tree, bag_db, reduced, materialised)
 
 
 class CyclicRankedEnumerator(RankedEnumeratorBase):
@@ -56,6 +121,10 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
     ghd:
         Optional pre-built decomposition; defaults to
         :func:`repro.query.ghd.find_ghd`.
+    bags:
+        Optional bags already materialised and reduced over ``ghd``
+        (:func:`materialise_bags`); they are read, never modified, and
+        :meth:`preprocess` then reads nothing from ``db``.
 
     Attributes
     ----------
@@ -66,7 +135,7 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         The inner acyclic enumerator's work, rolled up: its answers,
         cells, heap (pushes, pops, peak entries, operations per answer)
         and build time; ``reduce_seconds`` also covers the bag
-        materialisation.
+        materialisation when this enumerator did it.
     """
 
     def __init__(
@@ -76,6 +145,7 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         ranking: RankingFunction | None = None,
         *,
         ghd: GHD | None = None,
+        bags: GHDBags | None = None,
         dedup_inserts: bool = True,
     ):
         self.query = query
@@ -84,6 +154,7 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         self.ghd = ghd if ghd is not None else find_ghd(query)
         if self.ghd.query.atoms != query.atoms:
             raise DecompositionError("the GHD belongs to a different query")
+        self._bags = bags
         self._dedup_inserts = dedup_inserts
         self.stats = EnumerationStats()
         self.materialised_tuples = 0
@@ -97,27 +168,17 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         if self._inner is not None:
             return self
         started = time.perf_counter()
-
-        instances = atom_instances(self.query, self.db)
-        atoms_by_alias = {atom.alias: atom for atom in self.query.atoms}
-
-        bag_db = Database()
-        bag_atoms: list[Atom] = []
-        for bag in self.ghd.bags:
-            bag_vars = tuple(sorted(bag.variables))
-            name = f"__bag{bag.bag_id}"
-            relation = self._materialise_bag(bag, name, bag_vars, instances, atoms_by_alias)
-            self.materialised_tuples += len(relation)
-            bag_db.add(relation)
-            bag_atoms.append(Atom(name, bag_vars))
-
-        bag_query = JoinProjectQuery(
-            bag_atoms, self.query.head, name=f"{self.query.name}_ghd"
-        )
+        bags = self._bags
+        if bags is None:
+            bags = materialise_bags(self.query, self.db, self.ghd)
+        self.materialised_tuples = bags.materialised_tuples
         self._inner = AcyclicRankedEnumerator(
-            bag_query,
-            bag_db,
+            bags.query,
+            bags.db,
             self.ranking,
+            join_tree=bags.join_tree,
+            instances=bags.instances,
+            already_reduced=True,
             dedup_inserts=self._dedup_inserts,
         )
         materialised = time.perf_counter()
@@ -130,149 +191,6 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
         self.stats.build_seconds = inner.build_seconds
         self.stats.preprocess_seconds = time.perf_counter() - started
         return self
-
-    def _materialise_bag(
-        self,
-        bag,
-        name: str,
-        bag_vars: tuple[str, ...],
-        instances: dict[str, list[Row]],
-        atoms_by_alias: dict[str, Atom],
-    ) -> Relation:
-        """Join the atoms contained in a bag, extend uncovered variables
-        with unary domains, project onto the bag and de-duplicate.
-
-        Integer-coded instances (encoded execution, plain-int data) run
-        the whole pipeline — joins, projection, dedup — as array
-        kernels and keep the result as the relation's code matrix; the
-        row-at-a-time hash join below is the automatic fallback and
-        produces identical rows in identical order.
-        """
-        if kernels.enabled():
-            matrix = self._materialise_bag_kernel(bag, bag_vars, instances, atoms_by_alias)
-            if matrix is not None:
-                return Relation.from_code_matrix(name, bag_vars, matrix)
-            kernels.counters.record_fallback()
-        components: list[tuple[tuple[str, ...], list[Row]]] = []
-        covered: set[str] = set()
-        for alias in bag.contained_atom_aliases:
-            atom = atoms_by_alias[alias]
-            components.append((atom.variables, instances[alias]))
-            covered |= atom.var_set
-
-        # Variables in the bag covered only fractionally by the edge
-        # cover: give them their active domain (projection of the
-        # smallest relation containing them) so the bag relation has the
-        # full schema.  This is a superset of the true projection, which
-        # is sound — the enforcing bag filters it during the join.
-        for var in bag_vars:
-            if var in covered:
-                continue
-            holders = [
-                (alias, atom.variables.index(var))
-                for alias, atom in atoms_by_alias.items()
-                if var in atom.var_set
-            ]
-            if not holders:  # pragma: no cover - query validation precludes
-                raise DecompositionError(f"variable {var!r} appears in no atom")
-            alias, pos = min(holders, key=lambda ap: len(instances[ap[0]]))
-            domain = sorted({row[pos] for row in instances[alias]})
-            components.append(((var,), [(v,) for v in domain]))
-            covered.add(var)
-
-        # Greedy join order: always merge a component sharing variables
-        # with the accumulated result when possible (delays cartesian
-        # blow-ups to the end, where they are required by the cover).
-        acc_vars, acc_rows = components[0]
-        remaining = components[1:]
-        while remaining:
-            pick = next(
-                (i for i, (vs, _r) in enumerate(remaining) if set(vs) & set(acc_vars)),
-                0,
-            )
-            comp_vars, comp_rows = remaining.pop(pick)
-            acc_rows, acc_vars = _hash_join(acc_rows, acc_vars, comp_rows, comp_vars)
-
-        positions = tuple(acc_vars.index(v) for v in bag_vars)
-        seen: set[Row] = set()
-        out: list[Row] = []
-        for row in acc_rows:
-            projected = tuple(row[i] for i in positions)
-            if projected not in seen:
-                seen.add(projected)
-                out.append(projected)
-        return Relation(name, bag_vars, out)
-
-    def _materialise_bag_kernel(
-        self,
-        bag,
-        bag_vars: tuple[str, ...],
-        instances: dict[str, list[Row]],
-        atoms_by_alias: dict[str, Atom],
-    ):
-        """The bag join as array kernels: the bag's ``int64`` matrix, or
-        ``None`` → row-at-a-time path.
-
-        Mirrors the Python materialisation step for step — same
-        component order, same greedy join order, same left-major join
-        sequence, same first-occurrence dedup — so the returned rows
-        are identical, in identical order.
-        """
-        np = kernels.np
-        components: list[tuple[tuple[str, ...], Any]] = []
-        covered: set[str] = set()
-        for alias in bag.contained_atom_aliases:
-            atom = atoms_by_alias[alias]
-            matrix = instance_matrix(instances, alias, len(atom.variables))
-            # Unlike the reducer (which re-emits the original tuples),
-            # the bag rows are rebuilt from codes — so the inputs must
-            # be exactly ints, not merely int-coercible (bool, IntEnum).
-            if matrix is None or not kernels.rows_exactly_int(instances[alias]):
-                return None
-            components.append((atom.variables, matrix))
-            covered |= atom.var_set
-
-        for var in bag_vars:
-            if var in covered:
-                continue
-            holders = [
-                (alias, atom.variables.index(var))
-                for alias, atom in atoms_by_alias.items()
-                if var in atom.var_set
-            ]
-            if not holders:  # pragma: no cover - query validation precludes
-                raise DecompositionError(f"variable {var!r} appears in no atom")
-            alias, pos = min(holders, key=lambda ap: len(instances[ap[0]]))
-            source = instance_matrix(
-                instances, alias, len(atoms_by_alias[alias].variables)
-            )
-            if source is None or not kernels.rows_exactly_int(
-                instances[alias], (pos,)
-            ):
-                return None
-            # np.unique ascending == sorted(set(...)) on integers.
-            components.append(((var,), np.unique(source[:, pos]).reshape(-1, 1)))
-            covered.add(var)
-
-        acc_vars, acc = components[0]
-        remaining = components[1:]
-        while remaining:
-            pick = next(
-                (i for i, (vs, _m) in enumerate(remaining) if set(vs) & set(acc_vars)),
-                0,
-            )
-            comp_vars, comp = remaining.pop(pick)
-            joined = _kernel_join(acc, acc_vars, comp, comp_vars)
-            if joined is None:
-                return None
-            acc, acc_vars = joined
-
-        positions = [acc_vars.index(v) for v in bag_vars]
-        projected = acc[:, positions]
-        first = kernels.distinct_indices(projected)
-        if first is None:
-            return None
-        return projected[first]
 
     # ------------------------------------------------------------------ #
     # enumeration: delegate to the acyclic enumerator over the bag tree
@@ -305,8 +223,152 @@ class CyclicRankedEnumerator(RankedEnumeratorBase):
             self.db,
             self.ranking,
             ghd=self.ghd,
+            bags=self._bags,
             dedup_inserts=self._dedup_inserts,
         )
+
+
+def _materialise_bag(
+    bag,
+    name: str,
+    bag_vars: tuple[str, ...],
+    instances: dict[str, list[Row]],
+    atoms_by_alias: dict[str, Atom],
+) -> Relation:
+    """Join the atoms contained in a bag, extend uncovered variables
+    with unary domains, project onto the bag and de-duplicate.
+
+    Integer-coded instances (encoded execution, plain-int data) run
+    the whole pipeline — joins, projection, dedup — as array
+    kernels and keep the result as the relation's code matrix; the
+    row-at-a-time hash join below is the automatic fallback and
+    produces identical rows in identical order.
+    """
+    if kernels.enabled():
+        matrix = _materialise_bag_kernel(bag, bag_vars, instances, atoms_by_alias)
+        if matrix is not None:
+            return Relation.from_code_matrix(name, bag_vars, matrix)
+        kernels.counters.record_fallback()
+    components: list[tuple[tuple[str, ...], list[Row]]] = []
+    covered: set[str] = set()
+    for alias in bag.contained_atom_aliases:
+        atom = atoms_by_alias[alias]
+        components.append((atom.variables, instances[alias]))
+        covered |= atom.var_set
+
+    # Variables in the bag covered only fractionally by the edge
+    # cover: give them their active domain (projection of the
+    # smallest relation containing them) so the bag relation has the
+    # full schema.  This is a superset of the true projection, which
+    # is sound — the enforcing bag filters it during the join.
+    for var in bag_vars:
+        if var in covered:
+            continue
+        holders = [
+            (alias, atom.variables.index(var))
+            for alias, atom in atoms_by_alias.items()
+            if var in atom.var_set
+        ]
+        if not holders:  # pragma: no cover - query validation precludes
+            raise DecompositionError(f"variable {var!r} appears in no atom")
+        alias, pos = min(holders, key=lambda ap: len(instances[ap[0]]))
+        domain = sorted({row[pos] for row in instances[alias]})
+        components.append(((var,), [(v,) for v in domain]))
+        covered.add(var)
+
+    # Greedy join order: always merge a component sharing variables
+    # with the accumulated result when possible (delays cartesian
+    # blow-ups to the end, where they are required by the cover).
+    acc_vars, acc_rows = components[0]
+    remaining = components[1:]
+    while remaining:
+        pick = next(
+            (i for i, (vs, _r) in enumerate(remaining) if set(vs) & set(acc_vars)),
+            0,
+        )
+        comp_vars, comp_rows = remaining.pop(pick)
+        acc_rows, acc_vars = _hash_join(acc_rows, acc_vars, comp_rows, comp_vars)
+
+    positions = tuple(acc_vars.index(v) for v in bag_vars)
+    seen: set[Row] = set()
+    out: list[Row] = []
+    for row in acc_rows:
+        projected = tuple(row[i] for i in positions)
+        if projected not in seen:
+            seen.add(projected)
+            out.append(projected)
+    return Relation(name, bag_vars, out)
+
+
+def _materialise_bag_kernel(
+    bag,
+    bag_vars: tuple[str, ...],
+    instances: dict[str, list[Row]],
+    atoms_by_alias: dict[str, Atom],
+):
+    """The bag join as array kernels: the bag's ``int64`` matrix, or
+    ``None`` → row-at-a-time path.
+
+    Mirrors the Python materialisation step for step — same
+    component order, same greedy join order, same left-major join
+    sequence, same first-occurrence dedup — so the returned rows
+    are identical, in identical order.
+    """
+    np = kernels.np
+    components: list[tuple[tuple[str, ...], Any]] = []
+    covered: set[str] = set()
+    for alias in bag.contained_atom_aliases:
+        atom = atoms_by_alias[alias]
+        matrix = instance_matrix(instances, alias, len(atom.variables))
+        # Unlike the reducer (which re-emits the original tuples),
+        # the bag rows are rebuilt from codes — so the inputs must
+        # be exactly ints, not merely int-coercible (bool, IntEnum).
+        if matrix is None or not kernels.rows_exactly_int(instances[alias]):
+            return None
+        components.append((atom.variables, matrix))
+        covered |= atom.var_set
+
+    for var in bag_vars:
+        if var in covered:
+            continue
+        holders = [
+            (alias, atom.variables.index(var))
+            for alias, atom in atoms_by_alias.items()
+            if var in atom.var_set
+        ]
+        if not holders:  # pragma: no cover - query validation precludes
+            raise DecompositionError(f"variable {var!r} appears in no atom")
+        alias, pos = min(holders, key=lambda ap: len(instances[ap[0]]))
+        source = instance_matrix(
+            instances, alias, len(atoms_by_alias[alias].variables)
+        )
+        if source is None or not kernels.rows_exactly_int(
+            instances[alias], (pos,)
+        ):
+            return None
+        # np.unique ascending == sorted(set(...)) on integers.
+        components.append(((var,), np.unique(source[:, pos]).reshape(-1, 1)))
+        covered.add(var)
+
+    acc_vars, acc = components[0]
+    remaining = components[1:]
+    while remaining:
+        pick = next(
+            (i for i, (vs, _m) in enumerate(remaining) if set(vs) & set(acc_vars)),
+            0,
+        )
+        comp_vars, comp = remaining.pop(pick)
+        joined = _kernel_join(acc, acc_vars, comp, comp_vars)
+        if joined is None:
+            return None
+        acc, acc_vars = joined
+
+    positions = [acc_vars.index(v) for v in bag_vars]
+    projected = acc[:, positions]
+    first = kernels.distinct_indices(projected)
+    if first is None:
+        return None
+    return projected[first]
 
 
 def _kernel_join(

@@ -24,11 +24,13 @@ Guarantees (Lemma 4): ``O(|D|)`` delay after ``O(|D| log |D|)``
 preprocessing with ``O(|D|)`` space — and no priority queues, which is
 where the paper's measured 2-3x speed-up over the SUM machinery comes
 from (Figure 6).  The hash indexes of the first level are built on
-first use, each at ``O(|D|)`` once, which leaves the bound intact.  A
-reused engine plan keeps them, with the per-variable weight tables and
-the first level's sorted candidates, for its later enumerators
-(``retained=``), and patches them for the rows a write adds and removes
-(:meth:`_LexState.carry_over`).
+first use, each at ``O(|D|)`` once, which leaves the bound intact.  They
+depend on the data alone: the engine keeps them with the reduction, for
+every ranking of the query (``row_groups=``), and patches them for the
+rows a write adds and removes (:func:`patched_row_groups`).  A reused
+engine plan also keeps its per-variable weight tables and the first
+level's sorted candidates for its later enumerators (``retained=``),
+and patches the candidates over a write (:meth:`_LexState.carry_over`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .answers import EnumerationStats, RankedAnswer
 from .base import MAX_TOUCHED_FRACTION, RankedEnumeratorBase, RetainedSlot
 from .ranking import Desc, WeightFunction, batched_weight_table
 
-__all__ = ["LexBacktrackEnumerator"]
+__all__ = ["LexBacktrackEnumerator", "patched_row_groups"]
 
 Row = tuple
 
@@ -111,71 +113,101 @@ def _patched(index: dict, key, added: list, removed: list) -> dict:
     return out
 
 
+def _changed_rows(old, new, diff) -> dict[str, tuple[list, list]]:
+    """Per alias that ``diff`` touches: its added rows (from ``new``) and
+    removed rows (from ``old``)."""
+    rows_of = {}
+    for alias, (added, removed) in diff.items():
+        if len(added) or len(removed):
+            old_rows, new_rows = old[alias], new[alias]
+            rows_of[alias] = (
+                [new_rows[i] for i in added.tolist()],
+                [old_rows[i] for i in removed.tolist()],
+            )
+    return rows_of
+
+
+def _touches_much(new, diff) -> bool:
+    """Does ``diff`` add or remove more than
+    :data:`~repro.core.base.MAX_TOUCHED_FRACTION` of the rows of ``new``?"""
+    changed = sum(len(added) + len(removed) for added, removed in diff.values())
+    return changed > MAX_TOUCHED_FRACTION * sum(len(rows) for rows in new.values())
+
+
+def patched_row_groups(row_groups: dict, old, new, diff) -> dict | None:
+    """Row indexes built over the reduction ``old`` (``(alias,
+    positions) -> rows grouped by their values there``, as
+    :meth:`LexBacktrackEnumerator._index` builds them), patched to hold
+    for ``new``, a later reduction of the same query: the rows ``diff``
+    adds and removes are put in and taken out (:func:`_patched`), and
+    the indexes of untouched aliases are shared.  ``None`` — build them
+    again on use — when more than
+    :data:`~repro.core.base.MAX_TOUCHED_FRACTION` of the rows changed.
+    """
+    if _touches_much(new, diff):
+        return None
+    rows_of = _changed_rows(old, new, diff)
+    return {
+        (alias, positions): (
+            index
+            if alias not in rows_of
+            else _patched(index, _join_key(positions), *rows_of[alias])
+        )
+        for (alias, positions), index in row_groups.items()
+    }
+
+
 class _LexState:
     """What a reused lexicographic plan keeps (``retained=``): the weight
-    tables, the row indexes built so far, and the first level's sorted
-    candidates once a stream has sorted them.
+    tables and the first level's sorted candidates once a stream has
+    sorted them.  (The row indexes depend on the data alone; they are
+    kept with the reduction, see ``row_groups=``.)
 
     ``first`` is the first order variable's holder ``(alias, position)``
     and ``candidate_of`` makes its candidate entries
     (:func:`_candidate`), so :meth:`carry_over` can patch the kept list.
     """
 
-    __slots__ = ("weight_tables", "row_groups", "candidates", "first", "candidate_of")
+    __slots__ = ("weight_tables", "candidates", "first", "candidate_of")
 
-    def __init__(self, weight_tables, row_groups, candidates, first, candidate_of):
+    def __init__(self, weight_tables, candidates, first, candidate_of):
         self.weight_tables = weight_tables
-        self.row_groups = row_groups
         self.candidates = candidates
         self.first = first
         self.candidate_of = candidate_of
 
     def carry_over(self, old, new, diff) -> tuple["_LexState | None", int]:
-        """The state for ``new``, a later reduction of the same plan:
-        each kept row index with the rows ``diff`` adds and removes
-        patched in (:func:`_patched`), and the kept candidates with the
-        first variable's vanished values taken out and new ones put in
-        by bisection.  The weight tables are kept as they are (values
-        they miss are weighed directly).  Drops nothing, so the second
-        item is 0; ``(None, 0)`` when more than
+        """The state for ``new``, the data state of a later reduction of
+        the same plan (``old`` is this state's): the kept candidates with
+        the first variable's vanished values taken out and new ones put
+        in by bisection, which reads the first variable's row index in
+        both data states.  The weight tables are kept as they are
+        (values they miss are weighed directly).  Drops nothing, so the
+        second item is 0; ``(None, 0)`` when more than
         :data:`~repro.core.base.MAX_TOUCHED_FRACTION` of the rows
         changed.
         """
-        changed = sum(len(added) + len(removed) for added, removed in diff.values())
-        if changed > MAX_TOUCHED_FRACTION * sum(len(rows) for rows in new.values()):
+        if _touches_much(new.instances, diff):
             return None, 0
-        rows_of = {}
-        for alias, (added, removed) in diff.items():
-            if len(added) or len(removed):
-                old_rows, new_rows = old[alias], new[alias]
-                rows_of[alias] = (
-                    [new_rows[i] for i in added.tolist()],
-                    [old_rows[i] for i in removed.tolist()],
-                )
-        row_groups = {
-            (alias, positions): (
-                index
-                if alias not in rows_of
-                else _patched(index, _join_key(positions), *rows_of[alias])
-            )
-            for (alias, positions), index in self.row_groups.items()
-        }
         alias, pos = self.first
-        first_key = (alias, (pos,))
         candidates = self.candidates
-        if alias in rows_of and candidates is not None:
-            if first_key not in self.row_groups:
+        added, removed = diff[alias]
+        if candidates is not None and (len(added) or len(removed)):
+            first_key = (alias, (pos,))
+            before = old.row_groups.get(first_key)
+            after = new.row_groups.get(first_key)
+            if before is None or after is None:
                 candidates = None
             else:
-                before, after = self.row_groups[first_key], row_groups[first_key]
-                added, removed = rows_of[alias]
+                gone = {old.instances[alias][i][pos] for i in removed.tolist()}
+                came = {new.instances[alias][i][pos] for i in added.tolist()}
                 candidates = list(candidates)
                 part = itemgetter(0)
-                for value in {row[pos] for row in removed} - after.keys():
+                for value in gone - after.keys():
                     del candidates[bisect_left(candidates, self.candidate_of(value)[0], key=part)]
-                for value in {row[pos] for row in added} - before.keys():
+                for value in came - before.keys():
                     insort(candidates, self.candidate_of(value), key=part)
-        state = _LexState(self.weight_tables, row_groups, candidates, self.first, self.candidate_of)
+        state = _LexState(self.weight_tables, candidates, self.first, self.candidate_of)
         return state, 0
 
 
@@ -207,12 +239,17 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         :meth:`preprocess` skips its own pass.  Dangling rows are still
         tolerated: the first attribute is always checked by a reducer
         pass per value, even when it is the last one.
+    row_groups:
+        A dict in which the row indexes of the given ``instances`` are
+        kept as they are built (:meth:`_index`), shared by every
+        enumerator over the same instances whatever its order or weight:
+        the engine passes its data state's.  Defaults to a private one.
     retained:
         A :class:`~repro.core.base.RetainedSlot` shared by the
         enumerators of one plan over the same ``instances`` (the engine
-        passes it to reused warm plans).  The weight tables, row indexes
-        and first-level candidates depend only on the data, the plan and
-        the weight, so the first enumerator keeps them there
+        passes it to reused warm plans).  The weight tables and
+        first-level candidates depend only on the data, the plan and the
+        weight, so the first enumerator keeps them there
         (:class:`_LexState`) and later ones reuse them.
 
     The emitted :attr:`RankedAnswer.score` (and :attr:`~RankedAnswer.key`)
@@ -242,6 +279,7 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         join_tree: JoinTree | None = None,
         instances: Mapping[str, list[Row]] | None = None,
         already_reduced: bool = False,
+        row_groups: dict | None = None,
         retained: RetainedSlot | None = None,
     ):
         self.query = query
@@ -268,7 +306,9 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         self._weight_tables: dict[str, dict] = {}
         self._adjacency: dict[str, list[tuple[str, tuple[int, ...], tuple[int, ...]]]] = {}
         # Row groups by (alias, positions), built on first use (_index).
-        self._row_groups: dict[tuple[str, tuple[int, ...]], dict] = {}
+        self._row_groups: dict[tuple[str, tuple[int, ...]], dict] = (
+            {} if row_groups is None else row_groups
+        )
         self._unbilled_build_seconds = 0.0
         # Atoms (alias, position) containing each order variable.
         self._holders: dict[str, list[tuple[str, int]]] = {}
@@ -322,11 +362,11 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         # call's exact return value, so comparison keys are unchanged;
         # values absent from a table (or whole columns that refuse) fall
         # back to the direct call, raising identically where the
-        # uncached path would.  A retained slot shares the tables and
-        # the row indexes with the plan's later enumerators.
+        # uncached path would.  A retained slot shares the tables with
+        # the plan's later enumerators.
         kept = None if self._retained is None else self._retained.state
         if kept is not None:
-            self._weight_tables, self._row_groups = kept.weight_tables, kept.row_groups
+            self._weight_tables = kept.weight_tables
         else:
             if self._weight is not None:
                 for var in self._order:
@@ -340,7 +380,6 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
                 var = self._order[0]
                 kept = self._retained.state = _LexState(
                     self._weight_tables,
-                    self._row_groups,
                     None,
                     self._holders[var][0],
                     partial(
@@ -532,5 +571,6 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             join_tree=self.join_tree,
             instances=self._given_instances,
             already_reduced=self._already_reduced,
+            row_groups=None if self._given_instances is None else self._row_groups,
         )
 

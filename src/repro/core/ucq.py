@@ -18,7 +18,7 @@ follows the worst branch: ``O(|D|^{fhw} log |D|)`` in general and
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..data.database import Database
 from ..errors import QueryError
@@ -30,17 +30,18 @@ from .ranking import RankingFunction, SumRanking
 
 __all__ = ["UnionRankedEnumerator"]
 
-BranchFactory = Callable[[JoinProjectQuery, Database, RankingFunction], RankedEnumeratorBase]
+BranchFactory = Callable[..., RankedEnumeratorBase]
 
 
 def _default_branch_factory(
-    query: JoinProjectQuery, db: Database, ranking: RankingFunction
+    query: JoinProjectQuery, db: Database, ranking: RankingFunction, **data: Any
 ) -> RankedEnumeratorBase:
     """Dispatch each branch through the planner (lazy import: the planner
-    itself builds union enumerators)."""
+    itself builds union enumerators); ``data`` goes to the branch's
+    enumerator."""
     from .planner import create_enumerator
 
-    return create_enumerator(query, db, ranking)
+    return create_enumerator(query, db, ranking, **data)
 
 
 class UnionRankedEnumerator(RankedEnumeratorBase):
@@ -58,6 +59,12 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
     branch_factory:
         Override how branch enumerators are constructed (tests use this
         to force specific algorithms).
+    branch_data:
+        Optional pre-built data per branch, in branch order: keyword
+        arguments for the branch factory (for the default one, what the
+        branch's enumerator accepts — ``instances``/``already_reduced``
+        for an acyclic branch, ``bags`` for a cyclic one).  The engine
+        passes each branch's shared data state this way.
 
     ``stats`` counts the union's answers and rolls the branches' work
     up with the merge heap's: cells created, reduce and build seconds,
@@ -85,6 +92,7 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
         ranking: RankingFunction | None = None,
         *,
         branch_factory: BranchFactory | None = None,
+        branch_data: Sequence[Mapping[str, Any]] | None = None,
     ):
         if not isinstance(union, UnionQuery):
             raise QueryError("UnionRankedEnumerator needs a UnionQuery")
@@ -92,6 +100,7 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
         self.db = db
         self.ranking = ranking or SumRanking()
         self._branch_factory = branch_factory or _default_branch_factory
+        self._branch_data = branch_data
         self._merge_stats = HeapStats()  # the merge heap alone
         self.heap_stats = HeapStats()  # merge heap + branches, see _roll_up
         self.stats = EnumerationStats(self.heap_stats)
@@ -103,9 +112,11 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
         if self._branches is not None:
             return self
         started = time.perf_counter()
+        branches = self.union.branches
+        data = self._branch_data or [{}] * len(branches)
         self._branches = [
-            self._branch_factory(branch, self.db, self.ranking).preprocess()
-            for branch in self.union.branches
+            self._branch_factory(branch, self.db, self.ranking, **extra).preprocess()
+            for branch, extra in zip(branches, data)
         ]
         self.stats.reduce_seconds = sum(b.stats.reduce_seconds for b in self._branches)
         self.stats.build_seconds = sum(b.stats.build_seconds for b in self._branches)
@@ -164,5 +175,9 @@ class UnionRankedEnumerator(RankedEnumeratorBase):
     def fresh(self) -> "UnionRankedEnumerator":
         """A new enumerator with identical configuration."""
         return UnionRankedEnumerator(
-            self.union, self.db, self.ranking, branch_factory=self._branch_factory
+            self.union,
+            self.db,
+            self.ranking,
+            branch_factory=self._branch_factory,
+            branch_data=self._branch_data,
         )

@@ -8,8 +8,12 @@ the join tree and re-running the full reducer each time.  A
 * a **parsed-query cache** (query text -> query object, LRU);
 * a **prepared-plan cache** (query + ranking + method fingerprint ->
   :class:`~repro.engine.prepared.PreparedPlan`, LRU), holding the
-  pre-built join tree / GHD / classification plus warm reduced
-  instances and, once a plan is reused, its retained ranked state;
+  pre-built join tree / GHD / classification and, once a plan is
+  reused, its retained ranked state;
+* **data states** (:mod:`repro.engine.data`): the reduced instances,
+  GHD bags and row indexes of one query over one database generation,
+  shared by every plan of the query whatever its ranking, so a fresh
+  ranking object skips the reduction too;
 * **generation-counter invalidation**: warm state is revalidated
   against :attr:`Database.generation` before every execution, so
   ``Relation.add`` / ``extend`` / ``Database.add_relation`` transparently
@@ -64,6 +68,7 @@ from ..query.query import JoinProjectQuery, UnionQuery
 from ..storage import kernels, scores
 from ..storage.encoded import EncodedDatabase, decoded_answers
 from .lru import LRUCache
+from .data import DataStates
 from .prepared import PreparedPlan, RetainedBudget
 from .stats import EngineStats, RequestCounters
 
@@ -149,8 +154,15 @@ class QueryEngine:
             max_queries, on_evict=self._count_query_eviction
         )
         self._plans: LRUCache = LRUCache(max_plans, on_evict=self._count_plan_eviction)
+        # Join trees and GHDs depend on the query, not on the ranking: a
+        # fresh ranking of a query planned before reuses them.
+        self._shapes: LRUCache = LRUCache(max_plans)
         # The cap on ranked state that reused plans keep between streams.
         self._retained = RetainedBudget(self.stats)
+        # Data states, one per query and database generation, shared by
+        # the query's plans whatever their ranking; held by the plans, so
+        # ``max_plans`` bounds them too.
+        self._data = DataStates()
         # Shard partitions are as expensive as a reducer pass (O(|D|)),
         # so they get the same session treatment as plans: LRU-cached,
         # revalidated against the database generation.
@@ -319,9 +331,10 @@ class QueryEngine:
         """Plan a query once and cache the result for re-execution.
 
         On a hit the cached :class:`PreparedPlan` is returned with its
-        join tree / GHD / warm reduced instances intact; on a miss the
-        query is classified and planned (:func:`repro.core.planner.plan_query`)
-        and the plan enters the LRU.  With encoding active this is the
+        join tree / GHD and warm state intact; on a miss the query is
+        classified and planned (:func:`repro.core.planner.plan_query`,
+        reusing the join tree or GHD of a plan of the same query under
+        another ranking) and the plan enters the LRU.  With encoding active this is the
         plan :meth:`execute` runs — the query's constants and ranking
         translated into code space — so warm state and hit counters
         reflect real executions.
@@ -372,12 +385,28 @@ class QueryEngine:
         if prepared is None:
             started = time.perf_counter()
             target = parsed if shards is None else rewrite_for_sharding(parsed)
+            # The fingerprint without the ranking.
+            shape_key = None if fingerprint is None else (fingerprint[0], *fingerprint[2:])
+            shape = {} if shape_key is None else self._shapes.get(shape_key, {})
             plan = plan_query(
-                target, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
+                target,
+                ranking,
+                method=method,
+                epsilon=epsilon,
+                delta=delta,
+                **{**shape, **kwargs},
             )
+            if shape_key is not None and not shape:
+                built = {"join_tree": plan.join_tree, "ghd": plan.ghd}
+                self._shapes.put(shape_key, {k: v for k, v in built.items() if v is not None})
             if shards is not None:
                 plan = plan.parallelised(attribute, shards)
-            prepared = PreparedPlan(plan, fingerprint, time.perf_counter() - started)
+            prepared = PreparedPlan(
+                plan,
+                fingerprint,
+                time.perf_counter() - started,
+                data_states=self._data,
+            )
             if fingerprint is not None:
                 self._plans.put(fingerprint, prepared)
         if encoding is not None:
@@ -472,11 +501,13 @@ class QueryEngine:
         """A one-shot enumerator over the session database.
 
         The delay-guarantee interface: iterate for answers in rank
-        order.  Warm plan state is reused when available.  From a plan's
-        second stream on, an acyclic plan restarts at the root of the
-        queues an earlier stream built — their ``next`` chains are kept
-        on the plan, not rebuilt — and a lexicographic plan reuses its
-        weight tables, row indexes and first-level candidates
+        order.  Warm plan state is reused when available: the query's
+        data state — reduced instances, GHD bags, row indexes — for any
+        ranking, fresh objects included (``stats.data_hits``).  From a
+        plan's second stream on, an acyclic plan restarts at the root of
+        the queues an earlier stream built — their ``next`` chains are
+        kept on the plan, not rebuilt — and a lexicographic plan reuses
+        its weight tables and first-level candidates
         (``stats.ranked_restarts``).  A write carries that state over
         to the rebuilt reduction, keeping what the write did not reach
         (``stats.ranked_carryovers``).  Each stream still pops its own
@@ -513,7 +544,25 @@ class QueryEngine:
 
         Identical results to :func:`repro.enumerate_ranked`; repeated
         executions of the same query skip parsing, classification, join
-        tree construction and the full-reducer pass.
+        tree or GHD construction and the full-reducer pass (for a cyclic
+        query, the bag materialisation too) — also under a fresh ranking
+        object, which misses the plan cache but finds the query's data
+        state (``stats.data_hits``).
+
+        Examples
+        --------
+        >>> from repro.core.ranking import SumRanking, TableWeight
+        >>> from repro.data import Database
+        >>> from repro.engine import QueryEngine
+        >>> db = Database()
+        >>> _ = db.add_relation("R", ("a", "b"), [(1, 10), (2, 10), (3, 99)])
+        >>> engine = QueryEngine(db)
+        >>> q = "Q(a1, a2) :- R(a1, p), R(a2, p)"
+        >>> for flip in (1, -1):
+        ...     weight = TableWeight({v: {1: flip, 2: 0, 3: 0} for v in ("a1", "a2")})
+        ...     _ = engine.execute(q, SumRanking(weight), k=2)
+        >>> engine.stats.plan_misses, engine.stats.data_builds, engine.stats.data_hits
+        (2, 1, 1)
         """
         started = time.perf_counter()
         parsed = self.parse(query)
@@ -745,7 +794,7 @@ class QueryEngine:
         """Drop all warm (data-dependent) state, keeping the plans."""
         for prepared in self._plans.values():
             prepared.drop_warm_state()
-            prepared._generation = None
+        self._data.clear()
         self._retained.clear()
         self._partitions.clear()
         self._encoded = None
@@ -756,6 +805,7 @@ class QueryEngine:
         """Drop every cached parse, plan and partition (counters are kept)."""
         self._queries.clear()
         self._plans.clear()
+        self._shapes.clear()
         self.invalidate()
 
     @property

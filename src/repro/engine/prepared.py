@@ -1,34 +1,44 @@
 """Prepared plans: a cached :class:`~repro.core.planner.QueryPlan` plus
-warm, data-dependent state.
+warm state, in two halves.
 
 A :class:`PreparedPlan` is what the engine's plan cache stores.  It
 wraps the data-independent plan (join tree / GHD / classification —
 reusable forever) together with the *warm* state that depends on the
-database contents: the fully-reduced per-atom instances (the
-full-reducer's output, which
-:class:`~repro.core.acyclic.AcyclicRankedEnumerator` and
-:class:`~repro.core.lexicographic.LexBacktrackEnumerator` accept via
-their ``instances`` parameter, skipping the O(|D|) reducer pass on every
-warm execution).  The enumerators build their own groupings from these
-instances; the base relations keep only their scan-path views.
+database contents, split by what that state depends on besides the
+data:
 
-A reused plan also keeps *ranked* state (:class:`~repro.core.base.RetainedSlot`):
-from its second enumerator on, an acyclic plan keeps its non-root queues
-and ``next`` chains, so each later stream restarts at the root instead
-of rebuilding them, and a lexicographic plan keeps its weight tables,
-row indexes and sorted first-level candidates.  No answers are kept:
-every stream pops its own root queue.  The engine caps the cells all
-plans keep together (:class:`RetainedBudget`, LRU over plans).
+* The **data half** (:class:`~repro.engine.data.DataState`) depends on
+  the query and the data alone: the fully-reduced per-atom instances
+  (the full reducer's output, which
+  :class:`~repro.core.acyclic.AcyclicRankedEnumerator` and
+  :class:`~repro.core.lexicographic.LexBacktrackEnumerator` accept via
+  their ``instances`` parameter, skipping the O(|D|) reducer pass), the
+  lexicographic row indexes over them, a cyclic plan's materialised and
+  reduced GHD bags, and a union's per-branch states.  The plan only
+  points at it: the engine keeps one per query and database generation
+  and hands the same one to every plan of the query, whatever its
+  ranking, so a fresh ranking object — a plan-cache miss — still skips
+  the reduction and the bag materialisation.
+* The **ranked half** (:class:`~repro.core.base.RetainedSlot`) depends on
+  the ranking too, so it is the plan's own.  From a reused plan's second
+  enumerator on, an acyclic plan keeps its non-root queues and ``next``
+  chains, so each later stream restarts at the root instead of
+  rebuilding them, and a lexicographic plan keeps its weight tables and
+  sorted first-level candidates.  No answers are kept: every stream pops
+  its own root queue.  The engine caps the cells all plans keep together
+  (:class:`RetainedBudget`, LRU over plans).
 
 Warm state is validated against
 :attr:`repro.data.database.Database.generation` before every use and
-rebuilt transparently when the data has changed — the generation
-counters on ``Relation``/``Database`` are the invalidation hook.  A
-change rebuilds the reduction, diffs it against the old one
+replaced transparently when the data has changed — the generation
+counters on ``Relation``/``Database`` are the invalidation hook.  After
+a change the plan gets the new generation's data state (built once for
+all plans of the query, with the row indexes patched rather than
+rebuilt), diffs it against the old one
 (:func:`~repro.algorithms.yannakakis.reduction_diff`) and carries the
 ranked state over: only what the write reached is dropped or patched,
-in a new slot, so enumerators made before the write keep the old one
-(:meth:`PreparedPlan.warm`).
+in a new slot, so enumerators made before the write keep the old slot
+and the old data state (:meth:`PreparedPlan.warm`).
 """
 
 from __future__ import annotations
@@ -38,17 +48,17 @@ import time
 from collections import OrderedDict
 from typing import Any
 
-from ..algorithms.yannakakis import atom_instances, full_reduce, reduction_diff
 from ..core.base import RankedEnumeratorBase, RetainedSlot
 from ..core.planner import QueryPlan
 from ..data.database import Database
 from ..errors import QueryError
+from .data import DataSpec, DataState, DataStates
 from .stats import EngineStats
 
 __all__ = ["PreparedPlan"]
 
-#: Plan kinds whose enumerators accept pre-reduced ``instances``.
-_WARMABLE_KINDS = frozenset({"acyclic", "lex"})
+#: Plan kinds whose enumerators keep ranked state (``retained=``).
+_RANKED_KINDS = frozenset({"acyclic", "lex"})
 
 #: Cells that one engine's retained ranked states may hold together
 #: (a state's run positions plus the cells it created): 32 MiB at about
@@ -108,8 +118,8 @@ class PreparedPlan:
     Instances are produced by :meth:`repro.engine.QueryEngine.prepare`
     and are valid for the lifetime of the engine.  Warm state is bound
     to one database object at a time: handing :meth:`make_enumerator` a
-    different database (or mutating the current one) drops and
-    re-derives it.
+    different database (or mutating the current one) swaps it for the
+    data state of that database now.
     """
 
     __slots__ = (
@@ -117,23 +127,32 @@ class PreparedPlan:
         "fingerprint",
         "prepare_seconds",
         "executions",
-        "_db",
-        "_generation",
-        "_reduced_instances",
+        "_states",
+        "_spec",
+        "_data",
         "_ranked",
         "_encoding",
         "_encoding_epoch",
         "_lock",
     )
 
-    def __init__(self, plan: QueryPlan, fingerprint: Any, prepare_seconds: float = 0.0):
+    def __init__(
+        self,
+        plan: QueryPlan,
+        fingerprint: Any,
+        prepare_seconds: float = 0.0,
+        *,
+        data_states: DataStates | None = None,
+    ):
         self.plan = plan
         self.fingerprint = fingerprint
         self.prepare_seconds = prepare_seconds
         self.executions = 0
-        self._db: Database | None = None
-        self._generation: int | None = None
-        self._reduced_instances: dict[str, list[tuple]] | None = None
+        # Where the plan finds its data state: the engine's registry,
+        # shared with the query's other plans, or a private one.
+        self._states = data_states if data_states is not None else DataStates()
+        self._spec: DataSpec | None = None
+        self._data: DataState | None = None
         # Ranked state kept for the plan's enumerators (see RetainedSlot).
         self._ranked: RetainedSlot | None = None
         # Set for plans whose query/ranking were translated into code
@@ -141,8 +160,8 @@ class PreparedPlan:
         # the dictionary epoch the translation belongs to.
         self._encoding = None
         self._encoding_epoch: int | None = None
-        # Serialises the generation check, the rebuild and the carry-over
-        # for streams of one plan on several threads.
+        # Serialises the generation check, the data-state lookup and the
+        # carry-over for streams of one plan on several threads.
         self._lock = threading.Lock()
 
     def bind_encoding(self, encoding) -> "PreparedPlan":
@@ -183,37 +202,51 @@ class PreparedPlan:
     # ------------------------------------------------------------------ #
     @property
     def is_warm(self) -> bool:
-        """True when reduced instances are cached (acyclic/lex plans)."""
-        return self._reduced_instances is not None
+        """True when the plan holds a data state."""
+        return self._data is not None
+
+    @property
+    def data_state(self) -> DataState | None:
+        """The data state the plan's enumerators read (``None`` until
+        the first execution, and for plans that have none)."""
+        return self._data
+
+    def _uses_data(self, overrides: dict[str, Any]) -> bool:
+        """Do this plan's enumerators read a data state?  Not star plans,
+        nor plans given instances or a union branch factory by the
+        caller."""
+        if self.plan.kind == "star":
+            return False
+        kwargs = self.plan.kwargs
+        return not (
+            "instances" in kwargs
+            or "branch_factory" in kwargs
+            or "instances" in overrides
+            or "branch_factory" in overrides
+        )
 
     def _check_generation(self, db: Database, stats: EngineStats | None) -> tuple:
-        """Drop the warm state if ``db`` is not the data it was built
-        over; returns what was dropped, ``(reduction, ranked slot)``,
+        """Drop the data state if ``db`` is not the data it was built
+        over; returns what was dropped, ``(data state, ranked slot)``,
         for a carry-over (``(None, None)`` when nothing was)."""
         # Warm state is keyed on the database *object* as well as its
         # generation: equal generations on two different databases say
         # nothing about equal contents.
-        generation = db.generation
+        data = self._data
         dropped = None, None
-        if self._reduced_instances is not None and (
-            db is not self._db or generation != self._generation
-        ):
-            # Any write drops the reduction; ``warm`` rebuilds it with
-            # the vectorised reducer over the scan views, which the
-            # storage layer keeps current from its delta log, and
-            # carries the ranked state over to it.
-            if db is self._db:
-                dropped = self._reduced_instances, self._ranked
+        if data is not None and (db is not data.db or db.generation != data.generation):
+            # Any write drops the data state; ``warm`` gets the new
+            # generation's and carries the ranked state over to it.
+            if db is data.db:
+                dropped = data, self._ranked
             self.drop_warm_state()
             if stats is not None:
                 stats.invalidations += 1
-        self._db = db
-        self._generation = generation
         return dropped
 
     def drop_warm_state(self) -> None:
-        """Forget the reduction and the ranked state built over it."""
-        self._reduced_instances = None
+        """Forget the data state and the ranked state built over it."""
+        self._data = None
         self._ranked = None
 
     def _retained_slot(
@@ -238,14 +271,16 @@ class PreparedPlan:
         return slot
 
     def warm(self, db: Database, stats: EngineStats | None = None) -> "PreparedPlan":
-        """Build (or refresh) the data-dependent state eagerly.
+        """Get the data state eagerly.
 
-        Runs ``atom_instances`` + the full reducer once.  Called lazily
-        by :meth:`make_enumerator`; call it directly to pay the cost at
-        prepare time instead of on the first execution.  Encoded plans
-        accept the base database and warm the encoded image.  After a
-        write, the ranked state is carried over to the new reduction
-        (:meth:`_carry_over`).
+        Called lazily by :meth:`make_enumerator`; call it directly to
+        pay the cost at prepare time instead of on the first execution.
+        The data state comes from the engine's registry, built there
+        once per query and database generation — ``atom_instances`` and
+        the full reducer for an acyclic plan, the bags for a cyclic one.
+        Encoded plans accept the base database and warm the encoded
+        image.  After a write, the ranked state is carried over to the
+        new data state (:meth:`_carry_over`).
         """
         db, _encoding = self._execution_target(db)
         with self._lock:
@@ -255,23 +290,24 @@ class PreparedPlan:
     def _warm(self, db: Database, stats: EngineStats | None) -> None:
         """:meth:`warm` over the execution target, under the plan lock."""
         old, slot = self._check_generation(db, stats)
-        if self.plan.kind not in _WARMABLE_KINDS or self._reduced_instances is not None:
+        if self._data is not None or not self._uses_data({}):
             return
         started = time.perf_counter()
-        instances = atom_instances(self.plan.query, db)
-        self._reduced_instances = full_reduce(self.plan.join_tree, instances)
+        if self._spec is None:
+            self._spec = DataSpec(self.plan)
+        self._data = self._states.get(self._spec, db, old, stats)
         if slot is not None and slot.state is not None:
             self._carry_over(old, slot.state, stats)
         self.prepare_seconds += time.perf_counter() - started
 
-    def _carry_over(self, old, state, stats: EngineStats | None) -> None:
-        """Keep the part of ``state`` (built over the reduction ``old``)
-        that the write did not reach, in a new slot for the new
-        reduction: enumerators made before the write keep the old slot.
+    def _carry_over(self, old: DataState, state, stats: EngineStats | None) -> None:
+        """Keep the part of ``state`` (built over the data state ``old``)
+        that the write did not reach, in a new slot for the new data
+        state: enumerators made before the write keep the old slot.
         Counted in ``ranked_carryovers`` and ``ranked_groups_dropped``;
         a state that cannot be carried over is dropped."""
-        new = self._reduced_instances
-        diff = reduction_diff(old, new)
+        new = self._data
+        diff = new.diff_from(old)
         if diff is None:
             return
         carried, dropped = state.carry_over(old, new, diff)
@@ -295,19 +331,22 @@ class PreparedPlan:
     ) -> RankedEnumeratorBase:
         """A one-shot enumerator, using warm state when possible.
 
-        Warm executions of acyclic/lexicographic plans hand the cached
-        reduced instances to the enumerator (``already_reduced`` for the
-        LinDelay algorithm), so the reducer pass is skipped.  Given a
-        ``budget`` (the engine's), a reused plan also hands over its
+        Every plan but a star plan hands its data state to the
+        enumerator: the reduced instances (``already_reduced``, so the
+        reducer pass is skipped) and the row indexes of an acyclic or
+        lexicographic plan, the reduced bags of a cyclic one, each
+        branch's state for a union.  Given a ``budget`` (the engine's),
+        a reused acyclic or lexicographic plan also hands over its
         retained ranked state: from the second execution on, an acyclic
         enumerator restarts at the root of the queues an earlier one
-        built, and a lexicographic one reuses its weight tables and row
-        indexes (counted in ``stats.ranked_restarts``).  Results are
-        identical to a cold :func:`~repro.core.planner.create_enumerator`
-        build: the reduced instances are exactly what the cold path
-        derives internally, and a restart pops its own root queue over
-        the same non-root ``next`` chains a cold build would compute.
-        Callers that pass ``overrides`` get no ranked state.
+        built, and a lexicographic one reuses its weight tables and
+        first-level candidates (counted in ``stats.ranked_restarts``).
+        Results are identical to a cold
+        :func:`~repro.core.planner.create_enumerator` build: the data
+        state is exactly what the cold path derives internally, and a
+        restart pops its own root queue over the same non-root ``next``
+        chains a cold build would compute.  Callers that pass
+        ``overrides`` get no ranked state.
 
         Plans bound to an encoding context accept the *base* database
         here: execution switches to the encoded image and the returned
@@ -318,24 +357,25 @@ class PreparedPlan:
         # Overrides can change what an enumerator builds, so only
         # enumerators configured by the plan alone share ranked state.
         plain = not overrides
-        caller_instances = "instances" in overrides or "instances" in self.plan.kwargs
-        if self.plan.kind in _WARMABLE_KINDS and not caller_instances:
-            # The reduction and the slot go together: a write's carry-over
-            # on another thread replaces both.
+        uses_data = self._uses_data(overrides)
+        if uses_data:
+            # The data state and the slot go together: a write's
+            # carry-over on another thread replaces both.
             with self._lock:
                 self._warm(target, stats)
-                overrides["instances"] = self._reduced_instances
-                if budget is not None and plain:
+                data = self._spec.overrides(self._data)
+                if self.plan.kind in _RANKED_KINDS and budget is not None and plain:
                     slot = self._retained_slot(budget, stats)
                     if slot is not None:
-                        overrides["retained"] = slot
-            if "already_reduced" not in self.plan.kwargs:
-                overrides["already_reduced"] = True
+                        data["retained"] = slot
+            if "already_reduced" in self.plan.kwargs:
+                data.pop("already_reduced", None)
+            overrides = {**data, **overrides}
         enum = self.plan.instantiate(target, **overrides)
-        if self.plan.kind not in _WARMABLE_KINDS:
+        if not uses_data and self.plan.kind not in _RANKED_KINDS:
             # These enumerators read the database when they preprocess:
             # doing it now answers a stream for the data it was opened
-            # on, as the reduced instances of warm plans do.
+            # on, as a data state does.
             enum.preprocess()
         if encoding is not None:
             from ..storage.encoded import DecodingEnumerator

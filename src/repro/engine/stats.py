@@ -116,9 +116,10 @@ class EngineStats:
         LRU evictions per cache.
     invalidations:
         Warm state dropped because the database (object or generation)
-        moved.  Any write counts here: the next execution rebuilds the
-        reduced instances with the vectorised full reducer over the
-        delta-maintained scan views and encoded image.
+        moved, once per plan.  Any write counts here: the query's next
+        execution rebuilds its data state (the reduced instances, with
+        the vectorised full reducer over the delta-maintained scan views
+        and encoded image), once for all the query's plans.
     delta_applies / delta_fallbacks:
         Retired, always 0.  They counted replays of a warm reduction
         from store deltas, which the rebuild above replaced because it
@@ -127,7 +128,8 @@ class EngineStats:
     ranked_restarts:
         Streams that started from a plan's retained ranked state: an
         acyclic plan's restart at the root of its kept queues, or a
-        lexicographic plan's reuse of its weight tables and row indexes
+        lexicographic plan's reuse of its weight tables and first-level
+        candidates
         (:meth:`~repro.engine.prepared.PreparedPlan.make_enumerator`).
     ranked_evictions:
         Retained ranked states dropped to keep the cells all plans keep
@@ -142,6 +144,14 @@ class EngineStats:
         (:meth:`~repro.engine.prepared.PreparedPlan.warm`).  A
         lexicographic state is patched, never dropped in part, so it
         adds no groups.
+    data_hits / data_builds:
+        Data-state lookups (:class:`repro.engine.data.DataStates`) that
+        found the query's state for the current database generation,
+        and those that built it: the reduction, the GHD bags or a
+        union's branches, shared by every plan of the query whatever its
+        ranking.  A fresh ranking of a query run before costs a hit, not
+        a build; a write costs one build per query (a union's branches
+        count as queries of their own).
     uncacheable:
         Prepare calls whose kwargs could not be fingerprinted (planned
         fresh, never cached).
@@ -225,6 +235,8 @@ class EngineStats:
         "ranked_evictions",
         "ranked_carryovers",
         "ranked_groups_dropped",
+        "data_hits",
+        "data_builds",
         "uncacheable",
         "partition_hits",
         "partition_misses",
@@ -265,6 +277,8 @@ class EngineStats:
         self.ranked_evictions = 0
         self.ranked_carryovers = 0
         self.ranked_groups_dropped = 0
+        self.data_hits = 0
+        self.data_builds = 0
         self.uncacheable = 0
         self.partition_hits = 0
         self.partition_misses = 0
@@ -323,6 +337,8 @@ class EngineStats:
             "ranked_evictions": self.ranked_evictions,
             "ranked_carryovers": self.ranked_carryovers,
             "ranked_groups_dropped": self.ranked_groups_dropped,
+            "data_hits": self.data_hits,
+            "data_builds": self.data_builds,
             "uncacheable": self.uncacheable,
             "partition_hits": self.partition_hits,
             "partition_misses": self.partition_misses,

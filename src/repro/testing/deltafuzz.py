@@ -9,8 +9,10 @@ state rebuilt over delta-maintained scan views and encoded images, and
 from ranked state carried over each write: every query runs twice, so
 the second run restarts from the state the first one kept, and a
 stream op opens a stream before the next write and drains it after,
-against the shadow taken when it was opened.  The shadow check cannot
-tell and must never need to.
+against the shadow taken when it was opened.  A fresh op runs the query
+under two new ranking objects, so two new plans: both must find the
+query's one data state for the current data, built at most once since
+the last write.  The shadow check cannot tell and must never need to.
 
 Everything is derived deterministically from an integer seed, so a
 failure is a one-line repro.  On divergence the failing schedule is
@@ -53,7 +55,8 @@ K_CHOICES = (1, 10, 100)
 
 #: Schedule ops, all value-level so a case prints as a repro:
 #: ``("append", relation, rows)``, ``("delete", relation, row)``,
-#: ``("query", ranking, k)`` and ``("stream", ranking, k, primed)``: a
+#: ``("query", ranking, k)``, ``("fresh", ranking, k)``: the query under
+#: new ranking objects, and ``("stream", ranking, k, primed)``: a
 #: stream opened there (after its first answer when ``primed``) and
 #: drained after the next write, or at the end.
 Op = tuple
@@ -153,7 +156,11 @@ def generate_case(seed: int) -> FuzzCase:
             )
         else:
             schedule.append(
-                ("query", rng.choice(sorted(RANKINGS)), rng.choice(K_CHOICES))
+                (
+                    "fresh" if kind == 5 else "query",
+                    rng.choice(sorted(RANKINGS)),
+                    rng.choice(K_CHOICES),
+                )
             )
     schedule.append(("query", rng.choice(sorted(RANKINGS)), rng.choice(K_CHOICES)))
     return FuzzCase(seed, shape, rng.random() < 0.5, relations, schedule)
@@ -193,6 +200,9 @@ def run_case(case: FuzzCase) -> FuzzFailure | None:
     # Streams opened and not drained yet: (op index, answers, k,
     # the rest of the stream, its shadow).
     open_streams: list[tuple] = []
+    # Has the engine run the query since the last write?  Then the data
+    # state for the current data exists already.
+    ran = False
 
     def drain() -> FuzzFailure | None:
         for index, got, k, rest, expected in open_streams:
@@ -208,15 +218,35 @@ def run_case(case: FuzzCase) -> FuzzFailure | None:
                 db[op[1]].add_rows(list(op[2]))
             else:
                 db[op[1]].remove(op[2])
+            ran = False
             failure = drain()
             if failure is not None:
                 return failure
-        elif op[0] == "stream":
+            continue
+        if op[0] == "stream":
             _, rank_name, k, primed = op
             expected = _shadow(db, case, query, rank_name, k)
             rest = iter(engine.stream(query, rankings[rank_name]))
             got = [(a.values, a.score) for a in itertools.islice(rest, int(primed))]
             open_streams.append((index, got, k, rest, expected))
+        elif op[0] == "fresh":
+            _, rank_name, k = op
+            expected = _shadow(db, case, query, rank_name, k)
+            builds = engine.stats.data_builds
+            states = []
+            for _ in range(2):
+                ranking = RANKINGS[rank_name]()
+                got = _answers(engine, query, ranking, k)
+                if got != expected:
+                    return FuzzFailure(case, index, got, expected)
+                states.append(engine.prepare(query, ranking).data_state)
+            shared = [
+                ("data_builds", engine.stats.data_builds - builds),
+                ("one state", states[0] is states[1]),
+            ]
+            wanted = [("data_builds", 0 if ran else 1), ("one state", True)]
+            if shared != wanted:
+                return FuzzFailure(case, index, shared, wanted)
         else:
             _, rank_name, k = op
             expected = _shadow(db, case, query, rank_name, k)
@@ -226,6 +256,7 @@ def run_case(case: FuzzCase) -> FuzzFailure | None:
                 got = _answers(engine, query, rankings[rank_name], k)
                 if got != expected:
                     return FuzzFailure(case, index, got, expected)
+        ran = True
     return drain()
 
 

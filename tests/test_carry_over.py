@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro import QueryEngine, enumerate_ranked, parse_query
+from repro import QueryEngine, create_enumerator, enumerate_ranked, parse_query
 from repro.algorithms.yannakakis import reduction_diff
 from repro.core import acyclic
 from repro.core.ranking import LexRanking, SumRanking, TableWeight
@@ -363,15 +363,17 @@ def test_lex_carry_over_patches_indexes_and_candidates(ranking):
         expected = _cold(text, db, ranking, 300)
         enum = engine.stream(text, ranking)
         assert _take(enum, 300) == expected
-        # The patched indexes and candidates are what a fresh enumerator
-        # over the same reduction builds.
+        # The patched indexes (kept with the plan's data state) and
+        # candidates are what a cold enumerator builds.
         state = _state(engine)
-        fresh = engine.prepare(text, ranking).make_enumerator(db)
+        (plan,) = engine._plans.values()
+        row_groups = plan.data_state.row_groups
+        fresh = create_enumerator(parse_query(text), db, ranking)
         assert _take(fresh, 300) == expected
         assert {
             key: {k: sorted(rows) for k, rows in index.items()}
-            for key, index in state.row_groups.items()
-        } == {key: _fresh_groups(fresh)[key] for key in state.row_groups}
+            for key, index in row_groups.items()
+        } == {key: _fresh_groups(fresh)[key] for key in row_groups}
         var = fresh._order[0]
         alias, pos = fresh._holders[var][0]
         values = {row[pos] for row in fresh._instances[alias]}

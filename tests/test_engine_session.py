@@ -108,6 +108,11 @@ def expected(
         ("ranked_evictions", 0),
         ("ranked_carryovers", carryovers),
         ("ranked_groups_dropped", 0),
+        # The first execution, the one after the write and the one after
+        # invalidate() each build the query's data state; the plan keeps
+        # it in between, so no execution looks it up again.
+        ("data_hits", 0),
+        ("data_builds", 3),
         ("uncacheable", 0),
         ("partition_hits", 1),
         ("partition_misses", 1),
