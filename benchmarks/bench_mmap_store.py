@@ -8,25 +8,17 @@ artifacts as raw little-endian arrays plus a JSON manifest, and
 reopening memory-maps them: no parse, no dictionary build, no encode
 pass — the first query runs against lazily paged files.
 
-Two measurements, on the Memetracker-like URL-keyed workload:
-
-* **cold open** — time from nothing to the first ranked answer:
-  ``load_database_dir(csv) + QueryEngine(db, encode=True) + execute``
-  versus ``QueryEngine(snapshot_dir) + execute``.  Best of 3 each;
-  answers are verified bit-identical before any gate.
-* **per-worker startup** — what the process backend ships per shard:
-  a pickled shard database (every URL string serialised per worker)
-  versus a :class:`~repro.storage.persist.SnapshotShardRef` (a path
-  plus a shard spec; the worker maps the same snapshot files and
-  re-derives its bucket).  Bytes shipped and seconds to a ready shard
-  database, per worker.
+The measurement, on the Memetracker-like URL-keyed workload, is the
+**cold open**: time from nothing to the first ranked answer,
+``load_database_dir(csv) + QueryEngine(db, encode=True) + execute``
+versus ``QueryEngine(snapshot_dir) + execute``.  Best of 3 each;
+answers are verified bit-identical before the gate.
 
 Run:  PYTHONPATH=src python benchmarks/bench_mmap_store.py [--quick]
 
 ``--quick`` shrinks the data for CI smoke (gates relaxed); at default
 scale (39k edges) the acceptance gate requires the snapshot open to be
-at least 5x faster than the cold load-and-encode path, and the mmap
-shard shipping to beat pickle on both bytes and time.  Measured numbers
+at least 5x faster than the cold load-and-encode path.  Measured numbers
 are written to ``BENCH_mmap.json`` at the repo root, except under
 ``--quick``, which leaves the full-scale record alone.
 
@@ -42,7 +34,6 @@ import argparse
 import json
 import math
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -55,11 +46,7 @@ from repro.bench import format_table  # noqa: E402
 from repro.core.ranking import SumRanking, TableWeight  # noqa: E402
 from repro.data import Database  # noqa: E402
 from repro.data.loader import load_database_dir, save_database_dir  # noqa: E402
-from repro.data.partition import partition_query  # noqa: E402
 from repro.engine import QueryEngine  # noqa: E402
-from repro.parallel.backends import ShardJob  # noqa: E402
-from repro.query import parse_query  # noqa: E402
-from repro.storage import persist  # noqa: E402
 from repro.workloads.generators import zipf_bipartite  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -79,7 +66,6 @@ TWO_HOP = "Q(a1, a2) :- E(a1, p), E(a2, p)"
 #: this, while the snapshot path only pages in what the query touches.
 PROBE = "Q(u) :- U(u, i)"
 PROBE_K = 10
-SHARDS = 4
 CURATED = 200
 
 
@@ -162,76 +148,6 @@ def best_of(fn, repeats: int) -> tuple[float, list, float, list]:
         best_open = min(best_open, open_s)
         best_join = min(best_join, join_s)
     return best_open, probe_answers, best_join, join_answers
-
-
-def measure_worker_startup(snap_dir: str, ranking) -> dict:
-    """Per-shard payload bytes and time-to-ready-database, both modes.
-
-    Measures the space the engine actually parallelises in — the
-    encoded image, where shard rows are dense int codes — and isolates
-    the quantity the snapshot changes: how the shard *database* reaches
-    the worker.  ``pickle`` ships the shard database itself (every row
-    serialised, as the process backend did before snapshots); ``mmap``
-    ships a :class:`SnapshotShardRef` and the receiving side re-derives
-    its bucket from the mapped snapshot files.  The timed section is
-    the full shipping cost the parent + worker pipeline pays per
-    worker: serialise, deserialise, and (mmap) rebuild.  The
-    per-process snapshot open memo is cleared before each timing so
-    both modes pay their cold worker-side costs; ranking and plan ship
-    identically in both modes and are left out.
-    """
-    query = parse_query(TWO_HOP)
-    snapshot = persist.open_snapshot(snap_dir)
-    db = snapshot.database()
-    ctx = snapshot.encoded_database(db)
-    exec_query = ctx.encode_query(query)
-    partition = partition_query(exec_query, ctx.database, SHARDS)
-    refs = persist.snapshot_shard_refs(ctx.database, partition)
-    assert refs is not None, "snapshot-backed partition must yield shard refs"
-
-    pickle_bytes = pickle_secs = 0.0
-    mmap_bytes = mmap_secs = 0.0
-    for shard_db, ref in zip(partition.databases, refs):
-        best = float("inf")
-        for _ in range(3):
-            persist._OPEN_CACHE.clear()
-            started = time.perf_counter()
-            blob = pickle.dumps(ShardJob(partition.query, shard_db))
-            job = pickle.loads(blob)
-            assert job.db is not None and job.db.size
-            best = min(best, time.perf_counter() - started)
-        pickle_secs += best
-        pickle_bytes += len(blob)
-
-        best = float("inf")
-        for _ in range(3):
-            persist._OPEN_CACHE.clear()
-            started = time.perf_counter()
-            blob = pickle.dumps(ShardJob(partition.query, None, snapshot_ref=ref))
-            job = pickle.loads(blob)
-            job.db = job.snapshot_ref.build_database()
-            assert job.db.size
-            best = min(best, time.perf_counter() - started)
-        mmap_secs += best
-        mmap_bytes += len(blob)
-
-        for name in job.db.names():
-            if sorted(map(tuple, job.db[name])) != sorted(map(tuple, shard_db[name])):
-                raise SystemExit(f"FAIL: rebuilt shard diverged on {name!r}")
-
-    return {
-        "shards": SHARDS,
-        "pickle": {
-            "bytes_per_worker": int(pickle_bytes / SHARDS),
-            "seconds_per_worker": round(pickle_secs / SHARDS, 6),
-        },
-        "mmap": {
-            "bytes_per_worker": int(mmap_bytes / SHARDS),
-            "seconds_per_worker": round(mmap_secs / SHARDS, 6),
-        },
-        "bytes_ratio": round(pickle_bytes / mmap_bytes, 2) if mmap_bytes else None,
-        "time_ratio": round(pickle_secs / mmap_secs, 2) if mmap_secs else None,
-    }
 
 
 # --------------------------------------------------------------------- #
@@ -353,8 +269,6 @@ def main(argv=None) -> int:
             )
         speedup = cold_open / snap_open if snap_open else float("inf")
         join_ratio = cold_join_s / snap_join_s if snap_join_s else float("inf")
-
-        worker = measure_worker_startup(snap_dir, ranking)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -370,12 +284,7 @@ def main(argv=None) -> int:
         ("path to first answer", "seconds", "speedup"),
         rows,
         note="probe + join answers bit-identical across modes; "
-        f"save cost {save_seconds:.3f}s once, {snap_bytes} snapshot bytes; "
-        f"per worker ({SHARDS} shards): "
-        f"pickle {worker['pickle']['bytes_per_worker']}B/"
-        f"{worker['pickle']['seconds_per_worker']}s vs mmap "
-        f"{worker['mmap']['bytes_per_worker']}B/"
-        f"{worker['mmap']['seconds_per_worker']}s",
+        f"save cost {save_seconds:.3f}s once, {snap_bytes} snapshot bytes",
     )
     print(table)
 
@@ -404,13 +313,7 @@ def main(argv=None) -> int:
             "snapshot": round(snap_join_s, 6),
         },
         "identical_output": True,  # enforced above
-        "per_worker": worker,
-        "gate": {
-            "target_open_speedup": min_speedup,
-            "enforced": True,
-            "mmap_fewer_bytes": True,  # enforced below
-            "mmap_faster": not args.quick,  # asymptotic; full scale only
-        },
+        "gate": {"target_open_speedup": min_speedup, "enforced": True},
         "quick": bool(args.quick),
     }
     if args.quick:
@@ -422,31 +325,14 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"record written to {RECORD_JSON}")
 
-    failed = False
     if speedup < min_speedup:
         print(
             f"FAIL: snapshot open speedup {speedup:.2f}x < required "
             f"{min_speedup:.2f}x",
             file=sys.stderr,
         )
-        failed = True
-    if worker["mmap"]["bytes_per_worker"] >= worker["pickle"]["bytes_per_worker"]:
-        print("FAIL: mmap shard payload not smaller than pickle", file=sys.stderr)
-        failed = True
-    if args.quick:
-        # The per-worker *time* edge is asymptotic: at smoke scale the
-        # fixed reopen cost (manifest parse + mapping) outweighs the
-        # per-row savings, so the time gate binds at full scale only.
-        pass
-    elif worker["mmap"]["seconds_per_worker"] >= worker["pickle"]["seconds_per_worker"]:
-        print("FAIL: mmap shard startup not faster than pickle", file=sys.stderr)
-        failed = True
-    if failed:
         return 1
-    print(
-        f"OK: {speedup:.2f}x open (>= {min_speedup:.2f}x); mmap per-worker "
-        f"{worker['bytes_ratio']}x fewer bytes, {worker['time_ratio']}x faster"
-    )
+    print(f"OK: {speedup:.2f}x open (>= {min_speedup:.2f}x)")
     return 0
 
 

@@ -13,9 +13,9 @@ This benchmark measures exactly that substitution on identical inputs:
 
 * **identity** — for SUM/MIN/MAX/AVG (asc and desc) the full ranked
   output — values, scores, keys, ties, order — is compared between the
-  batched and scalar paths, over plain and encoded execution, serial
-  and sharded; LEX and composite rankings are verified to fall back
-  (``score_fallbacks`` counted, outputs unchanged);
+  batched and scalar paths, over plain and encoded execution; LEX and
+  composite rankings are verified to fall back (``score_fallbacks``
+  counted, outputs unchanged);
 * **scoring phase** — the per-node key computation itself
   (``batched_node_keys`` vs the scalar ``bound.key`` loop) on the
   reducer's surviving rows, kernels on for both sides so only the
@@ -101,12 +101,8 @@ def make_workload(scale: float, seed: int = 11):
     return db, weight
 
 
-def ranked_outputs(engine: QueryEngine, query: str, ranking, *, shards: int = 0):
-    if shards > 1:
-        answers = engine.execute_parallel(query, ranking, shards=shards, backend="serial")
-    else:
-        answers = engine.execute(query, ranking)
-    return [(a.values, a.score, a.key) for a in answers]
+def ranked_outputs(engine: QueryEngine, query: str, ranking):
+    return [(a.values, a.score, a.key) for a in engine.execute(query, ranking)]
 
 
 def check_identity(db, weight) -> dict:
@@ -121,23 +117,20 @@ def check_identity(db, weight) -> dict:
     checked = {}
     for name, ranking in rankings.items():
         for encode in (False, True):
-            for shards in (0, 3):
-                outputs = {}
-                for batch in (True, False):
-                    scores.set_enabled(batch)
-                    try:
-                        engine = QueryEngine(db, encode=encode)
-                        outputs[batch] = ranked_outputs(
-                            engine, TWO_HOP, ranking, shards=shards
-                        )
-                    finally:
-                        scores.set_enabled(True)
-                if outputs[True] != outputs[False]:
-                    raise SystemExit(
-                        f"FAIL: batched scoring diverged from scalar on {name!r} "
-                        f"(encode={encode}, shards={shards})"
-                    )
-                checked[f"{name}/encode={encode}/shards={shards}"] = len(outputs[True])
+            outputs = {}
+            for batch in (True, False):
+                scores.set_enabled(batch)
+                try:
+                    engine = QueryEngine(db, encode=encode)
+                    outputs[batch] = ranked_outputs(engine, TWO_HOP, ranking)
+                finally:
+                    scores.set_enabled(True)
+            if outputs[True] != outputs[False]:
+                raise SystemExit(
+                    f"FAIL: batched scoring diverged from scalar on {name!r} "
+                    f"(encode={encode})"
+                )
+            checked[f"{name}/encode={encode}"] = len(outputs[True])
 
     # LEX and composite: same results, demonstrably via the scalar path.
     # (LEX is forced through the LinDelay enumerator — ``method="auto"``

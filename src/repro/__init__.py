@@ -44,13 +44,9 @@ Main entry points
 * :class:`repro.StarTradeoffEnumerator` — Theorem 2's tradeoff;
 * :class:`repro.CyclicRankedEnumerator` — Theorem 3 (GHD-based);
 * :class:`repro.UnionRankedEnumerator` — Theorem 4 (UCQs);
-* :mod:`repro.parallel` — sharded execution: hash partitioning
-  (:func:`repro.partition_query`), the worker-process fan-out and the
-  order-preserving merge behind
-  :meth:`repro.QueryEngine.execute_parallel`;
 * :func:`repro.save_snapshot` / :func:`repro.open_database` — the
   persistent column store: save an instance once, reopen it
-  memory-mapped for instant warm starts and zero-copy process shards;
+  memory-mapped for instant warm starts;
 * :mod:`repro.workloads` — the paper's datasets and queries, synthesised;
 * :mod:`repro.algorithms` — Yannakakis + the engine baselines.
 """
@@ -80,13 +76,7 @@ from .core import (
 )
 from .core.planner import QueryPlan, plan_query
 from .data import Database, Relation
-from .data.partition import (
-    QueryPartition,
-    choose_partition_attribute,
-    partition_query,
-)
 from .engine import EngineStats, PreparedPlan, QueryEngine
-from .parallel import execute_sharded, merge_ranked_streams, stream_sharded
 from .storage import (
     DurableDatabase,
     JournalError,
@@ -138,13 +128,6 @@ __all__ = [
     "EngineStats",
     "QueryPlan",
     "plan_query",
-    # parallel subsystem
-    "QueryPartition",
-    "choose_partition_attribute",
-    "partition_query",
-    "execute_sharded",
-    "stream_sharded",
-    "merge_ranked_streams",
     # query model
     "Atom",
     "Const",

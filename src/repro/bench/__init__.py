@@ -4,7 +4,6 @@ from .harness import (
     Measurement,
     engine_sweep,
     measure_phases,
-    parallel_sweep,
     sweep,
     time_engine_top_k,
     time_top_k,
@@ -18,7 +17,6 @@ __all__ = [
     "measure_phases",
     "time_engine_top_k",
     "engine_sweep",
-    "parallel_sweep",
     "format_table",
     "format_kv",
     "measurements_table",

@@ -32,7 +32,6 @@ __all__ = [
     "measure_phases",
     "time_engine_top_k",
     "engine_sweep",
-    "parallel_sweep",
 ]
 
 EnumFactory = Callable[[], RankedEnumeratorBase]
@@ -199,76 +198,6 @@ def engine_sweep(
                 )
             runs.sort(key=lambda m: m.seconds)
             out.append(runs[len(runs) // 2])
-    return out
-
-
-def parallel_sweep(
-    db: Database,
-    query,
-    ranking=None,
-    *,
-    ks: Sequence[int | None] = (None,),
-    shard_counts: Sequence[int] = (1, 2, 4),
-    backend: str = "processes",
-    repeats: int = 1,
-    attribute: str | None = None,
-    **kwargs: Any,
-) -> list[Measurement]:
-    """Serial-vs-sharded sweep: the parallel scaling curve.
-
-    For every ``k`` the sweep measures one serial baseline
-    (:func:`repro.enumerate_ranked`, labelled ``"serial"``) and one
-    sharded run per entry of ``shard_counts`` (labelled
-    ``"shards=N"``), end to end — partitioning, worker fan-out and the
-    order-preserving merge all included, mirroring how
-    :meth:`~repro.engine.QueryEngine.execute_parallel` is billed.
-    Extras carry ``speedup`` relative to the serial baseline at the
-    same ``k``; wall-clock speedup needs real cores, so expect the
-    curve to flatten at ``os.cpu_count()``.
-    """
-    from ..core.planner import create_enumerator
-    from ..parallel import execute_sharded
-
-    out: list[Measurement] = []
-    for k in ks:
-        serial_runs = sorted(
-            (
-                time_top_k(
-                    lambda: create_enumerator(query, db, ranking, **kwargs),
-                    k,
-                    label="serial",
-                )
-                for _ in range(max(1, repeats))
-            ),
-            key=lambda m: m.seconds,
-        )
-        serial = serial_runs[len(serial_runs) // 2]
-        out.append(serial)
-        for shards in shard_counts:
-            runs: list[Measurement] = []
-            for _ in range(max(1, repeats)):
-                started = time.perf_counter()
-                answers = execute_sharded(
-                    db=db,
-                    query=query,
-                    ranking=ranking,
-                    shards=shards,
-                    backend=backend,
-                    k=k,
-                    attribute=attribute,
-                    **kwargs,
-                )
-                elapsed = time.perf_counter() - started
-                runs.append(
-                    Measurement(f"shards={shards}", k, elapsed, len(answers))
-                )
-            runs.sort(key=lambda m: m.seconds)
-            kept = runs[len(runs) // 2]
-            kept.extras["speedup"] = (
-                serial.seconds / kept.seconds if kept.seconds > 0 else float("inf")
-            )
-            kept.extras["backend"] = backend
-            out.append(kept)
     return out
 
 

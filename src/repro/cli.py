@@ -19,9 +19,6 @@ Usage (also via ``python -m repro``)::
   through a shared :class:`~repro.engine.QueryEngine` session, so
   repeated queries reuse cached plans; ``:stats`` prints the engine
   counters, ``:explain <query>`` the plan, ``:quit`` exits;
-* ``--shards N`` hash-partitions the data and executes across N
-  worker processes with results identical to serial; ``--parallel`` is
-  shorthand for one shard per core;
 * ``--stats`` prints timing plus the engine's cache hit/miss counters,
   the per-phase (reduce/build/enumerate) timing split, and the
   vectorised-enumeration counter (``batched_combines``);
@@ -61,7 +58,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from typing import Sequence, TextIO
@@ -147,20 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shared session engine with plan caching",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="hash-partition the data into N shards and execute in parallel "
-        "(results identical to serial; implies --parallel)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="parallel execution with one shard per CPU core "
-        "(equivalent to --shards <cpu count>)",
-    )
-    parser.add_argument(
         "--format",
         choices=("csv", "json", "table"),
         default="csv",
@@ -202,32 +184,14 @@ def _build_ranking(args: argparse.Namespace) -> RankingFunction:
     return cls(**kwargs)
 
 
-def _shard_count(args: argparse.Namespace) -> int:
-    """Effective shard count: --shards wins, --parallel means one per core."""
-    if args.shards is not None:
-        return max(args.shards, 1)
-    if args.parallel:
-        return max(os.cpu_count() or 1, 1)
-    return 1
-
-
 def _print_explain(engine: QueryEngine, query: str, ranking, args) -> None:
-    shards = _shard_count(args)
-    info = engine.explain(
-        query,
-        ranking,
-        method=args.method,
-        epsilon=args.epsilon,
-        shards=shards if shards > 1 else None,
-    )
+    info = engine.explain(query, ranking, method=args.method, epsilon=args.epsilon)
     print(f"query class : {info['query class']}")
     print(f"algorithm   : {info['algorithm']}")
     print(f"plan        : {info['plan']}")
     print(f"ranking     : {info['ranking']}")
     print(f"guarantee   : {info['guarantee']}")
     print(f"|D|         : {info['|D|']}")
-    if "partition attribute" in info:
-        print(f"partition   : hash({info['partition attribute']}) x {info['shards']} shards")
     if info["cached plan"]:
         print("plan cache  : hit")
 
@@ -236,20 +200,9 @@ def _run_one(engine: QueryEngine, query_text: str, ranking, args) -> None:
     """Execute one query through the engine and write CSV to stdout."""
     started = time.perf_counter()
     parsed = engine.parse(query_text)
-    shards = _shard_count(args)
-    if shards > 1:
-        answers = engine.execute_parallel(
-            parsed,
-            ranking,
-            shards=shards,
-            k=args.k,
-            method=args.method,
-            epsilon=args.epsilon,
-        )
-    else:
-        answers = engine.execute(
-            parsed, ranking, k=args.k, method=args.method, epsilon=args.epsilon
-        )
+    answers = engine.execute(
+        parsed, ranking, k=args.k, method=args.method, epsilon=args.epsilon
+    )
     elapsed = time.perf_counter() - started
 
     _write_answers(sys.stdout, parsed.head, answers, args)
@@ -599,10 +552,6 @@ def _query_main(argv: Sequence[str]) -> int:
         help="descending attributes (LEX) / bare flag to flip aggregate order",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="with --one-shot: execute across N worker processes on the server",
-    )
-    parser.add_argument(
         "--page", type=int, default=100, metavar="N", help="answers fetched per page"
     )
     parser.add_argument("--tenant", default="default", help="admission-control tenant id")
@@ -620,8 +569,6 @@ def _query_main(argv: Sequence[str]) -> int:
         help="print per-request engine counters (kernel calls, score builds) to stderr",
     )
     args = parser.parse_args(argv)
-    if args.shards is not None and not args.one_shot:
-        parser.error("--shards needs --one-shot (cursors enumerate serially)")
     from .service import connect as service_connect
     from .service.protocol import decode_answers
 
@@ -639,7 +586,6 @@ def _query_main(argv: Sequence[str]) -> int:
                     k=args.k,
                     rank=args.rank,
                     desc=desc if args.rank else None,
-                    shards=args.shards,
                 )
                 head = payload["head"]
                 rows = decode_answers(payload["answers"])

@@ -12,10 +12,8 @@ two-phase contract:
 The ordering contract is strict and shared by every subclass: answers
 stream sorted ascending by ``(answer.key, answer.values)``, where
 ``answer.key`` is the bound ranking's comparable key — a pure function
-of the output values.  The parallel merge layer
-(:mod:`repro.parallel.merge`) and the union enumerator both rely on
-exactly this property to interleave independent streams without
-re-sorting.
+of the output values.  The union enumerator relies on exactly this
+property to interleave independent streams without re-sorting.
 
 This mixin provides the derived conveniences so all enumerators expose
 an identical surface.

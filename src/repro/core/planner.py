@@ -104,8 +104,6 @@ class QueryPlan:
         "epsilon",
         "delta",
         "kwargs",
-        "partition_attribute",
-        "partition_shards",
     )
 
     _CLASSES = {
@@ -140,68 +138,27 @@ class QueryPlan:
         self.epsilon = epsilon
         self.delta = delta
         self.kwargs = dict(kwargs or {})
-        #: Set by :meth:`parallelised` for plans served through the
-        #: sharded executor; ``None`` on plain serial plans.
-        self.partition_attribute: str | None = None
-        self.partition_shards: int | None = None
 
     @property
     def enumerator_class(self) -> type[RankedEnumeratorBase]:
         """The enumerator class this plan instantiates."""
         return self._CLASSES[self.kind]
 
-    @property
-    def is_parallel(self) -> bool:
-        """True when this plan describes a sharded (parallel) execution."""
-        return self.partition_shards is not None and self.partition_shards > 1
-
-    def parallelised(self, attribute: str | None, shards: int) -> "QueryPlan":
-        """A copy of this plan annotated as a sharded execution.
-
-        The copy shares the (immutable-in-practice) join tree / GHD and
-        records the partition attribute and shard count so
-        :meth:`describe` and the engine's ``explain`` report how the
-        data is split.  The serial plan is left untouched — both can
-        sit in the engine's plan cache under different fingerprints.
-        """
-        plan = QueryPlan(
-            self.query,
-            self.ranking,
-            self.method,
-            self.kind,
-            acyclic=self.acyclic,
-            join_tree=self.join_tree,
-            ghd=self.ghd,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            kwargs=self.kwargs,
-        )
-        plan.partition_attribute = attribute
-        plan.partition_shards = shards
-        return plan
-
     def describe(self) -> str:
         """One-line plan summary (used by ``--explain`` and the engine).
 
-        Serial plans name the enumerator class, query shape and
-        ranking; parallel plans additionally state the chosen partition
-        attribute and shard count.
+        Names the enumerator class, query shape and ranking.
 
         >>> from repro.query import parse_query
         >>> plan = plan_query(parse_query("Q(a1, a2) :- R(a1, p), R(a2, p)"))
         >>> plan.describe()
         'AcyclicRankedEnumerator[acyclic, rank=SUM[w(v) = v, asc]]'
-        >>> plan.parallelised("p", 4).describe()
-        'AcyclicRankedEnumerator[acyclic, rank=SUM[w(v) = v, asc], parallel=hash(p) x 4 shards]'
         """
         shape = "union" if self.kind == "union" else (
             "acyclic" if self.acyclic else "cyclic"
         )
-        base = f"{self.enumerator_class.__name__}[{shape}, rank={self.ranking.describe()}"
-        if self.is_parallel:
-            attr = self.partition_attribute or "?"
-            base += f", parallel=hash({attr}) x {self.partition_shards} shards"
-        return base + "]"
+        rank = self.ranking.describe()
+        return f"{self.enumerator_class.__name__}[{shape}, rank={rank}]"
 
     def instantiate(self, db: Database, **overrides: Any) -> RankedEnumeratorBase:
         """Bind the plan to a database: build a fresh one-shot enumerator.

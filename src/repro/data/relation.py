@@ -122,7 +122,7 @@ class Relation:
         self._store = store
         self._paths = AccessPathCache(store)
         # Mutations through *any* relation sharing this store (renamed
-        # views, shard replicas) must move this relation's generation
+        # views) must move this relation's generation
         # too, or engines querying through one view would keep serving
         # warm state invalidated through the other.
         store.register_listener(self)

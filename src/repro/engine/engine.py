@@ -24,15 +24,7 @@ the join tree and re-running the full reducer each time.  A
 The low-level one-shot path (:func:`repro.create_enumerator`) remains
 available and unchanged; the engine is the right surface for any caller
 that executes more than one query against the same data — the CLI's
-REPL mode, the benchmark harness's warm sweeps, and every future
-server/sharding layer.
-
-The engine is also the front door to the parallel subsystem
-(:mod:`repro.parallel`): :meth:`QueryEngine.execute_parallel` shards
-one query across workers with results identical to :meth:`execute`
-(shard partitions are cached per session like plans), and
-:meth:`QueryEngine.execute_many` schedules a batch of independent
-queries across a process pool.
+REPL mode, the benchmark harness's warm sweeps and the service layer.
 
 Examples
 --------
@@ -66,7 +58,7 @@ from ..query.parser import parse_query
 from ..query.properties import classify_query, delay_guarantee
 from ..query.query import JoinProjectQuery, UnionQuery
 from ..storage import kernels, scores
-from ..storage.encoded import EncodedDatabase, decoded_answers
+from ..storage.encoded import EncodedDatabase
 from .lru import LRUCache
 from .data import DataStates
 from .prepared import PreparedPlan, RetainedBudget
@@ -123,9 +115,7 @@ class QueryEngine:
         ``str``/``PathLike`` is treated as a snapshot directory
         (:func:`repro.open_database`): the engine opens it memory-mapped
         and starts *warm* — the dictionary and encoded image come off
-        the snapshot files, so the first query pays no encode cost, and
-        shard worker processes remap the same files instead of receiving
-        a pickled database.
+        the snapshot files, so the first query pays no encode cost.
     max_plans:
         LRU bound on prepared plans (>= 1).
     max_queries:
@@ -163,10 +153,6 @@ class QueryEngine:
         # the query's plans whatever their ranking; held by the plans, so
         # ``max_plans`` bounds them too.
         self._data = DataStates()
-        # Shard partitions are as expensive as a reducer pass (O(|D|)),
-        # so they get the same session treatment as plans: LRU-cached,
-        # revalidated against the database generation.
-        self._partitions: LRUCache = LRUCache(max_plans)
         # Dictionary-encoded execution (the storage layer's fast path):
         # the encoded image of the database is cached here and
         # revalidated against the generation counter like every other
@@ -211,8 +197,7 @@ class QueryEngine:
         reducer, the access paths, the ranking layer), always on the
         calling thread; each execution collects its own thread-scoped
         tally, so ``stats.kernel_calls`` / ``score_builds`` etc. reflect
-        exactly this engine's executions even under concurrency.  Shard
-        work in worker processes is not counted.
+        exactly this engine's executions even under concurrency.
         """
         try:
             with _counting(self.stats):
@@ -232,10 +217,9 @@ class QueryEngine:
         ``score_builds`` / ``seconds`` afterwards.  Scopes nest — the
         engine's own per-execution attribution keeps updating
         :attr:`stats` — and concurrent requests on different threads
-        never observe each other's increments.  Everything the engine
-        runs in this process runs on the calling thread, so the scope
-        sees all of it; shard work in worker processes
-        (:meth:`execute_parallel`) is not counted.  A :meth:`stream`
+        never observe each other's increments.  The engine runs all of
+        its work on the calling thread, so the scope sees all of it.  A
+        :meth:`stream`
         created and iterated inside the scope is counted here, although
         :attr:`stats` never counts stream work (only ``execute``-family
         calls are attributed to the engine).
@@ -335,46 +319,16 @@ class QueryEngine:
         classified and planned (:func:`repro.core.planner.plan_query`,
         reusing the join tree or GHD of a plan of the same query under
         another ranking) and the plan enters the LRU.  With encoding active this is the
-        plan :meth:`execute` runs — the query's constants and ranking
-        translated into code space — so warm state and hit counters
-        reflect real executions.
-        """
-        return self._prepare(
-            query, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-        )[0]
-
-    def _prepare(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None,
-        *,
-        shards: int | None = None,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ) -> tuple[PreparedPlan, tuple | None]:
-        """Prepare for execution; returns the plan plus its code-space inputs.
-
-        With encoding active the query, ranking and weight kwarg are
-        translated into code space first (:meth:`_encoding_for`; that
-        translation is the second return value, ``None`` for plain
-        rows), so the fingerprint and the plan are the code-space ones.
-        ``shards`` (``None`` = serial) plans the sharding rewrite of the
-        query instead, partitioned on the planner-chosen attribute,
-        under a fingerprint extended with a ``__parallel__`` marker.
+        plan :meth:`execute` runs — the query's constants, ranking and
+        weight kwarg translated into code space first
+        (:meth:`_encoding_for`), so the fingerprint is the code-space
+        one and warm state and hit counters reflect real executions.
         """
         parsed = self.parse(query)
         encoding = self._encoding_for(parsed, ranking, kwargs)
         if encoding is not None:
             _ctx, parsed, ranking, kwargs = encoding
-        marked = kwargs
-        if shards is not None:
-            from ..data.partition import choose_partition_attribute, rewrite_for_sharding
-
-            attribute = choose_partition_attribute(parsed, self.db)
-            marked = {"__parallel__": (shards, attribute), **kwargs}
-        fingerprint = self._fingerprint(parsed, ranking, method, epsilon, delta, marked)
+        fingerprint = self._fingerprint(parsed, ranking, method, epsilon, delta, kwargs)
         prepared = None if fingerprint is None else self._plans.get(fingerprint)
         if fingerprint is None:
             self.stats.uncacheable += 1
@@ -384,12 +338,11 @@ class QueryEngine:
             self.stats.plan_misses += 1
         if prepared is None:
             started = time.perf_counter()
-            target = parsed if shards is None else rewrite_for_sharding(parsed)
             # The fingerprint without the ranking.
             shape_key = None if fingerprint is None else (fingerprint[0], *fingerprint[2:])
             shape = {} if shape_key is None else self._shapes.get(shape_key, {})
             plan = plan_query(
-                target,
+                parsed,
                 ranking,
                 method=method,
                 epsilon=epsilon,
@@ -399,8 +352,6 @@ class QueryEngine:
             if shape_key is not None and not shape:
                 built = {"join_tree": plan.join_tree, "ghd": plan.ghd}
                 self._shapes.put(shape_key, {k: v for k, v in built.items() if v is not None})
-            if shards is not None:
-                plan = plan.parallelised(attribute, shards)
             prepared = PreparedPlan(
                 plan,
                 fingerprint,
@@ -411,7 +362,7 @@ class QueryEngine:
                 self._plans.put(fingerprint, prepared)
         if encoding is not None:
             prepared.bind_encoding(encoding[0])
-        return prepared, encoding
+        return prepared
 
     # ------------------------------------------------------------------ #
     # encoded execution (storage-layer fast path)
@@ -520,9 +471,9 @@ class QueryEngine:
         emission — answers, scores, ties and order are identical to
         plain execution.
         """
-        prepared = self._prepare(
+        prepared = self.prepare(
             query, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
-        )[0]
+        )
         # Plans bound to an encoding context switch to the encoded image
         # and decode at emission inside make_enumerator.
         enum = prepared.make_enumerator(self.db, self.stats, budget=self._retained)
@@ -577,167 +528,26 @@ class QueryEngine:
         self.stats.record_execution(repr(parsed), time.perf_counter() - started)
         return answers
 
-    # ------------------------------------------------------------------ #
-    # parallel execution
-    # ------------------------------------------------------------------ #
-    def execute_parallel(
-        self,
-        query: QueryInput,
-        ranking: RankingFunction | None = None,
-        *,
-        shards: int,
-        backend: str = "processes",
-        k: int | None = None,
-        method: str = "auto",
-        epsilon: float | None = None,
-        delta: int | None = None,
-        **kwargs: Any,
-    ) -> list[RankedAnswer]:
-        """Sharded ranked execution: identical results on ``shards`` cores.
-
-        Hash-partitions the database on a planner-chosen join attribute
-        (:func:`repro.data.partition.choose_partition_attribute`), runs
-        one enumerator per shard in its own worker process and
-        recombines the shard streams with an order-preserving merge —
-        answers, scores and order are exactly those of :meth:`execute`.
-        ``backend="serial"`` runs the shards in-process instead: the
-        reference the tests compare against, never faster.
-
-        The plan is cached like a serial one, for the *rewritten* query
-        (:func:`~repro.data.partition.rewrite_for_sharding`) the shard
-        workers instantiate, under a fingerprint extended with the shard
-        configuration; the same entry backs ``explain``'s partition
-        report.  The :class:`~repro.data.partition.QueryPartition` is
-        built on the attribute that plan carries, cached per session and
-        revalidated against :attr:`Database.generation` like warm plan
-        state.  With encoding active the whole pipeline runs in code
-        space — partition hashing (under a dictionary-epoch tag, so
-        code-space shards never mix with value-space ones), worker joins
-        and the merge all compare dense ints — and answers decode as
-        they leave the merge.
-
-        ``shards <= 1`` falls through to the serial :meth:`execute`.
-
-        Examples
-        --------
-        >>> from repro.data import Database
-        >>> from repro.engine import QueryEngine
-        >>> db = Database()
-        >>> _ = db.add_relation("R", ("a", "b"), [(1, 10), (2, 10), (3, 99)])
-        >>> engine = QueryEngine(db)
-        >>> q = "Q(a1, a2) :- R(a1, p), R(a2, p)"
-        >>> serial = engine.execute(q)
-        >>> engine.execute_parallel(q, shards=2, backend="serial") == serial
-        True
-        """
-        if shards <= 1:
-            return self.execute(
-                query, ranking, k=k, method=method, epsilon=epsilon, delta=delta, **kwargs
-            )
-        from ..data.partition import partition_query
-        from ..parallel import stream_sharded
-
-        started = time.perf_counter()
-        parsed = self.parse(query)
-        with self._instrumented():
-            prepared, encoding = self._prepare(
-                parsed,
-                ranking,
-                shards=shards,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                **kwargs,
-            )
-            plan = prepared.plan
-            target, db, cache_tag = parsed, self.db, None
-            if encoding is not None:
-                ctx, target, ranking, kwargs = encoding
-                db, cache_tag = ctx.database, ("encoded", ctx.epoch)
-            key = (target, shards, plan.partition_attribute, cache_tag)
-            cached = self._partitions.get(key)
-            # Validated on the database *object* as well as its
-            # generation: a session whose ``engine.db`` was swapped for an
-            # equal-generation database must not be served the old
-            # database's shards.
-            if (
-                cached is not None
-                and cached[0] is self.db
-                and cached[1] == self.db.generation
-            ):
-                self.stats.partition_hits += 1
-                partition = cached[2]
-            else:
-                self.stats.partition_misses += 1
-                partition = partition_query(
-                    target, db, shards, attribute=plan.partition_attribute
-                )
-                self._partitions.put(key, (self.db, self.db.generation, partition))
-            stream = stream_sharded(
-                target,
-                db,
-                ranking,
-                shards=shards,
-                backend=backend,
-                k=k,
-                method=method,
-                epsilon=epsilon,
-                delta=delta,
-                partition=partition,
-                plan=plan,
-                **kwargs,
-            )
-            if encoding is not None:
-                stream = decoded_answers(
-                    stream, ctx.dictionary.values, ctx.decoder(plan.kind, plan.ranking)
-                )
-            answers = list(stream)
-        self.stats.parallel_executions += 1
-        self.stats.record_execution(repr(parsed), time.perf_counter() - started)
-        return answers
-
     def execute_many(
         self,
         queries: Sequence[QueryInput],
         ranking: RankingFunction | None = None,
         *,
         k: int | None = None,
-        backend: str = "processes",
-        max_workers: int | None = None,
         method: str = "auto",
         epsilon: float | None = None,
         delta: int | None = None,
     ) -> list[list[RankedAnswer]]:
         """Execute independent queries as a batch; results in input order.
 
-        With ``backend="processes"`` the queries are scheduled across a
-        worker pool — the database ships once per worker and each
-        worker runs its own session engine, so repeated queries inside
-        the batch hit a prepared-plan cache there too.  Other backends
-        run the batch through this engine serially (full plan-cache
-        reuse, no parallelism).  Every parsed query is also prepared in
-        this session's plan cache, so later :meth:`execute` calls of
-        the same queries start warm.
+        The batch runs through :meth:`execute` one query after another,
+        so a query repeated in the batch hits the plan cache.
         """
-        parsed = [self.parse(q) for q in queries]
-        for p in parsed:
-            self.prepare(p, ranking, method=method, epsilon=epsilon, delta=delta)
-        if backend == "processes" and len(parsed) > 1:
-            from ..parallel import run_many
-
-            started = time.perf_counter()
-            items = [(p, ranking, k, method, epsilon, delta) for p in parsed]
-            results = run_many(self.db, items, max_workers=max_workers)
-            elapsed = time.perf_counter() - started
-            for p in parsed:
-                self.stats.record_execution(repr(p), elapsed / max(len(parsed), 1))
-            self.stats.batch_executions += len(parsed)
-            return results
         out = [
-            self.execute(p, ranking, k=k, method=method, epsilon=epsilon, delta=delta)
-            for p in parsed
+            self.execute(q, ranking, k=k, method=method, epsilon=epsilon, delta=delta)
+            for q in queries
         ]
-        self.stats.batch_executions += len(parsed)
+        self.stats.batch_executions += len(out)
         return out
 
     # ------------------------------------------------------------------ #
@@ -751,29 +561,20 @@ class QueryEngine:
         method: str = "auto",
         epsilon: float | None = None,
         delta: int | None = None,
-        shards: int | None = None,
         **kwargs: Any,
     ) -> dict[str, Any]:
         """The plan summary the CLI's ``--explain`` prints.
 
         Returns a dict with the query class, selected algorithm, ranking
         description, the paper's delay guarantee, ``|D|`` and whether
-        the plan came from the cache.  When ``shards > 1`` the plan is
-        the parallel one and the summary additionally carries the
-        chosen ``"partition attribute"`` and ``"shards"``.
+        the plan came from the cache.
         """
         parsed = self.parse(query)
         before_hits = self.stats.plan_hits
-        prepared = self._prepare(
-            parsed,
-            ranking,
-            shards=shards if shards is not None and shards > 1 else None,
-            method=method,
-            epsilon=epsilon,
-            delta=delta,
-            **kwargs,
-        )[0]
-        info = {
+        prepared = self.prepare(
+            parsed, ranking, method=method, epsilon=epsilon, delta=delta, **kwargs
+        )
+        return {
             "query class": classify_query(parsed),
             "algorithm": prepared.plan.enumerator_class.__name__,
             "plan": prepared.plan.describe(),
@@ -782,10 +583,6 @@ class QueryEngine:
             "|D|": self.db.size,
             "cached plan": self.stats.plan_hits > before_hits,
         }
-        if prepared.plan.is_parallel:
-            info["partition attribute"] = prepared.plan.partition_attribute
-            info["shards"] = prepared.plan.partition_shards
-        return info
 
     # ------------------------------------------------------------------ #
     # cache control
@@ -796,13 +593,12 @@ class QueryEngine:
             prepared.drop_warm_state()
         self._data.clear()
         self._retained.clear()
-        self._partitions.clear()
         self._encoded = None
         self._encode_broken_generation = None
         self._encode_auto = None
 
     def clear_caches(self) -> None:
-        """Drop every cached parse, plan and partition (counters are kept)."""
+        """Drop every cached parse and plan (counters are kept)."""
         self._queries.clear()
         self._plans.clear()
         self._shapes.clear()

@@ -2,8 +2,8 @@
 
 Shared by the engine's parsed-query and prepared-plan caches.  Kept
 deliberately dependency-free (an :class:`collections.OrderedDict` with
-move-to-end on read) so it can be reused by future layers — result
-caches, shard routing tables — without dragging the engine in.
+move-to-end on read) so other layers can reuse it without dragging
+the engine in.
 """
 
 from __future__ import annotations

@@ -155,12 +155,8 @@ class EngineStats:
     uncacheable:
         Prepare calls whose kwargs could not be fingerprinted (planned
         fresh, never cached).
-    partition_hits / partition_misses:
-        Shard-partition cache (query + attribute + shard count ->
-        shard databases, revalidated against the generation counter).
-    parallel_executions / batch_executions:
-        Executions served by :meth:`QueryEngine.execute_parallel` and
-        queries served by :meth:`QueryEngine.execute_many`.
+    batch_executions:
+        Queries served by :meth:`QueryEngine.execute_many`.
     encode_builds / encode_fallbacks:
         Dictionary (re)builds of the encoded database image, and
         executions that fell back to plain-row execution (unsupported
@@ -168,18 +164,16 @@ class EngineStats:
     kernel_calls / kernel_fallbacks:
         Vectorised-kernel invocations (semi-join masks, grouping, bag
         joins — see :mod:`repro.storage.kernels`) made while serving
-        this engine's ``execute`` / ``execute_parallel`` calls, and the
-        operations that fell back to row-at-a-time Python because the
-        data was not exactly integer-representable (or a packed key
-        overflowed).  Zero for both when NumPy is not installed.
-        Attribution is scoped and thread-safe: each execution collects
-        its own tally (:meth:`repro.storage.kernels.KernelCounters.collect`)
-        on the thread that runs it, and concurrent engines never observe
-        each other's increments.  The shard-side kernel work of
-        ``execute_parallel`` (done in worker processes) goes unreported,
-        and so does the work of an enumerator from
-        :meth:`QueryEngine.stream`: its warm-up and every answer the
-        caller pulls run outside any execution scope (50 answers of
+        this engine's ``execute`` calls, and the operations that fell
+        back to row-at-a-time Python because the data was not exactly
+        integer-representable (or a packed key overflowed).  Zero for
+        both when NumPy is not installed.  Attribution is scoped and
+        thread-safe: each execution collects its own tally
+        (:meth:`repro.storage.kernels.KernelCounters.collect`) on the
+        thread that runs it, and concurrent engines never observe each
+        other's increments.  The work of an enumerator from
+        :meth:`QueryEngine.stream` goes unreported: its warm-up and
+        every answer the caller pulls run outside any execution scope (50 answers of
         the DBLP-like 3hop query through ``stream`` add 0 kernel calls;
         ``execute(k=50)`` adds 6).  :meth:`QueryEngine.measure` around
         the iteration counts it.
@@ -238,9 +232,6 @@ class EngineStats:
         "data_hits",
         "data_builds",
         "uncacheable",
-        "partition_hits",
-        "partition_misses",
-        "parallel_executions",
         "batch_executions",
         "encode_builds",
         "encode_fallbacks",
@@ -280,9 +271,6 @@ class EngineStats:
         self.data_hits = 0
         self.data_builds = 0
         self.uncacheable = 0
-        self.partition_hits = 0
-        self.partition_misses = 0
-        self.parallel_executions = 0
         self.batch_executions = 0
         self.encode_builds = 0
         self.encode_fallbacks = 0
@@ -340,9 +328,6 @@ class EngineStats:
             "data_hits": self.data_hits,
             "data_builds": self.data_builds,
             "uncacheable": self.uncacheable,
-            "partition_hits": self.partition_hits,
-            "partition_misses": self.partition_misses,
-            "parallel_executions": self.parallel_executions,
             "batch_executions": self.batch_executions,
             "encode_builds": self.encode_builds,
             "encode_fallbacks": self.encode_fallbacks,

@@ -310,22 +310,11 @@ class ServiceClient:
         k: int | None = None,
         rank: str | None = None,
         desc: Any = None,
-        shards: int | None = None,
         deadline: float | None = None,
     ) -> list[tuple[tuple, Any]]:
-        """One-shot ranked execution (no cursor); answers materialised.
-
-        ``shards > 1`` runs the query sharded across that many worker
-        processes on the server; answers are identical either way.
-        """
+        """One-shot ranked execution (no cursor); answers materialised."""
         payload = self.request(
-            "execute",
-            query=query,
-            k=k,
-            rank=rank,
-            desc=desc,
-            shards=shards,
-            deadline=deadline,
+            "execute", query=query, k=k, rank=rank, desc=desc, deadline=deadline
         )
         self.last_stats = payload.get("stats")
         return decode_answers(payload["answers"])

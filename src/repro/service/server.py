@@ -138,7 +138,7 @@ class ReproServer:
     ----------
     engine:
         The session engine to serve.  All warm state (plans, encoded
-        image, partitions, score columns) is shared across every
+        image, score columns) is shared across every
         connection and tenant — that sharing is what admission control
         arbitrates.
     host / port:
@@ -489,18 +489,14 @@ class ReproServer:
     def _prepare_execute_work(self, message: dict) -> Callable[[], dict]:
         query_text = _require_str(message, "query")
         k = _optional_int(message, "k", floor=1)
-        shards = _optional_int(message, "shards", floor=1) or 1
         ranking = self._ranking_for(message)
+        # Clients written when execution could shard may still send
+        # ``shards``; sharding never changed the answers, so it is ignored.
 
         def work() -> dict:
             with self.engine.measure() as request:
                 parsed = self.engine.parse(query_text)
-                if shards > 1:
-                    answers = self.engine.execute_parallel(
-                        parsed, ranking, shards=shards, k=k
-                    )
-                else:
-                    answers = self.engine.execute(parsed, ranking, k=k)
+                answers = self.engine.execute(parsed, ranking, k=k)
             self.stats.answers_served += len(answers)
             return {
                 "head": list(parsed.head),

@@ -4,7 +4,7 @@ This package is the only place in the library that owns *physical*
 tuple storage.  The logical surface (:class:`repro.data.relation.Relation`)
 delegates here, and everything above the data layer — the enumerators
 in :mod:`repro.core`, the algorithm family in :mod:`repro.algorithms`,
-the engine and the parallel subsystem — reaches tuples exclusively
+and the engine — reaches tuples exclusively
 through the relation's :class:`ScanPath` (enforced by
 ``tools/check_layering.py`` in CI).
 
@@ -19,7 +19,7 @@ Three ideas live here:
 * dictionary encoding (:class:`Dictionary`, :class:`EncodedDatabase`) —
   an order-preserving mapping of every database value to a dense
   integer code.  The engine executes queries over the encoded image of
-  the database (joins, semi-joins, partitioning and heap tie-breaks all
+  the database (joins, semi-joins and heap tie-breaks all
   compare small ints) and decodes only at ``RankedAnswer`` emission, so
   scores, ties and order are identical to plain execution.
 """

@@ -4,7 +4,7 @@ A :class:`ColumnStore` keeps one Python list per column plus a mutation
 *version* counter.  Consumers that want row tuples get them from a
 lazily built, cached row view (``zip(*columns)`` is a single C-level
 pass); consumers that want a column — projections, dictionary encoding,
-partition hashing — read it directly without touching the other
+code matrices — read it directly without touching the other
 columns.  The version counter is what every derived structure
 (:class:`repro.storage.paths.AccessPathCache`, the engine's encoded
 image of the database) validates against, so views that *share* a store

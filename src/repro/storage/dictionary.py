@@ -3,8 +3,8 @@
 One :class:`Dictionary` spans a whole database: every distinct value in
 any column of any relation receives one dense integer code.  A single
 global code space is what makes *encoded equality = value equality
-across relations* — the property every hash join, semi-join, shard
-assignment and duplicate check relies on — without per-query
+across relations* — the property every hash join, semi-join and
+duplicate check relies on — without per-query
 translation tables.
 
 Codes are assigned **order-preserving within type groups**: all numeric

@@ -13,8 +13,8 @@ with everything needed to execute queries over it transparently:
   are bit-identical to plain execution, and LEX keys compare codes —
   order-isomorphic to the raw values by the dictionary's
   order-preservation guarantee;
-* **decode at emission** (:func:`decoded_answers`, shared by
-  :class:`DecodingEnumerator` and the engine's sharded pipeline):
+* **decode at emission** (:func:`decoded_answers`, behind
+  :class:`DecodingEnumerator`):
   answers leave the enumerator as codes and are translated back to
   values (and LEX scores to value tuples) at the last possible moment.
 
@@ -113,8 +113,8 @@ class DecodingWeight(WeightFunction):
         return self.base.describe()
 
     def __getstate__(self):
-        # Workers rebuild the memo on their own shard's access pattern;
-        # _UNSET is process-local so the arrays must not travel.
+        # A copy rebuilds the memo on its own access pattern; _UNSET is
+        # process-local so the arrays must not travel.
         return (self.base, self.dictionary)
 
     def __setstate__(self, state) -> None:
@@ -202,8 +202,7 @@ def decoded_answers(
     plan-specific ``decode_score`` and :attr:`RankedAnswer.key` passes
     through unchanged (keys are only compared, never displayed, and all
     streams of one execution share the dictionary, so comparisons stay
-    consistent).  Closing the generator closes the source stream, which
-    releases parallel shard workers early.
+    consistent).  Closing the generator closes the source stream.
     """
     stream = iter(answers)
     try:

@@ -71,16 +71,14 @@ __all__ = [
     "pack_pair",
     "semijoin_mask",
     "set_enabled",
-    "shard_ids",
 ]
 
 Row = tuple
 
-#: Below this many input rows the per-call dispatch sites — the
-#: standalone ``semijoin``/``antijoin`` helpers (total rows across both
-#: sides) and shard partitioning (relation size) — stay on the
-#: single-pass Python implementations, where per-call array conversion
-#: or kernel setup would cost more than it saves.  Read at every
+#: Below this many input rows (across both sides) the standalone
+#: ``semijoin``/``antijoin`` helpers, the one per-call dispatch site,
+#: stay on the single-pass Python implementation, where per-call array
+#: conversion would cost more than it saves.  Read at every
 #: dispatch, so a test can force kernels onto tiny inputs by patching
 #: it.  (The batched reducer path converts through store-level caches
 #: and has no such floor.)
@@ -117,11 +115,9 @@ class KernelCounters:
     lock.  Attribution to one engine is done with *tally scopes*: a
     caller enters :meth:`collect`, and every increment made on the same
     thread is added to the scope's :class:`Tally` as well.  All counted
-    work runs on the thread that opened the scope (sharded executions
-    run their shards in other *processes*, which count nothing here),
-    so two engines executing concurrently on different threads never
-    see each other's increments — the race the old snapshot-diff
-    accounting had.
+    work runs on the thread that opened the scope, so two engines
+    executing concurrently on different threads never see each other's
+    increments — the race the old snapshot-diff accounting had.
     """
 
     __slots__ = ("calls", "fallbacks", "reasons", "_lock", "_local")
@@ -296,28 +292,6 @@ def rows_exactly_int(rows: Sequence[Row], positions: Sequence[int] | None = None
     return all(
         all(map(is_, map(type, map(itemgetter(i), rows)), repeat(int))) for i in positions
     )
-
-
-# ---------------------------------------------------------------------- #
-# shard assignment: hash a whole key column in one array op
-# ---------------------------------------------------------------------- #
-def shard_ids(values: Sequence[Any], shards: int):
-    """Stable shard index per value as a plain list, or ``None``.
-
-    The vectorised twin of ``stable_shard`` in
-    :mod:`repro.data.partition`, for the columns where the two are
-    *provably* identical: exactly-integer columns, where the stable
-    hash is the value itself and ``%`` with a positive modulus agrees
-    between NumPy and Python (both floor, including for negatives).
-    Anything else — floats, strings, bools-as-a-column — refuses, and
-    the caller runs the per-row CRC loop.
-    """
-    arr = column_array(values)
-    if arr is None:
-        counters.record_fallback("conversion")
-        return None
-    counters.record_call()
-    return (arr % shards).tolist()
 
 
 # ---------------------------------------------------------------------- #

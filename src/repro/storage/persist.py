@@ -64,12 +64,10 @@ __all__ = [
     "MappedDictionary",
     "Snapshot",
     "SnapshotError",
-    "SnapshotShardRef",
     "open_database",
     "open_snapshot",
     "save_snapshot",
     "snapshot_handle",
-    "snapshot_shard_refs",
 ]
 
 #: Manifest ``format`` tag — anything else is not ours.
@@ -250,7 +248,7 @@ class MappedColumnStore(ColumnStore):
 class MappedDictionary(Dictionary):
     """A snapshot-backed dictionary that pickles as a path reference.
 
-    Process-backend workers receive ``(directory,)`` and reload the
+    It pickles as ``(directory,)``: the receiving process reloads the
     value list from the snapshot's ``dictionary.json`` (shared per
     process) instead of shipping tens of thousands of values through the
     pickle stream.  An extended dictionary (incremental appends after
@@ -764,8 +762,8 @@ class Snapshot:
 #: weakly keyed, so closing the last reference drops the mapping.
 _SNAPSHOTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: Per-process reopen cache backing the pickle hooks: every shard job a
-#: worker receives remaps the *same* pages instead of reopening.
+#: Per-process reopen cache backing the pickle hooks: every store a
+#: process unpickles remaps the *same* pages instead of reopening.
 _OPEN_CACHE: dict[str, Snapshot] = {}
 _OPEN_LOCK = threading.Lock()
 
@@ -810,120 +808,3 @@ def snapshot_handle(db) -> Snapshot | None:
         return _SNAPSHOTS.get(db)
     except TypeError:  # unhashable/foreign objects: not ours
         return None
-
-
-# ---------------------------------------------------------------------- #
-# zero-copy process shards
-# ---------------------------------------------------------------------- #
-class SnapshotShardRef:
-    """``(snapshot path, shard spec)``: a shard database by reference.
-
-    What the process backend ships *instead of* a pickled shard
-    database: the worker remaps the snapshot files (shared per process)
-    and rebuilds its shard — replicated relations as views over the
-    mapped store, partitioned relations by re-running the deterministic
-    shard assignment and keeping its own bucket.
-    """
-
-    __slots__ = ("directory", "index", "shards", "plan")
-
-    def __init__(self, directory: str, index: int, shards: int, plan: tuple):
-        self.directory = directory
-        self.index = index
-        self.shards = shards
-        #: ``(shard-local name, source relation, kind, partition column
-        #: or None)`` per atom of the rewritten query.
-        self.plan = plan
-
-    def build_database(self):
-        from ..data.database import Database
-        from ..data.partition import _partition_rows
-        from ..data.relation import Relation
-
-        snapshot = _open_cached(self.directory)
-        db = Database()
-        buckets: dict[tuple, list] = {}  # self-joins share one bucket
-        for new_name, source, kind, column in self.plan:
-            entry = snapshot._relation_entry(source)
-            attrs = tuple(entry["attrs"])
-            store = snapshot.store(source, kind)
-            if column is None:
-                db.add(Relation._from_store(new_name, attrs, store))
-                continue
-            key = (source, kind, column)
-            columns = buckets.get(key)
-            if columns is None:
-                columns = buckets[key] = self._bucket_columns(store, attrs, column)
-            if columns is not None:
-                shard_store = ColumnStore.from_columns(columns)
-                db.add(Relation._from_store(new_name, attrs, shard_store))
-            else:
-                rel = Relation._from_store(source, attrs, store)
-                rows = _partition_rows(rel, column, self.shards)[self.index]
-                db.add(Relation(new_name, attrs, rows))
-        return db
-
-    def _bucket_columns(self, store, attrs: tuple, column):
-        """This shard's bucket of a codes-kind mapped store, as column
-        lists, vectorised.
-
-        Integer shard keys bucket as ``value % shards`` (the scalar
-        ``_stable_hash`` maps ints to themselves and
-        :func:`repro.storage.kernels.shard_ids` matches it), so one
-        boolean mask selects exactly this shard's rows — no decoding,
-        no materialising the other buckets.  Only exact for codes-kind
-        stores, whose scan values *are* the matrix ints; base-kind
-        relations hash decoded values and take the generic path
-        (returns ``None``).
-        """
-        if not (kernels.HAS_NUMPY and isinstance(store, MappedColumnStore)):
-            return None
-        if not store._mapped or store._decode_values is not None:
-            return None
-        matrix = store._matrix
-        col = column if isinstance(column, int) else attrs.index(column)
-        bucket = matrix[(matrix[:, col] % self.shards) == self.index]
-        return [bucket[:, j].tolist() for j in range(bucket.shape[1])]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SnapshotShardRef({self.directory!r}, shard {self.index}/"
-            f"{self.shards}, {len(self.plan)} atoms)"
-        )
-
-
-def snapshot_shard_refs(database, partition) -> list[SnapshotShardRef] | None:
-    """Per-shard path references for a partition, or ``None``.
-
-    Succeeds only when every source relation of the partition plan is
-    still a mapped (never-mutated) snapshot store from one directory —
-    anything else means the files may not reflect the data, and the
-    backend falls back to shipping pickled shard databases.
-    """
-    plan = getattr(partition, "shard_plan", None)
-    if not plan:
-        return None
-    directories = set()
-    entries = []
-    for new_name, source, column in plan:
-        rel = database.get(source)
-        store = getattr(rel, "_store", None)
-        if (
-            not isinstance(store, MappedColumnStore)
-            or not store._mapped
-            or store._source is None
-        ):
-            return None
-        directory, stored_name, kind = store._source
-        if stored_name != source:
-            return None
-        directories.add(directory)
-        entries.append((new_name, source, kind, column))
-    if len(directories) != 1:
-        return None
-    directory = directories.pop()
-    plan_tuple = tuple(entries)
-    return [
-        SnapshotShardRef(directory, index, partition.shards, plan_tuple)
-        for index in range(partition.shards)
-    ]

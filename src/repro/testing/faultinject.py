@@ -2,12 +2,12 @@
 
 Crash-safety code is exactly the code that never runs in a happy-path
 test suite: the fsync that fails, the write torn at byte N, the
-connection dropped mid-page, the shard worker that dies, the clock that
-jumps past a TTL.  This module plants named **fault points** through the
-journal (:mod:`repro.storage.journal`), the snapshot writer
-(:mod:`repro.storage.persist`), the server and client
-(:mod:`repro.service`) and the parallel workers, and lets a test arm
-them with a :class:`FaultPlan`:
+connection dropped mid-page, the clock that jumps past a TTL.  This
+module plants named **fault points** through the journal
+(:mod:`repro.storage.journal`), the snapshot writer
+(:mod:`repro.storage.persist`) and the server and client
+(:mod:`repro.service`), and lets a test arm them with a
+:class:`FaultPlan`:
 
 >>> from repro.testing.faultinject import FaultPlan, inject, fault_point
 >>> plan = FaultPlan().fail("journal.fsync", at=2)
@@ -51,8 +51,6 @@ point                where it fires
 ``server.work``      inside query/fetch executor work (``delay`` =
                      a slow request, for deadline tests)
 ``client.connect``   before the client opens its TCP connection
-``parallel.worker``  inside each shard worker's enumeration
-                     (``fail`` = shard-worker death)
 ``clock``            no explicit point: :func:`clock` adds the plan's
                      ``jump_clock`` offset to ``time.monotonic()``
 ===================  ====================================================

@@ -187,11 +187,10 @@ def test_ranking_identity_direct(name):
 
 
 @pytest.mark.parametrize("encode", [False, True])
-@pytest.mark.parametrize("shards", [0, 3])
 @pytest.mark.parametrize("use_kernels", [True, False])
-def test_engine_grid_identity(encode, shards, use_kernels):
-    """encoded x sharded x kernels, k small and large: the engine's
-    ``top_k`` equals the baseline in every answer, score and tie."""
+def test_engine_grid_identity(encode, use_kernels):
+    """encoded x kernels, k small and large: the engine's ``top_k``
+    equals the baseline in every answer, score and tie."""
     db = chain_db(n=400)  # 400 distinct answers
     query = CHAIN3
     ranking = SumRanking(table_weight(range(400)))
@@ -199,13 +198,7 @@ def test_engine_grid_identity(encode, shards, use_kernels):
     scores.set_enabled(use_kernels)
     try:
         for k in (25, 300):
-            engine = QueryEngine(db, encode=encode)
-            if shards > 1:
-                answers = engine.execute_parallel(
-                    query, ranking, shards=shards, backend="serial", k=k
-                )
-            else:
-                answers = engine.execute(query, ranking, k=k)
+            answers = QueryEngine(db, encode=encode).execute(query, ranking, k=k)
             assert output(answers) == output(baseline_top_k(query, db, ranking, k))
             assert len(answers) == k
     finally:
@@ -340,9 +333,13 @@ class TestFallbackReasons:
         assert output(got) == output(baseline_top_k(query, db, ranking, 5))
 
     def test_kernel_conversion_reason(self):
+        """String keys refuse the semi-join mask kernel's int64 arrays."""
+        from repro.algorithms.semijoin import semijoin
+
+        rows = [(f"v{i}", "h") for i in range(kernels.KERNEL_MIN_ROWS)]
         before = kernels.counters.reasons_snapshot().get("conversion", 0)
         with kernels.counters.collect() as tally:
-            kernels.shard_ids(["x", "y"], 4)
+            semijoin(rows, (0, 1), rows, (0, 1))
         assert tally.reasons.get("conversion", 0) >= 1
         # the process-wide dict accumulated the same reason
         assert kernels.counters.reasons_snapshot().get("conversion", 0) >= before + 1
@@ -581,18 +578,11 @@ GRID_CASES = {
 }
 
 
-GRID_MODES = ["plain", "encoded", "sharded", "encoded+sharded", "no-numpy"]
+GRID_MODES = ["plain", "encoded", "no-numpy"]
 
 
 @pytest.mark.parametrize(
-    "case, mode",
-    [
-        (case, mode)
-        for case in sorted(GRID_CASES)
-        for mode in GRID_MODES
-        # The partitioner serves acyclic plans, not the star structure.
-        if not ("sharded" in mode and GRID_CASES[case][3])
-    ],
+    "case, mode", [(case, mode) for case in sorted(GRID_CASES) for mode in GRID_MODES]
 )
 def test_workload_grid_identity(case, mode):
     """``top_k(1000)`` in every execution mode equals the baseline."""
@@ -604,13 +594,8 @@ def test_workload_grid_identity(case, mode):
     kernels.set_enabled(vectorised)
     scores.set_enabled(vectorised)
     try:
-        engine = QueryEngine(db, encode="encoded" in mode)
-        if "sharded" in mode:
-            answers = engine.execute_parallel(
-                text, ranking, shards=3, backend="serial", k=1000
-            )
-        else:
-            answers = engine.execute(text, ranking, k=1000, **extra)
+        engine = QueryEngine(db, encode=mode == "encoded")
+        answers = engine.execute(text, ranking, k=1000, **extra)
     finally:
         kernels.set_enabled(True)
         scores.set_enabled(True)

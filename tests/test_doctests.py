@@ -13,11 +13,8 @@ import repro.core.ucq
 import repro.core.acyclic
 import repro.core.minweight
 import repro.data.index
-import repro.data.partition
 import repro.data.relation
 import repro.data.database
-import repro.parallel.executor
-import repro.parallel.merge
 import repro.query.parser
 import repro.query.query
 import repro.query.hypergraph
@@ -38,11 +35,8 @@ MODULES = [
     repro.core.acyclic,
     repro.core.minweight,
     repro.data.index,
-    repro.data.partition,
     repro.data.relation,
     repro.data.database,
-    repro.parallel.executor,
-    repro.parallel.merge,
     repro.query.parser,
     repro.query.query,
     repro.query.hypergraph,

@@ -1,8 +1,7 @@
 """Characterisation of one mixed QueryEngine session.
 
 Pins the observable surface of the engine layer — every ``EngineStats``
-counter, the ``RequestCounters`` keys, the shard partition a parallel
-execution used — across prepare / execute / sharded execution /
+counter and the ``RequestCounters`` keys — across prepare / execute /
 explain / a write / ``invalidate()``, on int-keyed data (plain rows) and
 on string-keyed data (the dictionary-encoded image).  ``repro --stats``,
 the service ``stats`` payload and the end-to-end benchmark's work counts
@@ -15,7 +14,6 @@ import warnings
 
 import pytest
 
-import repro.parallel
 from repro.data import Database
 from repro.engine import QueryEngine
 from repro.storage import kernels
@@ -39,36 +37,25 @@ def make_db(string_keys: bool) -> Database:
     return db
 
 
-def run_session(db: Database, monkeypatch):
+def run_session(db: Database):
     """The fixed session.
 
-    Returns the engine, the request counters of one measured call, the
-    ``explain`` summary and the partitions handed to the shard pipeline.
-    Sharded runs use the in-process ``serial`` backend so that their
-    shard work is counted too.
+    Returns the engine and the request counters of one measured call.
     """
-    partitions = []
-    original = repro.parallel.stream_sharded
-
-    def spy(*args, **kwargs):
-        partitions.append(kwargs["partition"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(repro.parallel, "stream_sharded", spy)
     engine = QueryEngine(db)
     engine.prepare(QUERY)
-    serial = engine.execute(QUERY, k=5)
-    assert engine.execute(QUERY, k=5) == serial
     with engine.measure() as request:
-        assert engine.execute_parallel(QUERY, shards=2, backend="serial", k=5) == serial
-    full = engine.execute_parallel(QUERY, shards=2, backend="serial")
-    assert full[:5] == serial
-    info = engine.explain(QUERY, shards=2)
+        first = engine.execute(QUERY, k=5)
+    assert engine.execute(QUERY, k=5) == first
+    assert engine.execute(QUERY, k=5) == first
+    full = engine.execute(QUERY)
+    assert full[:5] == first
+    assert engine.explain(QUERY)["cached plan"]
     db.get("R").add((41, db.get("S").tuples[0][0]))
     engine.execute(QUERY, k=5)
     engine.invalidate()
     engine.execute(QUERY, k=5)
-    return engine, request, info, partitions
+    return engine, request
 
 
 def counted(snapshot: dict) -> list:
@@ -101,10 +88,11 @@ def expected(
         ("invalidations", invalidations),
         ("delta_applies", delta_applies),
         ("delta_fallbacks", 0),
-        # The second execution keeps ranked state.  On plain rows the
-        # write carries it over and the next execution restarts from it;
+        # The second execution keeps ranked state, and the third and
+        # the full execution restart from it.  On plain rows the write
+        # carries it over and the next execution restarts from it too;
         # on the encoded image the write orphans the plan instead.
-        ("ranked_restarts", carryovers),
+        ("ranked_restarts", 2 + carryovers),
         ("ranked_evictions", 0),
         ("ranked_carryovers", carryovers),
         ("ranked_groups_dropped", 0),
@@ -114,9 +102,6 @@ def expected(
         ("data_hits", 0),
         ("data_builds", 3),
         ("uncacheable", 0),
-        ("partition_hits", 1),
-        ("partition_misses", 1),
-        ("parallel_executions", 2),
         ("batch_executions", 0),
         ("encode_builds", encode_builds),
         ("encode_fallbacks", 0),
@@ -124,8 +109,9 @@ def expected(
         ("kernel_fallbacks", 0),
         ("score_builds", score_builds),
         ("score_fallbacks", 0),
-        # Every k-limited execution builds its queues and pops them.
-        ("batched_combines", 8),
+        # The first two executions and the two after the write build
+        # queues; a restart builds none.
+        ("batched_combines", 4),
         # Retired: no top-k path other than the queues.
         ("bulk_topk_calls", 0),
         ("bulk_topk_fallbacks", 0),
@@ -140,14 +126,14 @@ EXPECTED = {
     # Plain rows: the write drops the warm plan's reduction for a rebuild
     # and carries its ranked state over to it.
     False: expected(
-        6, 2, invalidations=1, delta_applies=0, encode_builds=0, kernel_calls=21,
-        score_builds=7, carryovers=1,
+        7, 1, invalidations=1, delta_applies=0, encode_builds=0, kernel_calls=9,
+        score_builds=3, carryovers=1,
     ),
     # Encoded image: the write re-encodes, orphaning the code-space plans
     # and rebuilding their score columns.
     True: expected(
-        4, 4, invalidations=1, delta_applies=0, encode_builds=3, kernel_calls=24,
-        score_builds=10, carryovers=0,
+        5, 3, invalidations=1, delta_applies=0, encode_builds=3, kernel_calls=12,
+        score_builds=6, carryovers=0,
     ),
 }
 
@@ -164,27 +150,38 @@ REQUEST_KEYS = [
 
 
 @pytest.mark.parametrize("string_keys", [False, True], ids=["int", "str"])
-def test_engine_stats_snapshot(string_keys, monkeypatch):
+def test_engine_stats_snapshot(string_keys):
     pytest.importorskip("numpy")
-    engine, _, _, _ = run_session(make_db(string_keys), monkeypatch)
+    engine, _ = run_session(make_db(string_keys))
     assert counted(engine.stats.snapshot()) == EXPECTED[string_keys]
 
 
 @pytest.mark.parametrize("string_keys", [False, True], ids=["int", "str"])
-def test_request_counters_keys(string_keys, monkeypatch):
-    _, request, _, _ = run_session(make_db(string_keys), monkeypatch)
+def test_request_counters_keys(string_keys):
+    _, request = run_session(make_db(string_keys))
     snapshot = request.snapshot()
     assert list(snapshot) == REQUEST_KEYS
     if kernels.enabled():
         assert snapshot["kernel_calls"] > 0
 
 
-@pytest.mark.parametrize("string_keys", [False, True], ids=["int", "str"])
-def test_partition_attribute_matches_explain(string_keys, monkeypatch):
-    _, _, info, partitions = run_session(make_db(string_keys), monkeypatch)
-    assert len(partitions) == 2
-    assert {p.attribute for p in partitions} == {info["partition attribute"]}
-    assert info["shards"] == 2
+def test_execute_many_serial_backend():
+    db = Database()
+    db.add_relation("E", ("a", "p"), [(i, i % 3) for i in range(12)])
+    engine = QueryEngine(db)
+    queries = [
+        "Q(a1, a2) :- E(a1, p), E(a2, p)",
+        "Q(x) :- E(x, y)",
+        "Q(a1, a2) :- E(a1, p), E(a2, p)",
+    ]
+    results = engine.execute_many(queries, k=5)
+    assert results[0] == results[2]
+    assert results[1] == engine.execute("Q(x) :- E(x, y)", k=5)
+    assert engine.stats.batch_executions == 3
+    # One plan miss per distinct query; the repeat in the batch, and the
+    # execute after it, hit the session plan cache.
+    assert engine.stats.plan_misses == 2
+    assert engine.stats.plan_hits == 2
 
 
 def test_counts_after_kernels_reload():

@@ -1,19 +1,18 @@
-"""On-disk snapshots: round-trips, refusal, copy-on-write, shard refs.
+"""On-disk snapshots: round-trips, refusal, copy-on-write, pickling.
 
 The persistence contract of :mod:`repro.storage.persist`:
 
 * round-trip: ``save_snapshot`` → ``open_database`` serves answers
   bit-identical to the saved database across query classes (acyclic,
-  star, cyclic), rankings, encoded execution and sharded execution;
+  star, cyclic), rankings and encoded execution;
 * exact-or-refuse: truncated/corrupted/foreign snapshots refuse with
   :class:`SnapshotError` instead of half-opening, and unrepresentable
   values refuse on save;
 * immutability: snapshot files never change; mutation copy-on-write
   detaches the in-RAM store and post-open writes replay as deltas,
   matching a cold rebuild;
-* by-reference shipping: mapped stores/dictionaries pickle as path
-  references and :class:`SnapshotShardRef` rebuilds exactly the shard
-  the generic partitioner would have produced.
+* by-reference pickling: mapped stores/dictionaries pickle as path
+  references.
 
 White-box access to the storage layer is fine here (tests are outside
 the layering gate's scope).
@@ -30,9 +29,7 @@ import pytest
 from repro.core.planner import enumerate_ranked
 from repro.core.ranking import LexRanking, SumRanking, TableWeight
 from repro.data import Database, save_database_dir
-from repro.data.partition import _partition_rows, partition_query
 from repro.engine import QueryEngine
-from repro.parallel.backends import ShardJob
 from repro.query import parse_query
 from repro.storage import (
     SnapshotError,
@@ -46,7 +43,6 @@ from repro.storage.persist import (
     MappedDictionary,
     _OPEN_CACHE,
     open_snapshot,
-    snapshot_shard_refs,
 )
 
 needs_numpy = pytest.mark.skipif(
@@ -138,15 +134,6 @@ class TestRoundTrip:
         assert _pairs(engine.execute(text, ranking)) == _pairs(
             cold.execute(text, ranking)
         )
-
-    @pytest.mark.parametrize("case", range(len(_CASES)))
-    def test_sharded_identical_after_reopen(self, case, tmp_path):
-        make_db, text, ranking = _CASES[case]
-        save_snapshot(make_db(), tmp_path / "snap")
-        engine = QueryEngine(tmp_path / "snap")
-        serial = engine.execute(text, ranking)
-        sharded = engine.execute_parallel(text, ranking, shards=2, backend="serial")
-        assert _pairs(sharded) == _pairs(serial)
 
     def test_relations_and_values_roundtrip(self, tmp_path):
         db = Database()
@@ -369,7 +356,7 @@ class TestPickling:
         clone = pickle.loads(payload)
         assert isinstance(clone, MappedColumnStore) and clone._mapped
         assert clone.rows() == store.rows()
-        # Two jobs in one process share one mapping.
+        # Two unpickles in one process share one mapping.
         assert pickle.loads(pickle.dumps(store)) is clone
 
     def test_detached_store_ships_values(self, tmp_path):
@@ -390,101 +377,6 @@ class TestPickling:
         extended.extend_with(["zzz-new"])
         shipped = pickle.loads(pickle.dumps(extended))
         assert shipped.values == extended.values
-
-    def test_shard_job_drops_database(self, tmp_path):
-        snap = save_snapshot(_path_db(), tmp_path / "snap")
-        db = open_database(snap)
-        query = parse_query("Q(x, z) :- R(x, y), S(y, z)")
-        partition = partition_query(query, db, 2)
-        refs = snapshot_shard_refs(db, partition)
-        assert refs is not None and len(refs) == 2
-        job = ShardJob(partition.query, db, snapshot_ref=refs[0])
-        clone = pickle.loads(pickle.dumps(job))
-        assert clone.db is None  # the database travelled by reference
-        rebuilt = clone.snapshot_ref.build_database()
-        assert {r.name for r in rebuilt} == {e[0] for e in clone.snapshot_ref.plan}
-
-
-# --------------------------------------------------------------------- #
-# zero-copy shard refs
-# --------------------------------------------------------------------- #
-@needs_numpy
-class TestShardRefs:
-    def _refs(self, tmp_path, make_db, text, shards=3):
-        save_snapshot(make_db(), tmp_path / "snap")
-        db = open_database(tmp_path / "snap")
-        query = parse_query(text)
-        partition = partition_query(query, db, shards)
-        return db, partition, snapshot_shard_refs(db, partition)
-
-    @pytest.mark.parametrize(
-        "make_db, text",
-        [
-            (_path_db, "Q(x, z) :- R(x, y), S(y, z)"),
-            (_star_db, "Q(a1, a2) :- E(a1, p), E(a2, p)"),
-        ],
-    )
-    def test_rebuilt_shards_match_generic_partitioner(
-        self, tmp_path, make_db, text
-    ):
-        db, partition, refs = self._refs(tmp_path, make_db, text)
-        assert refs is not None and len(refs) == partition.shards
-        for ref in refs:
-            rebuilt = ref.build_database()
-            for new_name, source, column in partition.shard_plan:
-                expected = (
-                    list(db[source])
-                    if column is None
-                    else _partition_rows(db[source], column, partition.shards)[
-                        ref.index
-                    ]
-                )
-                assert sorted(rebuilt[new_name]) == sorted(expected)
-
-    def test_refs_refused_after_mutation(self, tmp_path):
-        db, partition, refs = self._refs(
-            tmp_path, _path_db, "Q(x, z) :- R(x, y), S(y, z)"
-        )
-        assert refs is not None
-        db["R"].add((99, 10))  # detached: files no longer authoritative
-        assert snapshot_shard_refs(db, partition) is None
-
-    def test_refs_refused_for_plain_database(self):
-        db = _path_db()
-        partition = partition_query(parse_query("Q(x, z) :- R(x, y), S(y, z)"), db, 2)
-        assert snapshot_shard_refs(db, partition) is None
-
-    def test_codes_kind_bucket_matches_scalar_hash(self, tmp_path):
-        # The vectorised `code % shards` mask must agree with the scalar
-        # _stable_hash bucketing the generic partitioner applies.
-        save_snapshot(_star_db(), tmp_path / "snap")
-        snapshot = open_snapshot(tmp_path / "snap")
-        base = snapshot.database()
-        encoded = snapshot.encoded_database(base)
-        query = parse_query("Q(a1, a2) :- E(a1, p), E(a2, p)")
-        exec_query = encoded.encode_query(query)
-        partition = partition_query(exec_query, encoded.database, 3)
-        refs = snapshot_shard_refs(encoded.database, partition)
-        assert refs is not None
-        for ref in refs:
-            rebuilt = ref.build_database()
-            for new_name, source, column in partition.shard_plan:
-                if column is None:
-                    continue
-                expected = _partition_rows(
-                    encoded.database[source], column, partition.shards
-                )[ref.index]
-                assert sorted(rebuilt[new_name]) == sorted(expected)
-
-    def test_process_backend_identical_answers(self, tmp_path):
-        save_snapshot(_star_db(), tmp_path / "snap")
-        engine = QueryEngine(tmp_path / "snap")
-        q = "Q(a1, a2) :- E(a1, p), E(a2, p)"
-        serial = engine.execute(q, SumRanking(_WEIGHTS))
-        sharded = engine.execute_parallel(
-            q, SumRanking(_WEIGHTS), shards=2, backend="processes"
-        )
-        assert _pairs(sharded) == _pairs(serial)
 
 
 # --------------------------------------------------------------------- #

@@ -3,9 +3,8 @@
 Covers the score-column subsystem (ISSUE 5): ``ScoreColumn`` /
 ``ScoreView`` exactness and refusal rules, the ``ScanPath.scores_view``
 cache, the batched key glue in ``repro.core.ranking``, the
-kernel-threshold option, the thread-safe scoped counters, and the
-three-feature composition sweep (encoded x sharded x kernels x score
-columns).
+kernel-threshold constant, the thread-safe scoped counters, and the
+composition sweep (encoded x score columns).
 """
 
 from __future__ import annotations
@@ -306,7 +305,7 @@ def test_warm_executions_keep_batching():
 
 
 # --------------------------------------------------------------------- #
-# composition sweep: encoded x sharded x kernels x score columns
+# composition sweep: encoded x score columns
 # --------------------------------------------------------------------- #
 def _random_graph_db(rng, str_keys):
     wrap = (lambda v: f"u{v}") if str_keys else (lambda v: v)
@@ -351,13 +350,6 @@ def test_composition_identity_sweep(str_keys, k):
                     (a.values, a.score)
                     for a in engine.execute(query, ranking, k=k)
                 ]
-                sharded = [
-                    (a.values, a.score)
-                    for a in engine.execute_parallel(
-                        query, ranking, k=k, shards=2, backend="serial"
-                    )
-                ]
-                assert sharded == serial, (ranking.describe(), encode)
                 if reference is None:
                     reference = serial
                 assert serial == reference, (ranking.describe(), batch, encode)
@@ -435,27 +427,6 @@ class TestKernelMinRows:
         forced = semijoin(left, (0, 1), right, (0, 1))
         assert forced == expected
         assert kernels.counters.calls > before  # the mask kernel ran
-
-    def test_engine_option_exercises_kernels(self, monkeypatch):
-        rng = random.Random(4)
-        rows = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(30)]
-        db1, db2 = Database(), Database()
-        db1.add_relation("R", ("a", "p"), rows)
-        db2.add_relation("R", ("a", "p"), rows)
-        query = "Q(a1, a2) :- R(a1, p), R(a2, p)"
-
-        def sharded(engine):
-            answers = engine.execute_parallel(query, shards=2, backend="serial")
-            return [(a.values, a.score) for a in answers]
-
-        default = QueryEngine(db1, encode=False)
-        expected = sharded(default)
-        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 0)
-        forced = QueryEngine(db2, encode=False)
-        assert sharded(forced) == expected
-        # The forced engine hashes the tiny partition column through the
-        # shard kernel; the default engine stays on the per-row loop.
-        assert forced.stats.kernel_calls > default.stats.kernel_calls
 
 
 # --------------------------------------------------------------------- #

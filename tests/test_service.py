@@ -3,8 +3,7 @@
 Covers the contracts ``docs/service.md`` promises:
 
 * cursor pages resume live enumerator state and concatenate to exactly
-  the one-shot ``execute`` answers (across rankings), and a sharded
-  ``execute`` answers identically to a serial one;
+  the one-shot ``execute`` answers (across rankings), local and remote;
 * LRU eviction mid-pagination is invisible to the client — the replay
   fallback returns the identical remaining answers (and refuses with
   ``stale-cursor`` when the data changed instead of silently serving a
@@ -371,21 +370,20 @@ def server(engine):
 
 
 class TestServer:
-    @pytest.mark.slow
     def test_paged_equals_execute_across_rankings_and_backends(
         self, engine, server
     ):
-        # Cursors enumerate serially; the execute op with ``shards > 1``
-        # runs the worker-process backend.  All must agree.
+        # Cursor pages, the remote execute op and a local execute must
+        # agree.
         for rank_name, ranking in (("sum", SumRanking()), ("lex", LexRanking())):
             local = pairs(engine.execute(QUERY, ranking, k=40))
             with connect(server.host, server.port) as client:
                 cursor = client.query(QUERY, rank=rank_name, k=40)
                 paged = [a for page in cursor.pages(9) for a in page]
                 cursor.close()
-                sharded = client.execute(QUERY, rank=rank_name, k=40, shards=2)
+                executed = client.execute(QUERY, rank=rank_name, k=40)
             assert paged == local, rank_name
-            assert sharded == local, rank_name
+            assert executed == local, rank_name
 
     def test_remote_matches_local_execute(self, engine, server, local_sum):
         with connect(server.host, server.port) as client:
@@ -531,17 +529,23 @@ class TestEngineStreaming:
         assert first >= 0
 
 
-def test_query_op_ignores_legacy_sharding_fields(engine, local_sum):
-    # Clients written when cursors could shard still send these fields;
-    # the cursor enumerates serially and pages the same ranked order.
+@pytest.mark.parametrize("op", ["query", "execute"])
+def test_query_op_ignores_legacy_sharding_fields(engine, local_sum, op):
+    # Clients written when execution could shard still send these
+    # fields; the server executes serially and returns the same ranked
+    # order.
     with ServerThread(engine) as handle:
         with connect(handle.host, handle.port) as client:
             payload = client.request(
-                "query", query=QUERY, k=12, shards=2, backend="threads"
+                op, query=QUERY, k=12, shards=2, backend="threads"
             )
-            cursor = RemoteCursor(client, payload)
-            assert [a for page in cursor.pages(5) for a in page] == local_sum[:12]
-            cursor.close()
+            if op == "execute":
+                answers = protocol.decode_answers(payload["answers"])
+            else:
+                cursor = RemoteCursor(client, payload)
+                answers = [a for page in cursor.pages(5) for a in page]
+                cursor.close()
+            assert answers == local_sum[:12]
 
 
 def test_server_start_twice_fails(engine):

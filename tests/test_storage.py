@@ -8,7 +8,7 @@ Covers the three contracts the subsystem promises:
 * encoding: the dictionary is order-preserving within type groups and
   bijective, so encoded execution is output-identical (scores, ties,
   order) to plain execution across every query class and ranking;
-* caching: engine/partition warm state built over encoded relations is
+* caching: engine warm state built over encoded relations is
   invalidated by ``add``/``extend`` after it was built.
 """
 
@@ -332,28 +332,6 @@ class TestEncodedIdentity:
         assert got == expected
         assert engine.stats.encode_fallbacks == 0
 
-    def test_parallel_encoded_identical_to_serial(self):
-        db = _string_db()
-        engine = QueryEngine(db)
-        q = "Q(a1, a2) :- E(a1, p), E(a2, p)"
-        serial = engine.execute(q, SumRanking(_WEIGHTS))
-        sharded = engine.execute_parallel(
-            q, SumRanking(_WEIGHTS), shards=3, backend="serial"
-        )
-        assert _pairs(sharded) == _pairs(serial)
-
-    def test_parallel_encoded_process_backend(self):
-        # Ships encoded shard databases and a DecodingWeight-wrapped
-        # ranking through pickle to worker processes.
-        db = _string_db()
-        engine = QueryEngine(db, encode=True)
-        q = "Q(a1, a2) :- E(a1, p), E(a2, p)"
-        serial = engine.execute(q, SumRanking(_WEIGHTS))
-        sharded = engine.execute_parallel(
-            q, SumRanking(_WEIGHTS), shards=2, backend="processes"
-        )
-        assert _pairs(sharded) == _pairs(serial)
-
     def test_unknown_ranking_class_falls_back(self):
         class WeirdRanking(SumRanking):
             pass
@@ -381,7 +359,7 @@ class TestEncodedIdentity:
 
 
 # --------------------------------------------------------------------- #
-# mutation-after-warm invalidation (engine / partition / encoding)
+# mutation-after-warm invalidation (engine / encoding)
 # --------------------------------------------------------------------- #
 class TestMutationInvalidation:
     def test_add_after_engine_warm_encoded(self):
@@ -397,17 +375,6 @@ class TestMutationInvalidation:
         )
         assert got == expected
         assert any("zoe" in a for a, _s in got)
-
-    def test_extend_after_partition_cache(self):
-        db = _int_db()
-        engine = QueryEngine(db)
-        q = "Q(a1, a2) :- R(a1, p), R(a2, p)"
-        engine.execute_parallel(q, shards=2, backend="serial")
-        db["R"].extend([(7, 10), (8, 20)])
-        got = _pairs(engine.execute_parallel(q, shards=2, backend="serial"))
-        expected = _pairs(enumerate_ranked(parse_query(q), db))
-        assert got == expected
-        assert engine.stats.partition_misses >= 2  # rebuilt after mutation
 
     def test_new_value_rebuilds_dictionary_old_values_reencode_nothing(self):
         db = _int_db()
@@ -447,7 +414,7 @@ class TestMutationInvalidation:
 
 
 # --------------------------------------------------------------------- #
-# prepared-plan and partition-cache soundness under encoding
+# prepared-plan soundness under encoding
 # --------------------------------------------------------------------- #
 class TestPreparedPlanEncoding:
     def test_prepare_make_enumerator_pattern_on_encoded_plan(self):
@@ -494,24 +461,6 @@ class TestPreparedPlanEncoding:
         prepared = engine.prepare(q, SumRanking(_WEIGHTS))
         with pytest.raises(QueryError):
             prepared.make_enumerator(_string_db())
-
-
-class TestPartitionCacheIdentity:
-    def test_db_swap_with_equal_generation_rebuilds_partitions(self):
-        db = _int_db()
-        engine = QueryEngine(db)
-        q = "Q(a1, a2) :- R(a1, p), R(a2, p)"
-        engine.execute_parallel(q, shards=2, backend="serial")
-        db2_expected_db = Database()
-        db2_expected_db.add_relation("R", ("a", "b"), [(8, 30), (9, 30)])
-        db2_expected_db.add_relation("S", ("b", "c"), [(30, 1)])
-        db2_expected_db.add_relation("T", ("c", "a"), [(1, 8)])
-        assert db2_expected_db.generation == db.generation
-        engine.db = db2_expected_db
-        got = _pairs(engine.execute_parallel(q, shards=2, backend="serial"))
-        expected = _pairs(enumerate_ranked(parse_query(q), db2_expected_db))
-        assert got == expected
-        assert any(a == (8, 9) for a, _s in got)
 
 
 # --------------------------------------------------------------------- #

@@ -30,8 +30,8 @@ the only one.  This gate keeps it that way, as a set of rules
   and mapped store classes of ``repro/storage/persist.py``) is confined
   to ``repro/storage/`` — every other layer opens snapshots through the
   public persist functions (``save_snapshot`` / ``open_snapshot`` /
-  ``open_database`` / ``snapshot_handle`` / ``snapshot_shard_refs``),
-  so the on-disk format can evolve behind one module;
+  ``open_database`` / ``snapshot_handle``), so the on-disk format
+  can evolve behind one module;
 
 * the write-ahead journal's on-disk format (the ``journal.wal`` file
   name, record framing and format markers of
@@ -120,9 +120,8 @@ RULES = (
         "the snapshot file format (manifest layout, array files, mapped "
         "store classes) is a storage-layer contract: consumers go "
         "through the public repro.storage.persist functions "
-        "(save_snapshot/open_snapshot/open_database/snapshot_handle/"
-        "snapshot_shard_refs) and never parse or map snapshot files "
-        "themselves",
+        "(save_snapshot/open_snapshot/open_database/snapshot_handle) "
+        "and never parse or map snapshot files themselves",
         None,
     ),
     (
