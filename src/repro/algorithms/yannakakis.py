@@ -25,13 +25,14 @@ from ..data.index import group_by
 from ..errors import QueryError
 from ..query.jointree import JoinTree, JoinTreeNode, build_join_tree
 from ..query.query import JoinProjectQuery
-from ..storage import kernels
+from ..storage import kernels, scores
 from .semijoin import semijoin, shared_positions
 
 __all__ = [
     "AtomInstances",
     "ReducedInstances",
     "atom_instances",
+    "instance_domain",
     "full_reduce",
     "reduction_diff",
     "project_join",
@@ -52,8 +53,9 @@ class AtomInstances(dict):
     ``int64`` matrix aligned with the row list
     (:meth:`repro.data.relation.Relation.instance_codes`) without
     re-converting tuples — the matrices are cached at the storage layer
-    per store version.  :meth:`exactly_int` remembers its verdicts, so a
-    warm plan that reuses one instances object scans its rows once.
+    per store version.  :meth:`exactly_int` and :meth:`domain` remember
+    their answers, so a warm plan that reuses one instances object scans
+    its rows once, whatever ranking each execution brings.
 
     A binding holds for the relation's contents when it was made: once
     the relation is written (its ``generation`` moves), :meth:`codes`
@@ -62,12 +64,13 @@ class AtomInstances(dict):
     back to the row lists, which do not change.
     """
 
-    __slots__ = ("_sources", "_exact_int")
+    __slots__ = ("_sources", "_exact_int", "_domains")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sources: dict[str, tuple] = {}
         self._exact_int: dict[tuple, tuple] = {}
+        self._domains: dict[tuple, tuple] = {}
 
     def bind_source(self, alias, relation, positions, selections, distinct) -> None:
         """Record where an alias's rows came from (enables ``codes``)."""
@@ -95,6 +98,26 @@ class AtomInstances(dict):
         verdict = kernels.rows_exactly_int(rows, positions)
         self._exact_int[(alias, positions)] = (rows, verdict)
         return verdict
+
+    def domain(self, alias: str, position: int):
+        """The sorted distinct values of ``self[alias]`` at ``position``
+        as an ``int64`` array, or ``None`` when they are not exactly
+        ``int`` (or NumPy is absent); memoised like :meth:`exactly_int`."""
+        rows = self[alias]
+        hit = self._domains.get((alias, position))
+        if hit is not None and hit[0] is rows:
+            return hit[1]
+        domain = None
+        if kernels.enabled() and self.exactly_int(alias, (position,)):
+            matrix = self.codes(alias)
+            if matrix is not None and len(matrix) == len(rows):
+                column = matrix[:, position]
+            else:
+                column = kernels.column_array([row[position] for row in rows])
+            if column is not None:
+                domain = scores.column_domain(column)[0]
+        self._domains[(alias, position)] = (rows, domain)
+        return domain
 
     def source_of(self, alias: str):
         """``(relation, positions, selections, distinct)`` or ``None``.
@@ -219,6 +242,17 @@ def instance_matrix(instances: Mapping[str, list[Row]], alias: str, width: int):
     if matrix is None or len(matrix) != len(rows):
         return None
     return matrix
+
+
+def instance_domain(instances: Mapping[str, list[Row]], alias: str, position: int):
+    """The sorted distinct values of ``instances[alias]`` at
+    ``position`` as an ``int64`` array, or ``None`` (values not exactly
+    ``int``, or NumPy absent): memoised by :class:`AtomInstances`
+    (:meth:`AtomInstances.domain`), a one-off pass over any other
+    mapping."""
+    if isinstance(instances, AtomInstances):
+        return instances.domain(alias, position)
+    return AtomInstances({alias: instances[alias]}).domain(alias, position)
 
 
 def full_reduce(

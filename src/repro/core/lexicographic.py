@@ -42,7 +42,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..algorithms.yannakakis import atom_instances, full_reduce
+from ..algorithms.yannakakis import atom_instances, full_reduce, instance_domain
 from ..data.database import Database
 from ..errors import QueryError, RankingError
 from ..query.jointree import JoinTree, build_join_tree
@@ -355,8 +355,9 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
             self._instances = full_reduce(self.join_tree, instances)
         self.stats.reduce_seconds = time.perf_counter() - started
 
-        # Cached per-variable weight tables: one batched distinct pass
-        # and one weight call per distinct value, so the candidate sorts
+        # Cached per-variable weight tables: one batched weight call over
+        # the distinct domain the reduction memoises (shared by every
+        # ranking of a warm plan's data state), so the candidate sorts
         # read a dict instead of re-calling the weight function per
         # value per backtracking level.  The cached entry is the weight
         # call's exact return value, so comparison keys are unchanged;
@@ -372,7 +373,7 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
                 for var in self._order:
                     alias0, pos0 = self._holders[var][0]
                     table = batched_weight_table(
-                        self._weight, var, self._instances[alias0], pos0
+                        self._weight, var, self._instances, alias0, pos0
                     )
                     if table is not None:
                         self._weight_tables[var] = table
@@ -503,7 +504,17 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
         if candidates is None:
             alias0, pos0 = holders[0]
             value_key = partial(_value_key, self._weight, self._weight_tables.get(var), var)
-            values = {row[pos0] for row in instances[alias0]}
+            # The first level's values: the reduction's memoised sorted
+            # domain when it has one (no pass over the rows).
+            domain = instance_domain(instances, alias0, pos0) if depth == 0 else None
+            if domain is not None:
+                values = domain.tolist()
+            else:
+                values = {row[pos0] for row in instances[alias0]}
+                if depth == 0 and all(type(v) is int for v in values):
+                    # The domain's order: ties the key sort cannot break
+                    # (NaN weights) come out as in every other mode.
+                    values = sorted(values)
             candidates = [(value_key(v), v) for v in values]
             if var in self._descending:
                 candidates.sort(key=itemgetter(0), reverse=True)

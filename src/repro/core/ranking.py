@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ..algorithms.yannakakis import instance_domain
 from ..errors import RankingError
 from ..storage import kernels, scores
 
@@ -106,6 +107,19 @@ class WeightFunction:
     def __call__(self, attr: str, value: Any) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def weigh(self, attr: str, values: Sequence[Any]) -> list:
+        """The weights of ``values`` in one call: entry ``i`` is
+        ``self(attr, values[i])``, or ``None`` where that call raises.
+
+        The batched paths (:func:`repro.storage.scores.weigh_domain`)
+        weigh a column's whole distinct domain through this.  The base
+        class calls :meth:`__call__` per value; subclasses override it
+        with a cheaper equivalent.  A subclass that overrides
+        :meth:`__call__` but not this method is weighed per value
+        through its own :meth:`__call__` (:func:`repro.storage.scores.weigh`).
+        """
+        return scores.weigh_each(self, attr, values)
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -120,6 +134,11 @@ class IdentityWeight(WeightFunction):
                 "Use TableWeight or CallableWeight for non-numeric domains."
             )
         return value
+
+    def weigh(self, attr: str, values: Sequence[Any]) -> list:
+        # Non-numeric values come back as they are; the batched paths
+        # refuse them, and the scalar path raises where one is used.
+        return list(values)
 
     def describe(self) -> str:
         return "w(v) = v"
@@ -157,6 +176,13 @@ class TableWeight(WeightFunction):
         if w is None:
             raise RankingError(f"no weight for value {value!r} of attribute {attr!r}")
         return w
+
+    def weigh(self, attr: str, values: Sequence[Any]) -> list:
+        table = self.tables.get(attr, self.default_table)
+        if table is None:
+            return [None] * len(values)
+        get, default = table.get, self.default
+        return [get(value, default) for value in values]
 
     def describe(self) -> str:
         return f"table weights over {sorted(self.tables)}"
@@ -640,7 +666,7 @@ class _LexBound(BoundRanking):
                 return None  # key() raises; let the scalar path do it
             parts = [col]
             if self.weight is not None:
-                weights = _weight_column(self.weight, var, col)
+                weights = _lex_weight_column(self.weight, var, col)
                 if weights is None:
                     return None
                 parts = [weights, col]
@@ -662,25 +688,21 @@ class _LexBound(BoundRanking):
         return tuple(out)
 
 
-def _weight_column(weight: WeightFunction, attr: str, column):
+def _lex_weight_column(weight: WeightFunction, attr: str, column):
     """``weight(attr, v)`` for each ``v`` of an ``int64`` column, as an
-    exact ``float64`` array, or ``None``: a weight call raises, or a
-    weight is NaN, not a real number or an ``int`` past ``2**53``."""
+    exact ``float64`` array, or ``None``: :func:`scores.weigh_domain
+    <repro.storage.scores.weigh_domain>` refuses or marks a value
+    missing, or an ``int`` weight is past ``2**53`` (LEX keys compare
+    the raw weight, which ``float64`` would round)."""
     np = kernels.np
-    values, inverse = np.unique(column, return_inverse=True)
-    weights = []
-    for value in values.tolist():
-        try:
-            w = weight(attr, value)
-        except Exception:
+    domain, inverse = scores.column_domain(column)
+    raw, weights, missing = scores.weigh_domain(weight, attr, domain)
+    if weights is None or missing is not None:
+        return None
+    for i in np.flatnonzero(np.abs(weights) >= 2.0**53).tolist():
+        if isinstance(raw[i], int) and abs(raw[i]) > 2**53:
             return None
-        if isinstance(w, float) and w == w:
-            weights.append(w)
-        elif isinstance(w, int) and abs(w) <= 2**53:
-            weights.append(w)
-        else:
-            return None
-    return np.asarray(weights, dtype=np.float64)[inverse.reshape(-1)]
+    return weights[inverse]
 
 
 class LexRanking(RankingFunction):
@@ -901,7 +923,7 @@ def batched_column_keys(bound: BoundRanking, variables: Sequence[str], columns):
         return None
     arrays = []
     for var, column in zip(variables, columns):
-        view = scores.build_score_view(column, var, weight)
+        view = scores.build_score_view(*scores.column_domain(column), var, weight)
         if view is None:
             return None
         arr = view.take(None)
@@ -917,37 +939,33 @@ def batched_column_keys(bound: BoundRanking, variables: Sequence[str], columns):
 
 
 def batched_weight_table(
-    weight: WeightFunction, attr: str, rows: Sequence[tuple], position: int
+    weight: WeightFunction, attr: str, instances, alias: str, position: int
 ) -> dict | None:
-    """``{value: weight(attr, value)}`` over one column's distinct values.
+    """``{value: weight(attr, value)}`` over the distinct values of
+    ``instances[alias]`` at ``position``.
 
-    The lexicographic backtracker's score-column analogue: the distinct
-    pass runs as one array operation and the weight function is called
-    once per distinct value, with the **raw** result cached — LEX
-    comparison keys embed the weight call's exact return value (an
-    ``int`` weight orders the same as its float but is a different
-    key), so no ``float64`` conversion is applied.  Values whose weight
-    call raises are left out of the table: the caller's per-value
-    fallback then re-calls the weight function and raises the identical
-    error at the identical point.  ``None`` refuses (scores disabled,
-    non-``int`` cells).
+    The lexicographic backtracker's score-column analogue: the domain
+    comes from :func:`~repro.algorithms.yannakakis.instance_domain`
+    (memoised with a warm plan's reduction, so every ranking of the
+    query shares it) and the weight function is called once per
+    distinct value through :func:`scores.weigh_domain
+    <repro.storage.scores.weigh_domain>`, with the **raw** result
+    cached — LEX comparison keys embed the weight call's exact return
+    value (an ``int`` weight orders the same as its float but is a
+    different key), so no ``float64`` conversion is applied.  Values
+    without a weight are left out of the table: the caller's per-value
+    fallback then re-calls the weight function and raises the
+    identical error at the identical point.  ``None`` refuses (scores
+    disabled, non-``int`` cells).
     """
     if not scores.enabled():
         return None
-    if not rows:
+    if not instances[alias]:
         return {}
-    if not kernels.rows_exactly_int(rows, (position,)):
+    domain = instance_domain(instances, alias, position)
+    if domain is None:
         scores.counters.record_fallback("conversion")
         return None
-    column = kernels.column_array([row[position] for row in rows])
-    if column is None:
-        scores.counters.record_fallback("conversion")
-        return None
-    table: dict[int, Any] = {}
-    for value in kernels.np.unique(column).tolist():
-        try:
-            table[value] = weight(attr, value)
-        except Exception:
-            continue
+    raw = scores.weigh_domain(weight, attr, domain)[0]
     scores.counters.record_call()
-    return table
+    return {v: w for v, w in zip(domain.tolist(), raw) if w is not None}

@@ -8,7 +8,8 @@ generation, and every plan of the query shares it, whatever its ranking:
 
 * the reduced instances (a
   :class:`~repro.algorithms.yannakakis.ReducedInstances`, with the
-  exactly-int memo it carries) for acyclic and lexicographic plans;
+  exactly-int and distinct-domain memos it carries) for acyclic and
+  lexicographic plans;
 * the lexicographic backtracker's row indexes over them, built on first
   use by whichever plan needs one;
 * for cyclic plans, the materialised and reduced bags

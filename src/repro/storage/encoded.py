@@ -43,6 +43,7 @@ from ..core.ranking import (
     SumRanking,
     WeightFunction,
 )
+from . import scores
 from .columnstore import ColumnStore
 from .dictionary import MISSING, Dictionary, _group_key
 
@@ -84,11 +85,12 @@ class DecodingWeight(WeightFunction):
     are pure (the plan cache already relies on that).
 
     On the batched ranking path this per-row memo hop disappears
-    entirely: the score columns of :mod:`repro.storage.scores` evaluate
-    this wrapper once per distinct code at build time (codes are dense,
-    so the column indexes directly — a decode-free weight table in code
-    space) and every per-tuple access is an array gather.  The memo
-    only serves the scalar fallback and LEX's weighted comparisons.
+    entirely: :mod:`repro.storage.scores` weighs a column's distinct
+    codes in one :meth:`weigh` call, which decodes them and hands the
+    values to the base function's own batched :meth:`weigh`, and every
+    per-tuple access is then an array gather through the column's
+    (data-only) row inverse.  The memo only serves the scalar fallback
+    and LEX's weighted comparisons outside its weight tables.
     """
 
     def __init__(self, base: WeightFunction, dictionary: Dictionary):
@@ -108,6 +110,10 @@ class DecodingWeight(WeightFunction):
         if weight is _UNSET:
             weight = memo[code] = self.base(attr, self.dictionary.values[code])
         return weight
+
+    def weigh(self, attr: str, codes) -> list:
+        values = self.dictionary.values
+        return scores.weigh(self.base, attr, [values[code] for code in codes])
 
     def describe(self) -> str:
         return self.base.describe()

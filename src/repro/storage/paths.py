@@ -3,7 +3,8 @@
 A :class:`ScanPath` is the one physical way to read a relation's
 tuples: sequential row access, with cached select/project views (what
 :func:`repro.algorithms.yannakakis.atom_instances` binds query atoms
-through), their ``int64`` code matrices and their score columns.
+through), their ``int64`` code matrices, the distinct domain of each
+scored column and the score columns over them.
 
 The path is built and memoised by an :class:`AccessPathCache`, which
 validates every lookup against the store's version counter: any
@@ -59,7 +60,7 @@ class ScanPath:
     [(1,), (2,), (1,)]
     """
 
-    __slots__ = ("store", "_views", "_code_views", "_score_cols", "_int_cols")
+    __slots__ = ("store", "_views", "_code_views", "_domains", "_score_cols", "_int_cols")
 
     #: Bound on memoised select/project views.  Projection-only views are
     #: keyed by query structure (a handful per relation), but selection
@@ -73,6 +74,9 @@ class ScanPath:
         self.store = store
         self._views: dict[ScanKey, list[Row]] = {}
         self._code_views: dict[ScanKey, Any] = {}
+        # Per (view signature, view column): its (domain, inverse), see
+        # scores.column_domain.  Data, shared by every weight function.
+        self._domains: dict[tuple[ScanKey, int], tuple[Any, Any]] = {}
         # Score views, keyed (view signature, view column, attribute,
         # id(weight fn)); each entry retains the weight object so a
         # recycled id can never serve a stale column.
@@ -222,14 +226,17 @@ class ScanPath:
         """Weights of one view column as a :class:`~repro.storage.scores.ScoreView`.
 
         Aligned row-for-row with :meth:`view` / :meth:`codes_view`:
-        entry ``i`` is ``weight(attr, view_row[i][index])``, evaluated
-        once per distinct value and gathered back (see
-        :mod:`repro.storage.scores`).  Cached per (view signature,
-        column, attribute, weight function) like the other views —
-        weights are materialised once per store version and reused by
-        every execution until the next mutation.  ``None`` whenever the
-        batched path cannot reproduce the scalar one exactly (NumPy
-        absent, non-``int`` values, non-real weights).
+        entry ``i`` is ``weight(attr, view_row[i][index])``.  The
+        column's distinct domain and row inverse are data, kept once
+        per store version for every weight function
+        (:meth:`_domain`); a new weight function costs one batched
+        weight call over the domain and one gather
+        (:func:`repro.storage.scores.build_score_view`).  Cached per
+        (view signature, column, attribute, weight function) like the
+        other views, so repeated executions of one ranking reuse it
+        until the next mutation.  ``None`` whenever the batched path
+        cannot reproduce the scalar one exactly (NumPy absent,
+        non-``int`` values, non-real weights).
         """
         if not scores.enabled():
             return None
@@ -255,7 +262,18 @@ class ScanPath:
         if not self._column_exactly_int(view_key[0][index]):
             scores.counters.record_fallback()
             return None
-        return scores.build_score_view(codes[:, index], attr, weight)
+        return scores.build_score_view(*self._domain(view_key, index, codes), attr, weight)
+
+    def _domain(self, view_key: ScanKey, index: int, codes):
+        """``(domain, inverse)`` of column ``index`` of the view whose
+        code matrix is ``codes``, cached per (view signature, column)."""
+        key = (view_key, index)
+        entry = self._domains.get(key)
+        if entry is None:
+            if len(self._domains) >= self.MAX_VIEWS:
+                _evict_oldest(self._domains)
+            entry = self._domains[key] = scores.column_domain(codes[:, index])
+        return entry
 
     def _column_exactly_int(self, store_position: int) -> bool:
         known = self._int_cols.get(store_position)
@@ -276,11 +294,14 @@ class ScanPath:
         matrix and score arrays; deleted rows are dropped at their
         mapped positions.  Views with selections or dedup state are
         evicted and rebuilt lazily — their delta mapping needs
-        occurrence bookkeeping the cache does not keep.  Every rebind is
-        copy-on-write: consumers holding a previously returned list or
-        array keep their snapshot.
+        occurrence bookkeeping the cache does not keep.  The column
+        domains are dropped on every write and rebuilt lazily: the
+        views that queries score through are distinct ones, evicted
+        anyway.  Every rebind is copy-on-write: consumers holding a
+        previously returned list or array keep their snapshot.
         """
         store = self.store
+        self._domains.clear()
         if delta.is_append:
             new_rows = store.rows()[delta.base_rows :]
             for key in list(self._views):
@@ -295,7 +316,7 @@ class ScanPath:
             for pos, known in list(self._int_cols.items()):
                 if known:
                     self._int_cols[pos] = all(type(r[pos]) is int for r in new_rows)
-            self._extend_score_views(delta, new_rows)
+            self._extend_score_views()
             return
         # Delete: positions of a pure projection map 1:1 onto store rows.
         keep = delta.keep_mask()
@@ -352,50 +373,35 @@ class ScanPath:
                 tail = np.empty((len(tail), 0), dtype=np.int64)
             self._code_views[key] = np.concatenate([cached, tail])
 
-    def _extend_score_views(self, delta, new_rows) -> None:
-        np = kernels.np if kernels.HAS_NUMPY else None
+    def _extend_score_views(self) -> None:
+        # A refused (None) view is dropped: whether the reason still
+        # holds is re-derived lazily.
+        np = kernels.np
         for skey in list(self._score_cols):
             view_key, index, attr, _weight_id = skey
             positions, selections, distinct = view_key
             weight, view = self._score_cols[skey]
-            if selections or distinct:
-                self._score_cols.pop(skey, None)
-                continue
-            if view is None:
-                # "refused" stays refused only if the reason still holds;
-                # re-deriving is lazy either way.
-                self._score_cols.pop(skey, None)
-                continue
-            if np is None or not self._column_exactly_int(positions[index]):
-                self._score_cols.pop(skey, None)
-                continue
-            codes = self.codes_view(*view_key)
-            if codes is None:
-                self._score_cols.pop(skey, None)
-                continue
-            tail = scores.build_score_view(codes[len(view) :, index], attr, weight)
+            tail = codes = None
+            if view is not None and not (selections or distinct):
+                if self._column_exactly_int(positions[index]):
+                    codes = self.codes_view(*view_key)
+            if codes is not None:
+                tail = scores.build_score_view(
+                    *scores.column_domain(codes[len(view) :, index]), attr, weight
+                )
             if tail is None:
                 self._score_cols.pop(skey, None)
                 continue
-            merged_scores = np.concatenate([view.scores, tail.scores])
-            if view.missing is None and tail.missing is None:
-                merged_missing = None
-            else:
-                left = (
-                    view.missing
-                    if view.missing is not None
-                    else np.zeros(len(view.scores), dtype=bool)
+            missing = None
+            if view.missing is not None or tail.missing is not None:
+                missing = np.concatenate(
+                    [
+                        np.zeros(len(part), dtype=bool) if part.missing is None else part.missing
+                        for part in (view, tail)
+                    ]
                 )
-                right = (
-                    tail.missing
-                    if tail.missing is not None
-                    else np.zeros(len(tail.scores), dtype=bool)
-                )
-                merged_missing = np.concatenate([left, right])
-            self._score_cols[skey] = (
-                weight,
-                scores.ScoreView(merged_scores, merged_missing),
-            )
+            merged = scores.ScoreView(np.concatenate([view.scores, tail.scores]), missing)
+            self._score_cols[skey] = (weight, merged)
 
 
 class AccessPathCache:

@@ -6,27 +6,37 @@ tuples into rank keys — per partial answer, one
 variable, each a Python dict lookup (and, under dictionary encoding, a
 second memo hop through ``DecodingWeight``).  This module batches that
 scalar-per-row work into array operations at the storage boundary, the
-same move :mod:`repro.storage.kernels` made for the join primitives:
+same move :mod:`repro.storage.kernels` made for the join primitives.
+It splits the work along the paper's line between data and ranking:
 
-* a :class:`ScoreColumn` materialises a weight function **once per
-  distinct value** of one integer column — under encoded execution the
-  values are dictionary codes, so the column is a decode-free weight
-  table in code space;
-* a :class:`ScoreView` is the row-aligned projection of a score column
-  onto one cached scan view (built by ``ScanPath.scores_view`` and
-  cached there per store version, exactly like the ``codes_view``
-  matrices);
-* :meth:`ScoreView.take` gathers the weights of any row subset (the
+* a column's **domain** — its sorted distinct values and the row
+  inverse into them (:func:`column_domain`) — depends on the data
+  alone.  ``ScanPath`` keeps one per view column, next to its code
+  matrices, built once per store version and dropped by any write;
+  under encoded execution the values are dictionary codes;
+* a ranking's **weights** are evaluated over a whole domain in one
+  batched call (:func:`weigh_domain`, through
+  :meth:`WeightFunction.weigh <repro.core.ranking.WeightFunction.weigh>`),
+  so a fresh weight function costs one call per distinct value and one
+  gather through the inverse;
+* a :class:`ScoreView` is the resulting row-aligned weight array of one
+  scan view column (built by ``ScanPath.scores_view`` and cached there
+  per weight function, like the ``codes_view`` matrices), and
+  :meth:`ScoreView.take` gathers the weights of any row subset (the
   full reducer's survivor indices) in one indexed load.
 
-The contract is the kernel layer's **exact or refuse**: a score array
-either reproduces the scalar weight path bit-for-bit — weights are
-evaluated through the same :class:`WeightFunction` call, on values
-pre-checked to be exactly ``int`` — or the build returns ``None`` and
-the consumer stays on per-row Python keys.  A weight function that
-*raises* for some value marks that value missing instead of failing the
+The contract is the kernel layer's **exact or refuse**, and
+:func:`weigh_domain` is the one place that applies it: a score array
+either reproduces the scalar weight path bit-for-bit — weights come
+from the same :class:`WeightFunction`, on values pre-checked to be
+exactly ``int`` — or the build returns ``None`` and the consumer stays
+on per-row Python keys.  A weight function that *raises* (or has no
+weight) for some value marks that value missing instead of failing the
 build: the batch path then refuses only when a missing value is
 actually used, which is precisely when the scalar path would raise.
+The score views, the lexicographic weight tables and the
+lexicographic sort columns all weigh through it, each with its own
+rule on top.
 
 The module-level :data:`counters` mirror the kernel counters
 (:class:`~repro.storage.kernels.KernelCounters` — thread-safe, scoped);
@@ -41,12 +51,15 @@ from typing import Any
 from . import kernels
 
 __all__ = [
-    "ScoreColumn",
     "ScoreView",
     "build_score_view",
+    "column_domain",
     "counters",
     "enabled",
     "set_enabled",
+    "weigh",
+    "weigh_domain",
+    "weigh_each",
 ]
 
 counters = kernels.KernelCounters()
@@ -70,111 +83,103 @@ def set_enabled(flag: bool) -> None:
     _enabled = bool(flag)
 
 
-class ScoreColumn:
-    """Weights of one integer column's distinct values, as arrays.
+def column_domain(values):
+    """``(domain, inverse)`` of a 1-D ``int64`` array: its sorted
+    distinct values, and each entry's position among them."""
+    domain, inverse = kernels.np.unique(values, return_inverse=True)
+    return domain, inverse.reshape(-1)
 
-    ``domain`` holds the sorted distinct values; ``weights[i]`` is the
-    weight of ``domain[i]`` as ``float64`` (exactly the value the
-    scalar path's ``sign * weight(attr, value)`` starts from — the
-    ``int``→``float64`` conversion is the same correctly-rounded one
-    CPython performs); ``missing`` marks values the weight function
-    raised for (or returned NaN, which the batched reductions cannot
-    order identically).  When the domain is contiguous — dictionary
-    codes usually are — lookups index directly instead of binary
-    searching.
+
+def weigh_each(weight, attr: str, values) -> list:
+    """``weight(attr, v)`` for each of ``values``, ``None`` where the
+    call raises (the scalar path raises there too, if the value is
+    ever used)."""
+    out = []
+    for value in values:
+        try:
+            out.append(weight(attr, value))
+        except Exception:
+            out.append(None)
+    return out
+
+
+def _owner(cls, name: str):
+    """The class in ``cls``'s MRO that defines ``name``, or ``None``."""
+    for klass in cls.__mro__:
+        if name in vars(klass):
+            return klass
+    return None
+
+
+def weigh(weight, attr: str, values) -> list:
+    """``weight``'s results over ``values`` in one batched call
+    (:meth:`~repro.core.ranking.WeightFunction.weigh`), ``None`` for a
+    value without a weight.
+
+    The batch method is trusted only where it is defined no higher in
+    the class hierarchy than ``__call__``: a subclass that overrides
+    ``__call__`` alone (say, to scale a table's weights) must not be
+    weighed by its parent's table lookup, so it — like a plain
+    callable — is called per value.
     """
-
-    __slots__ = ("domain", "weights", "missing", "_dense_base")
-
-    def __init__(self, domain, weights, missing):
-        self.domain = domain
-        self.weights = weights
-        self.missing = missing  # bool array or None (nothing missing)
-        n = len(domain)
-        if n and int(domain[-1]) - int(domain[0]) == n - 1:
-            self._dense_base = int(domain[0])
-        else:
-            self._dense_base = None
-        if missing is not None and not missing.any():
-            self.missing = None
-
-    def __len__(self) -> int:
-        return len(self.domain)
-
-    def indices(self, values):
-        """Domain positions of ``values`` (which must be ⊆ the domain).
-
-        Contiguous domains — dictionary codes usually are — index
-        directly; sparse ones binary-search.
-        """
-        if self._dense_base is not None:
-            return values - self._dense_base
-        return kernels.np.searchsorted(self.domain, values)
-
-    def lookup(self, values):
-        """``float64`` weights aligned with ``values``, or ``None``.
-
-        ``values`` must be a subset of the domain (they are: score
-        columns are built over the same view the rows come from).
-        ``None`` when any looked-up value is missing — the caller falls
-        back to the scalar path, which raises the weight function's own
-        error on exactly that value.
-        """
-        idx = self.indices(values)
-        if self.missing is not None and self.missing[idx].any():
-            return None
-        return self.weights[idx]
+    cls = type(weight)
+    batch = _owner(cls, "weigh")
+    if batch is None or not issubclass(batch, _owner(cls, "__call__")):
+        return weigh_each(weight, attr, values)
+    return weight.weigh(attr, values)
 
 
-def build_score_column(values, attr: str, weight) -> ScoreColumn | None:
-    """Materialise ``weight`` over the distinct values of one column.
+def weigh_domain(weight, attr: str, domain):
+    """``weight`` over a sorted ``int64`` domain: ``(raw, weights,
+    missing)``.
 
-    ``values`` is a 1-D ``int64`` array whose underlying Python values
-    the caller has pre-checked to be exactly ``int`` (no bool/IntEnum —
-    the weight function must see the same value the scalar path passes
-    it).  Returns ``None`` when any weight is not a real number; a
-    weight call that raises marks the value missing instead (see
-    :meth:`ScoreColumn.lookup`).
+    ``raw`` holds the weight calls' own results (``None`` where a value
+    has no weight) — what LEX's weight tables keep.  ``weights`` are
+    their ``float64`` images — the same correctly-rounded conversion
+    CPython applies when the scalar path computes ``sign * w`` — and
+    ``missing`` (``None`` when nothing is) marks values without a
+    usable weight: the call raised or found no weight, the weight is
+    NaN (array min/max/sum order NaNs differently from Python), or an
+    ``int`` weight overflows ``float64``.  ``weights`` and ``missing``
+    are ``None`` when any weight is a ``bool`` or not a real number:
+    the float key algebra differs, so the float consumers refuse.  The
+    caller guarantees the domain's values are exactly ``int``, so the
+    weight function sees what the scalar path passes it.
     """
     np = kernels.np
-    from ..core.ranking import IdentityWeight
-
-    if type(weight) is IdentityWeight:
-        # w(v) = v over ints: the column is its own weight table.  The
-        # scalar path would raise for non-numeric values; int columns
-        # never contain any.
-        domain = np.unique(values)
-        return ScoreColumn(domain, domain.astype(np.float64), None)
-    domain = np.unique(values)
-    weights = np.empty(len(domain), dtype=np.float64)
-    missing = np.zeros(len(domain), dtype=bool)
-    for i, code in enumerate(domain.tolist()):
-        try:
-            w = weight(attr, code)
-        except Exception:
-            # The scalar path raises here too — but only if this value
-            # is ever used.  Deferred to lookup time.
-            missing[i] = True
-            weights[i] = 0.0
-            continue
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            return None  # non-real weights: key algebra differs, refuse
-        w = float(w)
-        if w != w:  # NaN: array min/max/sum order NaNs differently
-            missing[i] = True
-        weights[i] = w
-    return ScoreColumn(domain, weights, missing)
+    raw = weigh(weight, attr, domain.tolist())
+    holes = None
+    exact = raw
+    if not set(map(type, raw)) <= {float, int}:
+        for w in raw:
+            if w is not None and (isinstance(w, bool) or not isinstance(w, (int, float))):
+                return raw, None, None
+        holes = [w is None for w in raw]
+        exact = [0.0 if w is None else w for w in raw]
+    try:
+        weights = np.array(exact, dtype=np.float64)
+    except OverflowError:  # an int past float64's range
+        holes = holes or [False] * len(raw)
+        weights = np.zeros(len(raw), dtype=np.float64)
+        for i, w in enumerate(exact):
+            try:
+                weights[i] = float(w)
+            except OverflowError:
+                holes[i] = True
+    missing = np.isnan(weights)
+    if holes is not None:
+        missing |= np.array(holes, dtype=bool)
+    return raw, weights, (missing if missing.any() else None)
 
 
 class ScoreView:
-    """A score column projected row-for-row onto one scan view.
+    """One weight function's weights, row-for-row over one view column.
 
     ``scores[i]`` is the raw (unsigned) weight of view row ``i``'s
     value for one attribute; ``missing`` flags rows whose weight the
     function could not produce.  Built and cached by
     ``ScanPath.scores_view`` per (view signature, column, attribute,
-    weight function), invalidated with the scan path on every store
-    version bump.
+    weight function), and carried over store deltas with the scan path.
     """
 
     __slots__ = ("scores", "missing")
@@ -202,27 +207,24 @@ class ScoreView:
         return self.scores[indices]
 
 
-def build_score_view(codes, attr: str, weight) -> ScoreView | None:
-    """Row-aligned score view of one view column, or ``None``.
+def build_score_view(domain, inverse, attr: str, weight) -> ScoreView | None:
+    """Row-aligned score view of one column, or ``None``.
 
-    ``codes`` is the column's ``int64`` array (one slice of a
-    ``codes_view`` matrix, or an ad-hoc :func:`kernels.column_array`
-    conversion); the caller guarantees the underlying values are
-    exactly ``int``.  Weights are evaluated once per distinct value and
-    broadcast back by index — the per-row work the scalar path repeats
-    per tuple collapses into one gather.
+    ``(domain, inverse)`` is the column's :func:`column_domain` (kept by
+    ``ScanPath`` per view column, or computed for an ad-hoc column);
+    the caller guarantees the underlying values are exactly ``int``.
+    Weights are evaluated once per distinct value (:func:`weigh_domain`)
+    and broadcast back through the inverse — the per-row work the
+    scalar path repeats per tuple collapses into one gather.
     """
     if not enabled():
         return None
-    column = build_score_column(codes, attr, weight)
-    if column is None:
+    _raw, weights, missing = weigh_domain(weight, attr, domain)
+    if weights is None:
         counters.record_fallback("non-real-weight")
         return None
     counters.record_call()
-    idx = column.indices(codes)
-    scores = column.weights[idx]
-    missing = column.missing[idx] if column.missing is not None else None
-    return ScoreView(scores, missing)
+    return ScoreView(weights[inverse], None if missing is None else missing[inverse])
 
 
 def adhoc_score_array(rows, position: int, attr: str, weight) -> Any | None:
@@ -243,7 +245,7 @@ def adhoc_score_array(rows, position: int, attr: str, weight) -> Any | None:
     if column is None:
         counters.record_fallback("conversion")
         return None
-    view = build_score_view(column, attr, weight)
+    view = build_score_view(*column_domain(column), attr, weight)
     if view is None:
         return None
     taken = view.take(None)

@@ -485,7 +485,7 @@ class TestLexWeightTables:
 
     def test_batched_weight_table_refuses_on_non_int_rows(self):
         assert batched_weight_table(
-            lambda a, v: 1.0, "a", [("x", 1)], 0
+            lambda a, v: 1.0, "a", {"E": [("x", 1)]}, "E", 0
         ) is None
 
 
