@@ -54,8 +54,10 @@ class AtomInstances(dict):
     (:meth:`repro.data.relation.Relation.instance_codes`) without
     re-converting tuples — the matrices are cached at the storage layer
     per store version.  :meth:`exactly_int` and :meth:`domain` remember
-    their answers, so a warm plan that reuses one instances object scans
-    its rows once, whatever ranking each execution brings.
+    their answers, and :meth:`derived` keeps what consumers derive from
+    one alias's rows, so a warm plan that reuses one instances object
+    scans its rows and lays out its join-tree nodes once, whatever
+    ranking each execution brings.
 
     A binding holds for the relation's contents when it was made: once
     the relation is written (its ``generation`` moves), :meth:`codes`
@@ -64,13 +66,14 @@ class AtomInstances(dict):
     back to the row lists, which do not change.
     """
 
-    __slots__ = ("_sources", "_exact_int", "_domains")
+    __slots__ = ("_sources", "_exact_int", "_domains", "_derived")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._sources: dict[str, tuple] = {}
         self._exact_int: dict[tuple, tuple] = {}
         self._domains: dict[tuple, tuple] = {}
+        self._derived: dict[str, tuple] = {}
 
     def bind_source(self, alias, relation, positions, selections, distinct) -> None:
         """Record where an alias's rows came from (enables ``codes``)."""
@@ -118,6 +121,18 @@ class AtomInstances(dict):
                 domain = scores.column_domain(column)[0]
         self._domains[(alias, position)] = (rows, domain)
         return domain
+
+    def derived(self, alias: str) -> dict:
+        """A dict for state that depends on ``self[alias]`` alone, such
+        as a join-tree node's queue layout
+        (:class:`~repro.core.acyclic._NodeLayout`): kept like
+        :meth:`exactly_int`'s answers, for as long as the alias keeps
+        the same row list."""
+        rows = self[alias]
+        hit = self._derived.get(alias)
+        if hit is None or hit[0] is not rows:
+            hit = self._derived[alias] = (rows, {})
+        return hit[1]
 
     def source_of(self, alias: str):
         """``(relation, positions, selections, distinct)`` or ``None``.

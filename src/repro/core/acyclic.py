@@ -19,14 +19,20 @@ objects; the queue comparator is ``(rank key, partial output)``.
   queue construction.  Conceptually every tuple gets a cell pointing at
   the current top of each child queue it joins with (a leaf cell has no
   pointers).  Physically, for batchable rankings and LEX over integer
-  columns, each node's rows are sorted once — by (anchor, rank key,
-  partial output) in one ``lexsort`` — into one sorted *run* per anchor
-  group.  A group's queue (:class:`_LazyGroup`) is created only when a
-  parent's cell first points into it, and a row's cell only when its
-  run position reaches the top of its group; a child's key and output
-  enter its parents through the head of each run.  The runs keep their
-  outputs as one list of ints per column: a position's output tuple is
-  built when its group first reaches it, and its cell reuses it.  Other rankings and
+  columns, each node's rows form one *run* per anchor group, in (anchor,
+  rank key, partial output) order.  What depends on the data alone —
+  the rows grouped by anchor, their output columns and their links to
+  child groups — is the node's :class:`_NodeLayout`, built once per
+  reduction by one ``lexsort`` in the order of the ranking that builds
+  it; every later ranking adds its keys and each group's head (a
+  segmented argmin, no sort) and sorts a group only when the group is
+  first used, a long one a chunk at a time.  A group's queue
+  (:class:`_LazyGroup`) is created only when a parent's cell first
+  points into it, and a row's cell only when its run position reaches
+  the top of its group; a child's key and output enter its parents
+  through the head of each run.  The runs keep their outputs as one
+  list of ints per column: a position's output tuple is built when its
+  group first reaches it, and its cell reuses it.  Other rankings and
   data build one cell and heap entry per tuple (the scalar build, also
   the test oracle).  Both builds pop the same cells in the same order.
   Every cell knows its queue (``Cell.group``), so enumeration never
@@ -243,26 +249,192 @@ class _RTNode:
         return parts if merge is None else merge(parts)
 
 
-class _Runs(Mapping):
-    """One node's reduced rows, sorted once into per-anchor runs.
+#: Anchor groups longer than this are filled in chunks: a group's first
+#: fill sorts its ``_SORT_CHUNK`` least rows into its run, and each
+#: later fill the least of the rest, twice as many as the fill before,
+#: so a long group (the root's one ``()``-anchored group) is sorted and
+#: converted only as far as its stream reads.  Chosen by an in-thread
+#: sweep of paper-topk over 16..4096 (CHANGES.md): 32 and 64 led.
+_SORT_CHUNK = 64
 
-    Position ``i`` of the parallel lists is the ``i``-th row in
-    (anchor, key, output, row order) order; anchor group ``g`` owns the
-    contiguous span ``bounds[g]:bounds[g + 1]``.  ``outs`` holds one
-    list of ints per output column, and a position's output tuple is
-    built (:attr:`out_at`) when its group first needs it, so positions
-    that are never reached cost no tuple.  Its :class:`_LazyGroup`
-    is created on demand — when a parent's cell first points into it
-    (:meth:`group`), or when the root or an inspection looks it up by
-    anchor: the runs are also the node's queue family, a mapping from
-    anchor to group.  ``links`` holds, per child, the child's runs and
-    each position's group index in them: the child queue the row's
-    cell points into.  The ``head_*`` arrays describe each group's
-    first position (its initial top) to the parent's array build, in
-    group order, which is ascending anchor order.
+
+class _NodeLayout:
+    """The data-only half of one node's queue family: what every
+    ranking's :class:`_Runs` over the node share.
+
+    ``row_idx`` lists the node's valid rows (those that join a group of
+    every child) grouped by anchor: layout position ``i`` holds row
+    ``row_idx[i]``, and anchor group ``g`` owns the positions
+    ``bounds[g]:bounds[g + 1]`` (``gid`` gives each position's group,
+    ``starts`` the bounds as an array), in ascending anchor order.
+    ``head_anchor`` holds each group's anchor columns; ``own_cols`` the
+    node's output columns and ``links`` (per child) the index of the
+    child group each position joins, both in layout order.  Within a
+    group the positions are in the order of the ranking whose build
+    grouped them (:func:`_build_runs` sorts once when it finds no
+    layout), so that ranking's runs need no further sort; every other
+    ranking sorts a group on first use, breaking ties by row index.
+    The layout is memoised with the reduction
+    (:meth:`~repro.algorithms.yannakakis.AtomInstances.derived`), so it
+    lives as long as the reduced rows it describes.  ``refused`` names
+    why the node has no layout (``"conversion"``: a column is not
+    exactly ``int``; ``"pack-overflow"``: a child key does not pack
+    into ``int64``), else ``None``.
     """
 
     __slots__ = (
+        "rows",
+        "children",
+        "refused",
+        "row_idx",
+        "anchor_cols",
+        "own_cols",
+        "links",
+        "gid",
+        "starts",
+        "bounds",
+        "head_anchor",
+        "index",
+    )
+
+    def __init__(self, rows: Sequence[Row], children: tuple, refused: str | None = None):
+        self.rows = rows
+        self.children = children  # the child layouts, kept alive with this one
+        self.refused = refused
+        self.index = None  # anchor -> group, built on first lookup
+
+    def group(self, order) -> None:
+        """Put the rows in ``order``, which groups them by ascending
+        anchor, and find the groups."""
+        np = kernels.np
+        self.row_idx = self.row_idx[order]
+        self.own_cols = {p: col[order] for p, col in self.own_cols.items()}
+        self.links = [idx[order] for idx in self.links]
+        anchor_cols = [col[order] for col in self.anchor_cols]
+        self.anchor_cols = None
+        m = len(order)
+        change = np.zeros(m, dtype=bool)
+        change[:1] = True
+        for col in anchor_cols:
+            change[1:] |= col[1:] != col[:-1]
+        self.gid = np.cumsum(change) - 1
+        starts = self.starts = np.flatnonzero(change)
+        self.bounds = starts.tolist() + [m]
+        self.head_anchor = [col[starts] for col in anchor_cols]
+
+    def anchor_index(self, anchor_of) -> dict:
+        """``{anchor: group}``, built on first use."""
+        index = self.index
+        if index is None:
+            rows = self.rows
+            firsts = self.row_idx[self.starts].tolist()
+            index = self.index = {anchor_of(rows[i]): g for g, i in enumerate(firsts)}
+        return index
+
+
+def _link_rows(rt: "_RTNode", rows: Sequence[Row], instances, children: tuple) -> _NodeLayout:
+    """A layout not grouped yet: the node's valid rows in row order,
+    with their anchor, output and link columns.  A row's link to a
+    child is the group whose head anchor equals the row's key into it
+    (``pack_pair`` + ``searchsorted``); rows without one are dangling
+    and left out, as in the scalar build."""
+    # Outputs are rebuilt from the columns: no bool or IntEnum to
+    # normalise.  Key columns only need an exact int64 image.  The
+    # scan depends on the data alone, so instances that can memoise
+    # it (a warm plan's reduction) answer it once.
+    exactly_int = getattr(instances, "exactly_int", None)
+    if exactly_int is not None:
+        ok = exactly_int(rt.alias, rt.own_positions)  # rows is instances[rt.alias]
+    else:
+        ok = kernels.rows_exactly_int(rows, rt.own_positions)
+    cols = _int_columns(instances, rt, rows) if ok else None
+    if cols is None:
+        return _NodeLayout(rows, children, "conversion")
+    np = kernels.np
+    n = len(rows)
+    valid = np.ones(n, dtype=bool)
+    links = []
+    for child, key_pos in zip(children, rt.child_key_positions):
+        if not len(child.starts):
+            valid[:] = False
+            idx = np.zeros(n, dtype=np.int64)
+        elif not key_pos:
+            idx = np.zeros(n, dtype=np.int64)  # the one ()-anchored group
+        else:
+            packed = kernels.pack_pair([cols[p] for p in key_pos], child.head_anchor)
+            if packed is None:
+                return _NodeLayout(rows, children, "pack-overflow")
+            p_keys, h_keys = packed
+            # Heads ascend by anchor, and packing keeps that order.
+            idx = np.minimum(np.searchsorted(h_keys, p_keys), len(h_keys) - 1)
+            valid &= h_keys[idx] == p_keys
+        links.append(idx)
+    sel = np.flatnonzero(valid)
+    layout = _NodeLayout(rows, children)
+    layout.row_idx = sel
+    layout.anchor_cols = [cols[p][sel] for p in rt.anchor_positions]
+    layout.own_cols = {p: cols[p][sel] for p in rt.own_positions}
+    layout.links = [idx[sel] for idx in links]
+    return layout
+
+
+def _group_heads(cols: list, layout: _NodeLayout):
+    """Each group's least layout position by ``cols`` (the last one
+    unique): a segmented lexicographic argmin, one minimum per group
+    and column over the positions still tied, with no sort."""
+    np = kernels.np
+    starts, gid = layout.starts, layout.gid
+    groups = len(starts)
+    first, *rest = cols
+    cand = np.flatnonzero(first == np.minimum.reduceat(first, starts)[gid])
+    for col in rest:
+        if len(cand) == groups:
+            break
+        vals, at = col[cand], gid[cand]
+        # Every group keeps a candidate, so group g's minimum is mins[g].
+        mins = np.minimum.reduceat(vals, np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1]))))
+        cand = cand[vals == mins[at]]
+    return cand
+
+
+class _Runs(Mapping):
+    """One node's queue family for one ranking, over the node's
+    :class:`_NodeLayout`: per anchor group, a run of the group's rows in
+    (key, output, row order) order, sorted when the group is first used.
+
+    Run position ``i`` of the parallel lists is the ``i``-th row of the
+    node in (anchor, key, output, row order) order, as if every group
+    were sorted; anchor group ``g`` owns the contiguous span
+    ``bounds[g]:bounds[g + 1]``, the layout's span for it.  The lists
+    (``row_idx``, ``keys``, ``own_keys``, ``outs`` with one list of ints
+    per output column, and per child the index of the child group each
+    position joins) are allocated whole and filled group by group
+    (:meth:`fill`) from the source columns in ``fills``, which are in
+    layout order.  When the layout holds this ranking's order
+    (``sort_cols`` is ``None``: this build grouped it), a fill copies a
+    slice; otherwise a group's first fill sorts its rows by
+    ``sort_cols`` (the ranking's key, or the LEX sort columns, then the
+    output columns, then the row index).  A group longer than
+    :data:`_SORT_CHUNK` is filled a chunk at a time (``fill_to[g]``
+    ends the filled prefix of group ``g``; ``rest`` holds the layout
+    positions a sorted group has not placed yet).  A position's output
+    tuple is built (:attr:`out_at`) when its group first needs it, so
+    positions that are never reached cost no tuple.
+
+    Its :class:`_LazyGroup` is created on demand — when a parent's cell
+    first points into it (:meth:`group`), or when the root or an
+    inspection looks it up by anchor: the runs are also the node's
+    queue family, a mapping from anchor to group.  ``links`` holds, per
+    child, the child's runs and each position's group index in them:
+    the child queue the row's cell points into.  The ``head_*`` arrays
+    describe each group's first run position (its initial top) to the
+    parent's build, in group order, which is ascending anchor order;
+    they come from a segmented argmin (:func:`_group_heads`), so no
+    group is sorted for its parents.
+    """
+
+    __slots__ = (
+        "layout",
         "rows",
         "row_idx",
         "keys",
@@ -277,18 +449,98 @@ class _Runs(Mapping):
         "heap_stats",
         "bounds",
         "groups",
-        "index",
         "head_anchor",
         "head_keys",
         "head_outs",
+        "sort_cols",
+        "fills",
+        "fill_to",
+        "rest",
     )
 
     def group(self, g: int) -> "_LazyGroup":
         """Anchor group ``g``'s queue, created on first use."""
         group = self.groups[g]
         if group is None:
-            group = self.groups[g] = _LazyGroup(self, self.bounds[g], self.bounds[g + 1])
+            group = self.groups[g] = _LazyGroup(self, g)
         return group
+
+    def fill(self, g: int) -> int:
+        """Put the next part of group ``g``'s run into the lists; the
+        run position its filled prefix now ends at.  A short group is
+        filled whole, with the unfilled groups after it that fit in the
+        same chunk (:meth:`fill_groups`); a long one a chunk at a time."""
+        bounds, fill_to = self.bounds, self.fill_to
+        start, end = fill_to[g], bounds[g + 1]
+        if start == bounds[g] and end - start <= _SORT_CHUNK:
+            limit, h = start + _SORT_CHUNK, g + 1
+            while h < len(fill_to) and fill_to[h] == bounds[h] and bounds[h + 1] <= limit:
+                h += 1
+            self.fill_groups(g, h)
+            return end
+        if self.sort_cols is None:  # the layout holds this ranking's order
+            stop = min(end, start + max(_SORT_CHUNK, start - bounds[g]))
+            parts = [src[start:stop] for src, _ in self.fills]
+        else:
+            order = self._next_chunk(g, start, end)
+            stop = start + len(order)
+            parts = [src.take(order, axis=0) for src, _ in self.fills]
+        fill_to[g] = stop
+        self._put(start, stop, parts)
+        return stop
+
+    def _put(self, start: int, stop: int, parts: list) -> None:
+        """Write run positions ``start:stop`` from ``parts``, one array
+        per source in ``fills``, into the lists."""
+        for part, (_, dst) in zip(parts, self.fills):
+            for lst, values in zip(dst, part.T.tolist()):
+                lst[start:stop] = values
+
+    def _next_chunk(self, g: int, start: int, end: int):
+        """The layout positions of a long group's next sorted part: its
+        :data:`_SORT_CHUNK` least rows on the first fill, and on each
+        later fill the least of the rest, twice as many as before."""
+        np = kernels.np
+        pending = self.rest.pop(g, None)
+        if pending is None:
+            pending, chunk = np.arange(start, end), _SORT_CHUNK
+        else:
+            pending, chunk = pending
+        sort_cols = self.sort_cols
+        if len(pending) > chunk:
+            # The rows up to the chunk-th least leading value are a
+            # prefix of the group's order, whatever the later columns.
+            lead = sort_cols[0][pending]
+            take = lead <= np.partition(lead, chunk - 1)[chunk - 1]
+            if not take.all():
+                self.rest[g] = (pending[~take], 2 * chunk)
+                pending = pending[take]
+        return pending[np.lexsort(tuple(col[pending] for col in reversed(sort_cols)))]
+
+    def fill_groups(self, lo: int, hi: int) -> None:
+        """Fill groups ``lo`` to ``hi - 1``, none filled yet, whole, in
+        one group-major sort (also the span a carry-over moves groups
+        into)."""
+        start, stop = self.bounds[lo], self.bounds[hi]
+        self.fill_to[lo:hi] = self.bounds[lo + 1 : hi + 1]
+        if stop - start == 1:
+            for src, dst in self.fills:
+                for lst, value in zip(dst, src[start].tolist()):
+                    lst[start] = value
+            return
+        parts = [src[start:stop] for src, _ in self.fills]
+        if self.sort_cols is not None:  # else the layout holds this ranking's order
+            cols = [col[start:stop] for col in reversed(self.sort_cols)]
+            if hi - lo > 1:
+                cols.append(self.layout.gid[start:stop])
+            order = kernels.np.lexsort(cols)
+            parts = [part.take(order, axis=0) for part in parts]
+        self._put(start, stop, parts)
+
+    def reach(self, g: int, pos: int) -> None:
+        """Fill group ``g`` at least through run position ``pos``."""
+        while self.fill_to[g] <= pos:
+            self.fill(g)
 
     def cell(self, pos: int, group: "_LazyGroup", head: tuple | None) -> Cell:
         """The cell of run position ``pos`` in ``group`` (children: the
@@ -299,19 +551,20 @@ class _Runs(Mapping):
         children = tuple([runs.group(idx[pos]).first_cell() for runs, idx in self.links])
         return self._make(pos, children, group, head, pos + group.origin)
 
-    def peek(self, pos: int) -> Cell:
-        """A stand-in for the cell of run position ``pos``, equal to it
-        in every field but ``group`` (``None``), that creates and counts
-        no cell: a child group whose first cell does not exist yet is
-        peeked in turn."""
+    def peek(self, pos: int, g: int) -> Cell:
+        """A stand-in for the cell of run position ``pos`` (in group
+        ``g``), equal to it in every field but ``group`` (``None``),
+        that creates and counts no cell: a child group whose first cell
+        does not exist yet is peeked in turn."""
+        self.reach(g, pos)
         children = []
         for runs, idx in self.links:
-            g = idx[pos]
-            child = runs.groups[g]
+            cg = idx[pos]
+            child = runs.groups[cg]
             first = None if child is None else child.first
             # A group without a first cell has never been popped: its
             # head is still its first position.
-            children.append(runs.peek(runs.bounds[g]) if first is None else first)
+            children.append(runs.peek(runs.bounds[cg], cg) if first is None else first)
         return self._make(pos, tuple(children), None, None, pos)
 
     def _make(self, pos: int, children: tuple, group, head: tuple | None, ordinal: int) -> Cell:
@@ -326,9 +579,10 @@ class _Runs(Mapping):
         return Cell(row, children, key, out, own_key, own_out, group, ordinal)
 
     def restart(self, stats: EnumerationStats, heap_stats: HeapStats) -> "_Runs":
-        """A shallow copy that shares every list (and the anchor index)
-        but creates its own groups, counting on ``stats``/``heap_stats``:
-        a root restart's queue over the same sorted run."""
+        """A shallow copy that shares every list, array and the fill
+        state but creates its own groups, counting on
+        ``stats``/``heap_stats``: a root restart's queue over the same
+        run, whose fills serve every restart."""
         runs = _Runs()
         for name in _Runs.__slots__:
             setattr(runs, name, getattr(self, name))
@@ -339,13 +593,7 @@ class _Runs(Mapping):
 
     # The queue family by anchor, for the root and for inspection.
     def _index(self) -> dict:
-        index = self.index
-        if index is None:
-            rows, row_idx, anchor_of = self.rows, self.row_idx, self.anchor_of
-            index = self.index = {
-                anchor_of(rows[row_idx[start]]): g for g, start in enumerate(self.bounds[:-1])
-            }
-        return index
+        return self.layout.anchor_index(self.anchor_of)
 
     def __getitem__(self, anchor: tuple) -> "_LazyGroup":
         return self.group(self._index()[anchor])
@@ -386,29 +634,38 @@ class _LazyGroup(RankHeap):
     A run position's cell is created when it becomes the group's top;
     the first one is kept, because parents built against the group
     point at that very object.  The group itself is created by its
-    :class:`_Runs` on first use.  A carried-over group moves to the
-    rebuilt runs of its node (:meth:`move_to`); ``origin`` keeps the
-    ordinals of its cells what they were, so its dedup keys stay valid.
+    :class:`_Runs` on first use, which sorts the run's first part into
+    the runs' lists (:meth:`_Runs.fill`); ``filled`` is where that part
+    ends, and popping up to it sorts the next part.  A carried-over
+    group moves to the rebuilt runs of its node (:meth:`move_to`);
+    ``origin`` keeps the ordinals of its cells what they were, so its
+    dedup keys stay valid.
     """
 
-    __slots__ = ("runs", "pos", "end", "head", "cell", "first", "origin")
+    __slots__ = ("runs", "gid", "pos", "end", "filled", "head", "cell", "first", "origin")
 
-    def __init__(self, runs: _Runs, start: int, end: int):
+    def __init__(self, runs: _Runs, g: int):
         super().__init__(runs.heap_stats)
         self.runs = runs
-        self.pos = start
-        self.end = end
+        self.gid = g
+        start = self.pos = runs.bounds[g]
+        self.end = runs.bounds[g + 1]
+        filled = runs.fill_to[g]
+        self.filled = runs.fill(g) if filled == start else filled
         self.origin = 0  # run position + origin = the cell's ordinal
         self.head: tuple | None = None  # the run head's sort key, once needed
         self.cell: Cell | None = None  # the run head's cell, once created
         self.first: Cell | None = None
 
-    def move_to(self, runs: _Runs, shift: int) -> None:
-        """Continue over ``runs``, which hold this group's rows in the
-        same order ``shift`` positions later (a carry-over)."""
+    def move_to(self, runs: _Runs, g: int) -> None:
+        """Continue as group ``g`` of ``runs``, which hold this group's
+        rows in the same order, filled (a carry-over)."""
+        shift = runs.bounds[g] - self.runs.bounds[self.gid]
         self.runs = runs
+        self.gid = g
         self.pos += shift
         self.end += shift
+        self.filled = self.end
         self.origin -= shift
 
     def first_cell(self) -> Cell:
@@ -437,6 +694,12 @@ class _LazyGroup(RankHeap):
             head = self.head = (runs.keys[pos], runs.out_at(pos))
         return head
 
+    def _fill_more(self) -> None:
+        # Another stream or an inspection may have filled further.
+        runs, g = self.runs, self.gid
+        filled = runs.fill_to[g]
+        self.filled = runs.fill(g) if filled == self.pos else filled
+
     def top(self) -> Cell:
         entries = self._entries
         if entries and (self.pos == self.end or entries[0] < (self.head or self._load_head())):
@@ -459,7 +722,9 @@ class _LazyGroup(RankHeap):
         cell = self._run_top()
         self.cell = None
         self.head = None
-        self.pos += 1
+        pos = self.pos = self.pos + 1
+        if pos == self.filled and pos != self.end:
+            self._fill_more()
         stats = self.stats
         stats.pops += 1
         stats.live_entries -= 1
@@ -476,9 +741,9 @@ class _LazyGroup(RankHeap):
 
         Run positions whose cell does not exist yet appear as stand-ins
         (:meth:`_Runs.peek`), so inspecting creates no cell and changes
-        no work counter.
+        no work counter (it may sort the rest of the run).
         """
-        run = [self.runs.peek(p) for p in range(self.pos, self.end)]
+        run = [self.runs.peek(p, self.gid) for p in range(self.pos, self.end)]
         if run and self.cell is not None:
             run[0] = self.cell
         return run + RankHeap.items(self)
@@ -495,23 +760,25 @@ def _build_runs(
 ) -> bool:
     """The array build of one node's queue family (see :class:`_Runs`).
 
-    One stable ``lexsort`` over the node's rows by (anchor, key,
-    partial output) yields every anchor group's pop order and its
-    head at once.  A row's output, and its combined key, take each
-    child's part from the head of the child group it joins with
-    (``pack_pair`` + ``searchsorted`` against the child's sorted
-    head anchors); rows without one are dangling and skipped, as in
-    the scalar build.  Batchable rankings sort by the float key
-    array; LEX sorts by the columns its key is made of
-    (``key_sort_columns``), and a key is built only when its run
-    position is reached.  Refuses (``False``: the scalar build runs)
-    for other rankings, a child built the scalar way, columns that
-    are not exactly ``int``, infinite weights under a batchable
-    ranking and NaN keys — the cases where array order could differ
-    from the heap's.  A refusal at a node with children is counted
-    on ``combine_counters`` with its reason.  The run positions count
-    as pushes and live entries on ``heap_stats``; the runs count the
-    cells they create on ``stats``.
+    A row's output, and its combined key, take each child's part from
+    the head of the child group it joins with.  Batchable rankings
+    order by the float key array; LEX orders by the columns its key is
+    made of (``key_sort_columns``), and a key is built only when its
+    run position is reached.  The data half, the node's
+    :class:`_NodeLayout`, is memoised with the reduction.  Without one,
+    a stable ``lexsort`` of the node's rows by (anchor, key, output)
+    groups them, and the layout keeps this ranking's order.  With one,
+    this ranking's half is a few passes over it: each group's head
+    comes from a segmented argmin (:func:`_group_heads`), and the group
+    is sorted on first use (:meth:`_Runs.fill`) into the order that
+    lexsort gives.  Refuses (``False``: the scalar build runs) for
+    other rankings, a child built the scalar way, columns that are not
+    exactly ``int``, infinite weights under a batchable ranking and NaN
+    keys — the cases where array order could differ from the heap's.
+    A refusal at a node with children is counted on
+    ``combine_counters`` with its reason.  The run positions count as
+    pushes and live entries on ``heap_stats``; the runs count the cells
+    they create on ``stats``.
     """
 
     def refuse(reason: str) -> bool:
@@ -528,62 +795,42 @@ def _build_runs(
         return refuse("no-key-array")
     if any(c.runs is None for c in rt.children):
         return refuse("scalar-child-keys")
-    # Outputs are rebuilt from the columns: no bool or IntEnum to
-    # normalise.  Key columns only need an exact int64 image.  The
-    # scan depends on the data alone, so instances that can memoise
-    # it (a warm plan's reduction) answer it once.
-    exactly_int = getattr(instances, "exactly_int", None)
-    if exactly_int is not None:
-        ok = exactly_int(rt.alias, rt.own_positions)  # rows is instances[rt.alias]
-    else:
-        ok = kernels.rows_exactly_int(rows, rt.own_positions)
-    if not ok:
-        return refuse("conversion")
-    cols = _int_columns(instances, rt, rows)
-    if cols is None:
+    children = [c.runs for c in rt.children]
+    child_layouts = tuple(c.layout for c in children)
+    derived = getattr(instances, "derived", None)
+    memo = {} if derived is None else derived(rt.alias)
+    # A memoised layout holds its children, so their ids stay unique.
+    key = (rt.anchor_positions, rt.own_positions, rt.child_key_positions, tuple(map(id, child_layouts)))
+    layout = memo.get(key)
+    grouped = layout is not None
+    if not grouped:
+        layout = _link_rows(rt, rows, instances, child_layouts)
+        if layout.refused is not None:
+            memo[key] = layout
+    if layout.refused == "conversion":
         return refuse("conversion")
     np = kernels.np
-    n = len(rows)
     zero_key = bound.key([])
     if batched:
-        own = own_arr if own_arr is not None else np.full(n, float(zero_key))
+        own = own_arr if own_arr is not None else np.full(len(rows), float(zero_key))
         # NaN keys order a heap by its layout, which a sorted run
         # cannot mimic.  An infinite weight can make one in a
         # successor (inf - inf, 0 * inf), so its node and that
         # node's ancestors are built the scalar way.
         if rt.own_pairs and not np.isfinite(own).all():
             return refuse("non-finite-key")
-    valid = np.ones(n, dtype=bool)
-    child_idx = []
-    for child, key_pos in zip(rt.children, rt.child_key_positions):
-        if not child.runs.groups:
-            valid[:] = False
-            idx = np.zeros(n, dtype=np.int64)
-        elif not key_pos:
-            idx = np.zeros(n, dtype=np.int64)  # the one ()-anchored group
-        else:
-            packed = kernels.pack_pair([cols[p] for p in key_pos], child.runs.head_anchor)
-            if packed is None:
-                return refuse("pack-overflow")
-            p_keys, h_keys = packed
-            # Heads ascend by anchor, and packing keeps that order.
-            idx = np.minimum(np.searchsorted(h_keys, p_keys), len(h_keys) - 1)
-            valid &= h_keys[idx] == p_keys
-        child_idx.append(idx)
-    sel = None if valid.all() else np.flatnonzero(valid)
-    if sel is not None:
-        child_idx = [idx[sel] for idx in child_idx]
-        cols = {p: col[sel] for p, col in cols.items()}
-    parts = [[cols[p] for p in rt.own_positions]] + [
-        [col[idx] for col in c.runs.head_outs] for c, idx in zip(rt.children, child_idx)
+    if layout.refused is not None:
+        return refuse(layout.refused)
+    links = layout.links
+    parts = [[layout.own_cols[p] for p in rt.own_positions]] + [
+        [col[idx] for col in c.head_outs] for c, idx in zip(children, links)
     ]
     out_cols = [parts[src][off] for src, off in rt.out_plan]
     if batched:
-        if sel is not None:
-            own = own[sel]
+        own = own[layout.row_idx]
         if rt.children:
             keys = bound.combine_key_arrays(
-                [own] + [c.runs.head_keys[idx] for c, idx in zip(rt.children, child_idx)]
+                [own] + [c.head_keys[idx] for c, idx in zip(children, links)]
             )
             if keys is None:
                 return refuse("combine-refused")
@@ -596,53 +843,78 @@ def _build_runs(
         sort_keys = bound.key_sort_columns(rt.out_vars, out_cols)
         if sort_keys is None:
             return refuse("conversion")
-    anchor_cols = [cols[p] for p in rt.anchor_positions]
-    # lexsort's last key is the primary one.
-    order = np.lexsort(
-        tuple(reversed(out_cols)) + tuple(reversed(sort_keys)) + tuple(reversed(anchor_cols))
-    )
-    m = len(order)
-    out_cols = [col[order] for col in out_cols]
-    anchor_cols = [col[order] for col in anchor_cols]
-    change = np.zeros(m, dtype=bool)
-    change[:1] = True
-    for col in anchor_cols:
-        change[1:] |= col[1:] != col[:-1]
-    starts = np.flatnonzero(change)
-
+    if grouped:
+        sort_cols = sort_keys + out_cols + [layout.row_idx]
+        heads = _group_heads(sort_cols, layout) if len(layout.row_idx) else layout.starts
+    else:
+        # lexsort's last key is the primary one; the row index, first,
+        # is never empty (an output-free node under LEX has no other).
+        order = np.lexsort(
+            (layout.row_idx,)
+            + tuple(reversed(out_cols))
+            + tuple(reversed(sort_keys))
+            + tuple(reversed(layout.anchor_cols))
+        )
+        layout.group(order)
+        memo[key] = layout
+        out_cols = [col[order] for col in out_cols]
+        if batched:
+            own, keys = own[order], keys[order]
+        sort_cols = None  # the layout holds this ranking's order
+        heads = layout.starts
+    m = len(layout.row_idx)
     runs = _Runs()
+    runs.layout = layout
     runs.rows = rows
-    row_idx = runs.row_idx = (order if sel is None else sel[order]).tolist()
     runs.zero_key = zero_key
-    runs.outs = [col.tolist() for col in out_cols]
+    runs.own_of = own_of = rt.own_of
+    runs.anchor_of = rt.anchor_of
+    runs.stats = stats
+    runs.heap_stats = heap_stats
+    runs.bounds = layout.bounds
+    runs.head_anchor = layout.head_anchor
+    runs.groups = [None] * len(layout.starts)  # created on first use
+    runs.sort_cols = sort_cols
+    runs.fill_to = layout.bounds[:-1]
+    runs.rest = {}
+    runs.head_outs = [col[heads] for col in out_cols]
+    # The lists, filled a group at a time from the source columns.
+    row_list = runs.row_idx = [None] * m
+    runs.outs = [[None] * m for _ in out_cols]
     runs.out_at = _position_getter(runs.outs)
-    own_of = runs.own_of = rt.own_of
+    link_lists = [[None] * m for _ in links]
+    runs.links = list(zip(children, link_lists))
+    runs.fills = [
+        (
+            np.stack([layout.row_idx, *out_cols, *layout.links], axis=1),
+            [row_list, *runs.outs, *link_lists],
+        )
+    ]
     if batched:
-        keys = keys[order]
+        runs.head_keys = keys[heads]
+        floats, float_lists = [], []
         if rt.children or rt.own_pairs:
-            runs.keys = keys.tolist()
+            runs.keys = [None] * m
+            floats.append(keys)
+            float_lists.append(runs.keys)
         else:
             runs.keys = [zero_key] * m  # the scalar leaf key: bound.key([])
-        runs.own_keys = own[order].tolist() if rt.own_pairs else None
-        runs.head_keys = keys[starts]
+        runs.own_keys = None
+        if rt.own_pairs:
+            runs.own_keys = [None] * m
+            floats.append(own)
+            float_lists.append(runs.own_keys)
+        if floats:
+            runs.fills.append((np.stack(floats, axis=1), float_lists))
     else:
+        runs.head_keys = None
         runs.keys = _OutputKeys(bound.key, rt.out_vars, runs.out_at)
         runs.own_keys = None
         if rt.own_pairs:
             own_vars = tuple(v for v, _ in rt.own_pairs)
             runs.own_keys = _OutputKeys(
-                bound.key, own_vars, lambda pos: own_of(rows[row_idx[pos]])
+                bound.key, own_vars, lambda pos: own_of(rows[row_list[pos]])
             )
-        runs.head_keys = None
-    runs.anchor_of = rt.anchor_of
-    runs.links = [(c.runs, idx[order].tolist()) for c, idx in zip(rt.children, child_idx)]
-    runs.stats = stats
-    runs.heap_stats = heap_stats
-    runs.head_anchor = [col[starts] for col in anchor_cols]
-    runs.head_outs = [col[starts] for col in out_cols]
-    runs.bounds = starts.tolist() + [m]
-    runs.groups = [None] * len(starts)  # created on first use
-    runs.index = None
     rt.pqs = rt.runs = runs
     if batched and rt.children:
         combine_counters.record_call()
@@ -909,18 +1181,21 @@ def _move_groups(runs: _Runs, moved: _Runs, hit) -> tuple[int, int]:
         # Heads ascend by anchor, and packing keeps that order.
         target = np.minimum(np.searchsorted(new_keys, old_keys), len(new_keys) - 1)
         keep &= new_keys[target] == old_keys
-    carried = dropped = 0
     old_bounds, new_bounds = runs.bounds, moved.bounds
-    for g, t, ok in zip(created, target.tolist(), keep.tolist()):
-        group = runs.groups[g]
-        start = new_bounds[t]
-        if ok and new_bounds[t + 1] - start == old_bounds[g + 1] - old_bounds[g]:
-            group.move_to(moved, start - old_bounds[g])
-            moved.groups[t] = group
-            carried += group.made
-        else:
-            dropped += 1
-    return carried, dropped
+    moves = [
+        (runs.groups[g], t)
+        for g, t, ok in zip(created, target.tolist(), keep.tolist())
+        if ok and new_bounds[t + 1] - new_bounds[t] == old_bounds[g + 1] - old_bounds[g]
+    ]
+    if moves:
+        # Targets ascend with the anchors: one sort fills them all.
+        moved.fill_groups(moves[0][1], moves[-1][1] + 1)
+    carried = 0
+    for group, t in moves:
+        group.move_to(moved, t)
+        moved.groups[t] = group
+        carried += group.made
+    return carried, len(created) - len(moves)
 
 
 class AcyclicRankedEnumerator(RankedEnumeratorBase):
@@ -1072,7 +1347,9 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
             queues = self._queues = self._retained.state = _RetainedQueues(
                 self._root_rt, self.bound
             )
-            self._root_pq = queues.root_runs.restart(self.stats, self.heap_stats).get(())
+            # Creating the root group fills the shared root run.
+            with queues.shared.lock:
+                self._root_pq = queues.root_runs.restart(self.stats, self.heap_stats).get(())
         else:
             self._root_pq = self._root_rt.pqs.get(())
 
@@ -1091,7 +1368,8 @@ class AcyclicRankedEnumerator(RankedEnumeratorBase):
         self._queues = queues
         self._root_rt = queues.root_rt
         runs = queues.root_runs.restart(self.stats, self.heap_stats)
-        self._root_pq = runs.get(())
+        with queues.shared.lock:  # creating the root group fills the shared root run
+            self._root_pq = runs.get(())
         heap = self.heap_stats
         heap.pushes = heap.live_entries = heap.peak_entries = runs.bounds[-1]
         self._preprocessed = True

@@ -47,6 +47,7 @@ from ..data.database import Database
 from ..errors import QueryError, RankingError
 from ..query.jointree import JoinTree, build_join_tree
 from ..query.query import JoinProjectQuery
+from ..storage.dictionary import code_order
 from .answers import EnumerationStats, RankedAnswer
 from .base import MAX_TOUCHED_FRACTION, RankedEnumeratorBase, RetainedSlot
 from .ranking import Desc, WeightFunction, batched_weight_table
@@ -511,10 +512,11 @@ class LexBacktrackEnumerator(RankedEnumeratorBase):
                 values = domain.tolist()
             else:
                 values = {row[pos0] for row in instances[alias0]}
-                if depth == 0 and all(type(v) is int for v in values):
-                    # The domain's order: ties the key sort cannot break
-                    # (NaN weights) come out as in every other mode.
-                    values = sorted(values)
+                if self._weight is not None:
+                    # Code order, as the domain is: ties the key sort
+                    # cannot break (NaN weights) come out as in every
+                    # other mode.  Unweighted keys never tie.
+                    values = code_order(values)
             candidates = [(value_key(v), v) for v in values]
             if var in self._descending:
                 candidates.sort(key=itemgetter(0), reverse=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = ["Dictionary", "MISSING"]
+__all__ = ["Dictionary", "MISSING", "code_order"]
 
 #: Sentinel code for values absent from the dictionary (matches nothing).
 MISSING = -1
@@ -44,6 +44,35 @@ def _group_key(value: Any):
     if isinstance(value, bytes):
         return (2, "")
     return (3, type(value).__name__)
+
+
+def code_order(values: Iterable[Any]) -> list[Any]:
+    """Distinct ``values`` in the order a :class:`Dictionary` gives their
+    codes: by type group, then ascending within a group.
+
+    Plain values in this order are in the order of their codes, so a
+    consumer that walks values in this order walks them alike in plain
+    and encoded execution.
+    """
+    values = list(values)
+    groups: dict[tuple, list] = {}
+    if len({type(v) for v in values}) == 1:  # one group: the common case
+        groups[()] = values
+    else:
+        for v in values:
+            groups.setdefault(_group_key(v), []).append(v)
+    ordered: list[Any] = []
+    for gk in sorted(groups):
+        members = groups[gk]
+        try:
+            members.sort()
+        except TypeError:
+            # Exotic same-named types that do not compare: fall back
+            # to a stable repr order (plain execution could not have
+            # compared them either).
+            members.sort(key=repr)
+        ordered.extend(members)
+    return ordered
 
 
 class Dictionary:
@@ -80,21 +109,7 @@ class Dictionary:
             for v in values:
                 if v not in distinct:
                     distinct[v] = None
-        groups: dict[tuple, list] = {}
-        for v in distinct:
-            groups.setdefault(_group_key(v), []).append(v)
-        ordered: list[Any] = []
-        for gk in sorted(groups):
-            members = groups[gk]
-            try:
-                members.sort()
-            except TypeError:
-                # Exotic same-named types that do not compare: fall back
-                # to a stable repr order (plain execution could not have
-                # compared them either).
-                members.sort(key=repr)
-            ordered.extend(members)
-        return cls(ordered)
+        return cls(code_order(distinct))
 
     # ------------------------------------------------------------------ #
     # mappings

@@ -46,7 +46,6 @@ import json
 import math
 import os
 import sys
-import threading
 import weakref
 from typing import Any, Sequence
 
@@ -61,7 +60,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "MappedColumnStore",
-    "MappedDictionary",
     "Snapshot",
     "SnapshotError",
     "open_database",
@@ -143,7 +141,7 @@ class MappedColumnStore(ColumnStore):
     structures keyed on the version stay warm across it.
     """
 
-    __slots__ = ("_matrix", "_decode_values", "_mapped", "_source", "_on_detach")
+    __slots__ = ("_matrix", "_decode_values", "_mapped", "_on_detach")
 
     def __init__(
         self,
@@ -151,7 +149,6 @@ class MappedColumnStore(ColumnStore):
         matrix,
         *,
         decode_values: Sequence[Any] | None = None,
-        source: tuple | None = None,
         on_detach=None,
         version: int = 0,
     ):
@@ -159,9 +156,6 @@ class MappedColumnStore(ColumnStore):
         self._matrix = matrix
         self._decode_values = decode_values
         self._mapped = True
-        #: ``(directory, relation name, kind)`` — lets pickling ship a
-        #: path reference so a worker remaps the same file.
-        self._source = source
         self._on_detach = on_detach
         self.version = version
         self.delta_log = DeltaLog(version)
@@ -229,60 +223,12 @@ class MappedColumnStore(ColumnStore):
         self._detach()
         super()._touch()
 
-    # -- pickling: ship the path, not the pages ------------------------ #
-    def __reduce__(self):
-        if self._mapped and self._source is not None:
-            directory, name, kind = self._source
-            return (_reopen_store, (directory, name, kind))
-        columns = [list(self.columns[i]) for i in range(self.arity)]
-        return (_rebuild_plain_store, (self.arity, columns, self.version))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "mapped" if self._mapped else "detached"
         return (
             f"MappedColumnStore(arity={self.arity}, n={len(self)}, "
             f"v={self.version}, {state})"
         )
-
-
-class MappedDictionary(Dictionary):
-    """A snapshot-backed dictionary that pickles as a path reference.
-
-    It pickles as ``(directory,)``: the receiving process reloads the
-    value list from the snapshot's ``dictionary.json`` (shared per
-    process) instead of shipping tens of thousands of values through the
-    pickle stream.  An extended dictionary (incremental appends after
-    open) no longer matches the file and ships its values instead.
-    """
-
-    __slots__ = ("_directory", "_entries")
-
-    def __init__(self, values: list, directory: str):
-        super().__init__(values)
-        self._directory = directory
-        self._entries = len(values)
-
-    def __reduce__(self):
-        if len(self.values) == self._entries:
-            return (_load_dictionary, (self._directory,))
-        return (Dictionary, (list(self.values),))
-
-
-def _reopen_store(directory: str, name: str, kind: str) -> ColumnStore:
-    """Unpickle hook: remap a store from its snapshot (cached per process)."""
-    return _open_cached(directory).store(name, kind)
-
-
-def _rebuild_plain_store(arity: int, columns: list, version: int) -> ColumnStore:
-    """Unpickle hook: a detached mapped store arrives as a plain store."""
-    store = ColumnStore(arity)
-    store.__setstate__((arity, columns, version))
-    return store
-
-
-def _load_dictionary(directory: str) -> Dictionary:
-    """Unpickle hook: reload a snapshot dictionary (cached per process)."""
-    return _open_cached(directory).dictionary()
 
 
 # ---------------------------------------------------------------------- #
@@ -604,7 +550,7 @@ class Snapshot:
                     f"truncated snapshot dictionary {target!r}: "
                     f"manifest expects {entry['entries']} entries"
                 )
-            self._dictionary = MappedDictionary(values, self.directory)
+            self._dictionary = Dictionary(values)
         return self._dictionary
 
     def identity_scores(self):
@@ -682,7 +628,6 @@ class Snapshot:
                 entry["arity"],
                 self._load_matrix(entry),
                 decode_values=decode_values,
-                source=(self.directory, name, kind),
                 on_detach=self._count_detach,
                 version=entry["store_version"],
             )
@@ -761,21 +706,6 @@ class Snapshot:
 #: ``database -> snapshot`` for databases built by :func:`open_database`;
 #: weakly keyed, so closing the last reference drops the mapping.
 _SNAPSHOTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: Per-process reopen cache backing the pickle hooks: every store a
-#: process unpickles remaps the *same* pages instead of reopening.
-_OPEN_CACHE: dict[str, Snapshot] = {}
-_OPEN_LOCK = threading.Lock()
-
-
-def _open_cached(directory: str) -> Snapshot:
-    key = os.path.abspath(directory)
-    with _OPEN_LOCK:
-        snapshot = _OPEN_CACHE.get(key)
-        if snapshot is None:
-            snapshot = _OPEN_CACHE[key] = open_snapshot(directory)
-        return snapshot
-
 
 def open_database(path: str | os.PathLike):
     """Reopen a snapshot as a :class:`~repro.data.database.Database`.

@@ -10,11 +10,15 @@ cells created.
 """
 
 import math
+import sys
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.yannakakis import atom_instances
+from repro.algorithms.yannakakis import atom_instances, full_reduce
+from repro.core import acyclic
 from repro.core.acyclic import AcyclicRankedEnumerator
 from repro.core.ranking import (
     AvgRanking,
@@ -25,8 +29,9 @@ from repro.core.ranking import (
     SumRanking,
     TableWeight,
 )
+from repro import QueryEngine, enumerate_ranked
 from repro.data import Database
-from repro.query import parse_query
+from repro.query import build_join_tree, parse_query
 from repro.storage import kernels
 
 QUERIES = [
@@ -257,3 +262,221 @@ def test_top_1_creates_few_groups():
         assert on_demand.heap_stats.snapshot() == enum.heap_stats.snapshot()
     assert on_demand.stats.cells_created == eager.stats.cells_created
     assert on_demand.stats.cells_created < scalar.stats.cells_created
+
+
+# ---------------------------------------------------------------------- #
+# lazy group sorts over a shared node layout
+# ---------------------------------------------------------------------- #
+LAYOUT_QUERIES = [
+    parse_query("Q(a1, p2) :- R(a1, p1), R(a2, p1), R(a2, p2)"),  # 3hop
+    parse_query("Q(a, d) :- R(a, b, c), S(b, c, d)"),  # two-column anchor
+    parse_query("Q(a, b, d) :- R(a, b, c), S(b, c, d), T(a, b)"),  # two-column anchors, two children
+    parse_query("Q(a1, a2, a3) :- R(a1, p), R(a2, p), R(a3, p)"),  # star3
+]
+
+
+@st.composite
+def layout_cases(draw):
+    query = draw(st.sampled_from(LAYOUT_QUERIES))
+    arity = {atom.relation: len(atom.variables) for atom in query.atoms}
+    domain = st.integers(min_value=0, max_value=2)
+    spec = {
+        name: (
+            tuple(f"c{i}" for i in range(width)),
+            draw(st.lists(st.tuples(*[domain] * width), min_size=1, max_size=40)),
+        )
+        for name, width in sorted(arity.items())
+    }
+
+    def ranking():
+        kind = draw(st.sampled_from(["sum", "min", "max", "lex"]))
+        # Two weights: keys tie heavily.
+        table = {v: draw(st.sampled_from([0.0, 1.0])) for v in range(3)}
+        weight = TableWeight({}, default_table=table)
+        if kind == "lex":
+            descending = draw(st.sets(st.sampled_from(query.head)))
+            return LexRanking(weight=weight, descending=descending)
+        return RANKINGS[kind](weight, descending=draw(st.booleans()))
+
+    chunk = draw(st.sampled_from([1, 2, 3, 64]))
+    return query, Database.from_dict(spec), ranking(), ranking(), chunk
+
+
+@contextmanager
+def sort_chunk(chunk: int):
+    saved = acyclic._SORT_CHUNK
+    acyclic._SORT_CHUNK = chunk
+    try:
+        yield
+    finally:
+        acyclic._SORT_CHUNK = saved
+
+
+def reduced(query, db):
+    return full_reduce(build_join_tree(query), atom_instances(query, db))
+
+
+def forced(enum):
+    """Every node's runs, with every group filled."""
+    out = {}
+    for rt in nodes(enum):
+        runs = rt.runs
+        assert runs is not None
+        for g in range(len(runs.groups)):
+            runs.reach(g, runs.bounds[g + 1] - 1)
+        assert runs.fill_to == runs.bounds[1:]
+        batched = runs.head_keys is not None
+        out[rt.alias] = (
+            runs.row_idx,
+            runs.keys if batched else None,
+            runs.own_keys if batched else None,
+            runs.outs,
+            [link for _, link in runs.links],
+            runs.bounds,
+            [col.tolist() for col in runs.head_anchor],
+            runs.head_keys.tolist() if batched else None,
+            [col.tolist() for col in runs.head_outs],
+        )
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=layout_cases())
+def test_lazy_runs_equal_a_full_eager_sort(case):
+    # ``first`` groups every node's rows in its own order; ``second``
+    # then sorts each group of those layouts on first use (in chunks
+    # for the small chunk sizes), and must end where one lexsort of its
+    # own puts every row.
+    query, db, first, second, chunk = case
+    with sort_chunk(chunk):
+        shared = reduced(query, db)
+        kwargs = dict(instances=shared, already_reduced=True)
+        layouts = AcyclicRankedEnumerator(query, db, first, **kwargs).preprocess()
+        lazy = AcyclicRankedEnumerator(query, db, second, **kwargs).preprocess()
+        eager = AcyclicRankedEnumerator(
+            query, db, second, instances=reduced(query, db), already_reduced=True
+        ).preprocess()
+        for rt, lazy_rt in zip(nodes(layouts), nodes(lazy)):
+            assert lazy_rt.runs.layout is rt.runs.layout
+            assert lazy_rt.runs.sort_cols is not None
+        assert all(rt.runs.sort_cols is None for rt in nodes(eager))
+        assert forced(lazy) == forced(eager)
+
+
+def test_top_1_fills_only_the_groups_it_creates():
+    rows = [(a, p) for p in range(300) for a in (p, p + 1, p + 2)]
+    db = Database.from_dict({"R": (("c0", "c1"), rows)})
+    enum = AcyclicRankedEnumerator(QUERIES[1], db)  # 3hop: root, middle, leaf
+    assert [a.values for a in enum.top_k(1)] == [(0, 0)]
+    for rt in nodes(enum):
+        runs = rt.runs
+        filled = [g for g, end in enumerate(runs.fill_to) if end > runs.bounds[g]]
+        created = [g for g, group in enumerate(runs.groups) if group is not None]
+        # A created group is filled with the unfilled groups after it
+        # that fit in the same chunk, and no other.
+        assert set(created) <= set(filled)
+        filled_rows = sum(runs.fill_to[g] - runs.bounds[g] for g in filled)
+        assert filled_rows <= len(created) * acyclic._SORT_CHUNK
+        if rt.is_root:
+            assert runs.bounds == [0, len(rows)]
+            assert acyclic._SORT_CHUNK <= runs.fill_to[0] < len(rows)
+        else:
+            assert len(created) <= 3 < len(runs.groups)
+            assert filled_rows < runs.bounds[-1] / 4
+
+
+def test_rankings_of_one_query_share_the_layouts():
+    db = Database.from_dict(
+        {"R": (("c0", "c1"), [(a, p) for a in range(30) for p in range(4) if (a + p) % 3])}
+    )
+    engine = QueryEngine(db)
+    text = "Q(a1, p2) :- R(a1, p1), R(a2, p1), R(a2, p2)"
+    table = {v: float(v % 5) for v in range(41)}
+
+    def layouts(ranking):
+        expected = [(a.values, a.score) for a in enumerate_ranked(parse_query(text), db, ranking, k=20)]
+        got = engine.execute(text, ranking, k=20)
+        assert [(a.values, a.score) for a in got] == expected
+        return {rt.alias: rt.runs.layout for rt in nodes(engine.last_enumerator)}
+
+    first = layouts(SumRanking(TableWeight({}, default_table=table)))
+    second = layouts(MaxRanking(TableWeight({}, default_table=table), descending=True))
+    assert len(first) == 3
+    assert all(second[alias] is layout for alias, layout in first.items())
+    db.get("R").add((40, 1))
+    after = layouts(SumRanking(TableWeight({}, default_table=table)))
+    assert all(after[alias] is not layout for alias, layout in first.items())
+
+
+def test_restarted_streams_on_threads_fill_the_shared_root():
+    rows = [(a, p) for a in range(60) for p in range(40) if (a * 7 + p) % 5 == 0]
+    db = Database.from_dict({"R": (("c0", "c1"), rows)})
+    engine = QueryEngine(db)
+    text = "Q(a1, a2) :- R(a1, p), R(a2, p)"
+    ranking = SumRanking()
+    expected = [(a.values, a.score) for a in enumerate_ranked(parse_query(text), db, ranking)]
+    for _ in range(2):  # the second run keeps the state the next ones restart from
+        engine.execute(text, ranking, k=1)
+    root = engine.last_enumerator._root_rt.runs
+    assert root.fill_to[0] < root.bounds[1]  # the root is sorted as far as it was read
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    results = {}
+
+    def drain(i):
+        results[i] = [(a.values, a.score) for a in engine.stream(text, ranking)]
+
+    try:
+        threads = [threading.Thread(target=drain, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: expected for i in range(4)}
+    assert engine.stats.ranked_restarts == 4
+    assert root.fill_to == root.bounds[1:]  # one fill state for every restart
+
+
+def test_output_free_cartesian_node_under_lex():
+    # S has no output and no anchor: under LEX its rows have no sort
+    # column but their row order.
+    db = Database.from_dict(
+        {"R": (("a", "b"), [(3, 2), (1, 4)]), "S": (("c", "d"), [(5, 6), (7, 8)])}
+    )
+    query = parse_query("Q(a) :- R(a, b), S(c, d)")
+    options = {"prune": False, "dedup_inserts": True, "instances": "reduce"}
+    lazy, lazy_enum = run(query, db, LexRanking(), options, lazy=True)
+    scalar, scalar_enum = run(query, db, LexRanking(), options, lazy=False)
+    assert [values for values, _, _ in lazy] == [(1,), (3,)]
+    assert repr(lazy) == repr(scalar)
+    assert all(rt.runs is not None for rt in nodes(lazy_enum))
+
+
+def test_carry_over_sorts_moved_groups_into_another_rankings_layout():
+    # Two plans of one query share its data state.  After a write the
+    # first plan's carry-over lays the new reduction out in its order;
+    # the second plan's carry-over moves its groups into those layouts
+    # and must sort them into its own order.
+    rows = [(a, p) for a in range(40) for p in range(12) if (a * 5 + p * 3) % 7 < 3]
+    db = Database.from_dict({"R": (("c0", "c1"), rows)})
+    engine = QueryEngine(db)
+    text = "Q(a1, p2) :- R(a1, p1), R(a2, p1), R(a2, p2)"
+    table = {v: float((v * 7) % 5) for v in range(60)}
+    rankings = [
+        SumRanking(TableWeight({}, default_table=table)),
+        SumRanking(TableWeight({}, default_table=table), descending=True),
+    ]
+    for ranking in rankings:
+        for _ in range(2):
+            engine.execute(text, ranking, k=30)
+    db.get("R").add((41, 0))
+    for ranking in rankings:
+        expected = enumerate_ranked(parse_query(text), db, ranking, k=60)
+        got = engine.execute(text, ranking, k=60)
+        assert [(a.values, a.score) for a in got] == [(a.values, a.score) for a in expected]
+    assert engine.stats.ranked_carryovers == 2
+    sorted_nodes = [rt for rt in nodes(engine.last_enumerator) if rt.runs.sort_cols is not None]
+    assert sorted_nodes  # the second plan's rebuilt nodes sort their groups

@@ -1,5 +1,6 @@
 """Tests for the lexicographic backtracking enumerator (Algorithm 3)."""
 
+import math
 import random
 import time
 
@@ -10,10 +11,11 @@ from repro import QueryEngine
 from repro.algorithms.naive import ranked_output
 from repro.algorithms.yannakakis import atom_instances
 from repro.core import LexBacktrackEnumerator
-from repro.core.ranking import LexRanking, TableWeight
+from repro.core.ranking import CallableWeight, LexRanking, TableWeight
 from repro.data import Database
 from repro.errors import QueryError, RankingError
 from repro.query import parse_query
+from repro.storage import kernels
 
 from conftest import random_db_for
 
@@ -79,6 +81,31 @@ class TestCorrectness:
         )
         q = parse_query("Q(x, z) :- R(x, y), S(y, z)")
         assert LexBacktrackEnumerator(q, db).all() == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nan_weights_answer_alike_in_every_mode(seed):
+    # NaN weights tie every candidate they touch, so the order of a
+    # level's candidates decides the answer order: string keys, plain
+    # and encoded, kernels on and off, must walk them in one order.
+    rng = random.Random(seed)
+    rows = sorted({(f"u{rng.randrange(12)}", f"p{rng.randrange(5)}") for _ in range(30)})
+    db = Database.from_dict({"E": (("a", "b"), rows)})
+    values = [f"u{i}" for i in range(12)] + [f"p{i}" for i in range(5)]
+    nan = {v for v in values if rng.random() < 0.4}
+    weight = CallableWeight(lambda attr, v: math.nan if v in nan else float(ord(v[-1])))
+    text = "Q(a1, p, a2) :- E(a1, p), E(a2, p)"
+    answers = []
+    for encode in (False, True):
+        for enabled in (True, False):
+            kernels.set_enabled(enabled)
+            try:
+                got = QueryEngine(db, encode=encode).execute(text, LexRanking(weight=weight))
+            finally:
+                kernels.set_enabled(True)
+            answers.append([a.values for a in got])
+    assert len(answers[0]) == len(set(answers[0])) > 1
+    assert all(got == answers[0] for got in answers[1:])
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""On-disk snapshots: round-trips, refusal, copy-on-write, pickling.
+"""On-disk snapshots: round-trips, refusal, copy-on-write.
 
 The persistence contract of :mod:`repro.storage.persist`:
 
@@ -10,9 +10,7 @@ The persistence contract of :mod:`repro.storage.persist`:
   values refuse on save;
 * immutability: snapshot files never change; mutation copy-on-write
   detaches the in-RAM store and post-open writes replay as deltas,
-  matching a cold rebuild;
-* by-reference pickling: mapped stores/dictionaries pickle as path
-  references.
+  matching a cold rebuild.
 
 White-box access to the storage layer is fine here (tests are outside
 the layering gate's scope).
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 
 import pytest
 
@@ -38,24 +35,11 @@ from repro.storage import (
     save_snapshot,
     snapshot_handle,
 )
-from repro.storage.persist import (
-    MappedColumnStore,
-    MappedDictionary,
-    _OPEN_CACHE,
-    open_snapshot,
-)
+from repro.storage.persist import MappedColumnStore, open_snapshot
 
 needs_numpy = pytest.mark.skipif(
     not kernels.HAS_NUMPY, reason="snapshot save requires NumPy"
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_open_cache():
-    """Isolate the per-process reopen cache between tests."""
-    _OPEN_CACHE.clear()
-    yield
-    _OPEN_CACHE.clear()
 
 
 def _path_db() -> Database:
@@ -341,42 +325,6 @@ class TestNoNumPyFallback:
         monkeypatch.setattr(kernels, "HAS_NUMPY", False)
         with pytest.raises(SnapshotError, match="requires NumPy"):
             save_snapshot(_path_db(), tmp_path / "snap")
-
-
-# --------------------------------------------------------------------- #
-# by-reference pickling
-# --------------------------------------------------------------------- #
-@needs_numpy
-class TestPickling:
-    def test_mapped_store_ships_as_path(self, tmp_path):
-        snap = save_snapshot(_path_db(), tmp_path / "snap")
-        store = open_snapshot(snap).store("R", "base")
-        payload = pickle.dumps(store)
-        assert len(payload) < 400  # a path triple, not the rows
-        clone = pickle.loads(payload)
-        assert isinstance(clone, MappedColumnStore) and clone._mapped
-        assert clone.rows() == store.rows()
-        # Two unpickles in one process share one mapping.
-        assert pickle.loads(pickle.dumps(store)) is clone
-
-    def test_detached_store_ships_values(self, tmp_path):
-        snap = save_snapshot(_path_db(), tmp_path / "snap")
-        db = open_database(snap)
-        db["R"].add((99, 10))
-        clone = pickle.loads(pickle.dumps(db["R"]._store))
-        assert not isinstance(clone, MappedColumnStore)
-        assert clone.rows() == db["R"]._store.rows()
-
-    def test_dictionary_ships_as_path(self, tmp_path):
-        snap = save_snapshot(_star_db(), tmp_path / "snap")
-        d = open_snapshot(snap).dictionary()
-        assert isinstance(d, MappedDictionary)
-        clone = pickle.loads(pickle.dumps(d))
-        assert clone.values == d.values
-        extended = open_snapshot(snap).dictionary()
-        extended.extend_with(["zzz-new"])
-        shipped = pickle.loads(pickle.dumps(extended))
-        assert shipped.values == extended.values
 
 
 # --------------------------------------------------------------------- #

@@ -51,7 +51,6 @@ from repro.storage.journal import (
     journal_path,
     open_durable,
 )
-from repro.storage.persist import _OPEN_CACHE
 from repro.testing.faultinject import (
     FaultError,
     FaultPlan,
@@ -65,14 +64,6 @@ needs_numpy = pytest.mark.skipif(
 )
 
 QUERY = "q(a, c) :- r(a, b), s(b, c)"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_open_cache():
-    """Isolate the per-process reopen cache between tests."""
-    _OPEN_CACHE.clear()
-    yield
-    _OPEN_CACHE.clear()
 
 
 def make_db(n: int = 60) -> Database:
@@ -308,7 +299,6 @@ class TestSnapshotDurability:
         target = str(tmp_path / "snap")
         save_snapshot(make_db(), target)
         original = rows_of(open_database(target))
-        _OPEN_CACHE.clear()
         bigger = make_db(100)
         with inject(FaultPlan().fail("persist.fsync", at=1)):
             with pytest.raises(Exception):
@@ -414,7 +404,6 @@ class TestRestartSurvivingCursor:
         handle.stop()
         durable.close()
 
-        _OPEN_CACHE.clear()
         durable2 = open_durable(target)
         handle2 = ServerThread(QueryEngine(durable2.db), durable=durable2).start()
         try:
@@ -458,7 +447,6 @@ class TestRestartSurvivingCursor:
         durable.record_cursor_position("legacy-sharded", 24)
         durable.close()
 
-        _OPEN_CACHE.clear()
         durable2 = open_durable(target)
         handle = ServerThread(QueryEngine(durable2.db), durable=durable2).start()
         try:
@@ -487,7 +475,6 @@ class TestRestartSurvivingCursor:
         durable.append("r", [(7777, 1)])
         durable.close()
 
-        _OPEN_CACHE.clear()
         durable2 = open_durable(target)
         handle2 = ServerThread(QueryEngine(durable2.db), durable=durable2).start()
         try:
