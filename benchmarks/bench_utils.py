@@ -3,12 +3,11 @@
 Every ``bench_*`` module regenerates one exhibit (table or figure) of
 the paper.  Workloads are cached per session; each module writes its
 paper-style table both to stdout (visible with ``pytest -s``) and to
-``benchmarks/results/<exhibit>.txt`` so EXPERIMENTS.md can reference the
-measured numbers.
+``benchmarks/results/<exhibit>.txt`` (git-ignored); docs/benchmarks.md
+says how to run the exhibits.
 
 Scales are calibrated so the whole suite completes in minutes on one
-core: the paper's effects are scale-free (who wins and by what factor),
-see DESIGN.md §4.
+core: the paper's effects are scale-free (who wins and by what factor).
 """
 
 from __future__ import annotations

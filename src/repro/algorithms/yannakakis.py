@@ -18,6 +18,7 @@ preprocessing (Algorithm 4) start with the classic Yannakakis machinery
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, Sequence
 
 from ..data.database import Database
@@ -134,6 +135,18 @@ class AtomInstances(dict):
             hit = self._derived[alias] = (rows, {})
         return hit[1]
 
+    def lineage(self, alias: str):
+        """``(earlier, at, current)`` when the last write to ``alias``'s
+        relation moved its view from the row list ``earlier`` to
+        ``current`` (``at``: each earlier row's index in ``current``,
+        ``-1``: gone), else ``None``
+        (:meth:`repro.data.relation.Relation.instance_lineage`)."""
+        source = self.source_of(alias)
+        if source is None:
+            return None
+        relation, positions, selections, distinct = source
+        return relation.instance_lineage(positions, selections, distinct=distinct)
+
     def source_of(self, alias: str):
         """``(relation, positions, selections, distinct)`` or ``None``.
 
@@ -165,16 +178,32 @@ class ReducedInstances(AtomInstances):
     so downstream array consumers (score columns) can project any
     view-aligned array onto the reduced rows without re-deriving
     anything.  The reducer's own reduced code matrices are kept too, so
-    :meth:`codes` answers from them, whatever was written since.
-    Behaves exactly like the plain dict the scalar reducer returns.
+    :meth:`codes` answers from them, whatever was written since, and so
+    is each alias's input row list with the indices that survived in it,
+    which a later reduction of the same plan compares itself with
+    (:func:`full_reduce`'s ``previous``).  Behaves exactly like the
+    plain dict the scalar reducer returns.
     """
 
-    __slots__ = ("_survivors", "_matrices")
+    __slots__ = ("_survivors", "_matrices", "_inputs", "_known", "__weakref__")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._survivors: dict[str, object] = {}
         self._matrices: dict[str, object] = {}
+        self._inputs: dict[str, tuple] = {}
+        # (weak reference to the previous reduction, the diff from it
+        # of each alias whose old rows this build could place).
+        self._known: tuple | None = None
+
+    def known_diff(self, previous) -> dict:
+        """The diff from ``previous`` of the aliases this reduction was
+        built from it for (see :func:`full_reduce`), ``{}`` for any
+        other reduction."""
+        known = self._known
+        if known is None or known[0]() is not previous:
+            return {}
+        return known[1]
 
     @classmethod
     def from_reduction(
@@ -188,6 +217,7 @@ class ReducedInstances(AtomInstances):
             if alias in sources:
                 out._sources[alias] = sources[alias]
             kept = survivors.get(alias)
+            out._inputs[alias] = (source[alias], kept)
             # Compose with the input's own survivors (re-reducing an
             # already-reduced instance): the stored indices must always
             # be relative to the *view*, whatever the input was.
@@ -202,6 +232,20 @@ class ReducedInstances(AtomInstances):
 
     def codes(self, alias: str):
         return self._matrices.get(alias)
+
+    def keep_memos(self, previous: "ReducedInstances", aliases, derived) -> None:
+        """Take over ``previous``'s memos of ``aliases``, whose row lists
+        both reductions share: the exactly-int and domain answers, and
+        for the aliases in ``derived`` (whose join-tree subtree kept its
+        rows too) what consumers derived from them."""
+        for memo, old in (
+            (self._exact_int, previous._exact_int),
+            (self._domains, previous._domains),
+        ):
+            memo.update((key, hit) for key, hit in old.items() if key[0] in aliases)
+        self._derived.update(
+            (alias, previous._derived[alias]) for alias in derived if alias in previous._derived
+        )
 
 
 def atom_instances(
@@ -275,6 +319,7 @@ def full_reduce(
     instances: Mapping[str, list[Row]],
     *,
     use_kernels: bool | None = None,
+    previous: Instances | None = None,
 ) -> Instances:
     """Remove all dangling tuples (two semi-join sweeps, O(|D|) passes).
 
@@ -296,11 +341,25 @@ def full_reduce(
     large-multi-column kernel dispatch still applies — use
     :func:`repro.storage.kernels.set_enabled` to disable vectorisation
     entirely (as the benchmarks do for their row-at-a-time baselines).
+
+    ``previous`` is an earlier vectorised reduction of the same plan
+    (after a write, say).  An alias whose input is the same row list as
+    there, or the list a write moved that one to
+    (:meth:`AtomInstances.lineage`), keeps what it can: with the same
+    reduced rows, it keeps the old reduced list and matrix objects, and
+    with them the memos (:meth:`ReducedInstances.keep_memos`:
+    exactly-int and domain answers, and the derived state — node
+    layouts — of every alias whose whole join-tree subtree kept its
+    rows); with a few changed, its list is joined from slices of the
+    old one instead of gathered row by row.  Either way the reduction
+    knows those aliases' diff from ``previous``
+    (:meth:`ReducedInstances.known_diff`, which :func:`reduction_diff`
+    reads).  The output is the same as without ``previous``.
     """
     if use_kernels is None:
         use_kernels = kernels.enabled()
     if use_kernels and kernels.enabled():
-        state = _kernel_full_reduce(tree, instances)
+        state = _kernel_full_reduce(tree, instances, previous)
         if state is not None:
             return state
         kernels.counters.record_fallback()
@@ -326,7 +385,7 @@ def full_reduce(
 
 
 def _kernel_full_reduce(
-    tree: JoinTree, instances: Mapping[str, list[Row]]
+    tree: JoinTree, instances: Mapping[str, list[Row]], previous=None
 ) -> Instances | None:
     """Both semi-join sweeps as array ops; ``None`` → caller falls back.
 
@@ -385,18 +444,111 @@ def _kernel_full_reduce(
             if not semi(child.alias, c_pos, node.alias, p_pos):
                 return None
 
+    old_inputs = getattr(previous, "_inputs", {})
     rows_by_alias: Instances = {}
+    kept_rows: set[str] = set()
+    # The diff from ``previous`` of each alias whose old rows are placed.
+    diffs: dict[str, list] = {}
+    none = np.zeros(0, dtype=np.int64)
     for alias, rows in instances.items():
         kept = survivors.get(alias)
+        old_rows, old_kept = old_inputs.get(alias, (None, None))
+        same = old_rows is rows and _same_indices(old_kept, kept, len(rows))
+        old_at = None if same else _old_positions(instances, alias, old_rows, old_kept)
+        if old_at is not None:
+            new_rows, added, removed = _moved_rows(previous[alias], old_at, kept, rows)
+            same = not len(added) and not len(removed)
+            if not same:
+                rows_by_alias[alias] = new_rows
+                diffs[alias] = (added, removed)
+                continue
+        if same:  # the same rows: keep the list, its matrix and memos
+            rows_by_alias[alias] = previous[alias]
+            current[alias] = previous.codes(alias)
+            kept_rows.add(alias)
+            diffs[alias] = (none, none)
+            continue
         rows_by_alias[alias] = (
             list(rows) if kept is None else [rows[i] for i in kept.tolist()]
         )
-    return ReducedInstances.from_reduction(instances, rows_by_alias, survivors, current)
+    out = ReducedInstances.from_reduction(instances, rows_by_alias, survivors, current)
+    if diffs:
+        out._known = (weakref.ref(previous), {alias: tuple(d) for alias, d in diffs.items()})
+    if kept_rows:
+        whole = set()
+        for node in tree.post_order():
+            if node.alias in kept_rows and all(c.alias in whole for c in node.children):
+                whole.add(node.alias)
+        out.keep_memos(previous, kept_rows, whole)
+    return out
 
 
-def _absent(keys, others, *, ordered: bool = False):
-    """Mask over ``keys``: which are not among ``others`` (both unique;
-    both ascending when ``ordered``).
+def _same_indices(a, b, n: int) -> bool:
+    """Do two survivor index arrays into one ``n``-row list (``None``:
+    every row) name the same rows?"""
+    if a is None or b is None:
+        other = b if a is None else a
+        return other is None or len(other) == n
+    return len(a) == len(b) and bool(kernels.np.array_equal(a, b))
+
+
+def _old_positions(instances, alias: str, old_rows, old_kept):
+    """Where the rows ``old_kept`` of ``old_rows`` (an earlier input of
+    ``alias``, ``None``: all) are in ``instances[alias]``: their indices
+    there (``-1``: gone), or ``None`` when that is not known — the
+    inputs are neither one list nor an earlier and the current row list
+    of one maintained view (:meth:`AtomInstances.lineage`)."""
+    np = kernels.np
+    if old_rows is None:
+        return None
+    rows = instances[alias]
+    if old_rows is rows:
+        return np.arange(len(rows)) if old_kept is None else old_kept
+    lineage = getattr(instances, "lineage", None)
+    moved = None if lineage is None else lineage(alias)
+    if moved is None or moved[0] is not old_rows or moved[2] is not rows:
+        return None
+    return moved[1] if old_kept is None else moved[1][old_kept]
+
+
+def _moved_rows(old: list[Row], old_at, kept, rows: list[Row]):
+    """The rows of ``rows`` at ``kept`` (ascending indices, ``None``:
+    all), and their diff from ``old``, whose rows are at ``old_at`` in
+    ``rows`` (ascending, ``-1``: not there): ``(rows, added, removed)``
+    with ``added`` indexing the new list and ``removed`` ``old``.  When
+    few rows changed, the list is built from slices of ``old`` with the
+    rows it lacks put in between (:func:`~repro.storage.kernels.joined_runs`),
+    not gathered row by row."""
+    np = kernels.np
+    kept = np.arange(len(rows)) if kept is None else kept
+    where_old = np.full(len(rows), -1, dtype=np.int64)
+    there = old_at >= 0
+    where_old[old_at[there]] = np.flatnonzero(there)
+    # Each new row's position in ``old`` (-1: a new row); a run of
+    # consecutive positions is one slice.
+    source = where_old[kept]
+    used = np.zeros(len(old), dtype=bool)
+    used[source[source >= 0]] = True
+    added, removed = np.flatnonzero(source < 0), np.flatnonzero(~used)
+    # A new row is a run of its own: the row after it starts another.
+    starts = np.ones(len(source), dtype=bool)
+    starts[1:] = (source[1:] != source[:-1] + 1) | (source[1:] < 0) | (source[:-1] < 0)
+    starts = np.flatnonzero(starts)
+    ends = starts[1:].tolist() + [len(source)]
+    runs = (
+        (old, at, at + end - start) if at >= 0 else (rows, row, row + 1)
+        for start, end, at, row in zip(
+            starts.tolist(), ends, source[starts].tolist(), kept[starts].tolist()
+        )
+    )
+    out = kernels.joined_runs(runs, len(starts), len(source))
+    if out is None:
+        out = [rows[i] for i in kept.tolist()]
+    return out, added, removed
+
+
+def _absent(keys, others):
+    """Mask over ``keys``: which are not among ``others`` (both unique).
 
     Sorts both sides and searches the sorted ``keys`` in order: on
     27 000 keys this measured 1.7 ms against 9.1 ms for ``np.isin``,
@@ -405,30 +557,13 @@ def _absent(keys, others, *, ordered: bool = False):
     np = kernels.np
     if not len(others):
         return np.ones(len(keys), dtype=bool)
-    if ordered:
-        order, ordered_keys = None, keys
-    else:
-        order = np.argsort(keys)
-        ordered_keys = keys[order]
-        others = np.sort(others)
+    order = np.argsort(keys)
+    ordered_keys = keys[order]
+    others = np.sort(others)
     at = np.minimum(np.searchsorted(others, ordered_keys), len(others) - 1)
-    absent = others[at] != ordered_keys
-    if order is None:
-        return absent
     out = np.empty(len(keys), dtype=bool)
-    out[order] = absent
+    out[order] = others[at] != ordered_keys
     return out
-
-
-def _same_view(old, new, alias) -> bool:
-    """Did both reductions gather ``alias`` from one unchanged view (same
-    relation object, signature and generation)?"""
-    a = getattr(old, "_sources", {}).get(alias)
-    b = getattr(new, "_sources", {}).get(alias)
-    if a is None or b is None:
-        return False
-    (relation, *signature), generation = a
-    return relation is b[0][0] and signature == list(b[0][1:]) and generation == b[1]
 
 
 def reduction_diff(old: Instances, new: Instances) -> dict[str, tuple] | None:
@@ -436,10 +571,11 @@ def reduction_diff(old: Instances, new: Instances) -> dict[str, tuple] | None:
     reductions of one plan: ``{alias: (added, removed)}``, index arrays
     into ``new[alias]`` and ``old[alias]``.
 
-    An alias whose relation was not written compares the two survivor
-    index arrays into its one view (both ascending).  Any other alias
-    compares the reducer's own code matrices, each row packed into one
-    key.  ``None`` when a side has no matrix (the scalar reducer ran),
+    An alias that ``new`` was built from ``old`` for
+    (:func:`full_reduce`'s ``previous``: one input view, or a view and
+    the list a write moved it to) takes the diff that build recorded.
+    Any other alias compares the reducer's own code matrices, each row
+    packed into one key.  ``None`` when a side has no matrix (the scalar reducer ran),
     when a key does not pack, or when the rows both hold are not in the
     same relative order — the order every consumer's tie-breaks follow.
     """
@@ -449,23 +585,17 @@ def reduction_diff(old: Instances, new: Instances) -> dict[str, tuple] | None:
     if codes_old is None or codes_new is None or old.keys() != new.keys():
         return None
     diff = {}
+    known = new.known_diff(old) if isinstance(new, ReducedInstances) else {}
     for alias in new:
+        if alias in known:
+            diff[alias] = known[alias]
+            continue
         a, b = codes_old(alias), codes_new(alias)
         if a is None or b is None:
             return None
-        if len(a) == len(b) and np.array_equal(a, b):
+        if a is b or (len(a) == len(b) and np.array_equal(a, b)):
             none = np.zeros(0, dtype=np.int64)
             diff[alias] = (none, none)
-            continue
-        if _same_view(old, new, alias):
-            keys = [old.survivors_of(alias), new.survivors_of(alias)]
-            old_keys, new_keys = [
-                np.arange(len(m)) if k is None else k for k, m in zip(keys, (a, b))
-            ]
-            diff[alias] = (
-                np.flatnonzero(_absent(new_keys, old_keys, ordered=True)),
-                np.flatnonzero(_absent(old_keys, new_keys, ordered=True)),
-            )
             continue
         if not a.shape[1]:  # no variables: at most the one empty row
             diff[alias] = (np.arange(len(b)), np.arange(len(a)))

@@ -456,6 +456,7 @@ class _Runs(Mapping):
         "fills",
         "fill_to",
         "rest",
+        "unfilled",
     )
 
     def group(self, g: int) -> "_LazyGroup":
@@ -487,7 +488,16 @@ class _Runs(Mapping):
             parts = [src.take(order, axis=0) for src, _ in self.fills]
         fill_to[g] = stop
         self._put(start, stop, parts)
+        if start < stop == end:
+            self._filled(1)
         return stop
+
+    def _filled(self, groups: int) -> None:
+        """Count ``groups`` more groups filled whole; once every group
+        is, the source columns are dropped: nothing reads them again."""
+        self.unfilled -= groups
+        if not self.unfilled:
+            self.sort_cols = self.fills = None
 
     def _put(self, start: int, stop: int, parts: list) -> None:
         """Write run positions ``start:stop`` from ``parts``, one array
@@ -527,15 +537,16 @@ class _Runs(Mapping):
             for src, dst in self.fills:
                 for lst, value in zip(dst, src[start].tolist()):
                     lst[start] = value
-            return
-        parts = [src[start:stop] for src, _ in self.fills]
-        if self.sort_cols is not None:  # else the layout holds this ranking's order
-            cols = [col[start:stop] for col in reversed(self.sort_cols)]
-            if hi - lo > 1:
-                cols.append(self.layout.gid[start:stop])
-            order = kernels.np.lexsort(cols)
-            parts = [part.take(order, axis=0) for part in parts]
-        self._put(start, stop, parts)
+        else:
+            parts = [src[start:stop] for src, _ in self.fills]
+            if self.sort_cols is not None:  # else the layout holds this ranking's order
+                cols = [col[start:stop] for col in reversed(self.sort_cols)]
+                if hi - lo > 1:
+                    cols.append(self.layout.gid[start:stop])
+                order = kernels.np.lexsort(cols)
+                parts = [part.take(order, axis=0) for part in parts]
+            self._put(start, stop, parts)
+        self._filled(hi - lo)
 
     def reach(self, g: int, pos: int) -> None:
         """Fill group ``g`` at least through run position ``pos``."""
@@ -876,6 +887,7 @@ def _build_runs(
     runs.groups = [None] * len(layout.starts)  # created on first use
     runs.sort_cols = sort_cols
     runs.fill_to = layout.bounds[:-1]
+    runs.unfilled = len(layout.starts)
     runs.rest = {}
     runs.head_outs = [col[heads] for col in out_cols]
     # The lists, filled a group at a time from the source columns.
@@ -915,6 +927,7 @@ def _build_runs(
             runs.own_keys = _OutputKeys(
                 bound.key, own_vars, lambda pos: own_of(rows[row_list[pos]])
             )
+    runs._filled(0)  # a node without rows has nothing to fill
     rt.pqs = rt.runs = runs
     if batched and rt.children:
         combine_counters.record_call()

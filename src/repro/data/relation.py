@@ -242,7 +242,14 @@ class Relation:
                 f"tuple {t!r} has arity {len(t)}, relation {self.name!r} "
                 f"expects {self.arity}"
             )
-        indices = [i for i, r in enumerate(self._store.rows()) if r == t]
+        rows = self._store.rows()
+        indices = []
+        find = rows.index
+        try:  # each ``index`` call is one C-level scan to the next copy
+            while True:
+                indices.append(find(t, indices[-1] + 1 if indices else 0))
+        except ValueError:
+            pass
         if indices:
             self._store.delete_rows(indices)
         return len(indices)
@@ -328,6 +335,18 @@ class Relation:
         callers then stay on the Python row lists.
         """
         return self._paths.scan().codes_view(positions, selections, distinct)
+
+    def instance_lineage(
+        self,
+        positions: Sequence[int],
+        selections: Sequence[tuple[int, Value]] = (),
+        *,
+        distinct: bool = False,
+    ):
+        """How the last write moved an :meth:`instance_rows` view:
+        ``(earlier, at, current)`` (:meth:`repro.storage.paths.ScanPath.lineage`),
+        or ``None``."""
+        return self._paths.scan().lineage(positions, selections, distinct)
 
     def renamed(self, name: str) -> "Relation":
         """A shallow copy under a different relation name (shares storage).

@@ -19,8 +19,9 @@ generation, and every plan of the query shares it, whatever its ranking:
 :class:`DataStates` is the engine's registry of them: weakly valued, so
 a state lives exactly as long as some plan holds it and the plan cache's
 bound bounds the states too.  After a write, the first plan of a query
-to run builds the new generation's state once, carrying the row indexes
-over from the state it held (:meth:`DataState.carry_row_groups`); the
+to run builds the new generation's state once from the state it held:
+the reduction keeps the aliases the write did not reach, and the row
+indexes are carried over (:meth:`DataState.carry_row_groups`); the
 query's other plans find it there.
 """
 
@@ -93,7 +94,10 @@ class DataSpec:
     ) -> "DataState":
         """The data state over ``db`` at ``generation`` (read before the
         build began); ``old`` (the plan's state over an earlier
-        generation of ``db``, or ``None``) lends its row indexes."""
+        generation of ``db``, or ``None``) lends its reduction — the
+        aliases the write did not reach keep their rows and what was
+        derived from them (:func:`~repro.algorithms.yannakakis.full_reduce`'s
+        ``previous``) — and its row indexes."""
         if self.branches:
             olds = old.branches if old is not None else (None,) * len(self.branches)
             branches = tuple(
@@ -104,7 +108,11 @@ class DataSpec:
         if self.kind == "cyclic":
             bags = materialise_bags(self.query, db, self.ghd)
             return DataState(db, generation, bags.instances, bags=bags)
-        instances = full_reduce(self.join_tree, atom_instances(self.query, db))
+        instances = full_reduce(
+            self.join_tree,
+            atom_instances(self.query, db),
+            previous=None if old is None else old.instances,
+        )
         state = DataState(db, generation, instances)
         if old is not None:
             state.carry_row_groups(old)

@@ -30,6 +30,20 @@ Value = Any
 _UNBUILT = object()
 
 
+def _without(values: list, delta: StoreDelta) -> list:
+    """A copy of ``values`` (aligned with the store's rows) without the
+    rows ``delta`` removes: joined from the slices between them when
+    they are few (:func:`~repro.storage.kernels.joined_runs`), else one
+    ``compress`` pass over the keep-mask."""
+    removed = delta.removed
+    runs = (
+        (values, start + 1, stop)
+        for start, stop in zip((-1, *removed), (*removed, len(values)))
+    )
+    out = kernels.joined_runs(runs, len(removed) + 1, len(values))
+    return list(compress(values, delta.keep_mask())) if out is None else out
+
+
 class ColumnStore:
     """Tuples of a fixed arity, stored column-major.
 
@@ -229,8 +243,8 @@ class ColumnStore:
         """Delete the rows at the given positions, emitting a delete delta.
 
         Columns, the cached row view and the cached codes matrix are
-        compacted through one keep-mask (``itertools.compress`` /
-        ``np.delete``) into *new* objects — the post-delete store is
+        compacted (:func:`_without` / ``np.delete``) into *new*
+        objects — the post-delete store is
         bit-identical to a cold build from the surviving rows, in their
         original relative order, and a reference held before the delete
         keeps seeing the pre-delete snapshot.  The delta carries the
@@ -244,11 +258,10 @@ class ColumnStore:
         if removed[0] < 0 or removed[-1] >= n:
             raise IndexError(f"delete positions {removed!r} out of range for {n} rows")
         delta = StoreDelta(self.version + 1, n, removed=removed)
-        keep = delta.keep_mask()
-        self.columns = [list(compress(col, keep)) for col in self.columns]
+        self.columns = [_without(col, delta) for col in self.columns]
         self.version = delta.version
         if self._rows is not None:
-            self._rows = list(compress(self._rows, keep))
+            self._rows = _without(self._rows, delta)
         self._row_set = None
         cached = self._codes_arr
         if cached is not _UNBUILT:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-__all__ = ["StoreDelta", "DeltaLog"]
+__all__ = ["StoreDelta", "DeltaLog", "coalesced"]
 
 Row = tuple
 
@@ -153,3 +153,34 @@ class DeltaLog:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeltaLog(base=v{self.base_version}, entries={len(self.entries)})"
+
+
+def coalesced(deltas: Sequence[StoreDelta]) -> list[StoreDelta]:
+    """``deltas`` with each run of consecutive appends, and each run of
+    consecutive deletes, merged into one delta with the same effect, so
+    a consumer replays a gap of small writes — four single-row deletes,
+    say — in one pass per run instead of one per write."""
+    out: list[StoreDelta] = []
+    for delta in deltas:
+        last = out[-1] if out else None
+        if last is None or last.is_append != delta.is_append:
+            out.append(delta)
+        elif delta.is_append:
+            out[-1] = StoreDelta(
+                delta.version,
+                last.base_rows,
+                append_count=last.append_count + delta.append_count,
+                appended=last.appended + delta.appended,
+            )
+        else:
+            # ``delta.removed`` counts the rows ``last`` left: shift each
+            # past the positions ``last`` removed at or before it.
+            earlier, shifted, shift = last.removed, [], 0
+            for position in delta.removed:
+                while shift < len(earlier) and earlier[shift] <= position + shift:
+                    shift += 1
+                shifted.append(position + shift)
+            out[-1] = StoreDelta(
+                delta.version, last.base_rows, removed=sorted(earlier + tuple(shifted))
+            )
+    return out

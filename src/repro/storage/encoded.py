@@ -45,6 +45,7 @@ from ..core.ranking import (
 )
 from . import scores
 from .columnstore import ColumnStore
+from .deltas import coalesced
 from .dictionary import MISSING, Dictionary, _group_key
 
 __all__ = [
@@ -437,7 +438,7 @@ class EncodedDatabase:
         encode_row = self.dictionary.encode_row
         for name, rel, encoded, store, deltas in pending:
             encoded_store = encoded._store
-            for delta in deltas:
+            for delta in coalesced(deltas):
                 if delta.is_append:
                     encoded_store.append_rows(
                         [encode_row(row) for row in delta.appended]

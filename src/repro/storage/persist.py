@@ -223,12 +223,27 @@ class MappedColumnStore(ColumnStore):
         self._detach()
         super()._touch()
 
+    def __reduce__(self):
+        """Pickle as a plain :class:`ColumnStore` holding the same rows
+        and version: the mapping belongs to this process's open
+        snapshot, so a clone takes the values and nothing else."""
+        columns = [list(self.columns[i]) for i in range(self.arity)]
+        return (_plain_store, ((self.arity, columns, self.version),))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "mapped" if self._mapped else "detached"
         return (
             f"MappedColumnStore(arity={self.arity}, n={len(self)}, "
             f"v={self.version}, {state})"
         )
+
+
+def _plain_store(state) -> ColumnStore:
+    """A plain store from :meth:`ColumnStore.__getstate__`'s state (how a
+    mapped store unpickles)."""
+    store = ColumnStore.__new__(ColumnStore)
+    store.__setstate__(state)
+    return store
 
 
 # ---------------------------------------------------------------------- #

@@ -325,6 +325,8 @@ def forced(enum):
         for g in range(len(runs.groups)):
             runs.reach(g, runs.bounds[g + 1] - 1)
         assert runs.fill_to == runs.bounds[1:]
+        # Every group is filled: the source columns are dropped.
+        assert runs.sort_cols is None and runs.fills is None
         batched = runs.head_keys is not None
         out[rt.alias] = (
             runs.row_idx,
@@ -358,7 +360,8 @@ def test_lazy_runs_equal_a_full_eager_sort(case):
         ).preprocess()
         for rt, lazy_rt in zip(nodes(layouts), nodes(lazy)):
             assert lazy_rt.runs.layout is rt.runs.layout
-            assert lazy_rt.runs.sort_cols is not None
+            # Sorted group by group (the columns go once all are filled).
+            assert lazy_rt.runs.sort_cols is not None or not lazy_rt.runs.unfilled
         assert all(rt.runs.sort_cols is None for rt in nodes(eager))
         assert forced(lazy) == forced(eager)
 
@@ -383,6 +386,30 @@ def test_top_1_fills_only_the_groups_it_creates():
         else:
             assert len(created) <= 3 < len(runs.groups)
             assert filled_rows < runs.bounds[-1] / 4
+
+
+def test_drained_runs_drop_their_sort_columns():
+    # A ranking sorting each group of another ranking's layouts on first
+    # use keeps its sort columns and fill matrices only until every
+    # group is filled; draining the answers fills them all.
+    rows = [(a, p) for p in range(60) for a in range(p % 7, p % 7 + 4)]
+    db = Database.from_dict({"R": (("c0", "c1"), rows)})
+    query = QUERIES[1]
+    weight = TableWeight({v: {a: float((a * 7) % 5) for a in range(70)} for v in query.head})
+    shared = reduced(query, db)
+    kwargs = dict(instances=shared, already_reduced=True)
+    AcyclicRankedEnumerator(query, db, SumRanking(), **kwargs).preprocess()
+    lazy = AcyclicRankedEnumerator(query, db, SumRanking(weight), **kwargs)
+    stream = iter(lazy)
+    answers = [next(stream)]
+    assert any(rt.runs.sort_cols is not None for rt in nodes(lazy))
+    answers += list(stream)
+    expected = enumerate_ranked(query, db, SumRanking(weight))
+    assert [(a.values, a.score) for a in answers] == [(a.values, a.score) for a in expected]
+    for rt in nodes(lazy):
+        runs = rt.runs
+        assert runs.fill_to == runs.bounds[1:] and not runs.unfilled
+        assert runs.sort_cols is None and runs.fills is None
 
 
 def test_rankings_of_one_query_share_the_layouts():

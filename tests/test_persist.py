@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.storage import (
     save_snapshot,
     snapshot_handle,
 )
+from repro.storage.columnstore import ColumnStore
 from repro.storage.persist import MappedColumnStore, open_snapshot
 
 needs_numpy = pytest.mark.skipif(
@@ -304,6 +306,27 @@ class TestCopyOnWrite:
             cold.add_relation(rel.name, rel.attrs, list(rel))
         expected = _pairs(enumerate_ranked(parse_query(q), cold))
         assert _pairs(engine.execute(q)) == expected
+
+
+@needs_numpy
+class TestPickling:
+    @pytest.mark.parametrize("encode", [True, False])
+    def test_an_opened_snapshot_pickles_as_plain_stores(self, tmp_path, encode):
+        snap = save_snapshot(_star_db(), tmp_path / "snap")
+        db = open_database(snap)
+        engine = QueryEngine(db, encode=encode)
+        q = "Q(a1, a2) :- E(a1, p), E(a2, p)"
+        expected = _pairs(engine.execute(q, SumRanking(_WEIGHTS)))
+        assert all(isinstance(rel._store, MappedColumnStore) for rel in db)
+        clone = pickle.loads(pickle.dumps(db))
+        for rel in db:
+            store = clone[rel.name]._store
+            assert type(store) is ColumnStore
+            assert list(clone[rel.name]) == list(rel)
+            assert store.version == rel._store.version
+        assert _pairs(QueryEngine(clone, encode=encode).execute(q, SumRanking(_WEIGHTS))) == expected
+        clone["E"].add(("zoe", "p1"))  # a clone is writable, like any plain store
+        assert ("zoe", "p1") in clone["E"] and ("zoe", "p1") not in db["E"]
 
 
 # --------------------------------------------------------------------- #

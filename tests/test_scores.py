@@ -380,7 +380,7 @@ class TestFreshRankings:
         fresh_requests(2)
         assert lonely[0] not in {row[0] for row in rel}
 
-    def test_a_write_drops_the_kept_domains(self):
+    def test_a_write_maintains_the_kept_domains(self):
         db = Database()
         rel = db.add_relation("R", ("a", "b"), [(1, 0), (5, 0), (9, 1), (5, 1)])
         view_key = ((0, 1), (), False)
@@ -394,18 +394,25 @@ class TestFreshRankings:
             ]
             return scan
 
-        scan = weighed(IdentityWeight())
+        identity = IdentityWeight()
+        scan = weighed(identity)
         domain, inverse = scan._domains[(view_key, 0)]
         assert domain.tolist() == [1, 5, 9] and inverse.tolist() == [0, 1, 2, 1]
         for write in (lambda: rel.add((3, 2)), lambda: rel.remove((9, 1))):
             write()
-            assert rel.scan()._domains == {}
-            # Rebuilt lazily over the written data for a fresh weight
-            # (a kept score view is carried over without it).
+            # Kept current through the write, not dropped: equal to a
+            # cold build over the written data.
+            domain, inverse = rel.scan()._domains[(view_key, 0)]
+            cold, cold_inverse = scores.column_domain(
+                np.array([row[0] for row in rel.scan().rows()], dtype=np.int64)
+            )
+            assert domain.tolist() == cold.tolist()
+            assert inverse.tolist() == cold_inverse.tolist()
+            # The kept score view is carried over, and a fresh weight
+            # weighs the kept domain.
+            weighed(identity)
             scan = weighed(TableWeight(tables))
-            domain, inverse = scan._domains[(view_key, 0)]
-            assert domain.tolist() == sorted({row[0] for row in scan.rows()})
-            assert domain[inverse].tolist() == [row[0] for row in scan.rows()]
+            assert scan._domains[(view_key, 0)][0] is domain
         # Each view column keeps its own domain.
         other = scan.scores_view(*view_key, index=1, attr="b", weight=IdentityWeight())
         assert other.take(None).tolist() == [float(row[1]) for row in scan.rows()]
