@@ -23,14 +23,13 @@ objects; the queue comparator is ``(rank key, partial output)``.
   rank key, partial output) order.  What depends on the data alone —
   the rows grouped by anchor, their output columns and their links to
   child groups — is the node's :class:`_NodeLayout`, built once per
-  reduction by one ``lexsort`` in the order of the ranking that builds
-  it; every later ranking adds its keys and each group's head (a
-  segmented argmin, no sort) and sorts a group only when the group is
-  first used, a long one a chunk at a time.  A group's queue
-  (:class:`_LazyGroup`) is created only when a parent's cell first
-  points into it, and a row's cell only when its run position reaches
-  the top of its group; a child's key and output enter its parents
-  through the head of each run.  The runs keep their outputs as one
+  reduction with each group's rows in row order.  A ranking adds its
+  keys and each group's head (a segmented argmin, no sort) and sorts a
+  group only when the group is first used, a long one a chunk at a
+  time.  A group's queue (:class:`_LazyGroup`) is created only when a
+  parent's cell first points into it, and a row's cell only when its
+  run position reaches the top of its group; a child's key and output
+  enter its parents through the head of each run.  The runs keep their outputs as one
   list of ints per column: a position's output tuple is built when its
   group first reaches it, and its cell reuses it.  Other rankings and
   data build one cell and heap entry per tuple (the scalar build, also
@@ -270,11 +269,9 @@ class _NodeLayout:
     ``head_anchor`` holds each group's anchor columns; ``own_cols`` the
     node's output columns and ``links`` (per child) the index of the
     child group each position joins, both in layout order.  Within a
-    group the positions are in the order of the ranking whose build
-    grouped them (:func:`_build_runs` sorts once when it finds no
-    layout), so that ranking's runs need no further sort; every other
-    ranking sorts a group on first use, breaking ties by row index.
-    The layout is memoised with the reduction
+    group the positions are in row order: the layout depends on the
+    data alone, and every ranking sorts a group on first use, breaking
+    ties by row index.  The layout is memoised with the reduction
     (:meth:`~repro.algorithms.yannakakis.AtomInstances.derived`), so it
     lives as long as the reduced rows it describes.  ``refused`` names
     why the node has no layout (``"conversion"``: a column is not
@@ -287,7 +284,6 @@ class _NodeLayout:
         "children",
         "refused",
         "row_idx",
-        "anchor_cols",
         "own_cols",
         "links",
         "gid",
@@ -303,25 +299,6 @@ class _NodeLayout:
         self.refused = refused
         self.index = None  # anchor -> group, built on first lookup
 
-    def group(self, order) -> None:
-        """Put the rows in ``order``, which groups them by ascending
-        anchor, and find the groups."""
-        np = kernels.np
-        self.row_idx = self.row_idx[order]
-        self.own_cols = {p: col[order] for p, col in self.own_cols.items()}
-        self.links = [idx[order] for idx in self.links]
-        anchor_cols = [col[order] for col in self.anchor_cols]
-        self.anchor_cols = None
-        m = len(order)
-        change = np.zeros(m, dtype=bool)
-        change[:1] = True
-        for col in anchor_cols:
-            change[1:] |= col[1:] != col[:-1]
-        self.gid = np.cumsum(change) - 1
-        starts = self.starts = np.flatnonzero(change)
-        self.bounds = starts.tolist() + [m]
-        self.head_anchor = [col[starts] for col in anchor_cols]
-
     def anchor_index(self, anchor_of) -> dict:
         """``{anchor: group}``, built on first use."""
         index = self.index
@@ -333,11 +310,11 @@ class _NodeLayout:
 
 
 def _link_rows(rt: "_RTNode", rows: Sequence[Row], instances, children: tuple) -> _NodeLayout:
-    """A layout not grouped yet: the node's valid rows in row order,
-    with their anchor, output and link columns.  A row's link to a
-    child is the group whose head anchor equals the row's key into it
-    (``pack_pair`` + ``searchsorted``); rows without one are dangling
-    and left out, as in the scalar build."""
+    """The node's layout: its valid rows grouped by ascending anchor,
+    in row order within a group, with their output and link columns.
+    A row's link to a child is the group whose head anchor equals the
+    row's key into it (``pack_pair`` + ``searchsorted``); rows without
+    one are dangling and left out, as in the scalar build."""
     # Outputs are rebuilt from the columns: no bool or IntEnum to
     # normalise.  Key columns only need an exact int64 image.  The
     # scan depends on the data alone, so instances that can memoise
@@ -370,11 +347,24 @@ def _link_rows(rt: "_RTNode", rows: Sequence[Row], instances, children: tuple) -
             valid &= h_keys[idx] == p_keys
         links.append(idx)
     sel = np.flatnonzero(valid)
+    anchor_cols = [cols[p][sel] for p in rt.anchor_positions]
+    if anchor_cols:  # a stable sort keeps row order within a group
+        order = np.lexsort(anchor_cols[::-1])
+        sel = sel[order]
+        anchor_cols = [col[order] for col in anchor_cols]
+    m = len(sel)
+    change = np.zeros(m, dtype=bool)
+    change[:1] = True
+    for col in anchor_cols:
+        change[1:] |= col[1:] != col[:-1]
     layout = _NodeLayout(rows, children)
     layout.row_idx = sel
-    layout.anchor_cols = [cols[p][sel] for p in rt.anchor_positions]
     layout.own_cols = {p: cols[p][sel] for p in rt.own_positions}
     layout.links = [idx[sel] for idx in links]
+    layout.gid = np.cumsum(change) - 1
+    starts = layout.starts = np.flatnonzero(change)
+    layout.bounds = starts.tolist() + [m]
+    layout.head_anchor = [col[starts] for col in anchor_cols]
     return layout
 
 
@@ -410,16 +400,14 @@ class _Runs(Mapping):
     per output column, and per child the index of the child group each
     position joins) are allocated whole and filled group by group
     (:meth:`fill`) from the source columns in ``fills``, which are in
-    layout order.  When the layout holds this ranking's order
-    (``sort_cols`` is ``None``: this build grouped it), a fill copies a
-    slice; otherwise a group's first fill sorts its rows by
-    ``sort_cols`` (the ranking's key, or the LEX sort columns, then the
-    output columns, then the row index).  A group longer than
-    :data:`_SORT_CHUNK` is filled a chunk at a time (``fill_to[g]``
-    ends the filled prefix of group ``g``; ``rest`` holds the layout
-    positions a sorted group has not placed yet).  A position's output
-    tuple is built (:attr:`out_at`) when its group first needs it, so
-    positions that are never reached cost no tuple.
+    layout order (row order within a group): a group's first fill sorts
+    its rows by ``sort_cols`` (the ranking's key, or the LEX sort
+    columns, then the output columns, then the row index).  A group
+    longer than :data:`_SORT_CHUNK` is filled a chunk at a time
+    (``fill_to[g]`` ends the filled prefix of group ``g``; ``rest``
+    holds the layout positions a sorted group has not placed yet).  A
+    position's output tuple is built (:attr:`out_at`) when its group
+    first needs it, so positions that are never reached cost no tuple.
 
     Its :class:`_LazyGroup` is created on demand — when a parent's cell
     first points into it (:meth:`group`), or when the root or an
@@ -479,15 +467,10 @@ class _Runs(Mapping):
                 h += 1
             self.fill_groups(g, h)
             return end
-        if self.sort_cols is None:  # the layout holds this ranking's order
-            stop = min(end, start + max(_SORT_CHUNK, start - bounds[g]))
-            parts = [src[start:stop] for src, _ in self.fills]
-        else:
-            order = self._next_chunk(g, start, end)
-            stop = start + len(order)
-            parts = [src.take(order, axis=0) for src, _ in self.fills]
+        order = self._next_chunk(g, start, end)
+        stop = start + len(order)
         fill_to[g] = stop
-        self._put(start, stop, parts)
+        self._put(start, stop, [src.take(order, axis=0) for src, _ in self.fills])
         if start < stop == end:
             self._filled(1)
         return stop
@@ -538,14 +521,11 @@ class _Runs(Mapping):
                 for lst, value in zip(dst, src[start].tolist()):
                     lst[start] = value
         else:
-            parts = [src[start:stop] for src, _ in self.fills]
-            if self.sort_cols is not None:  # else the layout holds this ranking's order
-                cols = [col[start:stop] for col in reversed(self.sort_cols)]
-                if hi - lo > 1:
-                    cols.append(self.layout.gid[start:stop])
-                order = kernels.np.lexsort(cols)
-                parts = [part.take(order, axis=0) for part in parts]
-            self._put(start, stop, parts)
+            cols = [col[start:stop] for col in reversed(self.sort_cols)]
+            if hi - lo > 1:
+                cols.append(self.layout.gid[start:stop])
+            order = kernels.np.lexsort(cols) + start
+            self._put(start, stop, [src.take(order, axis=0) for src, _ in self.fills])
         self._filled(hi - lo)
 
     def reach(self, g: int, pos: int) -> None:
@@ -776,16 +756,15 @@ def _build_runs(
     order by the float key array; LEX orders by the columns its key is
     made of (``key_sort_columns``), and a key is built only when its
     run position is reached.  The data half, the node's
-    :class:`_NodeLayout`, is memoised with the reduction.  Without one,
-    a stable ``lexsort`` of the node's rows by (anchor, key, output)
-    groups them, and the layout keeps this ranking's order.  With one,
-    this ranking's half is a few passes over it: each group's head
-    comes from a segmented argmin (:func:`_group_heads`), and the group
-    is sorted on first use (:meth:`_Runs.fill`) into the order that
-    lexsort gives.  Refuses (``False``: the scalar build runs) for
-    other rankings, a child built the scalar way, columns that are not
-    exactly ``int``, infinite weights under a batchable ranking and NaN
-    keys — the cases where array order could differ from the heap's.
+    :class:`_NodeLayout` (rows grouped by anchor, in row order within a
+    group), is memoised with the reduction, so every ranking's half is
+    a few passes over it: each group's head comes from a segmented
+    argmin (:func:`_group_heads`), and the group is sorted on first use
+    (:meth:`_Runs.fill`) by (key, output, row index).  Refuses
+    (``False``: the scalar build runs) for other rankings, a child
+    built the scalar way, columns that are not exactly ``int``,
+    infinite weights under a batchable ranking and NaN keys — the cases
+    where array order could differ from the heap's.
     A refusal at a node with children is counted on
     ``combine_counters`` with its reason.  The run positions count as
     pushes and live entries on ``heap_stats``; the runs count the cells
@@ -813,11 +792,8 @@ def _build_runs(
     # A memoised layout holds its children, so their ids stay unique.
     key = (rt.anchor_positions, rt.own_positions, rt.child_key_positions, tuple(map(id, child_layouts)))
     layout = memo.get(key)
-    grouped = layout is not None
-    if not grouped:
-        layout = _link_rows(rt, rows, instances, child_layouts)
-        if layout.refused is not None:
-            memo[key] = layout
+    if layout is None:
+        layout = memo[key] = _link_rows(rt, rows, instances, child_layouts)
     if layout.refused == "conversion":
         return refuse("conversion")
     np = kernels.np
@@ -854,25 +830,10 @@ def _build_runs(
         sort_keys = bound.key_sort_columns(rt.out_vars, out_cols)
         if sort_keys is None:
             return refuse("conversion")
-    if grouped:
-        sort_cols = sort_keys + out_cols + [layout.row_idx]
-        heads = _group_heads(sort_cols, layout) if len(layout.row_idx) else layout.starts
-    else:
-        # lexsort's last key is the primary one; the row index, first,
-        # is never empty (an output-free node under LEX has no other).
-        order = np.lexsort(
-            (layout.row_idx,)
-            + tuple(reversed(out_cols))
-            + tuple(reversed(sort_keys))
-            + tuple(reversed(layout.anchor_cols))
-        )
-        layout.group(order)
-        memo[key] = layout
-        out_cols = [col[order] for col in out_cols]
-        if batched:
-            own, keys = own[order], keys[order]
-        sort_cols = None  # the layout holds this ranking's order
-        heads = layout.starts
+    # The row index, last, is never empty (an output-free node under
+    # LEX has no other sort column).
+    sort_cols = sort_keys + out_cols + [layout.row_idx]
+    heads = _group_heads(sort_cols, layout) if len(layout.row_idx) else layout.starts
     m = len(layout.row_idx)
     runs = _Runs()
     runs.layout = layout

@@ -28,12 +28,11 @@ class Database:
     ('a', 'b')
     """
 
-    __slots__ = ("_relations", "_generation", "_delta_generation", "__weakref__")
+    __slots__ = ("_relations", "_generation", "__weakref__")
 
     def __init__(self, relations: Iterable[Relation] = ()):
         self._relations: dict[str, Relation] = {}
         self._generation: int = 0
-        self._delta_generation: int = 0
         for rel in relations:
             self.add(rel)
 
@@ -61,18 +60,9 @@ class Database:
         self._relations[relation.name] = relation
         return relation
 
-    def _relation_mutated(self, *, delta_capable: bool = False) -> None:
-        """Backref hook: one of our relations mutated its store.
-
-        ``delta_capable`` marks mutations the storage layer's delta log
-        describes exactly (row appends/deletes); those advance
-        :attr:`delta_generation` in lockstep with :attr:`generation`, so
-        a consumer whose two gaps agree knows *every* intervening step is
-        replayable from delta logs.
-        """
+    def _relation_mutated(self) -> None:
+        """Backref hook: one of our relations mutated its store."""
         self._generation += 1
-        if delta_capable:
-            self._delta_generation += 1
 
     def add_relation(
         self, name: str, attrs: Sequence[str], tuples: Iterable[Sequence[Value]] = ()
@@ -135,19 +125,6 @@ class Database:
         """
         return self._generation
 
-    @property
-    def delta_generation(self) -> int:
-        """How much of :attr:`generation` is delta-expressible mutation.
-
-        Advances exactly when :attr:`generation` does *and* the mutation
-        was a row append/delete carried by a store delta.  Warm-state
-        consumers compare the two gaps since their last snapshot: equal
-        gaps mean every intervening write can be replayed incrementally;
-        unequal gaps mean something structural (a relation added, a
-        non-delta store rewrite) happened and a full rebuild is due.
-        """
-        return self._delta_generation
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{r.name}({len(r)})" for r in self)
         return f"Database[{inner}]"
@@ -180,13 +157,12 @@ class Database:
     # pickling (worker shipping): weak backrefs are rebuilt on arrival
     # ------------------------------------------------------------------ #
     def __getstate__(self):
-        return (list(self._relations.values()), self._generation, self._delta_generation)
+        return (list(self._relations.values()), self._generation)
 
     def __setstate__(self, state) -> None:
-        relations, generation, delta_generation = state
+        relations, generation = state
         self._relations = {rel.name: rel for rel in relations}
         self._generation = generation
-        self._delta_generation = delta_generation
         for rel in relations:
             rel._attach(self)
 

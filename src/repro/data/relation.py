@@ -254,17 +254,13 @@ class Relation:
             self._store.delete_rows(indices)
         return len(indices)
 
-    def _store_mutated(self, delta) -> None:
+    def _store_mutated(self) -> None:
         """Store mutation callback (every write lands here, once).
 
         Fired by the column store for mutations through *any* relation
         sharing it, so ``renamed`` replicas' generations move together.
-        ``delta`` is the :class:`~repro.storage.deltas.StoreDelta` when
-        the mutation is delta-expressible, else ``None``; owning
-        databases use that bit to keep their ``delta_generation`` counter
-        aligned with ``generation`` exactly when every step is
-        delta-maintainable.  Each weakref is dereferenced exactly once: a
-        second deref could race garbage collection.
+        Each weakref is dereferenced exactly once: a second deref could
+        race garbage collection.
         """
         self.generation += 1
         if self._owners:
@@ -273,7 +269,7 @@ class Relation:
                 database = ref()
                 if database is not None:
                     live.append(ref)
-                    database._relation_mutated(delta_capable=delta is not None)
+                    database._relation_mutated()
             self._owners = live
 
     def _attach(self, database) -> None:

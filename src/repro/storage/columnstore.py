@@ -236,7 +236,7 @@ class ColumnStore:
             appended=materialised,
         )
         self.delta_log.record(delta)
-        self._notify(delta)
+        self._notify()
         return delta
 
     def delete_rows(self, indices: Sequence[int]) -> StoreDelta | None:
@@ -271,7 +271,7 @@ class ColumnStore:
                 _UNBUILT if cached is None else kernels.np.delete(cached, removed, axis=0)
             )
         self.delta_log.record(delta)
-        self._notify(delta)
+        self._notify()
         return delta
 
     def deltas_since(self, version: int) -> list[StoreDelta] | None:
@@ -301,7 +301,7 @@ class ColumnStore:
         live.append(weakref.ref(relation))
         self._listeners = live
 
-    def _notify(self, delta: StoreDelta | None) -> None:
+    def _notify(self) -> None:
         if not self._listeners:
             return
         live = []
@@ -309,7 +309,7 @@ class ColumnStore:
             relation = ref()
             if relation is not None:
                 live.append(ref)
-                relation._store_mutated(delta)
+                relation._store_mutated()
         self._listeners = live
 
     def _touch(self) -> None:
@@ -319,7 +319,7 @@ class ColumnStore:
         self._row_set = None
         self._codes_arr = _UNBUILT
         self.delta_log.barrier(self.version)
-        self._notify(None)
+        self._notify()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnStore(arity={self.arity}, n={len(self)}, v={self.version})"

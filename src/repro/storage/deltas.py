@@ -75,10 +75,6 @@ class StoreDelta:
     def is_append(self) -> bool:
         return self.append_count > 0
 
-    @property
-    def is_delete(self) -> bool:
-        return bool(self.removed)
-
     def keep_mask(self) -> bytearray:
         """One byte per pre-delete row, 0 at the removed positions.
 

@@ -154,27 +154,6 @@ class Dictionary:
     # ------------------------------------------------------------------ #
     # incremental code assignment
     # ------------------------------------------------------------------ #
-    def extend_with(self, values: Iterable[Any]) -> int:
-        """Assign fresh codes to never-seen values, appending at the end.
-
-        No existing code moves — every structure keyed on this
-        dictionary's codes (encoded stores, score columns, warm reduced
-        instances) stays valid.  What appending *cannot* preserve is the
-        global code-order ≅ value-order isomorphism the encoded LEX keys
-        and tie-breaking rely on; callers that need it use
-        :meth:`extend_if_ordered` instead and rebuild on refusal.
-
-        Returns the number of codes added.
-        """
-        codes = self.codes
-        added = 0
-        for v in values:
-            if v not in codes:
-                codes[v] = len(self.values)
-                self.values.append(v)
-                added += 1
-        return added
-
     def extend_if_ordered(self, values: Iterable[Any]) -> bool:
         """Append codes for new values *only* when order is preserved.
 

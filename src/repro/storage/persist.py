@@ -8,8 +8,8 @@ manifest:
 
 ``manifest.json``
     Format tag + version, byte order, dtypes, the database ``generation``
-    / ``delta_generation`` watermark at save time, and one entry per
-    relation (name, attrs, row count, store version, array file).
+    watermark at save time, and one entry per relation (name, attrs, row
+    count, store version, array file).
 ``dictionary.json``
     The dictionary's value list, in code order.
 ``rel_<i>.codes.mmap``
@@ -355,7 +355,6 @@ def save_snapshot(db, path: str | os.PathLike, *, checkpoint_token=None) -> str:
         "dtype": _CODE_DTYPE,
         "score_dtype": _SCORE_DTYPE,
         "generation": db.generation,
-        "delta_generation": db.delta_generation,
         "checkpoint": checkpoint_token,
         "dictionary": {"file": dictionary_file, "entries": len(values)},
         "scores": {
@@ -527,11 +526,6 @@ class Snapshot:
     def generation(self) -> int:
         """Database generation at save time (the snapshot watermark)."""
         return self.manifest["generation"]
-
-    @property
-    def delta_generation(self) -> int:
-        """Delta-expressible share of :attr:`generation` at save time."""
-        return self.manifest["delta_generation"]
 
     def names(self) -> list[str]:
         return [e["name"] for e in self.manifest["relations"]]

@@ -342,28 +342,83 @@ def forced(enum):
     return out
 
 
+def eager_order(enum, rt) -> list[int]:
+    """The permutation one ``lexsort`` of a node's forced runs by
+    (anchor, key or LEX sort columns, output, row index) gives: the
+    identity when the runs hold the rows fully sorted."""
+    np = kernels.np
+    runs = rt.runs
+    rows = np.array(runs.row_idx, dtype=np.int64)
+    anchors = [rt.anchor_of(runs.rows[i]) for i in runs.row_idx]
+    anchor_cols = [
+        np.array([anchor[j] for anchor in anchors], dtype=np.int64)
+        for j in range(len(rt.anchor_positions))
+    ]
+    outs = [np.array(col, dtype=np.int64) for col in runs.outs]
+    if runs.head_keys is not None:
+        keys = [np.array(runs.keys, dtype=np.float64)]
+    else:
+        keys = enum.bound.key_sort_columns(rt.out_vars, outs)
+    order = np.lexsort((rows, *outs[::-1], *keys[::-1], *anchor_cols[::-1]))
+    change = [0] + [i for i in range(1, len(anchors)) if anchors[i] != anchors[i - 1]]
+    assert runs.bounds == (change + [len(anchors)] if anchors else [0])
+    return order.tolist()
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=layout_cases())
 def test_lazy_runs_equal_a_full_eager_sort(case):
-    # ``first`` groups every node's rows in its own order; ``second``
-    # then sorts each group of those layouts on first use (in chunks
-    # for the small chunk sizes), and must end where one lexsort of its
-    # own puts every row.
+    # ``first`` lays every node's rows out and ``second`` reuses those
+    # layouts; both sort each group on first use (in chunks for the
+    # small chunk sizes) and must end where one lexsort of the node's
+    # rows puts them, as must ``second`` over layouts of its own.
     query, db, first, second, chunk = case
     with sort_chunk(chunk):
         shared = reduced(query, db)
         kwargs = dict(instances=shared, already_reduced=True)
         layouts = AcyclicRankedEnumerator(query, db, first, **kwargs).preprocess()
         lazy = AcyclicRankedEnumerator(query, db, second, **kwargs).preprocess()
-        eager = AcyclicRankedEnumerator(
+        own = AcyclicRankedEnumerator(
             query, db, second, instances=reduced(query, db), already_reduced=True
         ).preprocess()
         for rt, lazy_rt in zip(nodes(layouts), nodes(lazy)):
             assert lazy_rt.runs.layout is rt.runs.layout
-            # Sorted group by group (the columns go once all are filled).
-            assert lazy_rt.runs.sort_cols is not None or not lazy_rt.runs.unfilled
-        assert all(rt.runs.sort_cols is None for rt in nodes(eager))
-        assert forced(lazy) == forced(eager)
+        forced(layouts)
+        assert forced(lazy) == forced(own)
+        for enum in (layouts, lazy):
+            for rt in nodes(enum):
+                assert eager_order(enum, rt) == list(range(len(rt.runs.row_idx)))
+
+
+def test_layouts_do_not_depend_on_the_ranking_that_built_them():
+    # SUM and MAX order the rows of a group differently; whichever
+    # ranking builds a reduction's layouts first, they are the same.
+    rows = [(a, p) for a in range(12) for p in range(5) if (a * 3 + p) % 4]
+    db = Database.from_dict({"R": (("c0", "c1"), rows)})
+    query = QUERIES[1]
+    table = {v: float((v * 7) % 5) for v in range(12)}
+    weight = TableWeight({}, default_table=table)
+    rankings = [SumRanking(weight), MaxRanking(weight, descending=True)]
+
+    def layouts(order):
+        kwargs = dict(instances=reduced(query, db), already_reduced=True)
+        enums = [AcyclicRankedEnumerator(query, db, r, **kwargs).preprocess() for r in order]
+        out = {}
+        for rt in nodes(enums[0]):
+            layout = rt.runs.layout
+            out[rt.alias] = (
+                layout.row_idx.tolist(),
+                layout.bounds,
+                layout.gid.tolist(),
+                [col.tolist() for col in layout.head_anchor],
+                {p: col.tolist() for p, col in layout.own_cols.items()},
+                [idx.tolist() for idx in layout.links],
+            )
+        for rt, first_rt in zip(nodes(enums[1]), nodes(enums[0])):
+            assert rt.runs.layout is first_rt.runs.layout
+        return out
+
+    assert layouts(rankings) == layouts(rankings[::-1])
 
 
 def test_top_1_fills_only_the_groups_it_creates():

@@ -143,7 +143,6 @@ class TestRoundTrip:
         save_snapshot(db, tmp_path / "snap")
         snapshot = open_snapshot(tmp_path / "snap")
         assert snapshot.generation == db.generation
-        assert snapshot.delta_generation == db.delta_generation
 
     def test_engine_starts_warm(self, tmp_path):
         save_snapshot(_star_db(), tmp_path / "snap")
